@@ -5,9 +5,9 @@ Run: python3 demos/02_rooted_isomorphism.py
 
 from cftree import (
     PDfa,
-    equivalence_table,
     involutive_closure,
     iso_rooted,
+    language_classes,
     language_upto,
 )
 
@@ -16,8 +16,9 @@ d = PDfa({"p", "q"}, al, {("p", "a"): "p", ("p", "b"): "q", ("q", "b"): "q"})
 
 # Two states of one automaton generate isomorphic rooted trees exactly when
 # they read the same words.
-table = equivalence_table(d, d)
-print("equivalent state pairs:", sorted(table))
+(classes,) = language_classes(d)
+print("equivalent state pairs:",
+      sorted((p, q) for p in d.states for q in d.states if classes[p] == classes[q]))
 
 ok, witness = iso_rooted(d, "p", d, "q")
 print(f"\np vs q rooted isomorphic? {ok}")

@@ -27,7 +27,7 @@ from .automata import (
     validate_mnfa,
     validate_pdfa,
 )
-from .compression import compress_finite_tree, minimize, state_class
+from .compression import compress_finite_tree, minimize, quotient
 from .errors import (
     AlphabetError,
     CFTreeError,
@@ -43,13 +43,11 @@ from .errors import (
     WordNotInLanguageError,
 )
 from .isomorphism import (
-    EquivalenceTable,
     NonRootedWitness,
-    UConfig,
     Witness,
-    equivalence_table,
     iso_nonrooted,
     iso_rooted,
+    language_classes,
     verify_nonrooted_witness,
 )
 from .reductions import (
@@ -81,7 +79,6 @@ __all__ = [
     "CFTreeError",
     "DEFAULT_MAX_NODES",
     "DiscTree",
-    "EquivalenceTable",
     "Gap2Instance",
     "InvolutiveAlphabet",
     "Issue",
@@ -97,7 +94,6 @@ __all__ = [
     "SchemaError",
     "TOP_LETTER",
     "Transition",
-    "UConfig",
     "UnknownLetterError",
     "UnknownNodeError",
     "UnknownStateError",
@@ -108,7 +104,6 @@ __all__ = [
     "compress_finite_tree",
     "disc_equal_rooted",
     "end_cone",
-    "equivalence_table",
     "export_dot",
     "find_nondeterministic_pair",
     "gap2_has_path",
@@ -116,11 +111,13 @@ __all__ = [
     "is_reduced",
     "iso_nonrooted",
     "iso_rooted",
+    "language_classes",
     "language_upto",
     "merge_alphabets",
     "minimize",
     "nondeterministic_vertex",
     "pdfa_to_mnfa",
+    "quotient",
     "reachable_states",
     "reduce_gap2_to_rooted_iso",
     "reduce_rooted_to_nonrooted",
@@ -129,7 +126,6 @@ __all__ = [
     "reroot_along_word",
     "reroot_disc",
     "reroot_step",
-    "state_class",
     "trim",
     "truncate",
     "unfold_mnfa",

@@ -36,6 +36,13 @@ def _read_doc(path: str):
     return jsonio.loads(text)
 
 
+def _write_doc(path: str, doc: dict) -> None:
+    try:
+        Path(path).write_text(jsonio.dumps(doc))
+    except OSError as e:
+        raise SchemaError(f"cannot write {path}: {e}") from e
+
+
 def _load_automaton(path: str, *, strict: bool = True):
     return jsonio.automaton_from_doc(_read_doc(path), strict=strict)
 
@@ -126,8 +133,8 @@ def _cmd_reduce_2gap(args) -> int:
         a, root_a, b, root_b = reduce_gap2_to_rooted_iso(g)
     except ValueError as e:
         raise SchemaError(str(e)) from e
-    Path(args.out_a).write_text(jsonio.dumps(jsonio.automaton_to_doc(a, root=root_a)))
-    Path(args.out_b).write_text(jsonio.dumps(jsonio.automaton_to_doc(b, root=root_b)))
+    _write_doc(args.out_a, jsonio.automaton_to_doc(a, root=root_a))
+    _write_doc(args.out_b, jsonio.automaton_to_doc(b, root=root_b))
     print(f"wrote {args.out_a} and {args.out_b}", file=sys.stderr)
     return EXIT_OK
 
@@ -140,8 +147,8 @@ def _cmd_lift_nonrooted(args) -> int:
     a = _as_pdfa_input(aut_a, args.file_a)
     b = _as_pdfa_input(aut_b, args.file_b)
     a2, p2, b2, q2 = reduce_rooted_to_nonrooted(a, state_a, b, state_b)
-    Path(args.out_a).write_text(jsonio.dumps(jsonio.automaton_to_doc(a2, root=p2)))
-    Path(args.out_b).write_text(jsonio.dumps(jsonio.automaton_to_doc(b2, root=q2)))
+    _write_doc(args.out_a, jsonio.automaton_to_doc(a2, root=p2))
+    _write_doc(args.out_b, jsonio.automaton_to_doc(b2, root=q2))
     print(f"wrote {args.out_a} and {args.out_b}", file=sys.stderr)
     return EXIT_OK
 
@@ -156,8 +163,8 @@ def _cmd_compress(args) -> int:
 def _cmd_minimize(args) -> int:
     aut, root = _load_automaton(args.file)
     d = _as_pdfa_input(aut, args.file)
-    out = compression.minimize(d)
-    new_root = compression.state_class(d, root) if root is not None else None
+    out, rep = compression.quotient(d)
+    new_root = rep[root] if root is not None else None
     if args.trim and new_root is not None:
         out = trim(out, new_root)
     sys.stdout.write(jsonio.dumps(jsonio.automaton_to_doc(out, root=new_root)))

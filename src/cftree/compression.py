@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .automata import PDfa
 from .errors import NondeterministicTreeError
-from .isomorphism import equivalence_table
+from .isomorphism import language_classes
 from .unfolding import DiscTree, _canonical_forms, nondeterministic_vertex
 
 
@@ -42,23 +42,23 @@ def compress_finite_tree(t: DiscTree) -> tuple[PDfa, str]:
     return PDfa(state_of_form.values(), t.alphabet, delta), state_of_form[forms[t.root]]
 
 
-def minimize(d: PDfa) -> PDfa:
+def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     """Quotient a pDFA by language equality of its states.
 
-    Every state's language is preserved, no two distinct result states are
-    equivalent, and reducedness survives the quotient.  Class names are the
-    smallest member state name.
+    Returns the quotient and the map from each state to the class it
+    collapses into.  Every state's language is preserved, no two distinct
+    result states are equivalent, and reducedness survives the quotient.
+    Class names are the smallest member state name.
     """
-    table = equivalence_table(d, d)
-    rep: dict[str, str] = {p: p for p in d.states}
-    for p, q in table:
-        if q < rep[p]:
-            rep[p] = q
+    (cls,) = language_classes(d)
+    name: dict[int, str] = {}
+    for p in sorted(d.states):
+        name.setdefault(cls[p], p)
+    rep = {p: name[c] for p, c in cls.items()}
     delta = {(rep[p], a): rep[q] for (p, a), q in d.delta.items()}
-    return PDfa(set(rep.values()), d.alphabet, delta)
+    return PDfa(name.values(), d.alphabet, delta), rep
 
 
-def state_class(d: PDfa, p: str) -> str:
-    """Name of the ``minimize`` state that ``p`` collapses into."""
-    table = equivalence_table(d, d)
-    return min(q for q in d.states if (p, q) in table)
+def minimize(d: PDfa) -> PDfa:
+    """Quotient a pDFA by language equality of its states (see ``quotient``)."""
+    return quotient(d)[0]

@@ -12,9 +12,9 @@ two rooted trees isomorphic.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import reduce
 
 from .alphabet import merge_alphabets
 from .automata import PDfa, require_reduced, trim
@@ -44,74 +44,58 @@ class NonRootedWitness:
         return " ".join(self.word)
 
 
-class UConfig(NamedTuple):
-    p: str
-    q: str
-    back: str | None
+#: A configuration ``(p, q, back)`` of the non-rooted search.
+_Config = tuple[str, str, str | None]
 
 
-class EquivalenceTable:
-    """All state pairs of two pDFAs generating the same language."""
+def language_classes(*automata: PDfa) -> list[dict[str, int]]:
+    """Group the states of one or more pDFAs by the language they read.
 
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        self.pairs = frozenset(pairs)
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self.pairs
-
-    def equivalent(self, p: str, q: str) -> bool:
-        return (p, q) in self.pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(sorted(self.pairs))
-
-
-def equivalence_table(a: PDfa, b: PDfa) -> EquivalenceTable:
-    """Compute the language-equality relation between the states of two pDFAs.
-
-    Pairs with different out-sets are distinguishable; distinguishability
-    propagates backwards across simultaneous letter steps until a fixpoint.
-    The table is the complement.  ``a`` and ``b`` may be the same automaton.
+    Coarsest-partition refinement (Hopcroft 1971; Valmari and Lehtinen 2008
+    for partial transition functions) on the disjoint union of the automata.
+    The initial blocks are the out-letter sets, so every state of a block
+    reads the same letters and a block splits only on where they lead.
+    Returns one map per automaton from state to class id: two states get the
+    same id exactly when they generate the same language.
     """
-    merge_alphabets(a.alphabet, b.alphabet)
-    marked: set[tuple[str, str]] = set()
-    work: deque[tuple[str, str]] = deque()
-    for p in a.states:
-        for q in b.states:
-            if a.out_set(p) != b.out_set(q):
-                marked.add((p, q))
-                work.append((p, q))
-    rev_a: dict[tuple[str, str], list[str]] = {}
-    for (p, x), p2 in a.delta.items():
-        rev_a.setdefault((p2, x), []).append(p)
-    rev_b: dict[tuple[str, str], list[str]] = {}
-    for (q, x), q2 in b.delta.items():
-        rev_b.setdefault((q2, x), []).append(q)
-    letters = set()
-    for (_, x) in a.delta:
-        letters.add(x)
-    for (_, x) in b.delta:
-        letters.add(x)
-    while work:
-        p2, q2 = work.popleft()
-        for x in letters:
-            for p in rev_a.get((p2, x), ()):
-                for q in rev_b.get((q2, x), ()):
-                    if (p, q) not in marked:
-                        marked.add((p, q))
-                        work.append((p, q))
-    pairs = [
-        (p, q)
-        for p in a.states
-        for q in b.states
-        if (p, q) not in marked
-    ]
-    return EquivalenceTable(pairs)
+    reduce(merge_alphabets, (d.alphabet for d in automata))
+    index: list[dict[str, int]] = []
+    block: list[int] = []
+    by_outs: dict[frozenset[str], int] = {}
+    for d in automata:
+        states = sorted(d.states)
+        index.append({p: len(block) + i for i, p in enumerate(states)})
+        block += [by_outs.setdefault(d.out_set(p), len(by_outs)) for p in states]
+    members: list[set[int]] = [set() for _ in by_outs]
+    for s, b in enumerate(block):
+        members[b].add(s)
+    preds: list[list[tuple[str, int]]] = [[] for _ in block]
+    for d, idx in zip(automata, index):
+        for (p, x), q in d.delta.items():
+            preds[idx[q]].append((x, idx[p]))
+    pending = set(range(len(members)))
+    while pending:
+        splitter = members[pending.pop()]
+        sources: dict[str, list[int]] = defaultdict(list)
+        for t in splitter:
+            for x, s in preds[t]:
+                sources[x].append(s)
+        for hit_states in sources.values():
+            hit: dict[int, set[int]] = defaultdict(set)
+            for s in hit_states:
+                hit[block[s]].add(s)
+            for b, part in hit.items():
+                if len(part) == len(members[b]):
+                    continue
+                members[b] -= part
+                new = len(members)
+                members.append(part)
+                for s in part:
+                    block[s] = new
+                # Hopcroft: a block not waiting to split others queues only
+                # its smaller half.
+                pending.add(b if b not in pending and len(members[b]) < len(part) else new)
+    return [{p: block[i] for p, i in idx.items()} for idx in index]
 
 
 def iso_rooted(
@@ -182,10 +166,10 @@ def iso_nonrooted(
 ) -> tuple[bool, NonRootedWitness | None]:
     """Decide non-rooted isomorphism of the trees generated from two states.
 
-    Searches the configuration graph over ``UConfig`` triples.  A
-    configuration ``(p, q, back)`` stands for: some node v labeled q of the
-    second tree, with the branch ``back`` toward v's already-matched child
-    excluded, generates the part of the tree that must match the tree of p.
+    Searches a configuration graph.  A configuration ``(p, q, back)`` stands
+    for: some node v labeled q of the second tree, with the branch ``back``
+    toward v's already-matched child excluded, generates the part of the
+    tree that must match the tree of p.
     Steps guess a predecessor transition of q and climb toward the root;
     acceptance at the root closes the isomorphism.  The step letters along a
     shortest accepting path, reversed, spell the root-to-v word, returned as
@@ -200,17 +184,17 @@ def iso_nonrooted(
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
     a = trim(a, p_root)
     b = trim(b, q_root)
-    table = equivalence_table(a, b)
+    cls_a, cls_b = language_classes(a, b)
 
     in_b: dict[str, list[tuple[str, str]]] = {q: [] for q in b.states}
     for (qhat, x), q in sorted(b.delta.items()):
         in_b[q].append((qhat, x))
 
     def subtrees_match(p: str, q: str, base: frozenset[str]) -> bool:
-        return all((a.delta[(p, x)], b.delta[(q, x)]) in table for x in base)
+        return all(cls_a[a.delta[(p, x)]] == cls_b[b.delta[(q, x)]] for x in base)
 
-    initial = [UConfig(p_root, q, None) for q in sorted(b.states)]
-    parent: dict[UConfig, tuple[UConfig | None, str | None]] = {
+    initial: list[_Config] = [(p_root, q, None) for q in sorted(b.states)]
+    parent: dict[_Config, tuple[_Config | None, str | None]] = {
         c: (None, None) for c in initial
     }
     queue = deque(initial)
@@ -222,7 +206,7 @@ def iso_nonrooted(
         base = frozenset(base)
         if q == q_root and outs_p == base and subtrees_match(p, q, base):
             word: list[str] = []
-            cur: UConfig | None = cfg
+            cur: _Config | None = cfg
             while cur is not None:
                 prev, letter = parent[cur]
                 if letter is not None:
@@ -234,7 +218,7 @@ def iso_nonrooted(
             for qhat, bhat in in_b[q]:
                 if alphabet.inv(bhat) != extra:
                     continue
-                nxt = UConfig(a.delta[(p, extra)], qhat, bhat)
+                nxt = (a.delta[(p, extra)], qhat, bhat)
                 if nxt not in parent:
                     parent[nxt] = (cfg, bhat)
                     queue.append(nxt)

@@ -155,11 +155,18 @@ def automaton_to_doc(aut: MNfa | PDfa, root: str | None = None) -> dict:
 
 def tree_from_doc(doc: Any) -> DiscTree:
     _require_fields(doc, {"radius", "root", "nodes", "edges"}, {"alphabet"}, "tree")
-    if not isinstance(doc["radius"], int):
+    if not isinstance(doc["radius"], int) or isinstance(doc["radius"], bool):
         raise SchemaError("radius must be an integer")
+    if not isinstance(doc["root"], str):
+        raise SchemaError("root must be a node id")
+    for key in ("nodes", "edges"):
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"{key} must be a list")
     labels: dict[Node, str] = {}
     for nd in doc["nodes"]:
         _require_fields(nd, {"id", "label"}, set(), "node")
+        if not (isinstance(nd["id"], str) and isinstance(nd["label"], str)):
+            raise SchemaError("node id and label must be strings")
         if nd["id"] in labels:
             raise SchemaError(f"duplicate node id {nd['id']!r}")
         labels[nd["id"]] = nd["label"]
@@ -169,6 +176,8 @@ def tree_from_doc(doc: Any) -> DiscTree:
     letters: set[str] = set()
     for ed in doc["edges"]:
         _require_fields(ed, {"from", "label", "to"}, set(), "edge")
+        if not all(isinstance(ed[k], str) for k in ("from", "label", "to")):
+            raise SchemaError("edge endpoints and label must be strings")
         u, a, v = ed["from"], ed["label"], ed["to"]
         if u not in labels or v not in labels:
             raise SchemaError(f"edge ({u!r}, {a!r}, {v!r}) references unknown node")

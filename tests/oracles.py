@@ -6,19 +6,13 @@ when that is small enough).  The non-rooted oracle enumerates nodes of the
 second tree and re-roots at each, pruning only nodes whose re-rooted tree
 repeats an already-seen rooted isomorphism type: the types below a node are
 determined by its own type, so pruning drops no candidate type and preserves
-minimal witness depth.
+minimal witness depth.  State equivalence comes from the quadratic
+pair-marking fixpoint, independent of the library's partition refinement.
 """
 
 from collections import deque
 
-from cftree import (
-    PDfa,
-    language_upto,
-    minimize,
-    reroot_along_word,
-    state_class,
-    trim,
-)
+from cftree import PDfa, language_upto, merge_alphabets, reroot_along_word, trim
 
 ENUMERATION_CUTOFF = 8
 
@@ -59,17 +53,60 @@ def langs_equal_upto(a: PDfa, p: str, b: PDfa, q: str, k: int) -> bool:
     return lang_equal_upto_recursive(a, p, b, q, k)
 
 
+def equivalent_pairs(a: PDfa, b: PDfa) -> set[tuple[str, str]]:
+    """All pairs (p, q) of states of two pDFAs that generate the same language.
+
+    Pairs with different out-sets are distinguishable; distinguishability
+    propagates backwards across simultaneous letter steps until a fixpoint.
+    The result is the complement.  ``a`` and ``b`` may be the same automaton.
+    """
+    merge_alphabets(a.alphabet, b.alphabet)
+    marked: set[tuple[str, str]] = set()
+    work: deque[tuple[str, str]] = deque()
+    for p in a.states:
+        for q in b.states:
+            if a.out_set(p) != b.out_set(q):
+                marked.add((p, q))
+                work.append((p, q))
+    rev_a: dict[tuple[str, str], list[str]] = {}
+    for (p, x), p2 in a.delta.items():
+        rev_a.setdefault((p2, x), []).append(p)
+    rev_b: dict[tuple[str, str], list[str]] = {}
+    for (q, x), q2 in b.delta.items():
+        rev_b.setdefault((q2, x), []).append(q)
+    letters = {x for (_, x) in a.delta} | {x for (_, x) in b.delta}
+    while work:
+        p2, q2 = work.popleft()
+        for x in letters:
+            for p in rev_a.get((p2, x), ()):
+                for q in rev_b.get((q2, x), ()):
+                    if (p, q) not in marked:
+                        marked.add((p, q))
+                        work.append((p, q))
+    return {(p, q) for p in a.states for q in b.states if (p, q) not in marked}
+
+
+def quotient_by_pairs(d: PDfa) -> tuple[PDfa, dict[str, str]]:
+    """Quotient of ``d`` by ``equivalent_pairs``, each class named by its
+    smallest member, with the map from each state to its class."""
+    rep = {p: p for p in d.states}
+    for p, q in equivalent_pairs(d, d):
+        if q < rep[p]:
+            rep[p] = q
+    delta = {(rep[p], x): rep[q] for (p, x), q in d.delta.items()}
+    return PDfa(set(rep.values()), d.alphabet, delta), rep
+
+
 def canonical_rooted_key(d: PDfa, root: str) -> str:
     """Canonical description of the rooted tree generated from ``root``.
 
-    Trim, quotient by state equivalence, trim again and rename states in BFS
-    discovery order: the minimal reachable pDFA of a generated tree is unique
-    up to renaming, so two states get equal keys exactly when their trees are
-    isomorphic as rooted graphs.
+    Trim, quotient by state equivalence and rename the states in BFS
+    discovery order from the root's class: the minimal reachable pDFA of a
+    generated tree is unique up to renaming, so two states get equal keys
+    exactly when their trees are isomorphic as rooted graphs.
     """
-    d2 = trim(d, root)
-    root2 = state_class(d2, root)
-    m = trim(minimize(d2), root2)
+    m, rep = quotient_by_pairs(trim(d, root))
+    root2 = rep[root]
     index = {root2: 0}
     queue = deque([root2])
     edges = []
@@ -117,7 +154,7 @@ def nonrooted_witness_brute(
     """
     a2 = trim(a, p_root)
     target = canonical_rooted_key(a2, p_root)
-    target_aut = trim(minimize(a2), state_class(a2, p_root))
+    target_aut, _ = quotient_by_pairs(a2)
     b2 = trim(b, q_root)
     seen_types = set()
     queue = deque([((), q_root)])

@@ -22,7 +22,7 @@ from cftree import (
     unfold_pdfa,
     validate_pdfa,
     verify_nonrooted_witness,
-    equivalence_table,
+    language_classes,
     compress_finite_tree,
     disc_equal_rooted,
     gap2_has_path,
@@ -242,8 +242,8 @@ def test_criterion_8_compression_round_trip():
         t = random_involutive_tree(rng, max_nodes=50)
         d, root = compress_finite_tree(t)
         assert disc_equal_rooted(unfold_pdfa(d, root, t.radius), t)
-        table = equivalence_table(d, d)
-        assert set(table) == {(s, s) for s in d.states}
+        (classes,) = language_classes(d)
+        assert len(set(classes.values())) == len(d.states)
 
 
 @_report(9, "performance smoke")

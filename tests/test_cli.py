@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import samples
+from cftree import compression
 from cftree.cli import run
 from cftree.jsonio import automaton_to_doc, dumps, tree_to_doc
 from cftree import unfold_pdfa
@@ -174,6 +175,57 @@ def test_minimize_cli(fig_files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "pdfa"
     assert len(doc["states"]) == 2
+
+
+def test_minimize_cli_refines_once(fig_files, monkeypatch, capsys):
+    calls = []
+    refine = compression.language_classes
+    monkeypatch.setattr(compression, "language_classes", lambda *ds: calls.append(ds) or refine(*ds))
+    for extra in ([], ["--trim"]):
+        calls.clear()
+        assert run(["minimize", str(fig_files["fig2"]), *extra]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("nodes",), 5),
+        (("edges",), 5),
+        (("radius",), True),
+        (("root",), ["v0"]),
+        (("nodes", 0, "id"), {"x": 1}),
+        (("nodes", 0, "label"), 3),
+        (("edges", 0, "label"), ["a"]),
+        (("edges", 0, "to"), {"x": 1}),
+    ],
+    ids=["nodes-int", "edges-int", "radius-bool", "root-list", "node-id-object",
+         "node-label-int", "edge-letter-list", "edge-end-object"],
+)
+def test_compress_rejects_mistyped_tree_fields(path, value, tmp_path, capsys):
+    doc = tree_to_doc(unfold_pdfa(samples.astar_bstar_pdfa(), "p", 1))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps(doc))
+    assert run(["compress", str(tree_file)]) == 2
+    assert "error[BAD_DOCUMENT]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_side", ["--out-a", "--out-b"])
+def test_unwritable_output_path_exit_2(fig_files, tmp_path, capsys, bad_side):
+    gap_file = tmp_path / "gap.json"
+    gap_file.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    outs = {"--out-a": str(tmp_path / "a.json"), "--out-b": str(tmp_path / "b.json")}
+    outs[bad_side] = str(tmp_path / "missing" / "out.json")
+    out_args = [arg for pair in outs.items() for arg in pair]
+    f = str(fig_files["fig2"])
+    for args in (["reduce-2gap", str(gap_file)], ["lift-nonrooted", f, f]):
+        assert run([*args, *out_args]) == 2
+        assert "error[BAD_DOCUMENT]: cannot write" in capsys.readouterr().err
 
 
 def test_byte_identical_output(fig_files):

@@ -9,12 +9,12 @@ from cftree import (
     PDfa,
     compress_finite_tree,
     disc_equal_rooted,
-    equivalence_table,
     involutive_closure,
     is_reduced,
     iso_rooted,
+    language_classes,
     minimize,
-    state_class,
+    quotient,
     unfold_mnfa,
     unfold_pdfa,
 )
@@ -92,15 +92,15 @@ def test_compress_round_trip_random():
         d, root = compress_finite_tree(t)
         assert is_reduced(d)
         assert disc_equal_rooted(unfold_pdfa(d, root, t.radius), t)
-        table = equivalence_table(d, d)
-        assert set(table) == {(s, s) for s in d.states}
+        (classes,) = language_classes(d)
+        assert len(set(classes.values())) == len(d.states)
 
 
 def test_minimize_already_minimal():
     d = samples.astar_bstar_pdfa()
-    m = minimize(d)
-    assert len(m.states) == 2
-    ok, _ = iso_rooted(d, "p", m, state_class(d, "p"))
+    m, rep = quotient(d)
+    assert minimize(d) == m and len(m.states) == 2
+    ok, _ = iso_rooted(d, "p", m, rep["p"])
     assert ok
 
 
@@ -117,11 +117,11 @@ def test_minimize_idempotent():
 
     for _ in range(20):
         d, root = random_reduced_pdfa(rng, rng.randint(1, 5))
-        m = minimize(d)
+        m, rep = quotient(d)
         assert minimize(m) == m
         assert is_reduced(m)
         for p in d.states:
-            ok, _ = iso_rooted(d, p, m, state_class(d, p))
+            ok, _ = iso_rooted(d, p, m, rep[p])
             assert ok
 
 

@@ -6,46 +6,101 @@ import samples
 from cftree import (
     NotReducedError,
     PDfa,
-    equivalence_table,
     involutive_closure,
     iso_nonrooted,
     iso_rooted,
+    language_classes,
     language_upto,
     verify_nonrooted_witness,
 )
-from oracles import canonical_rooted_key, langs_equal_upto, nonrooted_witness_brute
-from randgen import random_reduced_pdfa
+from oracles import (
+    canonical_rooted_key,
+    equivalent_pairs,
+    langs_equal_upto,
+    nonrooted_witness_brute,
+)
+from randgen import exhaustive_reduced_pdfa_pool, random_pdfa, random_reduced_pdfa
 
 
-def test_equivalence_table_astar_bstar_with_itself():
+def class_pairs(a: PDfa, b: PDfa) -> set[tuple[str, str]]:
+    """The pairs of states that ``language_classes`` puts in one class."""
+    ca, cb = language_classes(a, b)
+    return {(p, q) for p in a.states for q in b.states if ca[p] == cb[q]}
+
+
+def test_language_classes_astar_bstar_with_itself():
     d = samples.astar_bstar_pdfa()
-    table = equivalence_table(d, d)
-    assert set(table) == {("p", "p"), ("q", "q")}
+    assert class_pairs(d, d) == {("p", "p"), ("q", "q")}
 
 
-def test_equivalence_table_identical_loops():
+def test_language_classes_identical_loops():
     al = involutive_closure(["a"])
     s = PDfa({"s"}, al, {("s", "a"): "s"})
     t = PDfa({"t"}, al, {("t", "a"): "t"})
-    assert set(equivalence_table(s, t)) == {("s", "t")}
+    assert class_pairs(s, t) == {("s", "t")}
 
 
-def test_equivalence_table_ray_vs_dead_state():
+def test_language_classes_ray_vs_dead_state():
     al = involutive_closure(["a"])
     dead = PDfa({"z"}, al, {})
-    assert len(equivalence_table(samples.ray(), dead)) == 0
+    assert len(class_pairs(samples.ray(), dead)) == 0
 
 
-def test_equivalence_table_closure_property():
+def test_language_classes_closure_property():
     rng = random.Random(19)
     for _ in range(20):
         a, _ = random_reduced_pdfa(rng, rng.randint(1, 4))
         b, _ = random_reduced_pdfa(rng, rng.randint(1, 4))
-        table = equivalence_table(a, b)
+        table = class_pairs(a, b)
         for p, q in table:
             assert a.out_set(p) == b.out_set(q)
             for x in a.out_set(p):
                 assert (a.delta[(p, x)], b.delta[(q, x)]) in table
+
+
+def test_language_classes_match_pair_marking_oracle():
+    rng = random.Random(31)
+    al = involutive_closure(["a", "b"])
+    pairs = []
+    for _ in range(60):
+        a, _ = random_reduced_pdfa(rng, rng.randint(1, 30), al, extra_density=rng.random())
+        b, _ = random_reduced_pdfa(rng, rng.randint(1, 30), al, extra_density=rng.random())
+        pairs += [(a, b), (a, a)]
+    for _ in range(40):
+        a, _ = random_pdfa(rng, rng.randint(1, 12))
+        b, _ = random_pdfa(rng, rng.randint(1, 12), a.alphabet)
+        pairs += [(a, b), (b, b)]
+    # One-letter functional graphs split into long chains of blocks; they
+    # expose a waiting block that splits and queues only one of its halves.
+    al_a = involutive_closure(["a"])
+    for _ in range(600):
+        a, _ = random_pdfa(rng, rng.randint(1, 20), al_a, density=rng.random())
+        pairs.append((a, a))
+    pool = exhaustive_reduced_pdfa_pool(2)
+    pairs += [(d, pool[(i * 37) % len(pool)]) for i, d in enumerate(pool)]
+    pairs += [(d, d) for d in pool]
+    for a, b in pairs:
+        assert class_pairs(a, b) == equivalent_pairs(a, b)
+    for a, _ in pairs:
+        (c,) = language_classes(a)
+        assert {(p, q) for p in a.states for q in a.states if c[p] == c[q]} == equivalent_pairs(a, a)
+
+
+def test_language_classes_long_path_matches_oracle():
+    # On the path a^n each split peels one state off a block, the worst case
+    # for round-based refinement.  The oracle is quadratic, so it checks the
+    # long path against a short one.
+    def path(n: int, name: str) -> PDfa:
+        return PDfa(
+            [f"{name}{i}" for i in range(n + 1)],
+            involutive_closure(["a"]),
+            {(f"{name}{i}", "a"): f"{name}{i + 1}" for i in range(n)},
+        )
+
+    long, short = path(2000, "s"), path(40, "t")
+    assert class_pairs(long, short) == equivalent_pairs(long, short)
+    (c,) = language_classes(long)
+    assert len(set(c.values())) == 2001
 
 
 def test_iso_rooted_reflexive():
