@@ -11,7 +11,6 @@ from cftree import (
     export_dot,
     involutive_closure,
     is_reduced,
-    language_upto,
     unfold_mnfa,
     unfold_pdfa,
     validate_mnfa,
@@ -56,9 +55,6 @@ astar_bstar = as_pdfa(
     )
 )
 print("deterministic, reduced:", is_reduced(astar_bstar))
-print("words readable from p up to length 2:")
-for w in sorted(language_upto(astar_bstar, "p", 2), key=lambda w: (len(w), w)):
-    print("  ", ",".join(w) or "(empty)")
 
 tree = unfold_pdfa(astar_bstar, "p", 2)
 print("\nnode labels of the radius-2 disc from p:")

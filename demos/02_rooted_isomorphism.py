@@ -8,7 +8,7 @@ from cftree import (
     involutive_closure,
     iso_rooted,
     language_classes,
-    language_upto,
+    unfold_pdfa,
 )
 
 al = involutive_closure(["a", "b"])
@@ -31,9 +31,10 @@ copy = PDfa(
 ok, _ = iso_rooted(d, "p", copy, "p2")
 print(f"\np vs renamed copy isomorphic? {ok}")
 
-# The languages witness the difference directly.
-lp = language_upto(d, "p", 2)
-lq = language_upto(d, "q", 2)
+# The languages witness the difference directly: the nodes of a pDFA's disc
+# are the words readable from its root.
+lp = set(unfold_pdfa(d, "p", 2).nodes)
+lq = set(unfold_pdfa(d, "q", 2).nodes)
 print("\nwords of length <= 2 from p but not q:")
 for w in sorted(lp - lq):
     print("  ", ",".join(w))

@@ -64,7 +64,6 @@ from .unfolding import (
     disc_equal_rooted,
     end_cone,
     export_dot,
-    language_upto,
     nondeterministic_vertex,
     reroot_disc,
     truncate,
@@ -112,7 +111,6 @@ __all__ = [
     "iso_nonrooted",
     "iso_rooted",
     "language_classes",
-    "language_upto",
     "merge_alphabets",
     "minimize",
     "nondeterministic_vertex",

@@ -48,6 +48,11 @@ def _require_fields(doc: dict, required: set[str], optional: set[str], what: str
         raise SchemaError(f"{what} has unknown fields: {sorted(unknown)}")
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _string_list(value: Any, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise SchemaError(f"{what} must be a list of strings")
@@ -97,7 +102,7 @@ def automaton_from_doc(doc: Any, *, strict: bool = True) -> tuple[MNfa | PDfa, s
     transitions: list[Transition] = []
     for td in doc["transitions"]:
         _require_fields(td, {"id", "from", "label", "to"}, set(), "transition")
-        if not isinstance(td["id"], int):
+        if not _is_int(td["id"]):
             raise SchemaError("transition id must be an integer")
         if not all(isinstance(td[k], str) for k in ("from", "label", "to")):
             raise SchemaError("transition endpoints and label must be strings")
@@ -155,7 +160,7 @@ def automaton_to_doc(aut: MNfa | PDfa, root: str | None = None) -> dict:
 
 def tree_from_doc(doc: Any) -> DiscTree:
     _require_fields(doc, {"radius", "root", "nodes", "edges"}, {"alphabet"}, "tree")
-    if not isinstance(doc["radius"], int) or isinstance(doc["radius"], bool):
+    if not _is_int(doc["radius"]):
         raise SchemaError("radius must be an integer")
     if not isinstance(doc["root"], str):
         raise SchemaError("root must be a node id")
@@ -241,11 +246,13 @@ def tree_to_doc(t: DiscTree) -> dict:
 
 def gap2_from_doc(doc: Any) -> Gap2Instance:
     _require_fields(doc, {"n", "edges"}, set(), "reachability instance")
-    if not isinstance(doc["n"], int):
+    if not _is_int(doc["n"]):
         raise SchemaError("n must be an integer")
+    if not isinstance(doc["edges"], list):
+        raise SchemaError("edges must be a list")
     edges = []
     for e in doc["edges"]:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             raise SchemaError("edges must be pairs of integers")
         edges.append((e[0], e[1]))
     try:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from .alphabet import involutive_closure, merge_alphabets
 from .automata import PDfa, require_reduced
-from .errors import AlphabetError, UnknownStateError
+from .errors import AlphabetError, MaterializationLimitError, UnknownStateError
+from .unfolding import DEFAULT_MAX_NODES
 
 TOP_LETTER = "TOP"
 
@@ -74,11 +75,15 @@ def reduce_gap2_to_rooted_iso(g: Gap2Instance) -> tuple[PDfa, str, PDfa, str]:
     self-loops to non-target sinks), then overlay a binary prefix tree
     addressing every node by its padded binary name.  Returns
     ``(a, root_a, b, root_b)``; both roots are the empty-word prefix state.
+    Raises ``MaterializationLimitError`` before building anything when an
+    output automaton would have more than ``DEFAULT_MAX_NODES`` states.
     """
     if g.n < 2:
         raise ValueError("need at least two nodes")
     ell = (g.n - 1).bit_length()
     size = 1 << ell
+    if 2 * size - 1 > DEFAULT_MAX_NODES:  # the states of the padded automaton
+        raise MaterializationLimitError(f"reduction would exceed {DEFAULT_MAX_NODES} states")
     pad = size - g.n
 
     def renum(i: int) -> int:

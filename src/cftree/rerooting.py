@@ -1,25 +1,18 @@
 """Moving the root of a generated tree across an edge, and along a word.
 
-A single step duplicates the old root state and the target of the crossed
-transition into fresh states; the tree generated from the fresh target is the
-old tree with its root moved across that edge.  Iterating the step along a
-word, trimming and re-condensing to a pDFA after each move, re-roots a
-deterministic tree at the node the word names.
+A single step on an mNFA duplicates the old root state and the target of the
+crossed transition into fresh states; the tree generated from the fresh
+target is the old tree with its root moved across that edge.  Along a word,
+a pDFA is re-rooted in one pass: one fresh copy per node of the path, then a
+single trim, in O(|w|·|Σ| + |d|) rather than a step, a trim and a
+re-condensing per letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import (
-    MNfa,
-    PDfa,
-    Transition,
-    as_pdfa,
-    pdfa_to_mnfa,
-    require_reduced,
-    trim,
-)
+from .automata import MNfa, PDfa, Transition, require_reduced, trim
 from .errors import UnknownStateError, WordNotInLanguageError
 from .unfolding import Word
 
@@ -31,18 +24,22 @@ class RerootResult:
     added_states: tuple[str, str]
 
 
-def _fresh(name: str, taken: frozenset[str] | set[str]) -> str:
+def _fresh(name: str, taken: set[str]) -> str:
+    """``name`` with ``+`` appended until it is not in ``taken``; adds it there."""
     while name in taken:
         name += "+"
+    taken.add(name)
     return name
 
 
-def reroot_step(m: MNfa, root: str, sigma0: int, step_index: int = 0) -> RerootResult:
+def reroot_step(m: MNfa, root: str, sigma0: int) -> RerootResult:
     """Move the root of the tree generated from ``root`` across transition ``sigma0``.
 
     Adds a copy ``p'`` of ``root`` without the crossed transition and a copy
     ``q'`` of its target with an extra inverse transition back to ``p'``; the
     tree generated from ``q'`` is the old tree re-rooted across ``sigma0``.
+    The copies are named ``{root}@p0`` and ``{target}@q0``, as the first step
+    of :func:`reroot_along_word` names them, with ``+`` appended until fresh.
     """
     if root not in m.states:
         raise UnknownStateError(f"state {root!r} is not in the automaton")
@@ -52,8 +49,9 @@ def reroot_step(m: MNfa, root: str, sigma0: int, step_index: int = 0) -> RerootR
             f"transition {sigma0} starts at {crossed.src!r}, not at the root {root!r}"
         )
     q0 = crossed.dst
-    p_new = _fresh(f"{root}@p{step_index}", m.states)
-    q_new = _fresh(f"{q0}@q{step_index}", m.states | {p_new})
+    taken = set(m.states)
+    p_new = _fresh(f"{root}@p0", taken)
+    q_new = _fresh(f"{q0}@q0", taken)
 
     tid = m.max_tid() + 1
     extra: list[Transition] = []
@@ -68,17 +66,20 @@ def reroot_step(m: MNfa, root: str, sigma0: int, step_index: int = 0) -> RerootR
         extra.append(Transition(tid, q_new, t.label, t.dst))
         tid += 1
 
-    out = MNfa(m.states | {p_new, q_new}, m.alphabet, m.transitions + tuple(extra))
+    out = MNfa(taken, m.alphabet, m.transitions + tuple(extra))
     return RerootResult(out, q_new, (p_new, q_new))
 
 
 def reroot_along_word(d: PDfa, root: str, w: Word) -> tuple[PDfa, str]:
     """Re-root the tree generated from ``root`` at the node named by ``w``.
 
-    Requires a reduced automaton and ``w`` in the language of ``root``.  Each
-    step crosses one edge, trims to the reachable part and condenses back to
-    a pDFA; the generated tree stays deterministic, so the condensing cannot
-    fail.  The result is again reduced.
+    Requires a reduced automaton and ``w`` in the language of ``root``.  Node
+    ``i`` of the path ``s_0 = root, .., s_k`` that ``w`` reads becomes a fresh
+    state ``c_i`` with the out-edges of ``s_i`` except ``w[i]`` (all of them
+    for ``i = k``), plus ``w[i-1]^-1`` back to ``c_{i-1}``; the result is
+    trimmed once from the new root ``c_k`` and is again reduced.  The copies
+    are named ``{root}@p0``, ``{s_i}@q{i-1}@p{i}`` and ``{s_k}@q{k-1}``, with
+    ``+`` appended until fresh.  Runs in O(|w|·|Σ| + |d|).
     """
     require_reduced(d, "input")
     if root not in d.states:
@@ -87,13 +88,23 @@ def reroot_along_word(d: PDfa, root: str, w: Word) -> tuple[PDfa, str]:
         raise WordNotInLanguageError(
             f"word {','.join(w) or 'eps'} is not readable from {root!r}"
         )
-    cur = trim(d, root)
-    cur_root = root
-    for k, a in enumerate(w):
-        m = pdfa_to_mnfa(cur)
-        sigma0 = next(t.tid for t in m.transitions_from(cur_root) if t.label == a)
-        step = reroot_step(m, cur_root, sigma0, step_index=k)
-        trimmed = trim(step.automaton, step.new_root)
-        cur = as_pdfa(trimmed)
-        cur_root = step.new_root
-    return cur, cur_root
+    if not w:
+        return trim(d, root), root
+    delta = dict(d.delta)
+    taken = set(d.states)
+    # ``here`` names path node i before its ``@p{i}`` suffix; after the
+    # loop it is c_k.
+    s, here, prev = root, root, None
+    for i, a in enumerate(w):
+        copy = _fresh(f"{here}@p{i}", taken)
+        for x in d.out_set(s):
+            if x != a:
+                delta[(copy, x)] = d.delta[(s, x)]
+        if prev is not None:
+            delta[(copy, d.alphabet.inv(w[i - 1]))] = prev
+        prev, s = copy, d.delta[(s, a)]
+        here = _fresh(f"{s}@q{i}", taken)
+    for x in d.out_set(s):
+        delta[(here, x)] = d.delta[(s, x)]
+    delta[(here, d.alphabet.inv(w[-1]))] = prev
+    return trim(PDfa(taken, d.alphabet, delta), here), here

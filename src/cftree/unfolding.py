@@ -125,13 +125,12 @@ class DiscTree:
         return f"DiscTree(radius={self.radius}, nodes={len(self.labels)})"
 
 
-def unfold_mnfa(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> DiscTree:
-    """Disc of the run tree of ``m`` started in ``p``.
-
-    Nodes are runs (tuples of transition ids) of length at most ``radius``;
-    each node is labeled with the state its run ends in.
-    """
-    if p not in m.states:
+def _unfold(
+    table: dict[str, tuple], p: str, radius: int, max_nodes: int, alphabet: InvolutiveAlphabet
+) -> DiscTree:
+    # ``table[state]`` lists the (label, step, target) of each edge out of
+    # ``state``; a child node is its parent's tuple extended by the step.
+    if p not in table:
         raise UnknownStateError(f"state {p!r} is not in the automaton")
     root: Word = ()
     labels: dict[Node, str] = {root: p}
@@ -141,42 +140,14 @@ def unfold_mnfa(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
         nxt: list[tuple[Node, str]] = []
         for node, state in frontier:
             kids = []
-            for t in m.transitions_from(state):
-                child = node + (t.tid,)
-                labels[child] = t.dst
-                kids.append((t.label, child))
-                nxt.append((child, t.dst))
-            if kids:
-                children[node] = tuple(kids)
-            if len(labels) > max_nodes:
-                raise MaterializationLimitError(
-                    f"unfolding would exceed {max_nodes} nodes"
-                )
-        frontier = nxt
-    return DiscTree(radius, root, labels, children, m.alphabet)
-
-
-def unfold_pdfa(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> DiscTree:
-    """Disc of the tree generated from state ``p`` of a pDFA.
-
-    Nodes are the words of length at most ``radius`` readable from ``p``; the
-    parent of ``wa`` is ``w`` and labels record the state reached.
-    """
-    if p not in d.states:
-        raise UnknownStateError(f"state {p!r} is not in the automaton")
-    root: Word = ()
-    labels: dict[Node, str] = {root: p}
-    children: dict[Node, tuple[tuple[str, Node], ...]] = {}
-    frontier: list[tuple[Word, str]] = [(root, p)]
-    for _ in range(radius):
-        nxt: list[tuple[Word, str]] = []
-        for node, state in frontier:
-            kids = []
-            for a in sorted(d.out_set(state)):
-                child = node + (a,)
-                target = d.delta[(state, a)]
+            try:
+                edges = table[state]
+            except KeyError:  # an edge into a state the automaton lacks
+                raise UnknownStateError(f"state {state!r} is not in the automaton") from None
+            for label, step, target in edges:
+                child = node + (step,)
                 labels[child] = target
-                kids.append((a, child))
+                kids.append((label, child))
                 nxt.append((child, target))
             if kids:
                 children[node] = tuple(kids)
@@ -185,26 +156,33 @@ def unfold_pdfa(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
                     f"unfolding would exceed {max_nodes} nodes"
                 )
         frontier = nxt
-    return DiscTree(radius, root, labels, children, d.alphabet)
+    return DiscTree(radius, root, labels, children, alphabet)
 
 
-def language_upto(d: PDfa, p: str, maxlen: int, max_words: int = DEFAULT_MAX_NODES) -> set[Word]:
-    """All words of length at most ``maxlen`` readable from ``p``."""
-    if p not in d.states:
-        raise UnknownStateError(f"state {p!r} is not in the automaton")
-    words: set[Word] = {()}
-    frontier: list[tuple[Word, str]] = [((), p)]
-    for _ in range(maxlen):
-        nxt: list[tuple[Word, str]] = []
-        for w, state in frontier:
-            for a in d.out_set(state):
-                wa = w + (a,)
-                words.add(wa)
-                nxt.append((wa, d.delta[(state, a)]))
-            if len(words) > max_words:
-                raise MaterializationLimitError(f"language would exceed {max_words} words")
-        frontier = nxt
-    return words
+def unfold_mnfa(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> DiscTree:
+    """Disc of the run tree of ``m`` started in ``p``.
+
+    Nodes are runs (tuples of transition ids) of length at most ``radius``;
+    each node is labeled with the state its run ends in.
+    """
+    table = {
+        s: tuple((t.label, t.tid, t.dst) for t in m.transitions_from(s))
+        for s in m.states
+    }
+    return _unfold(table, p, radius, max_nodes, m.alphabet)
+
+
+def unfold_pdfa(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> DiscTree:
+    """Disc of the tree generated from state ``p`` of a pDFA.
+
+    Nodes are the words of length at most ``radius`` readable from ``p``; the
+    parent of ``wa`` is ``w`` and labels record the state reached.
+    """
+    table = {
+        s: tuple((a, a, d.delta[(s, a)]) for a in sorted(d.out_set(s)))
+        for s in d.states
+    }
+    return _unfold(table, p, radius, max_nodes, d.alphabet)
 
 
 def _canonical_forms(trees: list[DiscTree]) -> list[dict[Node, int]]:

@@ -7,14 +7,81 @@ second tree and re-roots at each, pruning only nodes whose re-rooted tree
 repeats an already-seen rooted isomorphism type: the types below a node are
 determined by its own type, so pruning drops no candidate type and preserves
 minimal witness depth.  State equivalence comes from the quadratic
-pair-marking fixpoint, independent of the library's partition refinement.
+pair-marking fixpoint, independent of the library's partition refinement,
+and re-rooting iterates the paper's single mNFA step, independent of the
+library's one-pass re-rooting.
 """
 
 from collections import deque
 
-from cftree import PDfa, language_upto, merge_alphabets, reroot_along_word, trim
+from cftree import (
+    DEFAULT_MAX_NODES,
+    MaterializationLimitError,
+    PDfa,
+    UnknownStateError,
+    as_pdfa,
+    merge_alphabets,
+    pdfa_to_mnfa,
+    reroot_step,
+    trim,
+)
+from cftree.unfolding import Word
 
 ENUMERATION_CUTOFF = 8
+
+
+def language_upto(d: PDfa, p: str, maxlen: int, max_words: int = DEFAULT_MAX_NODES) -> set[Word]:
+    """All words of length at most ``maxlen`` readable from ``p``."""
+    if p not in d.states:
+        raise UnknownStateError(f"state {p!r} is not in the automaton")
+    words: set[Word] = {()}
+    frontier: list[tuple[Word, str]] = [((), p)]
+    for _ in range(maxlen):
+        nxt: list[tuple[Word, str]] = []
+        for w, state in frontier:
+            for a in d.out_set(state):
+                wa = w + (a,)
+                words.add(wa)
+                nxt.append((wa, d.delta[(state, a)]))
+            if len(words) > max_words:
+                raise MaterializationLimitError(f"language would exceed {max_words} words")
+        frontier = nxt
+    return words
+
+
+def _fresh(name: str, taken) -> str:
+    while name in taken:
+        name += "+"
+    return name
+
+
+def reroot_by_steps(d: PDfa, root: str, w):
+    """Re-root the tree generated from ``root`` at the node named by ``w``,
+    one letter at a time: view the pDFA as an mNFA, apply ``reroot_step``
+    across the letter, trim and condense back to a pDFA.
+
+    ``reroot_step`` names its two copies as for step 0; step k renames them
+    ``{old root}@p{k}`` and ``{target}@q{k}``, made fresh against the states
+    of that step's mNFA.  ``w`` must be readable from ``root``.
+    """
+    cur = trim(d, root)
+    cur_root = root
+    for k, a in enumerate(w):
+        m = pdfa_to_mnfa(cur)
+        crossed = next(t for t in m.transitions_from(cur_root) if t.label == a)
+        step = reroot_step(m, cur_root, crossed.tid)
+        p_name = _fresh(f"{cur_root}@p{k}", m.states)
+        q_name = _fresh(f"{crossed.dst}@q{k}", m.states | {p_name})
+        out = as_pdfa(trim(step.automaton, step.new_root))
+        names = {s: s for s in out.states}
+        names.update(zip(step.added_states, (p_name, q_name)))
+        cur = PDfa(
+            set(names.values()),
+            out.alphabet,
+            {(names[p], x): names[q] for (p, x), q in out.delta.items()},
+        )
+        cur_root = q_name
+    return cur, cur_root
 
 
 def lang_equal_upto_recursive(a: PDfa, p: str, b: PDfa, q: str, k: int) -> bool:
@@ -162,7 +229,7 @@ def nonrooted_witness_brute(
         w, state = queue.popleft()
         if len(w) > bound:
             break
-        rerooted, new_root = reroot_along_word(b2, q_root, w)
+        rerooted, new_root = reroot_by_steps(b2, q_root, w)
         key = canonical_rooted_key(rerooted, new_root)
         if key in seen_types:
             continue

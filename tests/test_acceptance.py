@@ -11,7 +11,6 @@ from cftree import (
     is_reduced,
     iso_nonrooted,
     iso_rooted,
-    language_upto,
     nondeterministic_vertex,
     reachable_states,
     reduce_gap2_to_rooted_iso,
@@ -27,7 +26,7 @@ from cftree import (
     disc_equal_rooted,
     gap2_has_path,
 )
-from oracles import langs_equal_upto, nodes_upto, nonrooted_witness_brute
+from oracles import language_upto, langs_equal_upto, nodes_upto, nonrooted_witness_brute
 from randgen import (
     exhaustive_reduced_pdfa_pool,
     random_gap2,

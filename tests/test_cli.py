@@ -1,8 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import samples
 from cftree import compression
@@ -226,6 +233,146 @@ def test_unwritable_output_path_exit_2(fig_files, tmp_path, capsys, bad_side):
     for args in (["reduce-2gap", str(gap_file)], ["lift-nonrooted", f, f]):
         assert run([*args, *out_args]) == 2
         assert "error[BAD_DOCUMENT]: cannot write" in capsys.readouterr().err
+
+
+def _bool_transition_id():
+    doc = automaton_to_doc(samples.astar_bstar_pdfa(), root="p")
+    doc["transitions"][0]["id"] = True
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("reduce-2gap", {"n": 3, "edges": 5}, "edges must be a list"),
+        ("reduce-2gap", {"n": True, "edges": []}, "n must be an integer"),
+        ("reduce-2gap", {"n": 3, "edges": [[0, True]]}, "edges must be pairs of integers"),
+        ("validate", _bool_transition_id(), "transition id must be an integer"),
+    ],
+    ids=["gap-edges-int", "gap-n-bool", "gap-endpoint-bool", "transition-id-bool"],
+)
+def test_mistyped_numbers_exit_2(command, doc, message, tmp_path, capsys):
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    outs = ["--out-a", str(tmp_path / "a.json"), "--out-b", str(tmp_path / "b.json")]
+    args = [command, str(doc_file), *(outs if command == "reduce-2gap" else [])]
+    assert run(args) == 2
+    assert f"error[BAD_DOCUMENT]: {message}" in capsys.readouterr().err
+
+
+def test_reduce_2gap_past_node_budget_exit_2(tmp_path, capsys):
+    gap_file = tmp_path / "gap.json"
+    gap_file.write_text(json.dumps({"n": 10**12, "edges": []}))
+    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["reduce-2gap", str(gap_file), "--out-a", str(out_a), "--out-b", str(out_b)]) == 2
+    assert "error[LIMIT_EXCEEDED]" in capsys.readouterr().err
+    assert not out_a.exists() and not out_b.exists()
+
+
+# Well-formed documents of each schema, then up to two of their fields or
+# list items, at any depth, mistyped or missing.  Integers stay small so
+# every command is fast.
+_JUNK = st.sampled_from([None, True, False, 0, -1, 7, "", "a", [], [0], ["a"], {}, {"a": 1}])
+_LETTERS = ["a", "a^-1", "b", "b^-1"]
+_ALPHABET = {"letters": _LETTERS, "inverse": {"a": "a^-1", "a^-1": "a", "b": "b^-1", "b^-1": "b"}}
+
+
+@st.composite
+def _automaton_doc(draw):
+    states = draw(st.lists(st.sampled_from(["p", "q", "r"]), min_size=1, unique=True))
+    delta = draw(st.dictionaries(
+        st.tuples(st.sampled_from(states), st.sampled_from(_LETTERS)), st.sampled_from(states)
+    ))
+    return {
+        "alphabet": _ALPHABET,
+        "kind": draw(st.sampled_from(["mnfa", "pdfa"])),
+        "states": states,
+        "transitions": [
+            {"id": i, "from": p, "label": a, "to": q} for i, ((p, a), q) in enumerate(delta.items())
+        ],
+        "root": draw(st.sampled_from(states)),
+    }
+
+
+@st.composite
+def _tree_doc(draw):
+    # Node v{i} hangs below an earlier node on a letter that node does not
+    # read yet, so the involutive closure stays deterministic.
+    reads, level = [set()], [0]
+    edges = []
+    for i in range(1, draw(st.integers(1, 5))):
+        parent = draw(st.integers(0, i - 1))
+        a = draw(st.sampled_from([x for x in _LETTERS if x not in reads[parent]]))
+        reads[parent].add(a)
+        reads.append({_ALPHABET["inverse"][a]})
+        level.append(level[parent] + 1)
+        edges.append({"from": f"v{parent}", "label": a, "to": f"v{i}"})
+    return {
+        "radius": max(level) + draw(st.integers(0, 2)),
+        "root": "v0",
+        "alphabet": _ALPHABET,
+        "nodes": [{"id": f"v{i}", "label": draw(st.sampled_from(["p", "q"]))} for i in range(len(reads))],
+        "edges": edges,
+    }
+
+
+@st.composite
+def _gap2_doc(draw):
+    n = draw(st.integers(1, 6))
+    return {"n": n, "edges": draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=6))}
+
+
+def _paths(value, prefix=()):
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, sub in items:
+        yield prefix + (key,)
+        yield from _paths(sub, prefix + (key,))
+
+
+@st.composite
+def _damaged(draw, doc):
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 2))):
+        paths = sorted(_paths(doc), key=len)  # top-level fields first
+        if not paths:
+            break
+        *path, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_JUNK)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, documents",
+    [
+        ("validate", _automaton_doc()),
+        ("minimize", _automaton_doc()),
+        ("compress", _tree_doc()),
+        ("reduce-2gap", _gap2_doc()),
+    ],
+    ids=["validate", "minimize", "compress", "reduce-2gap"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_never_prints_a_traceback(command, documents, data):
+    doc = data.draw(documents.flatmap(_damaged))
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_file = Path(tmp) / "doc.json"
+        doc_file.write_text(json.dumps(doc))
+        args = [command, str(doc_file)]
+        if command == "reduce-2gap":
+            args += ["--out-a", str(Path(tmp) / "a.json"), "--out-b", str(Path(tmp) / "b.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(args)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error[" in err.getvalue()
 
 
 def test_byte_identical_output(fig_files):

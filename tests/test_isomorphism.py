@@ -10,12 +10,12 @@ from cftree import (
     iso_nonrooted,
     iso_rooted,
     language_classes,
-    language_upto,
     verify_nonrooted_witness,
 )
 from oracles import (
     canonical_rooted_key,
     equivalent_pairs,
+    language_upto,
     langs_equal_upto,
     nonrooted_witness_brute,
 )

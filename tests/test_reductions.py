@@ -4,8 +4,10 @@ import pytest
 
 import samples
 from cftree import (
+    DEFAULT_MAX_NODES,
     AlphabetError,
     Gap2Instance,
+    MaterializationLimitError,
     TOP_LETTER,
     gap2_has_path,
     is_reduced,
@@ -30,6 +32,14 @@ def test_gap2_rejects_bad_instances():
         Gap2Instance(2, frozenset({(0, 5)}))
     with pytest.raises(ValueError):
         Gap2Instance(4, frozenset({(0, 1), (0, 2), (0, 3)}))
+
+
+def test_reduce_gap2_refuses_instances_past_the_node_budget():
+    # 2^19 + 1 nodes pad to 2^20, and each automaton would have 2^21 - 1
+    # states; 10^12 nodes would pad to 2^40.
+    for n in (DEFAULT_MAX_NODES // 2 + 1, 10**12):
+        with pytest.raises(MaterializationLimitError):
+            reduce_gap2_to_rooted_iso(Gap2Instance(n))
 
 
 def test_reduce_gap2_path_instance_not_isomorphic():

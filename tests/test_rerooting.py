@@ -1,23 +1,27 @@
 import random
+from collections import Counter
 
 import pytest
 
 import samples
 from cftree import (
+    MNfa,
     WordNotInLanguageError,
     as_pdfa,
+    automata,
     disc_equal_rooted,
     is_reduced,
-    language_upto,
     pdfa_to_mnfa,
     reroot_along_word,
     reroot_disc,
     reroot_step,
+    rerooting,
     trim,
     truncate,
     unfold_mnfa,
     unfold_pdfa,
 )
+from oracles import language_upto, reroot_by_steps
 from randgen import random_reduced_pdfa
 
 
@@ -168,3 +172,50 @@ def test_intermediate_condensation_succeeds():
             out, state = reroot_along_word(d, root, wd)
             as_pdfa(pdfa_to_mnfa(out))
             assert state in out.states
+
+
+def _random_walk(rng, d, root, length):
+    word, state = [], root
+    while len(word) < length and d.out_set(state):
+        a = rng.choice(sorted(d.out_set(state)))
+        word.append(a)
+        state = d.delta[(state, a)]
+    return tuple(word)
+
+
+def test_reroot_along_word_matches_step_oracle():
+    rng = random.Random(77)
+    longest = 0
+    for _ in range(200):
+        d, root = random_reduced_pdfa(rng, rng.randint(1, 8), extra_density=rng.choice((0.5, 0.9)))
+        for w in ((), _random_walk(rng, d, root, rng.randint(1, 25))):
+            assert reroot_along_word(d, root, w) == reroot_by_steps(d, root, w)
+            longest = max(longest, len(w))
+    assert longest == 25
+
+
+def test_reroot_along_long_word_on_ray():
+    k = 2000
+    out, state = reroot_along_word(samples.ray(), "u", ("a",) * k)
+    assert len(out.states) == k + 2
+    assert out.run(state, ("a^-1",) * k) is not None
+    assert out.run(state, ("a^-1",) * (k + 1)) is None
+
+
+def test_reroot_along_word_is_one_pass(monkeypatch):
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for mod in (automata, rerooting):
+        for name in ("pdfa_to_mnfa", "as_pdfa", "reroot_step", "trim"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    monkeypatch.setattr(MNfa, "__init__", counted("MNfa", MNfa.__init__))
+    reroot_along_word(samples.astar_bstar_pdfa(), "p", ("a", "a", "b"))
+    assert calls == {"trim": 1}

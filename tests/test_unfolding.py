@@ -6,20 +6,24 @@ import samples
 from cftree import (
     DiscTree,
     MaterializationLimitError,
+    MNfa,
+    PDfa,
     RadiusMismatchError,
+    Transition,
     UnknownNodeError,
+    UnknownStateError,
     disc_equal_rooted,
     end_cone,
     export_dot,
     involutive_closure,
     is_reduced,
-    language_upto,
     nondeterministic_vertex,
     reroot_disc,
     truncate,
     unfold_mnfa,
     unfold_pdfa,
 )
+from oracles import language_upto
 from randgen import random_pdfa, random_reduced_pdfa
 
 
@@ -222,6 +226,23 @@ def test_reroot_disc_round_trip_truncates():
 def test_materialization_cap():
     with pytest.raises(MaterializationLimitError):
         unfold_mnfa(samples.one_state_two_loops(), "p", 30, max_nodes=1000)
+
+
+def test_unfold_budget_and_unknown_states_alike_for_both_kinds():
+    full_binary = PDfa({"p"}, samples.AL_AB, {("p", "a"): "p", ("p", "b"): "p"})
+    for unfold, aut in ((unfold_mnfa, samples.one_state_two_loops()), (unfold_pdfa, full_binary)):
+        with pytest.raises(MaterializationLimitError, match="unfolding would exceed 1000 nodes"):
+            unfold(aut, "p", 30, max_nodes=1000)
+        with pytest.raises(UnknownStateError):
+            unfold(aut, "ghost", 0)
+    # An edge into a state the automaton does not list fails once it is
+    # followed, not before.
+    dangling_pdfa = PDfa({"p"}, samples.AL_A, {("p", "a"): "zz"})
+    dangling_mnfa = MNfa({"p"}, samples.AL_A, [Transition(0, "p", "a", "zz")])
+    for unfold, aut in ((unfold_pdfa, dangling_pdfa), (unfold_mnfa, dangling_mnfa)):
+        assert len(unfold(aut, "p", 1)) == 2
+        with pytest.raises(UnknownStateError, match="'zz'"):
+            unfold(aut, "p", 2)
 
 
 def test_export_dot_single_node():
