@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .alphabet import InvolutiveAlphabet
-from .errors import NotDeterministicError, NotReducedError, UnknownStateError
+from .errors import NotDeterministicError, NotReducedError, UnknownLetterError, UnknownStateError
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,46 @@ class MNfa:
         return f"MNfa(states={len(self.states)}, transitions={len(self.transitions)})"
 
 
+class _Index(NamedTuple):
+    """Integer form of a pDFA, built on first use and kept with it.
+
+    States get ids in ``names`` order; states that only transitions mention
+    come after the listed ones.  Letter ``i`` is the alphabet's ``i``-th
+    letter in sorted order.
+    """
+
+    names: list[str]
+    ids: dict[str, int]
+    letters: list[str]
+    inverse: list[int]  # letter id -> id of its inverse
+    succ: list[list[int]]  # succ[i][p]: target of p on letter i, or -1
+    masks: list[int]  # bit i of masks[p]: p reads letter i
+    in_masks: list[int]  # bit i of in_masks[q]: some transition into q reads letter i
+
+
+def _build_index(
+    names: list[str], alphabet: InvolutiveAlphabet, delta: dict[tuple[str, str], str]
+) -> _Index:
+    ids = dict(zip(names, range(len(names))))
+    letters = alphabet.sorted_letters()
+    succ = [[-1] * len(names) for _ in letters]
+    masks = [0] * len(names)
+    in_masks = [0] * len(names)
+    by_letter = {x: (succ[i], 1 << i) for i, x in enumerate(letters)}
+    for (p, a), q in delta.items():
+        i, t = ids[p], ids[q]
+        column, bit = by_letter[a]
+        column[i] = t
+        masks[i] |= bit
+        in_masks[t] |= bit
+    inverse = [letters.index(alphabet.inv(x)) for x in letters]
+    return _Index(names, ids, letters, inverse, succ, masks, in_masks)
+
+
 class PDfa:
     """Partial deterministic finite automaton (a deterministic letter-labeled graph)."""
 
-    __slots__ = ("states", "alphabet", "delta", "_out")
+    __slots__ = ("states", "alphabet", "delta", "_out", "_index")
 
     def __init__(
         self,
@@ -95,16 +132,36 @@ class PDfa:
         self.states = frozenset(states)
         self.alphabet = alphabet
         self.delta = dict(delta)
-        out: dict[str, set[str]] = {s: set() for s in self.states}
-        for (p, a) in self.delta:
-            out.setdefault(p, set()).add(a)
-        self._out = {p: frozenset(v) for p, v in out.items()}
+        self._out: dict[str, frozenset[str]] | None = None
+        self._index: _Index | None = None
 
     def out_set(self, p: str) -> frozenset[str]:
         """Letters readable from ``p``."""
         if p not in self.states:
             raise UnknownStateError(f"state {p!r} is not in the automaton")
+        if self._out is None:
+            out: dict[str, set[str]] = {}
+            for (q, a) in self.delta:
+                out.setdefault(q, set()).add(a)
+            self._out = {q: frozenset(v) for q, v in out.items()}
         return self._out.get(p, frozenset())
+
+    def _indexed(self) -> _Index:
+        """The integer index of this automaton, built at most once."""
+        if self._index is None:
+            names = list(self.states)
+            try:
+                self._index = _build_index(names, self.alphabet, self.delta)
+            except KeyError:
+                # A transition names a letter outside the alphabet, or a
+                # state outside ``states``; such states get the last ids.
+                unknown = set(map(itemgetter(1), self.delta)) - self.alphabet.letters
+                if unknown:
+                    raise UnknownLetterError(f"letter {min(unknown)!r} is not in the alphabet") from None
+                ends = set(map(itemgetter(0), self.delta)).union(self.delta.values())
+                names += sorted(ends - self.states)
+                self._index = _build_index(names, self.alphabet, self.delta)
+        return self._index
 
     def step(self, p: str, a: str) -> str | None:
         return self.delta.get((p, a))
@@ -218,19 +275,37 @@ def pdfa_to_mnfa(d: PDfa) -> MNfa:
     return MNfa(d.states, d.alphabet, transitions)
 
 
+def _relabel(mask: int, to: list[int]) -> int:
+    """The bit set ``{to[i] : bit i of mask}``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << to[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def reducedness_violation(d: PDfa) -> tuple[tuple[str, str, str], tuple[str, str, str]] | None:
     """A pair of transitions ``p -a-> q``, ``q -a^-1-> r``, if one exists.
 
     Such a pair puts a word with an ``a a^-1`` factor in the language of
     ``p``, which is what reducedness forbids.  For a self-inverse letter this
-    degenerates to an ``a a`` path.
+    degenerates to an ``a a`` path.  Of all such pairs, the one with the
+    smallest ``(p, a, q)`` is returned.
     """
-    for (p, a), q in sorted(d.delta.items()):
+    ix = d._indexed()
+    # State q is the middle of a violating pair exactly when a letter that
+    # enters q has its inverse among the letters q reads.
+    reads_inverse = {m: _relabel(m, ix.inverse) for m in set(ix.masks)}
+    if not any(map(int.__and__, ix.in_masks, map(reads_inverse.__getitem__, ix.masks))):
+        return None
+    pairs = []
+    for (p, a), q in d.delta.items():
         ainv = d.alphabet.inv(a)
         r = d.delta.get((q, ainv))
         if r is not None:
-            return ((p, a, q), (q, ainv, r))
-    return None
+            pairs.append(((p, a, q), (q, ainv, r)))
+    return min(pairs)
 
 
 def is_reduced(d: PDfa) -> bool:
@@ -257,7 +332,7 @@ def reachable_states(aut: MNfa | PDfa, root: str) -> set[str]:
         if isinstance(aut, MNfa):
             targets = [t.dst for t in aut.transitions_from(p)]
         else:
-            targets = [aut.delta[(p, a)] for a in sorted(aut.out_set(p))]
+            targets = [aut.delta[(p, a)] for a in aut.out_set(p)]
         for q in targets:
             if q not in seen:
                 seen.add(q)

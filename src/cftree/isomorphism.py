@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .alphabet import merge_alphabets
-from .automata import PDfa, require_reduced, trim
+from .automata import PDfa, _Index, _relabel, require_reduced, trim
 from .errors import UnknownStateError
 from .rerooting import reroot_along_word
 from .unfolding import Word
@@ -98,6 +98,18 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
     return [{p: block[i] for p, i in idx.items()} for idx in index]
 
 
+def _over(ix: _Index, letters: list[str]) -> tuple[list[int], list[list[int] | None]]:
+    """Out-letter masks and successor columns of an index over ``letters``,
+    a sorted superset of its own letters; a letter it lacks has no column."""
+    if ix.letters == letters:
+        return ix.masks, ix.succ
+    own = {x: i for i, x in enumerate(ix.letters)}
+    to = [letters.index(x) for x in ix.letters]
+    over = {m: _relabel(m, to) for m in set(ix.masks)}
+    succ = [ix.succ[own[x]] if x in own else None for x in letters]
+    return list(map(over.__getitem__, ix.masks)), succ
+
+
 def iso_rooted(
     a: PDfa, p_root: str, b: PDfa, q_root: str
 ) -> tuple[bool, Witness | None]:
@@ -114,26 +126,14 @@ def iso_rooted(
         raise UnknownStateError(f"state {p_root!r} is not in the first automaton")
     if q_root not in b.states:
         raise UnknownStateError(f"state {q_root!r} is not in the second automaton")
-    alphabet = merge_alphabets(a.alphabet, b.alphabet)
-    letters = alphabet.sorted_letters()
-    lidx = {x: i for i, x in enumerate(letters)}
-
-    def index(d: PDfa) -> tuple[list[str], list[dict[int, int]], list[int]]:
-        names = sorted(d.states)
-        sidx = {s: i for i, s in enumerate(names)}
-        succ: list[dict[int, int]] = [{} for _ in names]
-        mask = [0] * len(names)
-        for (p, x), q in d.delta.items():
-            i = lidx[x]
-            succ[sidx[p]][i] = sidx[q]
-            mask[sidx[p]] |= 1 << i
-        return names, succ, mask
-
-    _, succ_a, mask_a = index(a)
-    names_b, succ_b, mask_b = index(b)
-    nb = len(names_b)
-    start = sorted(a.states).index(p_root) * nb + names_b.index(q_root)
-    parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
+    letters = merge_alphabets(a.alphabet, b.alphabet).sorted_letters()
+    ia, ib = a._indexed(), b._indexed()
+    mask_a, succ_a = _over(ia, letters)
+    mask_b, succ_b = _over(ib, letters)
+    k, nb = len(letters), len(ib.names)
+    start = ia.ids[p_root] * nb + ib.ids[q_root]
+    # A pair's code is p * nb + q; its parent link is code * k + letter.
+    parent: dict[int, int] = {start: -1}
     queue = deque([start])
     while queue:
         code = queue.popleft()
@@ -144,19 +144,20 @@ def iso_rooted(
             i = (sym & -sym).bit_length() - 1
             side = "left" if (ma >> i) & 1 else "right"
             path: list[str] = [letters[i]]
-            cur = code
-            while parent[cur][0] != -1:
-                cur, j = parent[cur]
+            link = parent[code]
+            while link != -1:
+                code, j = divmod(link, k)
                 path.append(letters[j])
+                link = parent[code]
             path.reverse()
             return False, Witness(tuple(path), side)
         bits = ma
         while bits:
             i = (bits & -bits).bit_length() - 1
             bits &= bits - 1
-            nxt = succ_a[pa][i] * nb + succ_b[qb][i]
+            nxt = succ_a[i][pa] * nb + succ_b[i][qb]
             if nxt not in parent:
-                parent[nxt] = (code, i)
+                parent[nxt] = code * k + i
                 queue.append(nxt)
     return True, None
 

@@ -85,56 +85,50 @@ def reduce_gap2_to_rooted_iso(g: Gap2Instance) -> tuple[PDfa, str, PDfa, str]:
     if 2 * size - 1 > DEFAULT_MAX_NODES:  # the states of the padded automaton
         raise MaterializationLimitError(f"reduction would exceed {DEFAULT_MAX_NODES} states")
     pad = size - g.n
-
-    def renum(i: int) -> int:
-        return i if i == 0 else i + pad
-
     target = size - 1
-    edges = sorted(
-        (renum(u), renum(v))
-        for u, v in g.edges
-        if v != 0 and u != g.n - 1
-    )
-    succ: dict[int, list[int]] = {}
-    for u, v in edges:
-        succ.setdefault(u, []).append(v)
+    # Node i > 0 becomes i + pad; renumbering keeps the order, so each
+    # successor list comes out sorted.
+    succ: list[list[int]] = [[] for _ in range(size)]
+    for u, v in sorted(g.edges):
+        if v != 0 and u != g.n - 1:
+            succ[u + pad if u else 0].append(v + pad)
 
-    def bname(i: int) -> str:
-        return format(i, f"0{ell}b")
-
+    # levels[k] names the 2^k prefixes of length k in order, so
+    # levels[ell][i] is node i's padded binary name; each name is made once.
+    levels = [[""]]
+    for _ in range(ell):
+        levels.append([w + c for w in levels[-1] for c in "01"])
+    names = levels[ell]
     alphabet = involutive_closure(["0", "1"])
     delta: dict[tuple[str, str], str] = {}
-    for i in range(size):
-        outs = sorted(succ.get(i, ()))
+    for i, (name, outs) in enumerate(zip(names, succ)):
         if not outs:
             if i != target:
-                delta[(bname(i), "0")] = bname(i)
-                delta[(bname(i), "1")] = bname(i)
-        elif len(outs) == 1:
-            delta[(bname(i), "0")] = bname(outs[0])
-            delta[(bname(i), "1")] = bname(outs[0])
+                delta[(name, "0")] = name
+                delta[(name, "1")] = name
         else:
-            delta[(bname(i), "0")] = bname(outs[0])
-            delta[(bname(i), "1")] = bname(outs[1])
-    states = {bname(i) for i in range(size)}
+            delta[(name, "0")] = names[outs[0]]
+            delta[(name, "1")] = names[outs[-1]]
+    states = set(names)
     for k in range(ell):
-        for w in range(1 << k):
-            prefix = format(w, f"0{k}b") if k else ""
-            states.add(prefix)
-            delta[(prefix, "0")] = prefix + "0"
-            delta[(prefix, "1")] = prefix + "1"
+        below = levels[k + 1]
+        states.update(levels[k])
+        for prefix, left, right in zip(levels[k], below[0::2], below[1::2]):
+            delta[(prefix, "0")] = left
+            delta[(prefix, "1")] = right
     a = PDfa(states, alphabet, delta)
 
-    zeros = bname(0)
-    states_b = (states - {zeros}) | {"f"}
-    delta_b: dict[tuple[str, str], str] = {}
-    for (p, x), q in delta.items():
-        if p == zeros:
-            continue
-        delta_b[(p, x)] = "f" if q == zeros else q
+    # b differs only at the all-zeros node, which reads 0 and 1 in a.  Edges
+    # into node 0 were dropped above, so only its prefix-tree parent enters it.
+    zeros = names[0]
+    states.remove(zeros)
+    states.add("f")
+    delta_b = dict(delta)
+    del delta_b[(zeros, "0")], delta_b[(zeros, "1")]
+    delta_b[(levels[ell - 1][0], "0")] = "f"
     delta_b[("f", "0")] = "f"
     delta_b[("f", "1")] = "f"
-    b = PDfa(states_b, alphabet, delta_b)
+    b = PDfa(states, alphabet, delta_b)
     return a, "", b, ""
 
 

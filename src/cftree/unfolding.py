@@ -137,6 +137,8 @@ def _unfold(
     children: dict[Node, tuple[tuple[str, Node], ...]] = {}
     frontier: list[tuple[Node, str]] = [(root, p)]
     for _ in range(radius):
+        if not frontier:  # every branch ended: a larger radius adds nothing
+            break
         nxt: list[tuple[Node, str]] = []
         for node, state in frontier:
             kids = []

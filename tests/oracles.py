@@ -9,17 +9,22 @@ determined by its own type, so pruning drops no candidate type and preserves
 minimal witness depth.  State equivalence comes from the quadratic
 pair-marking fixpoint, independent of the library's partition refinement,
 and re-rooting iterates the paper's single mNFA step, independent of the
-library's one-pass re-rooting.
+library's one-pass re-rooting.  The reducedness scan, the rooted product
+search and the 2GAP reduction work on state names, independent of the
+library's cached integer index.
 """
 
 from collections import deque
 
 from cftree import (
     DEFAULT_MAX_NODES,
+    Gap2Instance,
     MaterializationLimitError,
     PDfa,
     UnknownStateError,
+    Witness,
     as_pdfa,
+    involutive_closure,
     merge_alphabets,
     pdfa_to_mnfa,
     reroot_step,
@@ -249,3 +254,107 @@ def nonrooted_witness_brute(
         for x in sorted(b2.out_set(state)):
             queue.append((w + (x,), b2.delta[(state, x)]))
     return None
+
+
+def reducedness_violation_by_scan(d: PDfa):
+    """The first pair ``p -a-> q -a^-1-> r`` in sorted transition order, or None."""
+    for (p, a), q in sorted(d.delta.items()):
+        ainv = d.alphabet.inv(a)
+        r = d.delta.get((q, ainv))
+        if r is not None:
+            return ((p, a, q), (q, ainv, r))
+    return None
+
+
+def iso_rooted_reindexed(a: PDfa, p_root: str, b: PDfa, q_root: str):
+    """Rooted isomorphism of two reduced pDFAs by BFS over state pairs, with
+    both automata indexed afresh over the merged alphabet on every call."""
+    letters = merge_alphabets(a.alphabet, b.alphabet).sorted_letters()
+    lidx = {x: i for i, x in enumerate(letters)}
+
+    def index(d: PDfa) -> tuple[list[str], list[dict[int, int]], list[int]]:
+        names = sorted(d.states)
+        sidx = {s: i for i, s in enumerate(names)}
+        succ: list[dict[int, int]] = [{} for _ in names]
+        mask = [0] * len(names)
+        for (p, x), q in d.delta.items():
+            i = lidx[x]
+            succ[sidx[p]][i] = sidx[q]
+            mask[sidx[p]] |= 1 << i
+        return names, succ, mask
+
+    _, succ_a, mask_a = index(a)
+    names_b, succ_b, mask_b = index(b)
+    nb = len(names_b)
+    start = sorted(a.states).index(p_root) * nb + names_b.index(q_root)
+    parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
+    queue = deque([start])
+    while queue:
+        code = queue.popleft()
+        pa, qb = divmod(code, nb)
+        ma, mb = mask_a[pa], mask_b[qb]
+        if ma != mb:
+            sym = ma ^ mb
+            i = (sym & -sym).bit_length() - 1
+            side = "left" if (ma >> i) & 1 else "right"
+            path: list[str] = [letters[i]]
+            cur = code
+            while parent[cur][0] != -1:
+                cur, j = parent[cur]
+                path.append(letters[j])
+            path.reverse()
+            return False, Witness(tuple(path), side)
+        bits = ma
+        while bits:
+            i = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            nxt = succ_a[pa][i] * nb + succ_b[qb][i]
+            if nxt not in parent:
+                parent[nxt] = (code, i)
+                queue.append(nxt)
+    return True, None
+
+
+def reduce_gap2_by_names(g: Gap2Instance):
+    """The 2GAP reduction built from per-transition name formatting, with
+    the second automaton derived from the first transition by transition."""
+    ell = (g.n - 1).bit_length()
+    size = 1 << ell
+    pad = size - g.n
+
+    def renum(i: int) -> int:
+        return i if i == 0 else i + pad
+
+    target = size - 1
+    succ: dict[int, list[int]] = {}
+    for u, v in sorted((renum(u), renum(v)) for u, v in g.edges if v != 0 and u != g.n - 1):
+        succ.setdefault(u, []).append(v)
+
+    def bname(i: int) -> str:
+        return format(i, f"0{ell}b")
+
+    delta: dict[tuple[str, str], str] = {}
+    for i in range(size):
+        outs = sorted(succ.get(i, ()))
+        if not outs:
+            if i != target:
+                delta[(bname(i), "0")] = bname(i)
+                delta[(bname(i), "1")] = bname(i)
+        else:
+            delta[(bname(i), "0")] = bname(outs[0])
+            delta[(bname(i), "1")] = bname(outs[-1])
+    states = {bname(i) for i in range(size)}
+    for k in range(ell):
+        for w in range(1 << k):
+            prefix = format(w, f"0{k}b") if k else ""
+            states.add(prefix)
+            delta[(prefix, "0")] = prefix + "0"
+            delta[(prefix, "1")] = prefix + "1"
+    alphabet = involutive_closure(["0", "1"])
+    zeros = bname(0)
+    delta_b = {(p, x): "f" if q == zeros else q for (p, x), q in delta.items() if p != zeros}
+    delta_b[("f", "0")] = "f"
+    delta_b[("f", "1")] = "f"
+    a = PDfa(states, alphabet, delta)
+    b = PDfa((states - {zeros}) | {"f"}, alphabet, delta_b)
+    return a, "", b, ""

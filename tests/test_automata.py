@@ -4,6 +4,7 @@ import pytest
 
 import samples
 from cftree import (
+    InvolutiveAlphabet,
     MNfa,
     NotDeterministicError,
     PDfa,
@@ -20,7 +21,8 @@ from cftree import (
     unfold_mnfa,
     validate_mnfa,
 )
-from randgen import random_reduced_pdfa
+from oracles import reducedness_violation_by_scan
+from randgen import random_alphabet, random_pdfa, random_reduced_pdfa
 
 
 def test_validate_two_loop_mnfa_ok():
@@ -124,6 +126,29 @@ def test_self_inverse_letter_reducedness():
     assert not is_reduced(d)
     d2 = PDfa({"p", "q"}, al, {("p", "c"): "q"})
     assert is_reduced(d2)
+
+
+def test_reducedness_violation_matches_sorted_scan():
+    rng = random.Random(31)
+    self_inverse = InvolutiveAlphabet({"c"}, {"c": "c"})
+    mixed = InvolutiveAlphabet({"a", "a^-1", "c"}, {"a": "a^-1", "a^-1": "a", "c": "c"})
+    cases = []
+    for _ in range(150):
+        alphabet = random_alphabet(rng)
+        cases.append(random_pdfa(rng, rng.randint(1, 12), alphabet)[0])
+        cases.append(random_reduced_pdfa(rng, rng.randint(1, 12), alphabet)[0])
+    for alphabet in (self_inverse, mixed):
+        for _ in range(100):
+            cases.append(random_pdfa(rng, rng.randint(1, 6), alphabet, density=rng.random())[0])
+    # States that only transitions mention.
+    cases.append(PDfa({"p"}, samples.AL_A, {("p", "a"): "q", ("q", "a^-1"): "r"}))
+    cases.append(PDfa({"p"}, samples.AL_A, {("p", "a"): "q", ("r", "a^-1"): "p"}))
+    found = 0
+    for d in cases:
+        expected = reducedness_violation_by_scan(d)
+        assert reducedness_violation(d) == expected
+        found += expected is not None
+    assert 100 < found < len(cases) - 100
 
 
 def test_out_set():

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import samples
 from cftree import compression
 from cftree.cli import run
 from cftree.jsonio import automaton_to_doc, dumps, tree_to_doc
-from cftree import unfold_pdfa
+from cftree import PDfa, unfold_pdfa
 
 
 @pytest.fixture
@@ -343,29 +344,62 @@ def _damaged(draw, doc):
         if draw(st.booleans()):
             del parent[key]
         else:
-            parent[key] = draw(_JUNK)
+            parent[key] = copy.deepcopy(draw(_JUNK))  # never mutate the sampled value
     return doc
 
 
+# Command-line arguments: states and letters the documents may lack, and
+# radii from -1 (rejected) to 4 (small enough to stay fast).
+_STATE = st.sampled_from(["p", "q", "r", "ghost"])
+
+
+def _maybe(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _flat(*parts):
+    return st.tuples(*parts).map(lambda ps: [x for p in ps for x in p])
+
+
 @pytest.mark.parametrize(
-    "command, documents",
+    "command, documents, options",
     [
-        ("validate", _automaton_doc()),
-        ("minimize", _automaton_doc()),
-        ("compress", _tree_doc()),
-        ("reduce-2gap", _gap2_doc()),
+        ("validate", [_automaton_doc()], st.just([])),
+        ("minimize", [_automaton_doc()], st.just([])),
+        ("compress", [_tree_doc()], st.just([])),
+        ("reduce-2gap", [_gap2_doc()], st.just([])),
+        ("unfold", [_automaton_doc()], _flat(
+            _maybe("--state", _STATE),
+            st.integers(-1, 4).map(lambda r: ["--radius", str(r)]),
+            st.sampled_from([[], ["--dot"], ["--json"]]),
+        )),
+        ("iso", [_automaton_doc(), _automaton_doc()], _flat(
+            st.lists(_STATE, max_size=3).map(lambda ss: [x for s in ss for x in ("--state", s)]),
+            st.sampled_from([[], ["--rooted"], ["--unrooted"]]),
+            st.sampled_from([[], ["--witness"]]),
+        )),
+        ("reroot", [_automaton_doc()], _flat(
+            _maybe("--state", _STATE),
+            st.lists(st.sampled_from([*_LETTERS, "z"]), max_size=4).map(lambda w: ["--word", ",".join(w)]),
+        )),
+        ("lift-nonrooted", [_automaton_doc(), _automaton_doc()], _flat(
+            _maybe("--state-a", _STATE), _maybe("--state-b", _STATE),
+        )),
     ],
-    ids=["validate", "minimize", "compress", "reduce-2gap"],
+    ids=["validate", "minimize", "compress", "reduce-2gap", "unfold", "iso", "reroot", "lift-nonrooted"],
 )
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_cli_never_prints_a_traceback(command, documents, data):
-    doc = data.draw(documents.flatmap(_damaged))
+def test_cli_never_prints_a_traceback(command, documents, options, data):
+    docs = [data.draw(d.flatmap(_damaged)) for d in documents]
     with tempfile.TemporaryDirectory() as tmp:
-        doc_file = Path(tmp) / "doc.json"
-        doc_file.write_text(json.dumps(doc))
-        args = [command, str(doc_file)]
-        if command == "reduce-2gap":
+        args = [command]
+        for i, doc in enumerate(docs):
+            doc_file = Path(tmp) / f"doc{i}.json"
+            doc_file.write_text(json.dumps(doc))
+            args.append(str(doc_file))
+        args += data.draw(options)
+        if command in ("reduce-2gap", "lift-nonrooted"):
             args += ["--out-a", str(Path(tmp) / "a.json"), "--out-b", str(Path(tmp) / "b.json")]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -373,6 +407,22 @@ def test_cli_never_prints_a_traceback(command, documents, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert "error[" in err.getvalue()
+
+
+def test_unfold_stops_once_every_branch_ends(tmp_path, capsys):
+    point = tmp_path / "point.json"
+    point.write_text(dumps(automaton_to_doc(PDfa({"p"}, samples.AL_A, {}), root="p")))
+    outputs = {}
+    for radius in (0, 10**8):
+        for fmt in ("--dot", "--json"):
+            start = time.perf_counter()
+            assert run(["unfold", str(point), "--radius", str(radius), fmt]) == 0
+            assert time.perf_counter() - start < 2
+            outputs[radius, fmt] = capsys.readouterr().out
+    assert outputs[10**8, "--dot"] == outputs[0, "--dot"]
+    far, near = json.loads(outputs[10**8, "--json"]), json.loads(outputs[0, "--json"])
+    assert far.pop("radius") == 10**8 and near.pop("radius") == 0
+    assert far == near
 
 
 def test_byte_identical_output(fig_files):

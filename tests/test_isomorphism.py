@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,20 +7,23 @@ import samples
 from cftree import (
     NotReducedError,
     PDfa,
+    automata,
     involutive_closure,
     iso_nonrooted,
     iso_rooted,
     language_classes,
+    reduce_gap2_to_rooted_iso,
     verify_nonrooted_witness,
 )
 from oracles import (
     canonical_rooted_key,
     equivalent_pairs,
+    iso_rooted_reindexed,
     language_upto,
     langs_equal_upto,
     nonrooted_witness_brute,
 )
-from randgen import exhaustive_reduced_pdfa_pool, random_pdfa, random_reduced_pdfa
+from randgen import exhaustive_reduced_pdfa_pool, random_gap2, random_pdfa, random_reduced_pdfa
 
 
 def class_pairs(a: PDfa, b: PDfa) -> set[tuple[str, str]]:
@@ -140,6 +144,53 @@ def test_iso_rooted_agrees_with_language_oracle():
         assert ok == langs_equal_upto(a, ra, b, rb, k)
         if not ok:
             assert len(witness.word) <= k
+
+
+def test_iso_rooted_builds_one_index_per_automaton(monkeypatch):
+    builds = Counter()
+    build_index = automata._build_index
+
+    def counted_build(names, alphabet, delta):
+        builds[id(delta)] += 1
+        return build_index(names, alphabet, delta)
+
+    out_set_calls = Counter()
+    out_set = PDfa.out_set
+
+    def counted_out_set(self, p):
+        out_set_calls[p] += 1
+        return out_set(self, p)
+
+    monkeypatch.setattr(automata, "_build_index", counted_build)
+    monkeypatch.setattr(PDfa, "out_set", counted_out_set)
+    a, ra, b, rb = reduce_gap2_to_rooted_iso(random_gap2(random.Random(43), max_n=64))
+    iso_rooted(a, ra, b, rb)
+    iso_rooted(b, rb, a, ra)
+    assert builds == {id(a.delta): 1, id(b.delta): 1}
+    assert not out_set_calls
+
+
+def test_iso_rooted_matches_reindexing_oracle():
+    rng = random.Random(47)
+    # {b}^±1 is not a prefix of {a, b}^±1 in sorted order, so its letter ids
+    # must be translated.
+    alphabets = [samples.AL_A, involutive_closure(["b"]), samples.AL_AB]
+    kinds = Counter()
+    for i in range(100):
+        if i % 2:
+            a, ra, b, rb = reduce_gap2_to_rooted_iso(random_gap2(rng, max_n=48))
+        elif i % 4:
+            a, ra = random_reduced_pdfa(rng, rng.randint(1, 12), rng.choice(alphabets))
+            b, rb = random_reduced_pdfa(rng, rng.randint(1, 12), rng.choice(alphabets))
+        else:  # one side over {b}^±1, the other the same or a similar one over {a, b}^±1
+            a, ra = random_reduced_pdfa(rng, rng.randint(1, 12), alphabets[1])
+            c, rb = (a, ra) if i % 8 else random_reduced_pdfa(rng, len(a.states), alphabets[1])
+            b = PDfa(c.states, samples.AL_AB, c.delta)
+        result = iso_rooted(a, ra, b, rb)
+        assert result == iso_rooted_reindexed(a, ra, b, rb)
+        kinds[result[0], a.alphabet == b.alphabet] += 1
+    assert kinds[True, True] >= 10 and kinds[False, True] >= 10
+    assert kinds[True, False] >= 10 and kinds[False, False] >= 10
 
 
 def test_witness_is_shortest_and_one_sided():

@@ -18,6 +18,7 @@ from cftree import (
     reduce_rooted_to_nonrooted,
     validate_pdfa,
 )
+from oracles import reduce_gap2_by_names
 from randgen import random_gap2, random_reduced_pdfa
 
 
@@ -67,6 +68,13 @@ def test_reduce_gap2_output_shape():
         assert reachable_states(d, root) == d.states
         positive = {x for (_, x) in d.delta}
         assert positive <= {"0", "1"}
+
+
+def test_reduce_gap2_matches_name_formatting_oracle():
+    rng = random.Random(41)
+    for _ in range(200):
+        g = random_gap2(rng, max_n=40)
+        assert reduce_gap2_to_rooted_iso(g) == reduce_gap2_by_names(g)
 
 
 def test_reduce_gap2_requires_two_nodes():
