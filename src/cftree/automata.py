@@ -10,12 +10,11 @@ caller can collect every problem at once instead of failing fast.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .alphabet import InvolutiveAlphabet
+from .alphabet import InvolutiveAlphabet, merge_alphabets
 from .errors import NotDeterministicError, NotReducedError, UnknownLetterError, UnknownStateError
 
 
@@ -98,6 +97,11 @@ class _Index(NamedTuple):
     masks: list[int]  # bit i of masks[p]: p reads letter i
     in_masks: list[int]  # bit i of in_masks[q]: some transition into q reads letter i
 
+    def edges(self, p: str) -> list[tuple[str, str]]:
+        """``(letter, target)`` for each transition out of ``p``, by letter."""
+        i = self.ids[p]
+        return [(x, self.names[col[i]]) for x, col in zip(self.letters, self.succ) if col[i] >= 0]
+
 
 def _build_index(
     names: list[str], alphabet: InvolutiveAlphabet, delta: dict[tuple[str, str], str]
@@ -121,7 +125,7 @@ def _build_index(
 class PDfa:
     """Partial deterministic finite automaton (a deterministic letter-labeled graph)."""
 
-    __slots__ = ("states", "alphabet", "delta", "_out", "_index")
+    __slots__ = ("states", "alphabet", "delta", "_index")
 
     def __init__(
         self,
@@ -132,19 +136,13 @@ class PDfa:
         self.states = frozenset(states)
         self.alphabet = alphabet
         self.delta = dict(delta)
-        self._out: dict[str, frozenset[str]] | None = None
         self._index: _Index | None = None
 
     def out_set(self, p: str) -> frozenset[str]:
         """Letters readable from ``p``."""
         if p not in self.states:
             raise UnknownStateError(f"state {p!r} is not in the automaton")
-        if self._out is None:
-            out: dict[str, set[str]] = {}
-            for (q, a) in self.delta:
-                out.setdefault(q, set()).add(a)
-            self._out = {q: frozenset(v) for q, v in out.items()}
-        return self._out.get(p, frozenset())
+        return frozenset(x for x, _ in self._indexed().edges(p))
 
     def _indexed(self) -> _Index:
         """The integer index of this automaton, built at most once."""
@@ -322,21 +320,39 @@ def require_reduced(d: PDfa, what: str = "automaton") -> None:
         )
 
 
+def _reach(d: PDfa, root: str) -> set[int]:
+    """Index ids of the states reachable from ``root``, found level by level."""
+    ix = d._indexed()
+    seen = frontier = {ix.ids[root]}
+    while frontier:
+        frontier = {col[p] for col in ix.succ for p in frontier} - seen - {-1}
+        seen |= frontier
+    if max(seen) >= len(d.states):  # ids past those are states only transitions name
+        raise UnknownStateError(f"state {ix.names[max(seen)]!r} is not in the automaton")
+    return seen
+
+
+def _require_pair(a: PDfa, p_root: str, b: PDfa, q_root: str) -> InvolutiveAlphabet:
+    """Check that two pDFAs are reduced and hold their designated states;
+    return their merged alphabet."""
+    require_reduced(a, "first automaton")
+    require_reduced(b, "second automaton")
+    if p_root not in a.states:
+        raise UnknownStateError(f"state {p_root!r} is not in the first automaton")
+    if q_root not in b.states:
+        raise UnknownStateError(f"state {q_root!r} is not in the second automaton")
+    return merge_alphabets(a.alphabet, b.alphabet)
+
+
 def reachable_states(aut: MNfa | PDfa, root: str) -> set[str]:
     if root not in aut.states:
         raise UnknownStateError(f"state {root!r} is not in the automaton")
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        p = queue.popleft()
-        if isinstance(aut, MNfa):
-            targets = [t.dst for t in aut.transitions_from(p)]
-        else:
-            targets = [aut.delta[(p, a)] for a in aut.out_set(p)]
-        for q in targets:
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
+    if isinstance(aut, PDfa):
+        return {aut._indexed().names[p] for p in _reach(aut, root)}
+    seen = frontier = {root}
+    while frontier:
+        frontier = {t.dst for p in frontier for t in aut.transitions_from(p)} - seen
+        seen |= frontier
     return seen
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import compression, jsonio
 from .automata import MNfa, PDfa, as_pdfa, trim, validate_mnfa, validate_pdfa
-from .errors import CFTreeError, SchemaError
+from .errors import CFTreeError, SchemaError, UsageError
 from .isomorphism import iso_nonrooted, iso_rooted
 from .reductions import reduce_gap2_to_rooted_iso, reduce_rooted_to_nonrooted
 from .rerooting import reroot_along_word
@@ -171,8 +171,15 @@ def _cmd_minimize(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises on bad arguments instead of exiting."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cftree",
         description="Finite-automaton encodings of context-free trees.",
     )
@@ -235,9 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CFTreeError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)

@@ -63,6 +63,10 @@ class MaterializationLimitError(CFTreeError):
     code = "LIMIT_EXCEEDED"
 
 
+class UsageError(CFTreeError):
+    code = "USAGE"
+
+
 class SchemaError(CFTreeError):
     """A JSON document does not match the expected shape."""
 

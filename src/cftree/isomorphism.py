@@ -7,7 +7,8 @@ readable from exactly one side.  Non-rooted isomorphism searches a finite
 configuration graph whose configurations pair a state of the first automaton
 with a candidate node label of the second and an optional excluded branch;
 an accepting path names a node at which re-rooting the second tree makes the
-two rooted trees isomorphic.
+two rooted trees isomorphic.  Both searches and the state equivalence run on
+each pDFA's cached integer index, with out-letter sets as bit masks.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 from .alphabet import merge_alphabets
-from .automata import PDfa, _Index, _relabel, require_reduced, trim
-from .errors import UnknownStateError
+from .automata import PDfa, _Index, _reach, _relabel, _require_pair
 from .rerooting import reroot_along_word
 from .unfolding import Word
 
@@ -44,58 +45,71 @@ class NonRootedWitness:
         return " ".join(self.word)
 
 
-#: A configuration ``(p, q, back)`` of the non-rooted search.
-_Config = tuple[str, str, str | None]
+def _classes(sides: list[tuple]) -> tuple[list[int], list[list[int]], list[list[tuple[int, int]]], list[int]]:
+    """Partition refinement on a disjoint union of index parts.
 
-
-def language_classes(*automata: PDfa) -> list[dict[str, int]]:
-    """Group the states of one or more pDFAs by the language they read.
-
-    Coarsest-partition refinement (Hopcroft 1971; Valmari and Lehtinen 2008
-    for partial transition functions) on the disjoint union of the automata.
-    The initial blocks are the out-letter sets, so every state of a block
-    reads the same letters and a block splits only on where they lead.
-    Returns one map per automaton from state to class id: two states get the
-    same id exactly when they generate the same language.
+    Each side is ``(order, masks, succ)`` as ``_over`` gives it; ``order``
+    lists the ids kept, successors included, and the union numbers them side
+    after side.  Returns the union's masks and columns, each state's ascending
+    ``(letter, source)`` predecessors, and its block in the coarsest partition
+    that separates out-masks and is stable under every letter (Hopcroft 1971;
+    Valmari and Lehtinen 2008 for partial functions).
     """
-    reduce(merge_alphabets, (d.alphabet for d in automata))
-    index: list[dict[str, int]] = []
-    block: list[int] = []
-    by_outs: dict[frozenset[str], int] = {}
-    for d in automata:
-        states = sorted(d.states)
-        index.append({p: len(block) + i for i, p in enumerate(states)})
-        block += [by_outs.setdefault(d.out_set(p), len(by_outs)) for p in states]
-    members: list[set[int]] = [set() for _ in by_outs]
+    masks: list[int] = []
+    succ: list[list[int]] = [[] for _ in sides[0][2]]
+    for order, side_masks, side_succ in sides:
+        pos = {p: j for j, p in enumerate(order, len(masks))} | {-1: -1}  # -1: no successor
+        masks += map(side_masks.__getitem__, order)
+        for column, col in zip(succ, side_succ):
+            column += [pos[col[p]] for p in order] if col is not None else [-1] * len(order)
+    preds: list[list[tuple[int, int]]] = [[] for _ in masks]
+    for i, col in enumerate(succ):
+        for s, t in enumerate(col):
+            if t >= 0:
+                preds[t].append((i, s))
+    by_mask: dict[int, int] = {}
+    block = [by_mask.setdefault(m, len(by_mask)) for m in masks]
+    members: list[set[int]] = [set() for _ in by_mask]
     for s, b in enumerate(block):
         members[b].add(s)
-    preds: list[list[tuple[str, int]]] = [[] for _ in block]
-    for d, idx in zip(automata, index):
-        for (p, x), q in d.delta.items():
-            preds[idx[q]].append((x, idx[p]))
     pending = set(range(len(members)))
     while pending:
-        splitter = members[pending.pop()]
-        sources: dict[str, list[int]] = defaultdict(list)
-        for t in splitter:
-            for x, s in preds[t]:
-                sources[x].append(s)
+        sources: dict[int, list[int]] = defaultdict(list)
+        for t in members[pending.pop()]:
+            for i, s in preds[t]:
+                sources[i].append(s)
         for hit_states in sources.values():
-            hit: dict[int, set[int]] = defaultdict(set)
+            hit: dict[int, list[int]] = defaultdict(list)
             for s in hit_states:
-                hit[block[s]].add(s)
+                hit[block[s]].append(s)
             for b, part in hit.items():
                 if len(part) == len(members[b]):
                     continue
-                members[b] -= part
+                members[b].difference_update(part)
                 new = len(members)
-                members.append(part)
+                members.append(set(part))
                 for s in part:
                     block[s] = new
                 # Hopcroft: a block not waiting to split others queues only
                 # its smaller half.
                 pending.add(b if b not in pending and len(members[b]) < len(part) else new)
-    return [{p: block[i] for p, i in idx.items()} for idx in index]
+    return masks, succ, preds, block
+
+
+def language_classes(*automata: PDfa) -> list[dict[str, int]]:
+    """Group the states of one or more pDFAs by the language they read.
+
+    One integer partition refinement (``_classes``) on the disjoint union of
+    the automata's cached indexes, over their merged letters, starting from
+    the blocks of equal out-masks.  Returns one map per automaton from state
+    to class id: two states get the same id exactly when they generate the
+    same language.
+    """
+    letters = reduce(merge_alphabets, (d.alphabet for d in automata)).sorted_letters()
+    indexes = [d._indexed() for d in automata]
+    block = _classes([(range(len(ix.names)), *_over(ix, letters)) for ix in indexes])[3]
+    starts = accumulate((len(ix.names) for ix in indexes), initial=0)
+    return [dict(zip(ix.names[: len(d.states)], block[i:])) for d, ix, i in zip(automata, indexes, starts)]
 
 
 def _over(ix: _Index, letters: list[str]) -> tuple[list[int], list[list[int] | None]]:
@@ -120,13 +134,7 @@ def iso_rooted(
     pairs: the first pair with different out-sets, extended by a letter
     readable on one side only.
     """
-    require_reduced(a, "first automaton")
-    require_reduced(b, "second automaton")
-    if p_root not in a.states:
-        raise UnknownStateError(f"state {p_root!r} is not in the first automaton")
-    if q_root not in b.states:
-        raise UnknownStateError(f"state {q_root!r} is not in the second automaton")
-    letters = merge_alphabets(a.alphabet, b.alphabet).sorted_letters()
+    letters = _require_pair(a, p_root, b, q_root).sorted_letters()
     ia, ib = a._indexed(), b._indexed()
     mask_a, succ_a = _over(ia, letters)
     mask_b, succ_b = _over(ib, letters)
@@ -174,55 +182,49 @@ def iso_nonrooted(
     Steps guess a predecessor transition of q and climb toward the root;
     acceptance at the root closes the isomorphism.  The step letters along a
     shortest accepting path, reversed, spell the root-to-v word, returned as
-    a witness.
+    a witness.  On the cached indexes, one ``_classes`` call refines the
+    reachable states, a configuration is one integer, its base set is the mask
+    of q less ``back``, and starts and predecessors go in state-name order.
     """
-    require_reduced(a, "first automaton")
-    require_reduced(b, "second automaton")
-    if p_root not in a.states:
-        raise UnknownStateError(f"state {p_root!r} is not in the first automaton")
-    if q_root not in b.states:
-        raise UnknownStateError(f"state {q_root!r} is not in the second automaton")
-    alphabet = merge_alphabets(a.alphabet, b.alphabet)
-    a = trim(a, p_root)
-    b = trim(b, q_root)
-    cls_a, cls_b = language_classes(a, b)
-
-    in_b: dict[str, list[tuple[str, str]]] = {q: [] for q in b.states}
-    for (qhat, x), q in sorted(b.delta.items()):
-        in_b[q].append((qhat, x))
-
-    def subtrees_match(p: str, q: str, base: frozenset[str]) -> bool:
-        return all(cls_a[a.delta[(p, x)]] == cls_b[b.delta[(q, x)]] for x in base)
-
-    initial: list[_Config] = [(p_root, q, None) for q in sorted(b.states)]
-    parent: dict[_Config, tuple[_Config | None, str | None]] = {
-        c: (None, None) for c in initial
-    }
-    queue = deque(initial)
+    alphabet = _require_pair(a, p_root, b, q_root)
+    letters = alphabet.sorted_letters()
+    ib = b._indexed()
+    reach_a = list(_reach(a, p_root))
+    reach_b = sorted(_reach(b, q_root), key=ib.names.__getitem__)
+    masks, succ, preds, cls = _classes([(reach_a, *_over(a._indexed(), letters)), (reach_b, *_over(ib, letters))])
+    inverse = [letters.index(alphabet.inv(x)) for x in letters]
+    # The union holds a's reachable states, then b's by name.  Configuration
+    # (p, q, back) is (p * n + q) * (k + 1) + back + 1, with back = -1 for
+    # none; its parent is the one it was reached from.
+    n, k1 = len(masks), len(letters) + 1
+    p0 = reach_a.index(a._indexed().ids[p_root])
+    q0 = len(reach_a) + reach_b.index(ib.ids[q_root])
+    parent = {(p0 * n + q) * k1: -1 for q in range(len(reach_a), n)}
+    queue = deque(parent)
     while queue:
-        cfg = queue.popleft()
-        p, q, back = cfg
-        outs_p = a.out_set(p)
-        base = b.out_set(q) - {back} if back is not None else b.out_set(q)
-        base = frozenset(base)
-        if q == q_root and outs_p == base and subtrees_match(p, q, base):
+        code = queue.popleft()
+        pq, back = divmod(code, k1)
+        p, q = divmod(pq, n)
+        base = masks[q] & ~(1 << back >> 1)  # back + 1 is 0 for none
+        extra = masks[p] & ~base
+        # Accept at q_root with equal sets, or climb on one extra letter.
+        if base & ~masks[p] or extra & (extra - 1) or not (extra or q == q0):
+            continue
+        if any(cls[col[p]] != cls[col[q]] for i, col in enumerate(succ) if base >> i & 1):
+            continue
+        if not extra:
             word: list[str] = []
-            cur: _Config | None = cfg
-            while cur is not None:
-                prev, letter = parent[cur]
-                if letter is not None:
-                    word.append(letter)
-                cur = prev
+            while parent[code] != -1:
+                word.append(letters[code % k1 - 1])
+                code = parent[code]
             return True, NonRootedWitness(tuple(word))
-        if base < outs_p and len(outs_p) == len(base) + 1 and subtrees_match(p, q, base):
-            (extra,) = outs_p - base
-            for qhat, bhat in in_b[q]:
-                if alphabet.inv(bhat) != extra:
-                    continue
-                nxt = (a.delta[(p, extra)], qhat, bhat)
-                if nxt not in parent:
-                    parent[nxt] = (cfg, bhat)
-                    queue.append(nxt)
+        i = extra.bit_length() - 1
+        j = inverse[i]
+        for x, qhat in preds[q]:
+            nxt = (succ[i][p] * n + qhat) * k1 + j + 1
+            if x == j and nxt not in parent:
+                parent[nxt] = code
+                queue.append(nxt)
     return False, None
 
 

@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .alphabet import involutive_closure, merge_alphabets
-from .automata import PDfa, require_reduced
-from .errors import AlphabetError, MaterializationLimitError, UnknownStateError
+from .automata import PDfa, _require_pair
+from .errors import AlphabetError, MaterializationLimitError
 from .unfolding import DEFAULT_MAX_NODES
 
 TOP_LETTER = "TOP"
@@ -143,13 +143,7 @@ def reduce_rooted_to_nonrooted(
     the lifted trees must match them, making the non-rooted verdict on the
     lift equal the rooted verdict on the original.
     """
-    require_reduced(a, "first automaton")
-    require_reduced(b, "second automaton")
-    if p_root not in a.states:
-        raise UnknownStateError(f"state {p_root!r} is not in the first automaton")
-    if q_root not in b.states:
-        raise UnknownStateError(f"state {q_root!r} is not in the second automaton")
-    merged = merge_alphabets(a.alphabet, b.alphabet)
+    merged = _require_pair(a, p_root, b, q_root)
     if TOP_LETTER in merged:
         raise AlphabetError(f"letter {TOP_LETTER!r} is already present")
     alphabet = merge_alphabets(merged, involutive_closure([TOP_LETTER]))

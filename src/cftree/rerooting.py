@@ -90,6 +90,7 @@ def reroot_along_word(d: PDfa, root: str, w: Word) -> tuple[PDfa, str]:
         )
     if not w:
         return trim(d, root), root
+    ix = d._indexed()
     delta = dict(d.delta)
     taken = set(d.states)
     # ``here`` names path node i before its ``@p{i}`` suffix; after the
@@ -97,14 +98,11 @@ def reroot_along_word(d: PDfa, root: str, w: Word) -> tuple[PDfa, str]:
     s, here, prev = root, root, None
     for i, a in enumerate(w):
         copy = _fresh(f"{here}@p{i}", taken)
-        for x in d.out_set(s):
-            if x != a:
-                delta[(copy, x)] = d.delta[(s, x)]
+        delta.update(((copy, x), t) for x, t in ix.edges(s) if x != a)
         if prev is not None:
             delta[(copy, d.alphabet.inv(w[i - 1]))] = prev
         prev, s = copy, d.delta[(s, a)]
         here = _fresh(f"{s}@q{i}", taken)
-    for x in d.out_set(s):
-        delta[(here, x)] = d.delta[(s, x)]
+    delta.update(((here, x), t) for x, t in ix.edges(s))
     delta[(here, d.alphabet.inv(w[-1]))] = prev
     return trim(PDfa(taken, d.alphabet, delta), here), here

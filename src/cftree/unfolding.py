@@ -180,10 +180,8 @@ def unfold_pdfa(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
     Nodes are the words of length at most ``radius`` readable from ``p``; the
     parent of ``wa`` is ``w`` and labels record the state reached.
     """
-    table = {
-        s: tuple((a, a, d.delta[(s, a)]) for a in sorted(d.out_set(s)))
-        for s in d.states
-    }
+    ix = d._indexed()
+    table = {s: tuple((a, a, t) for a, t in ix.edges(s)) for s in d.states}
     return _unfold(table, p, radius, max_nodes, d.alphabet)
 
 

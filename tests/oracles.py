@@ -10,16 +10,19 @@ minimal witness depth.  State equivalence comes from the quadratic
 pair-marking fixpoint, independent of the library's partition refinement,
 and re-rooting iterates the paper's single mNFA step, independent of the
 library's one-pass re-rooting.  The reducedness scan, the rooted product
-search and the 2GAP reduction work on state names, independent of the
+search, the 2GAP reduction, the state partition refinement and the
+non-rooted configuration search work on state names, independent of the
 library's cached integer index.
 """
 
-from collections import deque
+from collections import defaultdict, deque
+from functools import reduce
 
 from cftree import (
     DEFAULT_MAX_NODES,
     Gap2Instance,
     MaterializationLimitError,
+    NonRootedWitness,
     PDfa,
     UnknownStateError,
     Witness,
@@ -27,6 +30,7 @@ from cftree import (
     involutive_closure,
     merge_alphabets,
     pdfa_to_mnfa,
+    require_reduced,
     reroot_step,
     trim,
 )
@@ -358,3 +362,117 @@ def reduce_gap2_by_names(g: Gap2Instance):
     a = PDfa(states, alphabet, delta)
     b = PDfa((states - {zeros}) | {"f"}, alphabet, delta_b)
     return a, "", b, ""
+
+
+def language_classes_by_names(*automata: PDfa) -> list[dict[str, int]]:
+    """Group the states of one or more pDFAs by the language they read.
+
+    Coarsest-partition refinement (Hopcroft 1971; Valmari and Lehtinen 2008
+    for partial transition functions) on the disjoint union of the automata.
+    The initial blocks are the out-letter sets, so every state of a block
+    reads the same letters and a block splits only on where they lead.
+    Returns one map per automaton from state to class id: two states get the
+    same id exactly when they generate the same language.
+    """
+    reduce(merge_alphabets, (d.alphabet for d in automata))
+    index: list[dict[str, int]] = []
+    block: list[int] = []
+    by_outs: dict[frozenset[str], int] = {}
+    for d in automata:
+        states = sorted(d.states)
+        index.append({p: len(block) + i for i, p in enumerate(states)})
+        block += [by_outs.setdefault(d.out_set(p), len(by_outs)) for p in states]
+    members: list[set[int]] = [set() for _ in by_outs]
+    for s, b in enumerate(block):
+        members[b].add(s)
+    preds: list[list[tuple[str, int]]] = [[] for _ in block]
+    for d, idx in zip(automata, index):
+        for (p, x), q in d.delta.items():
+            preds[idx[q]].append((x, idx[p]))
+    pending = set(range(len(members)))
+    while pending:
+        splitter = members[pending.pop()]
+        sources: dict[str, list[int]] = defaultdict(list)
+        for t in splitter:
+            for x, s in preds[t]:
+                sources[x].append(s)
+        for hit_states in sources.values():
+            hit: dict[int, set[int]] = defaultdict(set)
+            for s in hit_states:
+                hit[block[s]].add(s)
+            for b, part in hit.items():
+                if len(part) == len(members[b]):
+                    continue
+                members[b] -= part
+                new = len(members)
+                members.append(part)
+                for s in part:
+                    block[s] = new
+                # Hopcroft: a block not waiting to split others queues only
+                # its smaller half.
+                pending.add(b if b not in pending and len(members[b]) < len(part) else new)
+    return [{p: block[i] for p, i in idx.items()} for idx in index]
+
+
+def iso_nonrooted_by_names(
+    a: PDfa, p_root: str, b: PDfa, q_root: str
+) -> tuple[bool, NonRootedWitness | None]:
+    """Decide non-rooted isomorphism of the trees generated from two states.
+
+    Searches a configuration graph.  A configuration ``(p, q, back)`` stands
+    for: some node v labeled q of the second tree, with the branch ``back``
+    toward v's already-matched child excluded, generates the part of the
+    tree that must match the tree of p.
+    Steps guess a predecessor transition of q and climb toward the root;
+    acceptance at the root closes the isomorphism.  The step letters along a
+    shortest accepting path, reversed, spell the root-to-v word, returned as
+    a witness.
+    """
+    require_reduced(a, "first automaton")
+    require_reduced(b, "second automaton")
+    if p_root not in a.states:
+        raise UnknownStateError(f"state {p_root!r} is not in the first automaton")
+    if q_root not in b.states:
+        raise UnknownStateError(f"state {q_root!r} is not in the second automaton")
+    alphabet = merge_alphabets(a.alphabet, b.alphabet)
+    a = trim(a, p_root)
+    b = trim(b, q_root)
+    cls_a, cls_b = language_classes_by_names(a, b)
+
+    in_b: dict[str, list[tuple[str, str]]] = {q: [] for q in b.states}
+    for (qhat, x), q in sorted(b.delta.items()):
+        in_b[q].append((qhat, x))
+
+    def subtrees_match(p: str, q: str, base: frozenset[str]) -> bool:
+        return all(cls_a[a.delta[(p, x)]] == cls_b[b.delta[(q, x)]] for x in base)
+
+    initial: list[tuple[str, str, str | None]] = [(p_root, q, None) for q in sorted(b.states)]
+    parent: dict[tuple, tuple[tuple | None, str | None]] = {
+        c: (None, None) for c in initial
+    }
+    queue = deque(initial)
+    while queue:
+        cfg = queue.popleft()
+        p, q, back = cfg
+        outs_p = a.out_set(p)
+        base = b.out_set(q) - {back} if back is not None else b.out_set(q)
+        base = frozenset(base)
+        if q == q_root and outs_p == base and subtrees_match(p, q, base):
+            word: list[str] = []
+            cur: tuple | None = cfg
+            while cur is not None:
+                prev, letter = parent[cur]
+                if letter is not None:
+                    word.append(letter)
+                cur = prev
+            return True, NonRootedWitness(tuple(word))
+        if base < outs_p and len(outs_p) == len(base) + 1 and subtrees_match(p, q, base):
+            (extra,) = outs_p - base
+            for qhat, bhat in in_b[q]:
+                if alphabet.inv(bhat) != extra:
+                    continue
+                nxt = (a.delta[(p, extra)], qhat, bhat)
+                if nxt not in parent:
+                    parent[nxt] = (cfg, bhat)
+                    queue.append(nxt)
+    return False, None

@@ -23,9 +23,10 @@ def _can_add(delta, in_letters, p, a, q, ainv):
     """Adding p -a-> q keeps the automaton reduced.
 
     Forbidden patterns: q already reads a^-1 (a then a^-1), or an a^-1-edge
-    already enters p (a^-1 then a).
+    already enters p (a^-1 then a).  A self-inverse letter may not loop,
+    which would read a a.
     """
-    if (p, a) in delta:
+    if (p, a) in delta or (p == q and a == ainv):
         return False
     if (q, ainv) in delta:
         return False

@@ -348,9 +348,12 @@ def _damaged(draw, doc):
     return doc
 
 
-# Command-line arguments: states and letters the documents may lack, and
-# radii from -1 (rejected) to 4 (small enough to stay fast).
+# Command-line arguments: states and letters the documents may lack, radii
+# from -1 (rejected) to 4 (small enough to stay fast) or not integers at
+# all, and flags no command knows.
 _STATE = st.sampled_from(["p", "q", "r", "ghost"])
+_RADIUS = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["x", "1.5", "", "0x2", "--dot"]))
+_BOGUS = st.sampled_from([[], [], [], ["--bogus"], ["-z"], ["--radius"], ["--state"]])
 
 
 def _maybe(flag, values):
@@ -370,7 +373,7 @@ def _flat(*parts):
         ("reduce-2gap", [_gap2_doc()], st.just([])),
         ("unfold", [_automaton_doc()], _flat(
             _maybe("--state", _STATE),
-            st.integers(-1, 4).map(lambda r: ["--radius", str(r)]),
+            _RADIUS.map(lambda r: ["--radius", r]),
             st.sampled_from([[], ["--dot"], ["--json"]]),
         )),
         ("iso", [_automaton_doc(), _automaton_doc()], _flat(
@@ -392,13 +395,15 @@ def _flat(*parts):
 @given(data=st.data())
 def test_cli_never_prints_a_traceback(command, documents, options, data):
     docs = [data.draw(d.flatmap(_damaged)) for d in documents]
+    # Now and then a document argument goes missing.
+    docs = docs[: data.draw(st.sampled_from([len(docs)] * 3 + [len(docs) - 1]))]
     with tempfile.TemporaryDirectory() as tmp:
         args = [command]
         for i, doc in enumerate(docs):
             doc_file = Path(tmp) / f"doc{i}.json"
             doc_file.write_text(json.dumps(doc))
             args.append(str(doc_file))
-        args += data.draw(options)
+        args += data.draw(options) + data.draw(_BOGUS)
         if command in ("reduce-2gap", "lift-nonrooted"):
             args += ["--out-a", str(Path(tmp) / "a.json"), "--out-b", str(Path(tmp) / "b.json")]
         err = io.StringIO()
@@ -407,6 +412,33 @@ def test_cli_never_prints_a_traceback(command, documents, options, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert "error[" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([], "cftree: the following arguments are required: command"),
+        (["--bogus"], "cftree: the following arguments are required: command"),
+        (["iso"], "cftree iso: the following arguments are required: file_a, file_b"),
+        (["validate", "DOC", "--bogus"], "cftree: unrecognized arguments: --bogus"),
+        (["unfold", "DOC", "--radius", "x"], "cftree unfold: argument --radius: invalid int value: 'x'"),
+        (["unfold", "DOC"], "cftree unfold: the following arguments are required: --radius"),
+    ],
+)
+def test_usage_errors_exit_2(fig_files, capsys, args, message):
+    args = [str(fig_files["fig2"]) if a == "DOC" else a for a in args]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[USAGE]: {message}\n"
+
+
+def test_help_still_exits_0(capsys):
+    for args in (["--help"], ["iso", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            run(args)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cftree")
 
 
 def test_unfold_stops_once_every_branch_ends(tmp_path, capsys):

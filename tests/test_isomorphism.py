@@ -5,20 +5,28 @@ import pytest
 
 import samples
 from cftree import (
+    Gap2Instance,
+    InvolutiveAlphabet,
     NotReducedError,
     PDfa,
     automata,
+    gap2_has_path,
     involutive_closure,
     iso_nonrooted,
     iso_rooted,
+    isomorphism,
     language_classes,
     reduce_gap2_to_rooted_iso,
+    reduce_rooted_to_nonrooted,
+    reroot_along_word,
     verify_nonrooted_witness,
 )
 from oracles import (
     canonical_rooted_key,
     equivalent_pairs,
+    iso_nonrooted_by_names,
     iso_rooted_reindexed,
+    language_classes_by_names,
     language_upto,
     langs_equal_upto,
     nonrooted_witness_brute,
@@ -30,6 +38,15 @@ def class_pairs(a: PDfa, b: PDfa) -> set[tuple[str, str]]:
     """The pairs of states that ``language_classes`` puts in one class."""
     ca, cb = language_classes(a, b)
     return {(p, q) for p in a.states for q in b.states if ca[p] == cb[q]}
+
+
+def partition(classes: list[dict[str, int]]) -> set[frozenset[tuple[int, str]]]:
+    """The blocks of a ``language_classes`` result, as sets of (automaton, state)."""
+    blocks: dict[int, set[tuple[int, str]]] = {}
+    for i, cls in enumerate(classes):
+        for p, c in cls.items():
+            blocks.setdefault(c, set()).add((i, p))
+    return {frozenset(b) for b in blocks.values()}
 
 
 def test_language_classes_astar_bstar_with_itself():
@@ -85,9 +102,11 @@ def test_language_classes_match_pair_marking_oracle():
     pairs += [(d, d) for d in pool]
     for a, b in pairs:
         assert class_pairs(a, b) == equivalent_pairs(a, b)
+        assert partition(language_classes(a, b)) == partition(language_classes_by_names(a, b))
     for a, _ in pairs:
         (c,) = language_classes(a)
         assert {(p, q) for p in a.states for q in a.states if c[p] == c[q]} == equivalent_pairs(a, a)
+        assert partition([c]) == partition(language_classes_by_names(a))
 
 
 def test_language_classes_long_path_matches_oracle():
@@ -191,6 +210,129 @@ def test_iso_rooted_matches_reindexing_oracle():
         kinds[result[0], a.alphabet == b.alphabet] += 1
     assert kinds[True, True] >= 10 and kinds[False, True] >= 10
     assert kinds[True, False] >= 10 and kinds[False, False] >= 10
+
+
+def _renamed(rng, d: PDfa, root: str) -> tuple[PDfa, str]:
+    new = [f"r{i}" for i in range(len(d.states))]
+    rng.shuffle(new)
+    name = dict(zip(sorted(d.states), new))
+    return PDfa(new, d.alphabet, {(name[p], x): name[q] for (p, x), q in d.delta.items()}), name[root]
+
+
+def _walk(d: PDfa, root: str, choices) -> tuple[str, ...]:
+    """The word that takes, at each step, the first of ``choices`` readable there."""
+    word, state = [], root
+    for options in choices:
+        x = next((x for x in options if (state, x) in d.delta), None)
+        if x is None:
+            break
+        word.append(x)
+        state = d.delta[(state, x)]
+    return tuple(word)
+
+
+def _rerooted(rng, d: PDfa, root: str) -> tuple[PDfa, str]:
+    letters = d.alphabet.sorted_letters()
+    word = _walk(d, root, [rng.sample(letters, len(letters)) for _ in range(12)])
+    return _renamed(rng, *reroot_along_word(d, root, word))
+
+
+def _lifted_gap2(rng, planted: bool):
+    g = random_gap2(rng, max_n=24)
+    if planted:
+        chain = [0, *rng.sample(range(1, g.n - 1), min(3, g.n - 2)), g.n - 1]
+        edges = {e for e in g.edges if e[0] not in chain[:-1]} | set(zip(chain, chain[1:]))
+        g = Gap2Instance(g.n, frozenset(edges))
+    assert gap2_has_path(g) or not planted
+    return reduce_rooted_to_nonrooted(*reduce_gap2_to_rooted_iso(g))
+
+
+def _periodic_line(rng, period: int, j: int) -> tuple[PDfa, str]:
+    """The bi-infinite a-line whose nodes of type 0 mod ``period`` carry a
+    b-leaf, rooted at a node of type ``j``, with shuffled state names.
+
+    Rooted at type ``period / 2``, it matches the one rooted at type 0 at two
+    nodes of equal depth, so the witness depends on the search order."""
+    delta = {("R", "a"): f"F{(j + 1) % period}", ("R", "a^-1"): f"B{(j - 1) % period}"}
+    for k in range(period):
+        delta[(f"F{k}", "a")] = f"F{(k + 1) % period}"
+        delta[(f"B{k}", "a^-1")] = f"B{(k - 1) % period}"
+    for p in ("F0", "B0", "R") if j == 0 else ("F0", "B0"):
+        delta[(p, "b")] = "L"
+    return _renamed(rng, PDfa({p for p, _ in delta} | set(delta.values()), samples.AL_AB, delta), "R")
+
+
+def test_iso_nonrooted_matches_by_names_oracle():
+    rng = random.Random(61)
+    al_b = involutive_closure(["b"])
+    self_inverse = [
+        InvolutiveAlphabet({"c"}, {"c": "c"}),
+        InvolutiveAlphabet({"a", "a^-1", "c"}, {"a": "a^-1", "a^-1": "a", "c": "c"}),
+    ]
+    kinds = Counter()
+    for i in range(400):
+        kind = ("renamed", "rerooted", "independent", "b-vs-ab", "self-inverse", "gap2", "gap2-path", "periodic")[i % 8]
+        if kind in ("gap2", "gap2-path"):
+            a, ra, b, rb = _lifted_gap2(rng, kind == "gap2-path")
+        elif kind == "periodic":
+            period = rng.choice([2, 3, 4, 6])
+            a, ra = _periodic_line(rng, period, rng.randrange(period))
+            b, rb = _periodic_line(rng, period, 0)
+        else:
+            alphabet = {"b-vs-ab": al_b, "self-inverse": rng.choice(self_inverse)}.get(kind)
+            a, ra = random_reduced_pdfa(rng, rng.randint(1, 14), alphabet, extra_density=rng.random())
+            # A root other than the first state leaves states unreachable.
+            ra = rng.choice(sorted(a.states)) if i % 3 == 0 else ra
+            if kind == "renamed":
+                b, rb = _renamed(rng, a, ra)
+            elif kind == "independent" or kind != "rerooted" and i // 8 % 2:
+                b, rb = random_reduced_pdfa(rng, rng.randint(1, 14), a.alphabet)
+            else:
+                b, rb = _rerooted(rng, a, ra)
+            if kind == "b-vs-ab":
+                b = PDfa(b.states, samples.AL_AB, b.delta)
+        for x, rx, y, ry in ((a, ra, b, rb), (b, rb, a, ra)):
+            result = iso_nonrooted(x, rx, y, ry)
+            assert result == iso_nonrooted_by_names(x, rx, y, ry)
+            kinds[kind, result[0]] += 1
+    # A path in a 2GAP instance makes the reduced pair rooted non-isomorphic.
+    for kind in ("renamed", "rerooted", "b-vs-ab", "self-inverse", "gap2", "periodic"):
+        assert kinds[kind, True] >= 10, kind
+    for kind in ("independent", "b-vs-ab", "self-inverse", "gap2-path"):
+        assert kinds[kind, False] >= 10, kind
+
+
+def test_iso_nonrooted_builds_one_index_per_automaton(monkeypatch):
+    # A re-rooted copy with a state left unreachable, as trim would drop.
+    d, root = random_reduced_pdfa(random.Random(67), 60, samples.AL_AB)
+    e, re_ = reroot_along_word(d, root, _walk(d, root, ["ab", "ba", "ab"]))
+    e = PDfa(e.states | {"spare"}, e.alphabet, e.delta)
+    builds = Counter()
+    build_index = automata._build_index
+
+    def counted_build(names, alphabet, delta):
+        builds[id(delta)] += 1
+        return build_index(names, alphabet, delta)
+
+    calls = Counter()
+
+    def forbidden(name):
+        return lambda *args: calls.update([name])
+
+    monkeypatch.setattr(automata, "_build_index", counted_build)
+    monkeypatch.setattr(PDfa, "out_set", forbidden("out_set"))
+    for module in (automata, isomorphism):
+        for name in ("trim", "reachable_states"):
+            monkeypatch.setattr(module, name, forbidden(name), raising=False)
+    # Fresh objects for each order, so each order builds its own indexes.
+    for swap in (False, True):
+        a, b = PDfa(d.states, d.alphabet, d.delta), PDfa(e.states, e.alphabet, e.delta)
+        pairs = [(a, root, b, re_), (b, re_, a, root)]
+        builds.clear()
+        for x, rx, y, ry in pairs[::-1] if swap else pairs:
+            assert iso_nonrooted(x, rx, y, ry)[0]
+        assert builds == {id(a.delta): 1, id(b.delta): 1}
+        assert not calls
 
 
 def test_witness_is_shortest_and_one_sided():
