@@ -93,11 +93,11 @@ def _as_pdfa_input(aut, path: str) -> PDfa:
 
 
 def _cmd_iso(args) -> int:
-    aut_a, root_a = _load_automaton(args.file_a)
-    aut_b, root_b = _load_automaton(args.file_b)
     states = args.state or []
     if len(states) not in (0, 2):
-        raise SchemaError("--state must be given for both automata (or for neither)")
+        raise UsageError("--state must be given for both automata (or for neither)")
+    aut_a, root_a = _load_automaton(args.file_a)
+    aut_b, root_b = _load_automaton(args.file_b)
     state_a = _pick_state(states[0] if states else None, root_a, args.file_a)
     state_b = _pick_state(states[1] if states else None, root_b, args.file_b)
     a = _as_pdfa_input(aut_a, args.file_a)

@@ -274,3 +274,5 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}") from e
+    except RecursionError as e:  # the decoder recurses once per nesting level
+        raise SchemaError(f"not valid JSON: nested too deeply ({e})") from e

@@ -201,64 +201,48 @@ def _canonical_forms(trees: list[DiscTree]) -> list[dict[Node, int]]:
 
 def _labeled_iso_exists(x: DiscTree, y: DiscTree, fx: dict[Node, int], fy: dict[Node, int]) -> bool:
     # Search for a bijection beta on node labels together with a rooted
-    # isomorphism.  Children with equal (letter, shape) keys are the only
-    # source of branching; beta constraints are threaded through a trail so
-    # failed branches can be undone.
+    # isomorphism.  Equal canonical forms already settle the shape, so only
+    # the labels need a search.  Pending work is a linked list (item, rest)
+    # of (xs, ys) node lists whose nodes all share one (letter, form) key.
+    # Only an item of two or more nodes branches: its choice point keeps the
+    # rest of the work (shared, never copied), the trail length and the next
+    # candidate in ys, and backtracking undoes beta along the trail.  On a
+    # pDFA disc every item is one node, so this is a plain lockstep walk.
     beta: dict[str, str] = {}
-    used: set[str] = set()
-
-    def match(v: Node, w: Node, trail: list[str]) -> bool:
-        lv, lw = x.labels[v], y.labels[w]
-        if lv in beta:
-            if beta[lv] != lw:
-                return False
-        else:
-            if lw in used:
-                return False
-            beta[lv] = lw
-            used.add(lw)
-            trail.append(lv)
-        groups_x: dict[tuple[str, int], list[Node]] = {}
-        for a, c in x.children.get(v, ()):
-            groups_x.setdefault((a, fx[c]), []).append(c)
-        groups_y: dict[tuple[str, int], list[Node]] = {}
-        for a, c in y.children.get(w, ()):
-            groups_y.setdefault((a, fy[c]), []).append(c)
-        if set(groups_x) != set(groups_y):
-            return False
-        work = []
-        for key in sorted(groups_x):
-            if len(groups_x[key]) != len(groups_y[key]):
-                return False
-            work.append((groups_x[key], groups_y[key]))
-        return match_groups(work, 0, trail)
-
-    def match_groups(work: list[tuple[list[Node], list[Node]]], idx: int, trail: list[str]) -> bool:
-        if idx == len(work):
-            return True
-        xs, ys = work[idx]
-        remaining = list(ys)
-
-        def assign(i: int) -> bool:
-            if i == len(xs):
-                return match_groups(work, idx + 1, trail)
-            for j, cand in enumerate(remaining):
-                if cand is None:
-                    continue
-                mark = len(trail)
-                remaining[j] = None
-                if match(xs[i], cand, trail) and assign(i + 1):
-                    return True
-                remaining[j] = cand
-                while len(trail) > mark:
-                    lv = trail.pop()
-                    used.discard(beta.pop(lv))
-            return False
-
-        return assign(0)
-
+    beta_inv: dict[str, str] = {}
     trail: list[str] = []
-    return match(x.root, y.root, trail)
+    choices: list[tuple] = []
+    work: tuple | None = (((x.root,), (y.root,)), None)
+    j = 0
+    while work is not None:
+        (xs, ys), rest = work
+        if j + 1 < len(ys):
+            choices.append((xs, ys, j + 1, rest, len(trail)))
+        v, w = xs[0], ys[j]
+        lv, lw = x.labels[v], y.labels[w]
+        if beta.get(lv, lw) == lw and beta_inv.get(lw, lv) == lv:
+            if lv not in beta:
+                beta[lv] = lw
+                beta_inv[lw] = lv
+                trail.append(lv)
+            if len(xs) > 1:
+                rest = ((xs[1:], ys[:j] + ys[j + 1 :]), rest)
+            groups: dict[tuple[str, int], tuple[list[Node], list[Node]]] = {}
+            for a, c in x.children.get(v, ()):
+                groups.setdefault((a, fx[c]), ([], []))[0].append(c)
+            for a, c in y.children.get(w, ()):
+                groups[(a, fy[c])][1].append(c)
+            for item in groups.values():
+                rest = (item, rest)
+            work, j = rest, 0
+        elif choices:
+            xs, ys, j, rest, mark = choices.pop()
+            while len(trail) > mark:
+                del beta_inv[beta.pop(trail.pop())]
+            work = ((xs, ys), rest)
+        else:
+            return False
+    return True
 
 
 def disc_equal_rooted(x: DiscTree, y: DiscTree, *, use_labels: bool = False) -> bool:
@@ -267,7 +251,9 @@ def disc_equal_rooted(x: DiscTree, y: DiscTree, *, use_labels: bool = False) -> 
     Without labels this compares bottom-up canonical forms: a node's form is
     the sorted multiset of (letter, child form) pairs.  With labels it
     additionally requires a bijection between the label sets that commutes
-    with some rooted isomorphism.
+    with some rooted isomorphism.  The labeled search is complete (it backs
+    out of any choice among same-shaped children that a later node refutes)
+    and runs on explicit stacks, so it has no depth limit.
     """
     if x.radius != y.radius:
         raise RadiusMismatchError(f"radii differ: {x.radius} vs {y.radius}")

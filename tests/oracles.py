@@ -12,7 +12,9 @@ and re-rooting iterates the paper's single mNFA step, independent of the
 library's one-pass re-rooting.  The reducedness scan, the rooted product
 search, the 2GAP reduction, the state partition refinement and the
 non-rooted configuration search work on state names, independent of the
-library's cached integer index.
+library's cached integer index.  The labeled disc oracle enumerates every
+rooted isomorphism outright; the recursive matcher it replaced is kept for
+pDFA discs, where it is complete.
 """
 
 from collections import defaultdict, deque
@@ -34,7 +36,7 @@ from cftree import (
     reroot_step,
     trim,
 )
-from cftree.unfolding import Word
+from cftree.unfolding import DiscTree, Node, Word, _canonical_forms
 
 ENUMERATION_CUTOFF = 8
 
@@ -476,3 +478,119 @@ def iso_nonrooted_by_names(
                     parent[nxt] = (cfg, bhat)
                     queue.append(nxt)
     return False, None
+
+
+def labeled_iso_recursive(x: DiscTree, y: DiscTree) -> bool:
+    """Labeled rooted disc isomorphism by recursive backtracking.
+
+    Complete only when no two children of a node share a (letter, shape)
+    key, as on every pDFA disc: once a subtree matches, its label choices
+    are final, so a later sibling that conflicts with them cannot undo them
+    and the search may answer False on isomorphic discs.  It also recurses
+    once per level, so deep discs exhaust Python's recursion limit.
+    """
+    fx, fy = _canonical_forms([x, y])
+    if fx[x.root] != fy[y.root]:
+        return False
+    # Search for a bijection beta on node labels together with a rooted
+    # isomorphism.  Children with equal (letter, shape) keys are the only
+    # source of branching; beta constraints are threaded through a trail so
+    # failed branches can be undone.
+    beta: dict[str, str] = {}
+    used: set[str] = set()
+
+    def match(v: Node, w: Node, trail: list[str]) -> bool:
+        lv, lw = x.labels[v], y.labels[w]
+        if lv in beta:
+            if beta[lv] != lw:
+                return False
+        else:
+            if lw in used:
+                return False
+            beta[lv] = lw
+            used.add(lw)
+            trail.append(lv)
+        groups_x: dict[tuple[str, int], list[Node]] = {}
+        for a, c in x.children.get(v, ()):
+            groups_x.setdefault((a, fx[c]), []).append(c)
+        groups_y: dict[tuple[str, int], list[Node]] = {}
+        for a, c in y.children.get(w, ()):
+            groups_y.setdefault((a, fy[c]), []).append(c)
+        if set(groups_x) != set(groups_y):
+            return False
+        work = []
+        for key in sorted(groups_x):
+            if len(groups_x[key]) != len(groups_y[key]):
+                return False
+            work.append((groups_x[key], groups_y[key]))
+        return match_groups(work, 0, trail)
+
+    def match_groups(work: list[tuple[list[Node], list[Node]]], idx: int, trail: list[str]) -> bool:
+        if idx == len(work):
+            return True
+        xs, ys = work[idx]
+        remaining = list(ys)
+
+        def assign(i: int) -> bool:
+            if i == len(xs):
+                return match_groups(work, idx + 1, trail)
+            for j, cand in enumerate(remaining):
+                if cand is None:
+                    continue
+                mark = len(trail)
+                remaining[j] = None
+                if match(xs[i], cand, trail) and assign(i + 1):
+                    return True
+                remaining[j] = cand
+                while len(trail) > mark:
+                    lv = trail.pop()
+                    used.discard(beta.pop(lv))
+            return False
+
+        return assign(0)
+
+    trail: list[str] = []
+    return match(x.root, y.root, trail)
+
+
+def _rooted_isos(x: DiscTree, y: DiscTree, v: Node, w: Node):
+    """Every isomorphism of the subtree of ``x`` at ``v`` onto that of ``y``
+    at ``w``, as a list of node pairs, found by trying each same-letter child
+    of ``w`` for each child of ``v`` in turn."""
+    cx, cy = x.children.get(v, ()), y.children.get(w, ())
+    if sorted(a for a, _ in cx) != sorted(a for a, _ in cy):
+        return
+
+    def extend(i: int, free: frozenset[int], pairs: list):
+        if i == len(cx):
+            yield pairs
+            return
+        a, c = cx[i]
+        for j in sorted(free):
+            b, d = cy[j]
+            if b == a:
+                for sub in _rooted_isos(x, y, c, d):
+                    yield from extend(i + 1, free - {j}, pairs + sub)
+
+    yield from extend(0, frozenset(range(len(cy))), [(v, w)])
+
+
+def labeled_iso_brute(x: DiscTree, y: DiscTree) -> bool:
+    """Whether some rooted isomorphism of ``x`` onto ``y`` induces a
+    bijection of node labels.
+
+    Enumerates every rooted isomorphism by permuting same-letter children,
+    with no shape canonization, and accepts when the induced label map is
+    well defined and injective.  Exponential in the branching: keep discs
+    small and nodes' child counts low.
+    """
+    for pairs in _rooted_isos(x, y, x.root, y.root):
+        fwd: dict[str, str] = {}
+        bwd: dict[str, str] = {}
+        if all(
+            fwd.setdefault(x.labels[v], y.labels[w]) == y.labels[w]
+            and bwd.setdefault(y.labels[w], x.labels[v]) == x.labels[v]
+            for v, w in pairs
+        ):
+            return True
+    return False

@@ -190,3 +190,51 @@ def exhaustive_reduced_pdfa_pool(max_states: int = 2):
             if is_reduced(d):
                 pool.append(d)
     return pool
+
+
+def random_labeled_disc(rng: random.Random, max_nodes: int = 12) -> DiscTree:
+    """A finite tree of at most two children per node, often both on ``a``.
+
+    Labels come from a pool of two to five names, so equal-shaped siblings
+    frequently differ only in their labels below.  Unlike
+    ``random_involutive_tree`` the involutive closure need not be
+    deterministic.
+    """
+    alphabet = involutive_closure(["a", "b"])
+    pool = [f"p{i}" for i in range(rng.randint(2, 5))]
+    labels = {0: rng.choice(pool)}
+    children: dict[int, list[tuple[str, int]]] = {}
+    level = {0: 0}
+    for v in range(1, rng.randint(1, max_nodes)):
+        u = rng.choice([u for u in labels if len(children.get(u, ())) < 2])
+        children.setdefault(u, []).append((rng.choice("aaaab"), v))
+        labels[v] = rng.choice(pool)
+        level[v] = level[u] + 1
+    kids = {u: tuple(cs) for u, cs in children.items()}
+    return DiscTree(max(level.values()), 0, labels, kids, alphabet)
+
+
+def shuffled_relabeled_copy(rng: random.Random, t: DiscTree, perturb: bool = False) -> DiscTree:
+    """The same tree with node ids renamed, every node's children listed in
+    a random order and labels renamed through a random bijection.
+
+    With ``perturb``, one random node then gets a different label, either
+    another label of the copy or a fresh one.
+    """
+    order = list(t.labels)
+    rng.shuffle(order)
+    node = {v: f"y{i}" for i, v in enumerate(order)}
+    names = sorted(set(t.labels.values()))
+    renamed = [f"q{i}" for i in range(len(names))]
+    rng.shuffle(renamed)
+    beta = dict(zip(names, renamed))
+    labels = {node[v]: beta[lab] for v, lab in t.labels.items()}
+    children = {}
+    for v, kids in t.children.items():
+        kids = [(a, node[c]) for a, c in kids]
+        rng.shuffle(kids)
+        children[node[v]] = tuple(kids)
+    if perturb:
+        v = rng.choice(sorted(labels))
+        labels[v] = rng.choice([lab for lab in [*renamed, "fresh"] if lab != labels[v]])
+    return DiscTree(t.radius, node[t.root], labels, children, t.alphabet)

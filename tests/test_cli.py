@@ -122,6 +122,10 @@ def test_invalid_inputs_exit_2(fig_files, tmp_path, capsys):
     assert run(["iso", str(fig_files["fig1"]), str(fig_files["fig1"])]) == 2  # not deterministic
     assert run(["reroot", str(fig_files["ray"]), "--word", "a^-1"]) == 2  # not in language
     capsys.readouterr()
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    assert run(["validate", str(deep)]) == 2
+    assert capsys.readouterr().err.startswith("error[BAD_DOCUMENT]: not valid JSON: nested too deeply")
 
 
 def test_reroot_pipes_from_witness(fig_files, capsys):
@@ -423,6 +427,7 @@ def test_cli_never_prints_a_traceback(command, documents, options, data):
         (["validate", "DOC", "--bogus"], "cftree: unrecognized arguments: --bogus"),
         (["unfold", "DOC", "--radius", "x"], "cftree unfold: argument --radius: invalid int value: 'x'"),
         (["unfold", "DOC"], "cftree unfold: the following arguments are required: --radius"),
+        (["iso", "DOC", "DOC", "--state", "p"], "--state must be given for both automata (or for neither)"),
     ],
 )
 def test_usage_errors_exit_2(fig_files, capsys, args, message):

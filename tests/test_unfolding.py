@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from cftree import (
     Transition,
     UnknownNodeError,
     UnknownStateError,
+    compress_finite_tree,
     disc_equal_rooted,
     end_cone,
     export_dot,
@@ -23,8 +25,14 @@ from cftree import (
     unfold_mnfa,
     unfold_pdfa,
 )
-from oracles import language_upto
-from randgen import random_pdfa, random_reduced_pdfa
+from cftree.jsonio import tree_to_doc
+from oracles import labeled_iso_brute, labeled_iso_recursive, language_upto
+from randgen import (
+    random_labeled_disc,
+    random_pdfa,
+    random_reduced_pdfa,
+    shuffled_relabeled_copy,
+)
 
 
 def w(text):
@@ -128,6 +136,82 @@ def test_disc_equal_labels_respect_bijection():
     assert disc_equal_rooted(x, y)  # shapes agree
     assert not disc_equal_rooted(x, y, use_labels=True)
     assert disc_equal_rooted(x, mk(["q", "p", "q", "p"]), use_labels=True)
+
+
+def test_disc_equal_labels_backtracks_into_matched_sibling():
+    # One tree with each node's children listed in another order.  Matching
+    # n1 with n1 first pairs n2 with y's first child n3 (label q with r);
+    # the later sibling n4 then needs r -> r, which only the other pairing
+    # inside n1 (n2 with n2) allows, so the search must reopen a subtree it
+    # has already matched.
+    al = involutive_closure(["a"])
+    labels = {"r": "p", "n1": "p", "n2": "q", "n3": "r", "n4": "r", "n5": "p"}
+    x = DiscTree(2, "r", labels, {
+        "r": (("a", "n1"), ("a", "n4")),
+        "n1": (("a", "n2"), ("a", "n3")),
+        "n4": (("a", "n5"),),
+    }, al)
+    y = DiscTree(2, "r", labels, {
+        "r": (("a", "n4"), ("a", "n1")),
+        "n1": (("a", "n3"), ("a", "n2")),
+        "n4": (("a", "n5"),),
+    }, al)
+    assert disc_equal_rooted(x, y, use_labels=True)
+    assert labeled_iso_brute(x, y)
+    assert not labeled_iso_recursive(x, y)  # the matcher this one replaced
+
+
+def test_labeled_disc_match_agrees_with_brute_force():
+    rng = random.Random(29)
+    verdicts = Counter()
+    reopened = 0  # cases that need a matched subtree reopened
+    for i in range(2000):
+        x = random_labeled_disc(rng, 12)
+        y = shuffled_relabeled_copy(rng, x, perturb=i % 2 == 1)
+        expect = labeled_iso_brute(x, y)
+        assert disc_equal_rooted(x, y, use_labels=True) == expect, (x.labels, x.children)
+        assert disc_equal_rooted(y, x, use_labels=True) == expect
+        verdicts[expect] += 1
+        reopened += labeled_iso_recursive(x, y) != expect
+    assert min(verdicts[True], verdicts[False]) >= 500, verdicts
+    assert reopened > 0
+
+
+def test_labeled_disc_match_agrees_with_recursive_matcher_on_pdfa_discs():
+    # No two children of a pDFA-disc node share a letter, which is where the
+    # recursive matcher is complete.
+    rng = random.Random(31)
+    verdicts = Counter()
+    for i in range(200):
+        d, root = random_reduced_pdfa(rng, rng.randint(1, 5))
+        x = unfold_pdfa(d, root, rng.randint(1, 5))
+        y = shuffled_relabeled_copy(rng, x, perturb=i % 2 == 1)
+        expect = labeled_iso_recursive(x, y)
+        assert disc_equal_rooted(x, y, use_labels=True) == expect
+        assert labeled_iso_brute(x, y) == expect
+        verdicts[expect] += 1
+    assert min(verdicts[True], verdicts[False]) >= 50, verdicts
+
+
+def test_deep_ray_has_no_depth_limit():
+    # Every disc operation on a 2001-node chain, far past Python's recursion
+    # limit if any of them recursed once per level.
+    t = unfold_pdfa(samples.ray(), "u", 2000)
+    mid, tip = w("a") * 1000, w("a") * 2000
+    assert disc_equal_rooted(t, t)
+    assert disc_equal_rooted(t, t, use_labels=True)
+    relabel = lambda f: DiscTree(t.radius, t.root, {v: f(v) for v in t.nodes}, t.children, t.alphabet)
+    x = relabel(lambda v: str(len(v) % 3))
+    assert disc_equal_rooted(x, relabel(lambda v: f"L{len(v) % 3}"), use_labels=True)
+    assert not disc_equal_rooted(x, relabel(lambda v: "tip" if v == tip else str(len(v) % 3)), use_labels=True)
+    assert len(end_cone(t, mid)) == 1001
+    assert len(reroot_disc(t, mid)) == 2001
+    assert len(truncate(t, 1000)) == 1001
+    assert nondeterministic_vertex(t) is None
+    d, root = compress_finite_tree(t)
+    assert len(d.states) == 2001 and root in d.states
+    assert export_dot(t).count("->") == 2000
+    assert len(tree_to_doc(t)["nodes"]) == 2001
 
 
 def test_disc_label_coherence_of_unfoldings():
