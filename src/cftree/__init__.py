@@ -57,7 +57,7 @@ from .reductions import (
     reduce_gap2_to_rooted_iso,
     reduce_rooted_to_nonrooted,
 )
-from .rerooting import RerootResult, reroot_along_word, reroot_step
+from .rerooting import reroot_along_word, reroot_step
 from .unfolding import (
     DEFAULT_MAX_NODES,
     DiscTree,
@@ -89,7 +89,6 @@ __all__ = [
     "NotReducedError",
     "PDfa",
     "RadiusMismatchError",
-    "RerootResult",
     "SchemaError",
     "TOP_LETTER",
     "Transition",

@@ -32,7 +32,7 @@ class Transition:
 class MNfa:
     """Multi-edge nondeterministic finite automaton."""
 
-    __slots__ = ("states", "alphabet", "transitions", "_by_src", "_by_id")
+    __slots__ = ("states", "alphabet", "transitions", "_by_src")
 
     def __init__(
         self,
@@ -44,23 +44,14 @@ class MNfa:
         self.alphabet = alphabet
         self.transitions = tuple(sorted(transitions, key=lambda t: t.tid))
         by_src: dict[str, list[Transition]] = {}
-        by_id: dict[int, Transition] = {}
         for t in self.transitions:
             by_src.setdefault(t.src, []).append(t)
-            by_id[t.tid] = t
         self._by_src = by_src
-        self._by_id = by_id
 
     def transitions_from(self, state: str) -> tuple[Transition, ...]:
         if state not in self.states:
             raise UnknownStateError(f"state {state!r} is not in the automaton")
         return tuple(self._by_src.get(state, ()))
-
-    def transition_by_id(self, tid: int) -> Transition:
-        try:
-            return self._by_id[tid]
-        except KeyError:
-            raise UnknownStateError(f"no transition with id {tid}") from None
 
     def max_tid(self) -> int:
         return max((t.tid for t in self.transitions), default=-1)
@@ -82,11 +73,11 @@ class MNfa:
 
 
 class _Index(NamedTuple):
-    """Integer form of a pDFA, built on first use and kept with it.
+    """Integer form of a pDFA over an alphabet, its own or a larger one.
 
     States get ids in ``names`` order; states that only transitions mention
     come after the listed ones.  Letter ``i`` is the alphabet's ``i``-th
-    letter in sorted order.
+    letter in sorted order, so two indexes over one alphabet share letter ids.
     """
 
     names: list[str]
@@ -95,7 +86,7 @@ class _Index(NamedTuple):
     inverse: list[int]  # letter id -> id of its inverse
     succ: list[list[int]]  # succ[i][p]: target of p on letter i, or -1
     masks: list[int]  # bit i of masks[p]: p reads letter i
-    in_masks: list[int]  # bit i of in_masks[q]: some transition into q reads letter i
+    back: list[int]  # bit inverse[i] of back[q]: some transition into q reads letter i
 
     def edges(self, p: str) -> list[tuple[str, str]]:
         """``(letter, target)`` for each transition out of ``p``, by letter."""
@@ -108,18 +99,18 @@ def _build_index(
 ) -> _Index:
     ids = dict(zip(names, range(len(names))))
     letters = alphabet.sorted_letters()
+    inverse = [letters.index(alphabet.inv(x)) for x in letters]
     succ = [[-1] * len(names) for _ in letters]
     masks = [0] * len(names)
-    in_masks = [0] * len(names)
-    by_letter = {x: (succ[i], 1 << i) for i, x in enumerate(letters)}
+    back = [0] * len(names)
+    by_letter = {x: (succ[i], 1 << i, 1 << inverse[i]) for i, x in enumerate(letters)}
     for (p, a), q in delta.items():
         i, t = ids[p], ids[q]
-        column, bit = by_letter[a]
+        column, bit, inv_bit = by_letter[a]
         column[i] = t
         masks[i] |= bit
-        in_masks[t] |= bit
-    inverse = [letters.index(alphabet.inv(x)) for x in letters]
-    return _Index(names, ids, letters, inverse, succ, masks, in_masks)
+        back[t] |= inv_bit
+    return _Index(names, ids, letters, inverse, succ, masks, back)
 
 
 class PDfa:
@@ -144,8 +135,12 @@ class PDfa:
             raise UnknownStateError(f"state {p!r} is not in the automaton")
         return frozenset(x for x, _ in self._indexed().edges(p))
 
-    def _indexed(self) -> _Index:
-        """The integer index of this automaton, built at most once."""
+    def _indexed(self, alphabet: InvolutiveAlphabet | None = None) -> _Index:
+        """The integer index of this automaton, built at most once.
+
+        Over a larger ``alphabet``, such as a pair's merged one, a fresh
+        uncached index with the same state ids is returned.
+        """
         if self._index is None:
             names = list(self.states)
             try:
@@ -159,7 +154,9 @@ class PDfa:
                 ends = set(map(itemgetter(0), self.delta)).union(self.delta.values())
                 names += sorted(ends - self.states)
                 self._index = _build_index(names, self.alphabet, self.delta)
-        return self._index
+        if alphabet is None or alphabet == self.alphabet:
+            return self._index
+        return _build_index(self._index.names, alphabet, self.delta)
 
     def step(self, p: str, a: str) -> str | None:
         return self.delta.get((p, a))
@@ -273,16 +270,6 @@ def pdfa_to_mnfa(d: PDfa) -> MNfa:
     return MNfa(d.states, d.alphabet, transitions)
 
 
-def _relabel(mask: int, to: list[int]) -> int:
-    """The bit set ``{to[i] : bit i of mask}``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << to[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def reducedness_violation(d: PDfa) -> tuple[tuple[str, str, str], tuple[str, str, str]] | None:
     """A pair of transitions ``p -a-> q``, ``q -a^-1-> r``, if one exists.
 
@@ -294,8 +281,7 @@ def reducedness_violation(d: PDfa) -> tuple[tuple[str, str, str], tuple[str, str
     ix = d._indexed()
     # State q is the middle of a violating pair exactly when a letter that
     # enters q has its inverse among the letters q reads.
-    reads_inverse = {m: _relabel(m, ix.inverse) for m in set(ix.masks)}
-    if not any(map(int.__and__, ix.in_masks, map(reads_inverse.__getitem__, ix.masks))):
+    if not any(map(int.__and__, ix.back, ix.masks)):
         return None
     pairs = []
     for (p, a), q in d.delta.items():

@@ -8,7 +8,8 @@ configuration graph whose configurations pair a state of the first automaton
 with a candidate node label of the second and an optional excluded branch;
 an accepting path names a node at which re-rooting the second tree makes the
 two rooted trees isomorphic.  Both searches and the state equivalence run on
-each pDFA's cached integer index, with out-letter sets as bit masks.
+integer indexes of the two pDFAs over their merged alphabet, so letter ids,
+out-letter bit masks and successor columns agree between the sides.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import reduce
 from itertools import accumulate
 
 from .alphabet import merge_alphabets
-from .automata import PDfa, _Index, _reach, _relabel, _require_pair
+from .automata import PDfa, _reach, _require_pair
 from .rerooting import reroot_along_word
 from .unfolding import Word
 
@@ -48,7 +49,7 @@ class NonRootedWitness:
 def _classes(sides: list[tuple]) -> tuple[list[int], list[list[int]], list[list[tuple[int, int]]], list[int]]:
     """Partition refinement on a disjoint union of index parts.
 
-    Each side is ``(order, masks, succ)`` as ``_over`` gives it; ``order``
+    Each side is ``(order, index)``, the indexes over one alphabet; ``order``
     lists the ids kept, successors included, and the union numbers them side
     after side.  Returns the union's masks and columns, each state's ascending
     ``(letter, source)`` predecessors, and its block in the coarsest partition
@@ -56,12 +57,12 @@ def _classes(sides: list[tuple]) -> tuple[list[int], list[list[int]], list[list[
     Valmari and Lehtinen 2008 for partial functions).
     """
     masks: list[int] = []
-    succ: list[list[int]] = [[] for _ in sides[0][2]]
-    for order, side_masks, side_succ in sides:
+    succ: list[list[int]] = [[] for _ in sides[0][1].succ]
+    for order, ix in sides:
         pos = {p: j for j, p in enumerate(order, len(masks))} | {-1: -1}  # -1: no successor
-        masks += map(side_masks.__getitem__, order)
-        for column, col in zip(succ, side_succ):
-            column += [pos[col[p]] for p in order] if col is not None else [-1] * len(order)
+        masks += map(ix.masks.__getitem__, order)
+        for column, col in zip(succ, ix.succ):
+            column += [pos[col[p]] for p in order]
     preds: list[list[tuple[int, int]]] = [[] for _ in masks]
     for i, col in enumerate(succ):
         for s, t in enumerate(col):
@@ -100,28 +101,16 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
     """Group the states of one or more pDFAs by the language they read.
 
     One integer partition refinement (``_classes``) on the disjoint union of
-    the automata's cached indexes, over their merged letters, starting from
-    the blocks of equal out-masks.  Returns one map per automaton from state
+    the automata's indexes over their merged alphabet, starting from the
+    blocks of equal out-masks.  Returns one map per automaton from state
     to class id: two states get the same id exactly when they generate the
     same language.
     """
-    letters = reduce(merge_alphabets, (d.alphabet for d in automata)).sorted_letters()
-    indexes = [d._indexed() for d in automata]
-    block = _classes([(range(len(ix.names)), *_over(ix, letters)) for ix in indexes])[3]
+    alphabet = reduce(merge_alphabets, (d.alphabet for d in automata))
+    indexes = [d._indexed(alphabet) for d in automata]
+    block = _classes([(range(len(ix.names)), ix) for ix in indexes])[3]
     starts = accumulate((len(ix.names) for ix in indexes), initial=0)
     return [dict(zip(ix.names[: len(d.states)], block[i:])) for d, ix, i in zip(automata, indexes, starts)]
-
-
-def _over(ix: _Index, letters: list[str]) -> tuple[list[int], list[list[int] | None]]:
-    """Out-letter masks and successor columns of an index over ``letters``,
-    a sorted superset of its own letters; a letter it lacks has no column."""
-    if ix.letters == letters:
-        return ix.masks, ix.succ
-    own = {x: i for i, x in enumerate(ix.letters)}
-    to = [letters.index(x) for x in ix.letters]
-    over = {m: _relabel(m, to) for m in set(ix.masks)}
-    succ = [ix.succ[own[x]] if x in own else None for x in letters]
-    return list(map(over.__getitem__, ix.masks)), succ
 
 
 def iso_rooted(
@@ -134,10 +123,9 @@ def iso_rooted(
     pairs: the first pair with different out-sets, extended by a letter
     readable on one side only.
     """
-    letters = _require_pair(a, p_root, b, q_root).sorted_letters()
-    ia, ib = a._indexed(), b._indexed()
-    mask_a, succ_a = _over(ia, letters)
-    mask_b, succ_b = _over(ib, letters)
+    alphabet = _require_pair(a, p_root, b, q_root)
+    ia, ib = a._indexed(alphabet), b._indexed(alphabet)
+    letters, mask_a, succ_a, mask_b, succ_b = ia.letters, ia.masks, ia.succ, ib.masks, ib.succ
     k, nb = len(letters), len(ib.names)
     start = ia.ids[p_root] * nb + ib.ids[q_root]
     # A pair's code is p * nb + q; its parent link is code * k + letter.
@@ -187,17 +175,16 @@ def iso_nonrooted(
     of q less ``back``, and starts and predecessors go in state-name order.
     """
     alphabet = _require_pair(a, p_root, b, q_root)
-    letters = alphabet.sorted_letters()
-    ib = b._indexed()
+    ia, ib = a._indexed(alphabet), b._indexed(alphabet)
+    letters, inverse = ia.letters, ia.inverse
     reach_a = list(_reach(a, p_root))
     reach_b = sorted(_reach(b, q_root), key=ib.names.__getitem__)
-    masks, succ, preds, cls = _classes([(reach_a, *_over(a._indexed(), letters)), (reach_b, *_over(ib, letters))])
-    inverse = [letters.index(alphabet.inv(x)) for x in letters]
+    masks, succ, preds, cls = _classes([(reach_a, ia), (reach_b, ib)])
     # The union holds a's reachable states, then b's by name.  Configuration
     # (p, q, back) is (p * n + q) * (k + 1) + back + 1, with back = -1 for
     # none; its parent is the one it was reached from.
     n, k1 = len(masks), len(letters) + 1
-    p0 = reach_a.index(a._indexed().ids[p_root])
+    p0 = reach_a.index(ia.ids[p_root])
     q0 = len(reach_a) + reach_b.index(ib.ids[q_root])
     parent = {(p0 * n + q) * k1: -1 for q in range(len(reach_a), n)}
     queue = deque(parent)

@@ -10,18 +10,9 @@ re-condensing per letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automata import MNfa, PDfa, Transition, require_reduced, trim
 from .errors import UnknownStateError, WordNotInLanguageError
 from .unfolding import Word
-
-
-@dataclass
-class RerootResult:
-    automaton: MNfa
-    new_root: str
-    added_states: tuple[str, str]
 
 
 def _fresh(name: str, taken: set[str]) -> str:
@@ -32,7 +23,7 @@ def _fresh(name: str, taken: set[str]) -> str:
     return name
 
 
-def reroot_step(m: MNfa, root: str, sigma0: int) -> RerootResult:
+def reroot_step(m: MNfa, root: str, sigma0: int) -> tuple[MNfa, str]:
     """Move the root of the tree generated from ``root`` across transition ``sigma0``.
 
     Adds a copy ``p'`` of ``root`` without the crossed transition and a copy
@@ -40,14 +31,11 @@ def reroot_step(m: MNfa, root: str, sigma0: int) -> RerootResult:
     tree generated from ``q'`` is the old tree re-rooted across ``sigma0``.
     The copies are named ``{root}@p0`` and ``{target}@q0``, as the first step
     of :func:`reroot_along_word` names them, with ``+`` appended until fresh.
+    Returns the new automaton and ``q'``.
     """
-    if root not in m.states:
-        raise UnknownStateError(f"state {root!r} is not in the automaton")
-    crossed = m.transition_by_id(sigma0)
-    if crossed.src != root:
-        raise UnknownStateError(
-            f"transition {sigma0} starts at {crossed.src!r}, not at the root {root!r}"
-        )
+    crossed = next((t for t in m.transitions_from(root) if t.tid == sigma0), None)
+    if crossed is None:
+        raise UnknownStateError(f"no transition {sigma0} starts at the root {root!r}")
     q0 = crossed.dst
     taken = set(m.states)
     p_new = _fresh(f"{root}@p0", taken)
@@ -66,8 +54,7 @@ def reroot_step(m: MNfa, root: str, sigma0: int) -> RerootResult:
         extra.append(Transition(tid, q_new, t.label, t.dst))
         tid += 1
 
-    out = MNfa(taken, m.alphabet, m.transitions + tuple(extra))
-    return RerootResult(out, q_new, (p_new, q_new))
+    return MNfa(taken, m.alphabet, m.transitions + tuple(extra)), q_new
 
 
 def reroot_along_word(d: PDfa, root: str, w: Word) -> tuple[PDfa, str]:

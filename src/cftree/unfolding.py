@@ -9,7 +9,7 @@ JSON with opaque string ids behave the same.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import Hashable, Iterable, Iterator
 
 from .alphabet import InvolutiveAlphabet
@@ -340,8 +340,7 @@ def nondeterministic_vertex(t: DiscTree) -> Node | None:
         if v in t.parent:
             _, down = t.parent[v]
             letters.append(t.alphabet.inv(down))
-        counts = Counter(letters)
-        if any(n > 1 for n in counts.values()):
+        if len(set(letters)) < len(letters):
             return v
     return None
 

@@ -80,12 +80,13 @@ def reroot_by_steps(d: PDfa, root: str, w):
     for k, a in enumerate(w):
         m = pdfa_to_mnfa(cur)
         crossed = next(t for t in m.transitions_from(cur_root) if t.label == a)
-        step = reroot_step(m, cur_root, crossed.tid)
+        new, new_root = reroot_step(m, cur_root, crossed.tid)
+        (p_new,) = new.states - m.states - {new_root}
         p_name = _fresh(f"{cur_root}@p{k}", m.states)
         q_name = _fresh(f"{crossed.dst}@q{k}", m.states | {p_name})
-        out = as_pdfa(trim(step.automaton, step.new_root))
+        out = as_pdfa(trim(new, new_root))
         names = {s: s for s in out.states}
-        names.update(zip(step.added_states, (p_name, q_name)))
+        names.update({p_new: p_name, new_root: q_name})
         cur = PDfa(
             set(names.values()),
             out.alphabet,

@@ -9,6 +9,7 @@ from cftree import (
     InvolutiveAlphabet,
     NotReducedError,
     PDfa,
+    UnknownLetterError,
     automata,
     gap2_has_path,
     involutive_closure,
@@ -19,6 +20,8 @@ from cftree import (
     reduce_gap2_to_rooted_iso,
     reduce_rooted_to_nonrooted,
     reroot_along_word,
+    trim,
+    unfold_pdfa,
     verify_nonrooted_witness,
 )
 from oracles import (
@@ -100,6 +103,20 @@ def test_language_classes_match_pair_marking_oracle():
     pool = exhaustive_reduced_pdfa_pool(2)
     pairs += [(d, pool[(i * 37) % len(pool)]) for i, d in enumerate(pool)]
     pairs += [(d, d) for d in pool]
+    # Mixed alphabets, {b}^±1 against {a, b}^±1 and {c} against {a, a^-1, c}
+    # with c self-inverse; a copy of the smaller side typed over the larger
+    # alphabet gives classes that cross the pair.
+    for small, large in (
+        (involutive_closure(["b"]), al),
+        (
+            InvolutiveAlphabet({"c"}, {"c": "c"}),
+            InvolutiveAlphabet({"a", "a^-1", "c"}, {"a": "a^-1", "a^-1": "a", "c": "c"}),
+        ),
+    ):
+        for _ in range(30):
+            a, _ = random_reduced_pdfa(rng, rng.randint(1, 20), small, extra_density=rng.random())
+            b, _ = random_reduced_pdfa(rng, rng.randint(1, 20), large, extra_density=rng.random())
+            pairs += [(a, b), (b, a), (a, PDfa(a.states, large, a.delta))]
     for a, b in pairs:
         assert class_pairs(a, b) == equivalent_pairs(a, b)
         assert partition(language_classes(a, b)) == partition(language_classes_by_names(a, b))
@@ -185,6 +202,7 @@ def test_iso_rooted_builds_one_index_per_automaton(monkeypatch):
     a, ra, b, rb = reduce_gap2_to_rooted_iso(random_gap2(random.Random(43), max_n=64))
     iso_rooted(a, ra, b, rb)
     iso_rooted(b, rb, a, ra)
+    language_classes(a, b)
     assert builds == {id(a.delta): 1, id(b.delta): 1}
     assert not out_set_calls
 
@@ -443,6 +461,31 @@ def test_table_semantics_names_existing_nodes():
         ok, witness = iso_nonrooted(a, ra, b, rb)
         if ok:
             assert witness.word in language_upto(b, rb, len(witness.word))
+
+
+UNKNOWN_LETTER_CALLS = {
+    "out_set": lambda bad, good: bad.out_set("p"),
+    "trim": lambda bad, good: trim(bad, "p"),
+    "unfold_pdfa": lambda bad, good: unfold_pdfa(bad, "p", 2),
+    "classes-bad": lambda bad, good: language_classes(bad),
+    "classes-bad-good": lambda bad, good: language_classes(bad, good),
+    "classes-good-bad": lambda bad, good: language_classes(good, bad),
+    "rooted-bad-good": lambda bad, good: iso_rooted(bad, "p", good, "s"),
+    "rooted-good-bad": lambda bad, good: iso_rooted(good, "s", bad, "p"),
+    "nonrooted-bad-good": lambda bad, good: iso_nonrooted(bad, "p", good, "s"),
+    "nonrooted-good-bad": lambda bad, good: iso_nonrooted(good, "s", bad, "p"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_LETTER_CALLS))
+def test_unknown_letter_raises(name):
+    # ``bad`` reads b, which its own alphabet {a}^±1 lacks.  Over the merged
+    # alphabet {a, b}^±1 of a pair with ``good`` it would look well formed,
+    # so the check must run on its own alphabet first.
+    bad = PDfa({"p", "q"}, samples.AL_A, {("p", "a"): "q", ("q", "b"): "q"})
+    good = PDfa({"s", "t"}, samples.AL_AB, {("s", "a"): "t", ("t", "b"): "t"})
+    with pytest.raises(UnknownLetterError):
+        UNKNOWN_LETTER_CALLS[name](bad, good)
 
 
 def test_merged_alphabets_are_handled():

@@ -6,6 +6,7 @@ import pytest
 import samples
 from cftree import (
     MNfa,
+    UnknownStateError,
     WordNotInLanguageError,
     as_pdfa,
     automata,
@@ -27,10 +28,8 @@ from randgen import random_reduced_pdfa
 
 def test_reroot_step_two_loop_mnfa():
     m = samples.one_state_two_loops()
-    res = reroot_step(m, "p", 0)
-    p_new, q_new = res.added_states
-    assert res.new_root == q_new
-    out = res.automaton
+    out, q_new = reroot_step(m, "p", 0)
+    (p_new,) = out.states - m.states - {q_new}
     assert out.states == {"p", p_new, q_new}
     triples = sorted(t.triple() for t in out.transitions)
     assert triples == sorted(
@@ -54,25 +53,29 @@ def test_reroot_step_size_counts():
         if not outgoing:
             continue
         sigma0 = outgoing[0]
-        res = reroot_step(m, root, sigma0.tid)
-        assert len(res.automaton.states) == len(m.states) + 2
+        out, _ = reroot_step(m, root, sigma0.tid)
+        assert len(out.states) == len(m.states) + 2
         expected = len(m.transitions) + (len(outgoing) - 1) + 1 + len(
             m.transitions_from(sigma0.dst)
         )
-        assert len(res.automaton.transitions) == expected
+        assert len(out.transitions) == expected
 
 
 def test_reroot_step_requires_root_transition():
     m = samples.astar_bstar_mnfa()
-    with pytest.raises(Exception):
+    with pytest.raises(UnknownStateError):
         reroot_step(m, "q", 0)  # transition 0 starts at p, not q
+    with pytest.raises(UnknownStateError):
+        reroot_step(m, "p", m.max_tid() + 1)
+    with pytest.raises(UnknownStateError):
+        reroot_step(m, "nowhere", 0)
 
 
 def test_reroot_step_disc_agrees_with_disc_rerooting():
     m = samples.one_state_two_loops()
-    res = reroot_step(m, "p", 0)
+    out, new_root = reroot_step(m, "p", 0)
     for ell in range(7):
-        got = unfold_mnfa(res.automaton, res.new_root, ell)
+        got = unfold_mnfa(out, new_root, ell)
         want = reroot_disc(unfold_mnfa(m, "p", ell + 1), (0,))
         assert disc_equal_rooted(got, want)
 
@@ -83,9 +86,9 @@ def test_reroot_step_disc_agreement_random():
         d, root = random_reduced_pdfa(rng, rng.randint(2, 4))
         m = pdfa_to_mnfa(d)
         for sigma0 in m.transitions_from(root)[:2]:
-            res = reroot_step(m, root, sigma0.tid)
+            out, new_root = reroot_step(m, root, sigma0.tid)
             for ell in (0, 2, 4):
-                got = unfold_mnfa(res.automaton, res.new_root, ell)
+                got = unfold_mnfa(out, new_root, ell)
                 want = reroot_disc(unfold_mnfa(m, root, ell + 1), (sigma0.tid,))
                 assert disc_equal_rooted(got, want)
 
@@ -148,17 +151,18 @@ def test_reroot_there_and_back():
         if not outgoing:
             continue
         sigma0 = outgoing[0]
-        res = reroot_step(m, root, sigma0.tid)
-        back_label = res.automaton.alphabet.inv(sigma0.label)
+        out, new_root = reroot_step(m, root, sigma0.tid)
+        (p_new,) = out.states - m.states - {new_root}
+        back_label = out.alphabet.inv(sigma0.label)
         tau0p = next(
             t
-            for t in res.automaton.transitions_from(res.new_root)
-            if t.label == back_label and t.dst == res.added_states[0]
+            for t in out.transitions_from(new_root)
+            if t.label == back_label and t.dst == p_new
         )
-        res2 = reroot_step(res.automaton, res.new_root, tau0p.tid)
+        out2, new_root2 = reroot_step(out, new_root, tau0p.tid)
         for ell in (0, 2, 4):
             x = unfold_mnfa(m, root, ell)
-            y = unfold_mnfa(res2.automaton, res2.new_root, ell)
+            y = unfold_mnfa(out2, new_root2, ell)
             assert disc_equal_rooted(x, y)
 
 
