@@ -54,15 +54,19 @@ def _classes(sides: list[tuple]) -> tuple[list[int], list[list[int]], list[list[
     after side.  Returns the union's masks and columns, each state's ascending
     ``(letter, source)`` predecessors, and its block in the coarsest partition
     that separates out-masks and is stable under every letter (Hopcroft 1971;
-    Valmari and Lehtinen 2008 for partial functions).
+    Valmari and Lehtinen 2008 for partial functions).  Masks and columns may
+    be the index's own lists, so callers only read them.
     """
-    masks: list[int] = []
-    succ: list[list[int]] = [[] for _ in sides[0][1].succ]
-    for order, ix in sides:
-        pos = {p: j for j, p in enumerate(order, len(masks))} | {-1: -1}  # -1: no successor
-        masks += map(ix.masks.__getitem__, order)
-        for column, col in zip(succ, ix.succ):
-            column += [pos[col[p]] for p in order]
+    if len(sides) == 1 and sides[0][0] == range(len(sides[0][1].masks)):
+        # One whole index is already the union: refine its own lists.
+        masks, succ = sides[0][1].masks, sides[0][1].succ
+    else:
+        masks, succ = [], [[] for _ in sides[0][1].succ]
+        for order, ix in sides:
+            pos = {p: j for j, p in enumerate(order, len(masks))} | {-1: -1}  # -1: no successor
+            masks += map(ix.masks.__getitem__, order)
+            for column, col in zip(succ, ix.succ):
+                column += [pos[col[p]] for p in order]
     preds: list[list[tuple[int, int]]] = [[] for _ in masks]
     for i, col in enumerate(succ):
         for s, t in enumerate(col):

@@ -21,14 +21,20 @@ reachability instance::
     { "n": int, "edges": [[u, v], ...] }
 
 Writers emit a fixed field order and sorted collections, so output is
-byte-identical across runs.
+byte-identical across runs.  The CLI's JSON output is, byte for byte, the
+standard library's ``json.dumps(doc, indent=2)`` plus a newline; ``dumps``
+writes that form without the standard library's pure-Python indenting
+encoder.  Readers check each row in one pass and build an error message
+only for a row that fails.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any
+from itertools import repeat
+from operator import itemgetter
+from typing import Any, Iterable
 
 from .alphabet import InvolutiveAlphabet, involutive_closure
 from .automata import MNfa, PDfa, Transition
@@ -48,13 +54,18 @@ def _require_fields(doc: dict, required: set[str], optional: set[str], what: str
         raise SchemaError(f"{what} has unknown fields: {sorted(unknown)}")
 
 
+_TRANSITION_FIELDS = frozenset({"id", "from", "label", "to"})
+_NODE_FIELDS = frozenset({"id", "label"})
+_EDGE_FIELDS = frozenset({"from", "label", "to"})
+
+
 def _is_int(value: Any) -> bool:
     # JSON true/false load as bool, which Python counts as an int.
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _string_list(value: Any, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
         raise SchemaError(f"{what} must be a list of strings")
     return value
 
@@ -99,42 +110,44 @@ def automaton_from_doc(doc: Any, *, strict: bool = True) -> tuple[MNfa | PDfa, s
         raise SchemaError("duplicate state names")
     if not isinstance(doc["transitions"], list):
         raise SchemaError("transitions must be a list")
-    transitions: list[Transition] = []
+    rows: list[tuple[int, str, str, str]] = []
     for td in doc["transitions"]:
-        _require_fields(td, {"id", "from", "label", "to"}, set(), "transition")
-        if not _is_int(td["id"]):
+        if not isinstance(td, dict) or td.keys() != _TRANSITION_FIELDS:
+            _require_fields(td, _TRANSITION_FIELDS, set(), "transition")
+        tid, src, label, dst = td["id"], td["from"], td["label"], td["to"]
+        if type(tid) is not int and not _is_int(tid):  # JSON ints skip the call
             raise SchemaError("transition id must be an integer")
-        if not all(isinstance(td[k], str) for k in ("from", "label", "to")):
+        if not (isinstance(src, str) and isinstance(label, str) and isinstance(dst, str)):
             raise SchemaError("transition endpoints and label must be strings")
-        transitions.append(Transition(td["id"], td["from"], td["label"], td["to"]))
+        rows.append((tid, src, label, dst))
     root = doc.get("root")
     if root is not None and not isinstance(root, str):
         raise SchemaError("root must be a state name")
 
-    state_set = set(states)
     if strict:
-        ids = [t.tid for t in transitions]
-        if len(set(ids)) != len(ids):
+        if len({row[0] for row in rows}) != len(rows):
             raise SchemaError("duplicate transition ids")
-        for t in transitions:
-            if t.src not in state_set or t.dst not in state_set:
-                raise SchemaError(f"transition {t.tid} references unknown state")
-            if t.label not in alphabet:
-                raise SchemaError(f"transition {t.tid} uses unknown letter {t.label!r}")
+        state_set, letters = set(states), alphabet.letters
+        for tid, src, label, dst in rows:
+            if src not in state_set or dst not in state_set:
+                raise SchemaError(f"transition {tid} references unknown state")
+            if label not in letters:
+                raise SchemaError(f"transition {tid} uses unknown letter {label!r}")
         if root is not None and root not in state_set:
             raise SchemaError(f"root {root!r} is not a state")
 
     if kind == "pdfa":
-        delta: dict[tuple[str, str], str] = {}
-        for t in transitions:
-            key = (t.src, t.label)
-            if key in delta:
-                raise SchemaError(
-                    f'document says "pdfa" but transitions from {t.src!r} on {t.label!r} clash'
-                )
-            delta[key] = t.dst
+        delta = {(src, label): dst for _, src, label, dst in rows}
+        if len(delta) != len(rows):
+            seen: set[tuple[str, str]] = set()
+            for _, src, label, _ in rows:
+                if (src, label) in seen:
+                    raise SchemaError(
+                        f'document says "pdfa" but transitions from {src!r} on {label!r} clash'
+                    )
+                seen.add((src, label))
         return PDfa(states, alphabet, delta), root
-    return MNfa(states, alphabet, transitions), root
+    return MNfa(states, alphabet, [Transition(*row) for row in rows]), root
 
 
 def automaton_to_doc(aut: MNfa | PDfa, root: str | None = None) -> dict:
@@ -169,25 +182,27 @@ def tree_from_doc(doc: Any) -> DiscTree:
             raise SchemaError(f"{key} must be a list")
     labels: dict[Node, str] = {}
     for nd in doc["nodes"]:
-        _require_fields(nd, {"id", "label"}, set(), "node")
-        if not (isinstance(nd["id"], str) and isinstance(nd["label"], str)):
+        if not isinstance(nd, dict) or nd.keys() != _NODE_FIELDS:
+            _require_fields(nd, _NODE_FIELDS, set(), "node")
+        v, label = nd["id"], nd["label"]
+        if not (isinstance(v, str) and isinstance(label, str)):
             raise SchemaError("node id and label must be strings")
-        if nd["id"] in labels:
-            raise SchemaError(f"duplicate node id {nd['id']!r}")
-        labels[nd["id"]] = nd["label"]
+        if v in labels:
+            raise SchemaError(f"duplicate node id {v!r}")
+        labels[v] = label
     if doc["root"] not in labels:
         raise SchemaError("root is not a listed node")
     listed: list[tuple[Node, str, Node]] = []
-    letters: set[str] = set()
     for ed in doc["edges"]:
-        _require_fields(ed, {"from", "label", "to"}, set(), "edge")
-        if not all(isinstance(ed[k], str) for k in ("from", "label", "to")):
-            raise SchemaError("edge endpoints and label must be strings")
+        if not isinstance(ed, dict) or ed.keys() != _EDGE_FIELDS:
+            _require_fields(ed, _EDGE_FIELDS, set(), "edge")
         u, a, v = ed["from"], ed["label"], ed["to"]
+        if not (isinstance(u, str) and isinstance(a, str) and isinstance(v, str)):
+            raise SchemaError("edge endpoints and label must be strings")
         if u not in labels or v not in labels:
             raise SchemaError(f"edge ({u!r}, {a!r}, {v!r}) references unknown node")
-        letters.add(a)
         listed.append((u, a, v))
+    letters = {a for _, a, _ in listed}
     if "alphabet" in doc:
         alphabet = alphabet_from_doc(doc["alphabet"])
         if not letters <= alphabet.letters:
@@ -210,7 +225,7 @@ def tree_from_doc(doc: Any) -> DiscTree:
     while queue:
         u = queue.popleft()
         kids: list[tuple[str, Node]] = []
-        for a, v in sorted(adj[u], key=lambda e: (e[0], str(e[1]))):
+        for a, v in sorted(adj[u]):  # node ids are strings: by letter, then id
             if v in seen:
                 continue
             seen.add(v)
@@ -265,8 +280,66 @@ def gap2_to_doc(g: Gap2Instance) -> dict:
     return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
 
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def dumps(doc: Any) -> str:
+    """``json.dumps(doc, indent=2)`` and a newline, byte for byte.
+
+    The standard library formats indented JSON in pure Python, one value at
+    a time.  Here strings and integers are encoded a list at a time, and a
+    list of records that share one key order is formatted column by column
+    into one ``%`` template per record.  Values of any other type (floats,
+    tuples, subclasses, dicts with non-string keys) go to the standard
+    library.
+    """
+    return _format(doc, "\n") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _format(value: Any, nl: str) -> str:
+    """``value`` as indented JSON, where ``nl`` is a newline and its indent."""
+    t = type(value)
+    if t is str:
+        return _encode_str(value)
+    if t is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = nl + "  "
+    if t is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_format_all(value, inner)) + nl + "]"
+    if t is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        items = [_encode_str(k) + ": " + _format(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(value, indent=2).replace("\n", nl)
+
+
+def _format_all(values: list, nl: str) -> Iterable[str]:
+    """Each of ``values`` as indented JSON, all at the indent of ``nl``."""
+    types = set(map(type, values))
+    if types == {str}:
+        return map(_encode_str, values)
+    if types == {int}:
+        return map(int.__repr__, values)
+    if types == {dict}:
+        shapes = set(map(tuple, values))
+        if len(shapes) == 1:
+            (keys,) = shapes
+            if keys and set(map(type, keys)) == {str}:
+                inner = nl + "  "
+                fields = [inner + _encode_str(k).replace("%", "%%") + ": %s" for k in keys]
+                template = "{" + ",".join(fields) + nl + "}"
+                columns = [_format_all(list(map(itemgetter(k), values)), inner) for k in keys]
+                return map(template.__mod__, zip(*columns))
+    return [_format(v, nl) for v in values]
 
 
 def loads(text: str) -> Any:

@@ -334,15 +334,20 @@ def truncate(t: DiscTree, radius: int) -> DiscTree:
 
 
 def nondeterministic_vertex(t: DiscTree) -> Node | None:
-    """A node whose involutive closure has two equal-labeled outgoing edges."""
-    for v in t.sorted_nodes():
+    """A node whose involutive closure has two equal-labeled outgoing edges.
+
+    Of several such nodes, the first in ``sorted_nodes`` order, found
+    without sorting the tree.
+    """
+    bad = []
+    for v in t.labels:
         letters = [a for a, _ in t.children.get(v, ())]
         if v in t.parent:
             _, down = t.parent[v]
             letters.append(t.alphabet.inv(down))
         if len(set(letters)) < len(letters):
-            return v
-    return None
+            bad.append(v)
+    return min(bad, key=lambda v: (t.level[v], _node_sort_key(v)), default=None)
 
 
 def _dot_quote(s: str) -> str:

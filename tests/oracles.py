@@ -14,18 +14,25 @@ search, the 2GAP reduction, the state partition refinement and the
 non-rooted configuration search work on state names, independent of the
 library's cached integer index.  The labeled disc oracle enumerates every
 rooted isomorphism outright; the recursive matcher it replaced is kept for
-pDFA discs, where it is complete.
+pDFA discs, where it is complete.  The document readers that check each
+row with ``_require_fields``, and the standard library's indenting encoder,
+check the one-pass readers and the column writer of ``cftree.jsonio``.
 """
 
+import json
 from collections import defaultdict, deque
 from functools import reduce
+from typing import Any
 
 from cftree import (
     DEFAULT_MAX_NODES,
     Gap2Instance,
     MaterializationLimitError,
+    MNfa,
     NonRootedWitness,
     PDfa,
+    SchemaError,
+    Transition,
     UnknownStateError,
     Witness,
     as_pdfa,
@@ -36,6 +43,7 @@ from cftree import (
     reroot_step,
     trim,
 )
+from cftree.jsonio import _require_fields, alphabet_from_doc
 from cftree.unfolding import DiscTree, Node, Word, _canonical_forms
 
 ENUMERATION_CUTOFF = 8
@@ -595,3 +603,153 @@ def labeled_iso_brute(x: DiscTree, y: DiscTree) -> bool:
         ):
             return True
     return False
+
+
+def _is_int(value: Any) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _string_list(value: Any, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise SchemaError(f"{what} must be a list of strings")
+    return value
+
+
+def automaton_from_doc_by_fields(doc: Any, *, strict: bool = True) -> tuple[MNfa | PDfa, str | None]:
+    """The automaton reader that checks every row with ``_require_fields``
+    and builds a ``Transition`` per row for both kinds."""
+    _require_fields(doc, {"alphabet", "kind", "states", "transitions"}, {"root"}, "automaton")
+    alphabet = alphabet_from_doc(doc["alphabet"])
+    kind = doc["kind"]
+    if kind not in ("mnfa", "pdfa"):
+        raise SchemaError(f'kind must be "mnfa" or "pdfa", not {kind!r}')
+    states = _string_list(doc["states"], "states")
+    if len(set(states)) != len(states):
+        raise SchemaError("duplicate state names")
+    if not isinstance(doc["transitions"], list):
+        raise SchemaError("transitions must be a list")
+    transitions: list[Transition] = []
+    for td in doc["transitions"]:
+        _require_fields(td, {"id", "from", "label", "to"}, set(), "transition")
+        if not _is_int(td["id"]):
+            raise SchemaError("transition id must be an integer")
+        if not all(isinstance(td[k], str) for k in ("from", "label", "to")):
+            raise SchemaError("transition endpoints and label must be strings")
+        transitions.append(Transition(td["id"], td["from"], td["label"], td["to"]))
+    root = doc.get("root")
+    if root is not None and not isinstance(root, str):
+        raise SchemaError("root must be a state name")
+
+    state_set = set(states)
+    if strict:
+        ids = [t.tid for t in transitions]
+        if len(set(ids)) != len(ids):
+            raise SchemaError("duplicate transition ids")
+        for t in transitions:
+            if t.src not in state_set or t.dst not in state_set:
+                raise SchemaError(f"transition {t.tid} references unknown state")
+            if t.label not in alphabet:
+                raise SchemaError(f"transition {t.tid} uses unknown letter {t.label!r}")
+        if root is not None and root not in state_set:
+            raise SchemaError(f"root {root!r} is not a state")
+
+    if kind == "pdfa":
+        delta: dict[tuple[str, str], str] = {}
+        for t in transitions:
+            key = (t.src, t.label)
+            if key in delta:
+                raise SchemaError(
+                    f'document says "pdfa" but transitions from {t.src!r} on {t.label!r} clash'
+                )
+            delta[key] = t.dst
+        return PDfa(states, alphabet, delta), root
+    return MNfa(states, alphabet, transitions), root
+
+
+def tree_from_doc_by_fields(doc: Any) -> DiscTree:
+    """The tree reader that checks every row with ``_require_fields``."""
+    _require_fields(doc, {"radius", "root", "nodes", "edges"}, {"alphabet"}, "tree")
+    if not _is_int(doc["radius"]):
+        raise SchemaError("radius must be an integer")
+    if not isinstance(doc["root"], str):
+        raise SchemaError("root must be a node id")
+    for key in ("nodes", "edges"):
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"{key} must be a list")
+    labels: dict[Node, str] = {}
+    for nd in doc["nodes"]:
+        _require_fields(nd, {"id", "label"}, set(), "node")
+        if not (isinstance(nd["id"], str) and isinstance(nd["label"], str)):
+            raise SchemaError("node id and label must be strings")
+        if nd["id"] in labels:
+            raise SchemaError(f"duplicate node id {nd['id']!r}")
+        labels[nd["id"]] = nd["label"]
+    if doc["root"] not in labels:
+        raise SchemaError("root is not a listed node")
+    listed: list[tuple[Node, str, Node]] = []
+    letters: set[str] = set()
+    for ed in doc["edges"]:
+        _require_fields(ed, {"from", "label", "to"}, set(), "edge")
+        if not all(isinstance(ed[k], str) for k in ("from", "label", "to")):
+            raise SchemaError("edge endpoints and label must be strings")
+        u, a, v = ed["from"], ed["label"], ed["to"]
+        if u not in labels or v not in labels:
+            raise SchemaError(f"edge ({u!r}, {a!r}, {v!r}) references unknown node")
+        letters.add(a)
+        listed.append((u, a, v))
+    if "alphabet" in doc:
+        alphabet = alphabet_from_doc(doc["alphabet"])
+        if not letters <= alphabet.letters:
+            raise SchemaError("edge letters outside the declared alphabet")
+    else:
+        base = {a for a in letters if not a.endswith("^-1")}
+        base |= {a[: -len("^-1")] for a in letters if a.endswith("^-1")}
+        alphabet = involutive_closure(sorted(base) if base else ["a"])
+
+    # Each listed edge stands for an involutive pair and may be written in
+    # either orientation; BFS from the root over the symmetric adjacency
+    # orients everything parent-to-child.
+    adj: dict[Node, list[tuple[str, Node]]] = {v: [] for v in labels}
+    for u, a, v in listed:
+        adj[u].append((a, v))
+        adj[v].append((alphabet.inv(a), u))
+    children: dict[Node, tuple[tuple[str, Node], ...]] = {}
+    seen = {doc["root"]}
+    queue = deque([doc["root"]])
+    while queue:
+        u = queue.popleft()
+        kids: list[tuple[str, Node]] = []
+        for a, v in sorted(adj[u], key=lambda e: (e[0], str(e[1]))):
+            if v in seen:
+                continue
+            seen.add(v)
+            kids.append((a, v))
+            queue.append(v)
+        if kids:
+            children[u] = tuple(kids)
+    if seen != set(labels):
+        raise SchemaError("tree document is not connected")
+    if len(listed) != len(labels) - 1:
+        raise SchemaError("a tree on n nodes must list exactly n-1 edges")
+    try:
+        return DiscTree(doc["radius"], doc["root"], labels, children, alphabet)
+    except ValueError as e:
+        raise SchemaError(f"bad tree document: {e}") from e
+
+
+def dumps_stdlib(doc: Any) -> str:
+    """The document writer as the standard library's indenting encoder."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def nondeterministic_vertex_sorted(t: DiscTree) -> Node | None:
+    """The first bad node of a scan in ``sorted_nodes`` order."""
+    for v in t.sorted_nodes():
+        letters = [a for a, _ in t.children.get(v, ())]
+        if v in t.parent:
+            _, down = t.parent[v]
+            letters.append(t.alphabet.inv(down))
+        if len(set(letters)) < len(letters):
+            return v
+    return None

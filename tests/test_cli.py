@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 import samples
 from cftree import compression
+from oracles import dumps_stdlib
+from randgen import random_reduced_pdfa
 from cftree.cli import run
 from cftree.jsonio import automaton_to_doc, dumps, tree_to_doc
 from cftree import PDfa, unfold_pdfa
@@ -460,6 +463,43 @@ def test_unfold_stops_once_every_branch_ends(tmp_path, capsys):
     far, near = json.loads(outputs[10**8, "--json"]), json.loads(outputs[0, "--json"])
     assert far.pop("radius") == 10**8 and near.pop("radius") == 0
     assert far == near
+
+
+def test_written_documents_are_the_stdlib_writers_bytes(fig_files, tmp_path, capsys):
+    # Every document a command prints or writes is, byte for byte, what
+    # json.dumps(doc, indent=2) plus a newline makes of the same document.
+    d, root = random_reduced_pdfa(random.Random(43), 40, samples.AL_AB)
+    big = tmp_path / "big.json"
+    big.write_text(dumps(automaton_to_doc(d, root=root)))
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps({"n": 5, "edges": [[0, 1], [1, 4], [2, 3]]}))
+    tree = tmp_path / "tree.json"
+    outs = ["--out-a", str(tmp_path / "a.json"), "--out-b", str(tmp_path / "b.json")]
+    fig1, fig2, ray, big = str(fig_files["fig1"]), str(fig_files["fig2"]), str(fig_files["ray"]), str(big)
+    commands = [
+        ["unfold", fig1, "--state", "p", "--radius", "2"],
+        ["unfold", fig2, "--radius", "3", "--json"],
+        ["unfold", big, "--radius", "3"],
+        ["reroot", ray, "--word", "a a"],
+        ["reroot", big, "--word", ""],
+        ["compress", str(tree)],
+        ["minimize", fig2],
+        ["minimize", big],
+        ["minimize", big, "--trim"],
+        ["reduce-2gap", str(gap), *outs],
+        ["lift-nonrooted", fig2, big, *outs],
+    ]
+    tree.write_text(dumps(tree_to_doc(unfold_pdfa(d, root, 4))))
+    for args in commands:
+        for written in outs[1::2]:
+            Path(written).unlink(missing_ok=True)
+        assert run(args) == 0, args
+        texts = [capsys.readouterr().out]
+        if "--out-a" in args:
+            assert texts == [""]
+            texts = [Path(written).read_text() for written in outs[1::2]]
+        for text in texts:
+            assert text == dumps_stdlib(json.loads(text)), args
 
 
 def test_byte_identical_output(fig_files):

@@ -1,7 +1,22 @@
+import copy
+import random
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import samples
-from cftree import Gap2Instance, MNfa, PDfa, SchemaError, disc_equal_rooted, unfold_pdfa
+from cftree import (
+    Gap2Instance,
+    MNfa,
+    PDfa,
+    SchemaError,
+    disc_equal_rooted,
+    pdfa_to_mnfa,
+    unfold_mnfa,
+    unfold_pdfa,
+)
 from cftree.jsonio import (
     automaton_from_doc,
     automaton_to_doc,
@@ -12,6 +27,8 @@ from cftree.jsonio import (
     tree_from_doc,
     tree_to_doc,
 )
+from oracles import automaton_from_doc_by_fields, dumps_stdlib, tree_from_doc_by_fields
+from randgen import random_gap2, random_involutive_tree, random_pdfa, random_reduced_pdfa
 
 
 def test_mnfa_round_trip():
@@ -131,3 +148,155 @@ def test_gap2_schema_errors():
 def test_dump_is_deterministic():
     d = samples.astar_bstar_pdfa()
     assert dumps(automaton_to_doc(d, root="p")) == dumps(automaton_to_doc(d, root="p"))
+
+
+def _documents(seed):
+    """Seeded automaton (both kinds), tree and reachability documents."""
+    rng = random.Random(seed)
+    d, root = random_reduced_pdfa(rng, rng.randint(1, 8))
+    yield automaton_to_doc(d, root=root)
+    yield automaton_to_doc(pdfa_to_mnfa(d))
+    yield automaton_to_doc(random_pdfa(rng, rng.randint(1, 6))[0])
+    yield automaton_to_doc(samples.one_state_two_loops(), root="p")
+    yield tree_to_doc(unfold_pdfa(d, root, rng.randint(0, 3)))
+    yield tree_to_doc(unfold_mnfa(samples.one_state_two_loops(), "p", rng.randint(0, 2)))
+    t = random_involutive_tree(rng, 12)
+    tree = tree_to_doc(t)
+    del tree["alphabet"]
+    tree["edges"] = [  # every other edge written child to parent, in reverse order
+        {"from": e["to"], "label": t.alphabet.inv(e["label"]), "to": e["from"]} if i % 2 else e
+        for i, e in enumerate(reversed(tree["edges"]))
+    ]
+    yield tree
+    yield gap2_to_doc(random_gap2(rng, 8))
+
+
+_KEYS = ["id", "from", "label", "%s", "100%", "%%d", "é", "\n", 'a"b']
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4) | st.sampled_from(["", "\x00", "\x1f\u2028", "😀", "é\\"])
+)
+
+
+def _records(values):
+    # Lists of dicts that share one key order, the writer's column case.
+    return st.lists(st.sampled_from(_KEYS), min_size=1, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(
+            st.tuples(*[values] * len(keys)).map(lambda vs: dict(zip(keys, vs))), min_size=1, max_size=4
+        )
+    )
+
+
+_JSON = st.recursive(
+    _SCALARS,
+    lambda values: (
+        st.lists(values, max_size=4)
+        | st.lists(values, max_size=3).map(tuple)
+        | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), values, max_size=4)
+        | st.dictionaries(st.integers() | st.booleans() | st.none() | st.floats(), values, max_size=3)
+        | _records(values)
+    ),
+    max_leaves=20,
+)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {}, [], (), "", 0, -7, 10**30, None, True, 1.5, float("nan"),
+        {"a": [], "b": {}, "c": ()}, [[], {}, ()], [{}, {}], [{}, {"a": 1}],
+        ("x", 1, ("y",)), [("p", "a"), ("q", "b")],
+        {1: "a", 2: "b"}, [{1: "a"}, {1: "b"}], {"k": {None: [1.5, -0.0, float("inf")]}},
+        [1.0, 2, "3"], [{"id": 1}, {"id": True}], [{"id": True}, {"id": 1}], [True, 1, False, 0],
+        [{"from": "p", "to": "q"}, {"to": "q", "from": "p"}],
+        [{"a": 1, "b": 2}, {"a": 1}], [{"a": 1}, {"a": 1, "b": 2}],
+        ["é", "\x00\n\t\"\\", "😀", "\u2028"], {"é": "\x1f", "\ud800": "x"},
+        [{"%s": 1, "100%": "%d"}, {"%s": 2, "100%": "%%"}],
+        [{"a": [{"x": 1}, {"x": 2}]}, {"a": []}], [{"a": {"b": 1}}, {"a": {"b": "c"}}],
+        [{"a": [1, 2]}, {"a": ("x",)}],
+    ],
+)
+def test_dumps_matches_stdlib_writer_on_edge_cases(doc):
+    assert dumps(doc) == dumps_stdlib(doc)
+
+
+def test_dumps_matches_stdlib_writer_on_documents():
+    kinds = Counter()
+    for seed in range(60):
+        for doc in _documents(seed):
+            assert dumps(doc) == dumps_stdlib(doc)
+            kinds[doc.get("kind", "tree" if "nodes" in doc else "gap2")] += 1
+    assert min(kinds.values()) >= 60, kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON)
+def test_dumps_matches_stdlib_writer(doc):
+    assert dumps(doc) == dumps_stdlib(doc)
+
+
+_RETYPED = [None, True, False, 0, 1, 1.5, "", "x", "ghost", [], ["x"], {}, {"x": 1}]
+
+
+def _damaged(doc):
+    """Copies of ``doc`` with one field, row or row field dropped, added or
+    retyped, a row replaced by a non-object, or rows repeated."""
+    for key in doc:
+        for junk in _RETYPED:
+            yield {**doc, key: junk}
+        yield {k: v for k, v in doc.items() if k != key}
+    yield {**doc, "extra": 1}
+    for key, rows in doc.items():
+        if not isinstance(rows, list) or not rows or not isinstance(rows[0], dict):
+            continue
+        for i in sorted({0, len(rows) - 1}):
+            row = rows[i]
+            if not isinstance(row, dict):
+                continue
+            variants = [{**row, "extra": 1}, *(None, 5, "x", [], [row])]
+            for field in row:
+                variants.append({k: v for k, v in row.items() if k != field})
+                variants += [{**row, field: junk} for junk in _RETYPED]
+            for variant in variants:
+                yield {**doc, key: [*rows[:i], variant, *rows[i + 1:]]}
+        # Repeated rows: a duplicate id, and pdfa clashes under new ids, one
+        # or two of them, so the reader must report the first.
+        yield {**doc, key: [*rows, rows[0]]}
+        if key == "transitions" and all(isinstance(row, dict) and "to" in row for row in rows):
+            clash_first = {**rows[0], "id": len(rows) + 5, "to": rows[-1]["to"]}
+            clash_last = {**rows[-1], "id": len(rows) + 6}
+            yield {**doc, key: [*rows, clash_first]}
+            yield {**doc, key: [*rows, clash_last]}
+            yield {**doc, key: [*rows, clash_first, clash_last]}
+
+
+def _outcome(read, doc, **kw):
+    try:
+        result = read(copy.deepcopy(doc), **kw)
+    except Exception as e:
+        return type(e), str(e)
+    if isinstance(result, tuple):  # (automaton, root)
+        return type(result[0]), result
+    return result
+
+
+def test_readers_match_field_by_field_oracles_on_damaged_documents():
+    rng = random.Random(41)
+    outcomes = Counter()
+    for seed in range(12):
+        for doc in _documents(seed):
+            if "kind" in doc:
+                readers = [(automaton_from_doc, automaton_from_doc_by_fields, {"strict": s}) for s in (True, False)]
+            elif "nodes" in doc:
+                readers = [(tree_from_doc, tree_from_doc_by_fields, {})]
+            else:
+                continue
+            once = list(_damaged(doc))
+            twice = [damaged for d in rng.sample(once, min(20, len(once))) for damaged in _damaged(d)]
+            for damaged in [doc, *once, *rng.sample(twice, min(200, len(twice)))]:
+                for read, oracle, kw in readers:
+                    got = _outcome(read, damaged, **kw)
+                    assert got == _outcome(oracle, damaged, **kw), damaged
+                    outcomes[got[0] if isinstance(got, tuple) else "tree"] += 1
+    assert outcomes[SchemaError] >= 1000 and outcomes[PDfa] >= 100 and outcomes[MNfa] >= 100, outcomes
+    assert outcomes["tree"] >= 50 and set(outcomes) == {SchemaError, PDfa, MNfa, "tree"}, outcomes

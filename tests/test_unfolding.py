@@ -26,8 +26,9 @@ from cftree import (
     unfold_pdfa,
 )
 from cftree.jsonio import tree_to_doc
-from oracles import labeled_iso_brute, labeled_iso_recursive, language_upto
+from oracles import labeled_iso_brute, labeled_iso_recursive, language_upto, nondeterministic_vertex_sorted
 from randgen import (
+    random_involutive_tree,
     random_labeled_disc,
     random_pdfa,
     random_reduced_pdfa,
@@ -263,6 +264,28 @@ def test_reduced_unfoldings_are_deterministic():
 def test_nondeterministic_vertex_on_parallel_loops():
     t = unfold_mnfa(samples.one_state_two_loops(), "p", 1)
     assert nondeterministic_vertex(t) == ()
+
+
+def test_nondeterministic_vertex_matches_sorted_scan():
+    # The unsorted scan returns the node the scan in sorted order finds
+    # first, also when several nodes on one level are bad and when node ids
+    # are renamed and listed in another order.
+    rng = random.Random(37)
+    found = Counter()
+    for i in range(600):
+        kind = i % 3
+        if kind == 0:
+            t = random_labeled_disc(rng, 14)
+        elif kind == 1:
+            t = random_involutive_tree(rng, 30)
+        else:
+            d, root = random_pdfa(rng, rng.randint(1, 4), density=0.3)
+            t = unfold_pdfa(d, root, rng.randint(0, 4))
+        for x in (t, shuffled_relabeled_copy(rng, t)):
+            expect = nondeterministic_vertex_sorted(x)
+            assert nondeterministic_vertex(x) == expect
+            found[expect is None] += 1
+    assert min(found.values()) >= 300, found
 
 
 def test_end_cone_of_root_is_whole_tree():
