@@ -2,9 +2,13 @@
 
 An :class:`MNfa` is a finite edge-labeled multigraph: parallel transitions
 with identical endpoints and label are distinguished by an integer id.  A
-:class:`PDfa` stores its transitions as a partial function
-``(state, letter) -> state``, so determinism holds by representation.  Both
-are immutable after construction; all checks live in separate functions so a
+:class:`PDfa` is a partial function ``(state, letter) -> state``, so
+determinism holds by representation.  It is held as the map ``delta``, as
+an integer index (one successor column per letter), or both, and each form
+is derived from the other on first use: a pDFA built from a map indexes it
+when a decision first runs, and one loaded from a document or made by a
+quotient holds only its index until ``delta`` is read.  Both kinds are
+immutable after construction; all checks live in separate functions so a
 caller can collect every problem at once instead of failing fast.
 """
 
@@ -18,8 +22,13 @@ from .alphabet import InvolutiveAlphabet, merge_alphabets
 from .errors import NotDeterministicError, NotReducedError, UnknownLetterError, UnknownStateError
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """One transition of an mNFA; ``tid`` tells parallel ones apart.
+
+    Immutable and hashed like the tuple of its fields, but equal only to a
+    transition.
+    """
+
     tid: int
     src: str
     label: str
@@ -27,6 +36,16 @@ class Transition:
 
     def triple(self) -> tuple[str, str, str]:
         return (self.src, self.label, self.dst)
+
+    # A plain tuple's reflected comparison would match on the fields, so
+    # these answer for every other type instead of returning NotImplemented.
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
 
 class MNfa:
@@ -94,29 +113,62 @@ class _Index(NamedTuple):
         return [(x, self.names[col[i]]) for x, col in zip(self.letters, self.succ) if col[i] >= 0]
 
 
-def _build_index(
-    names: list[str], alphabet: InvolutiveAlphabet, delta: dict[tuple[str, str], str]
-) -> _Index:
-    ids = dict(zip(names, range(len(names))))
+def _blank_index(
+    names: list[str], alphabet: InvolutiveAlphabet
+) -> tuple[_Index, dict[str, tuple[list[int], int, int]]]:
+    """An index of ``names`` with no transitions, and for each letter its
+    successor column, its mask bit and the back bit its transitions set."""
     letters = alphabet.sorted_letters()
     inverse = [letters.index(alphabet.inv(x)) for x in letters]
     succ = [[-1] * len(names) for _ in letters]
-    masks = [0] * len(names)
-    back = [0] * len(names)
-    by_letter = {x: (succ[i], 1 << i, 1 << inverse[i]) for i, x in enumerate(letters)}
+    ix = _Index(names, dict(zip(names, range(len(names)))), letters, inverse, succ, [0] * len(names), [0] * len(names))
+    return ix, {x: (succ[i], 1 << i, 1 << inverse[i]) for i, x in enumerate(letters)}
+
+
+def _build_index(
+    names: list[str], alphabet: InvolutiveAlphabet, delta: dict[tuple[str, str], str]
+) -> _Index:
+    ix, by_letter = _blank_index(names, alphabet)
+    ids, masks, back = ix.ids, ix.masks, ix.back
     for (p, a), q in delta.items():
         i, t = ids[p], ids[q]
         column, bit, inv_bit = by_letter[a]
         column[i] = t
         masks[i] |= bit
         back[t] |= inv_bit
-    return _Index(names, ids, letters, inverse, succ, masks, back)
+    return ix
+
+
+def _widened(ix: _Index, alphabet: InvolutiveAlphabet) -> _Index:
+    """``ix`` over a larger alphabet: the same state ids and columns, a
+    ``-1`` column for each letter it lacks, and mask bits renumbered."""
+    letters = alphabet.sorted_letters()
+    inverse = [letters.index(alphabet.inv(x)) for x in letters]
+    own = dict(zip(ix.letters, ix.succ))
+    none = [-1] * len(ix.names)  # shared by the absent letters; callers only read
+    succ = [own.get(x, none) for x in letters]
+    masks, back = ix.masks, ix.back
+    pos = [letters.index(x) for x in ix.letters]  # old letter id -> new one
+    if pos != list(range(len(pos))):
+        renumbered = {m: sum(1 << j for i, j in enumerate(pos) if m >> i & 1) for m in {*masks, *back}}
+        masks = list(map(renumbered.__getitem__, masks))
+        back = list(map(renumbered.__getitem__, back))
+    return _Index(ix.names, ix.ids, letters, inverse, succ, masks, back)
+
+
+def _decode_delta(ix: _Index) -> dict[tuple[str, str], str]:
+    """The ``(state, letter) -> state`` map that ``ix`` encodes."""
+    names = ix.names
+    delta: dict[tuple[str, str], str] = {}
+    for x, col in zip(ix.letters, ix.succ):
+        delta.update(((names[p], x), names[q]) for p, q in enumerate(col) if q >= 0)
+    return delta
 
 
 class PDfa:
     """Partial deterministic finite automaton (a deterministic letter-labeled graph)."""
 
-    __slots__ = ("states", "alphabet", "delta", "_index")
+    __slots__ = ("states", "alphabet", "_delta", "_index")
 
     def __init__(
         self,
@@ -126,8 +178,27 @@ class PDfa:
     ):
         self.states = frozenset(states)
         self.alphabet = alphabet
-        self.delta = dict(delta)
+        self._delta: dict[tuple[str, str], str] | None = dict(delta)
         self._index: _Index | None = None
+
+    @classmethod
+    def _from_index(cls, alphabet: InvolutiveAlphabet, index: _Index) -> PDfa:
+        """The pDFA whose states are ``index.names`` and whose transitions
+        ``index``, an index over ``alphabet``, encodes."""
+        d = cls.__new__(cls)
+        d.states = frozenset(index.names)
+        d.alphabet = alphabet
+        d._delta = None
+        d._index = index
+        return d
+
+    @property
+    def delta(self) -> dict[tuple[str, str], str]:
+        """The transitions as a ``(state, letter) -> state`` map, decoded
+        from the index on first read."""
+        if self._delta is None:
+            self._delta = _decode_delta(self._index)
+        return self._delta
 
     def out_set(self, p: str) -> frozenset[str]:
         """Letters readable from ``p``."""
@@ -139,24 +210,25 @@ class PDfa:
         """The integer index of this automaton, built at most once.
 
         Over a larger ``alphabet``, such as a pair's merged one, a fresh
-        uncached index with the same state ids is returned.
+        uncached index with the same state ids is derived from it.
         """
         if self._index is None:
             names = list(self.states)
+            delta = self._delta
             try:
-                self._index = _build_index(names, self.alphabet, self.delta)
+                self._index = _build_index(names, self.alphabet, delta)
             except KeyError:
                 # A transition names a letter outside the alphabet, or a
                 # state outside ``states``; such states get the last ids.
-                unknown = set(map(itemgetter(1), self.delta)) - self.alphabet.letters
+                unknown = set(map(itemgetter(1), delta)) - self.alphabet.letters
                 if unknown:
                     raise UnknownLetterError(f"letter {min(unknown)!r} is not in the alphabet") from None
-                ends = set(map(itemgetter(0), self.delta)).union(self.delta.values())
+                ends = set(map(itemgetter(0), delta)).union(delta.values())
                 names += sorted(ends - self.states)
-                self._index = _build_index(names, self.alphabet, self.delta)
+                self._index = _build_index(names, self.alphabet, delta)
         if alphabet is None or alphabet == self.alphabet:
             return self._index
-        return _build_index(self._index.names, alphabet, self.delta)
+        return _widened(self._index, alphabet)
 
     def step(self, p: str, a: str) -> str | None:
         return self.delta.get((p, a))

@@ -7,9 +7,9 @@ subtrees yields the states of a pDFA whose unfolding reproduces the tree.
 
 from __future__ import annotations
 
-from .automata import PDfa
-from .errors import NondeterministicTreeError
-from .isomorphism import language_classes
+from .automata import PDfa, _Index
+from .errors import NondeterministicTreeError, UnknownStateError
+from .isomorphism import _classes
 from .unfolding import DiscTree, _canonical_forms, nondeterministic_vertex
 
 
@@ -48,15 +48,37 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     Returns the quotient and the map from each state to the class it
     collapses into.  Every state's language is preserved, no two distinct
     result states are equivalent, and reducedness survives the quotient.
-    Class names are the smallest member state name.
+    Class names are the smallest member state name.  The quotient's index is
+    built from the blocks of ``_classes`` on the automaton's own index: a
+    class reads what its smallest member reads, and it is entered on a
+    letter exactly when one of its members is.
     """
-    (cls,) = language_classes(d)
-    name: dict[int, str] = {}
-    for p in sorted(d.states):
-        name.setdefault(cls[p], p)
-    rep = {p: name[c] for p, c in cls.items()}
-    delta = {(rep[p], a): rep[q] for (p, a), q in d.delta.items()}
-    return PDfa(name.values(), d.alphabet, delta), rep
+    ix = d._indexed()
+    names = ix.names
+    if len(names) > len(d.states):  # ids past those are states only transitions name
+        raise UnknownStateError(f"state {names[len(d.states)]!r} is not in the automaton")
+    block = _classes([(range(len(names)), ix)])[3]
+    rank: dict[int, int] = {}
+    heads: list[int] = []  # the smallest member of each class, by name
+    for s in sorted(range(len(names)), key=names.__getitem__):
+        if block[s] not in rank:
+            rank[block[s]] = len(heads)
+            heads.append(s)
+    cls = [rank[b] for b in block] + [-1]  # cls[-1] == -1 keeps "no successor"
+    back = [0] * len(heads)
+    for c, bits in zip(cls, ix.back):
+        back[c] |= bits
+    head_names = [names[s] for s in heads]
+    out = _Index(
+        head_names,
+        dict(zip(head_names, range(len(heads)))),
+        ix.letters,
+        ix.inverse,
+        [[cls[col[s]] for s in heads] for col in ix.succ],
+        [ix.masks[s] for s in heads],
+        back,
+    )
+    return PDfa._from_index(d.alphabet, out), dict(zip(names, map(head_names.__getitem__, cls)))
 
 
 def minimize(d: PDfa) -> PDfa:

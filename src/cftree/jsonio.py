@@ -25,7 +25,9 @@ byte-identical across runs.  The CLI's JSON output is, byte for byte, the
 standard library's ``json.dumps(doc, indent=2)`` plus a newline; ``dumps``
 writes that form without the standard library's pure-Python indenting
 encoder.  Readers check each row in one pass and build an error message
-only for a row that fails.
+only for a row that fails.  A strict "pdfa" document is read straight into
+the automaton's integer index, so the pDFA holds no ``delta`` map until one
+is read; the writer lists the rows of such a pDFA from its index.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from operator import itemgetter
 from typing import Any, Iterable
 
 from .alphabet import InvolutiveAlphabet, involutive_closure
-from .automata import MNfa, PDfa, Transition
+from .automata import MNfa, PDfa, Transition, _blank_index, _Index
 from .errors import CFTreeError, SchemaError
 from .reductions import Gap2Instance
 from .unfolding import DiscTree, Node
@@ -110,6 +112,11 @@ def automaton_from_doc(doc: Any, *, strict: bool = True) -> tuple[MNfa | PDfa, s
         raise SchemaError("duplicate state names")
     if not isinstance(doc["transitions"], list):
         raise SchemaError("transitions must be a list")
+    root = doc.get("root")
+    if kind == "pdfa" and strict:
+        index = _pdfa_index(states, alphabet, doc["transitions"], root)
+        if index is not None:
+            return PDfa._from_index(alphabet, index), root
     rows: list[tuple[int, str, str, str]] = []
     for td in doc["transitions"]:
         if not isinstance(td, dict) or td.keys() != _TRANSITION_FIELDS:
@@ -120,7 +127,6 @@ def automaton_from_doc(doc: Any, *, strict: bool = True) -> tuple[MNfa | PDfa, s
         if not (isinstance(src, str) and isinstance(label, str) and isinstance(dst, str)):
             raise SchemaError("transition endpoints and label must be strings")
         rows.append((tid, src, label, dst))
-    root = doc.get("root")
     if root is not None and not isinstance(root, str):
         raise SchemaError("root must be a state name")
 
@@ -150,6 +156,36 @@ def automaton_from_doc(doc: Any, *, strict: bool = True) -> tuple[MNfa | PDfa, s
     return MNfa(states, alphabet, [Transition(*row) for row in rows]), root
 
 
+def _pdfa_index(states: list[str], alphabet: InvolutiveAlphabet, rows: list, root: Any) -> _Index | None:
+    """The index of a strict "pdfa" document, filled in one pass over its rows.
+
+    None when the document is not accepted as it stands: a row is not an
+    object with exactly the four fields or its id is no ``int``, a state or
+    letter lookup fails, a column cell is already taken (a clash), an id
+    repeats, or the root is not a state.  The caller then runs the checks in
+    their documented order to name the problem.
+    """
+    ix, by_letter = _blank_index(list(states), alphabet)  # the document keeps its own list
+    ids, masks, back = ix.ids, ix.masks, ix.back
+    try:
+        for td in rows:
+            # Four entries and four successful lookups: exactly the four fields.
+            if type(td) is not dict or len(td) != 4 or type(td["id"]) is not int:
+                return None
+            p, q = ids[td["from"]], ids[td["to"]]
+            column, bit, inv_bit = by_letter[td["label"]]
+            if column[p] >= 0:
+                return None
+            column[p] = q
+            masks[p] |= bit
+            back[q] |= inv_bit
+        if root is not None and root not in ids:
+            return None
+    except (KeyError, TypeError):  # a missing field, or an unknown or unhashable state, letter or root
+        return None
+    return ix if len({td["id"] for td in rows}) == len(rows) else None
+
+
 def automaton_to_doc(aut: MNfa | PDfa, root: str | None = None) -> dict:
     doc: dict[str, Any] = {"alphabet": alphabet_to_doc(aut.alphabet)}
     if isinstance(aut, MNfa):
@@ -162,13 +198,33 @@ def automaton_to_doc(aut: MNfa | PDfa, root: str | None = None) -> dict:
     else:
         doc["kind"] = "pdfa"
         doc["states"] = sorted(aut.states)
-        doc["transitions"] = [
-            {"id": i, "from": p, "label": a, "to": q}
-            for i, ((p, a), q) in enumerate(sorted(aut.delta.items()))
-        ]
+        doc["transitions"] = _pdfa_rows(aut)
     if root is not None:
         doc["root"] = root
     return doc
+
+
+def _pdfa_rows(d: PDfa) -> list[dict]:
+    """A pDFA's transition rows in (state, letter) order.
+
+    They are listed from its map if it holds one, else from its index:
+    sorting a map costs less than indexing it first, and listing an index
+    less than decoding its map first.
+    """
+    if d._delta is not None:
+        return [{"id": i, "from": p, "label": a, "to": q} for i, ((p, a), q) in enumerate(sorted(d._delta.items()))]
+    ix = d._index
+    names, k = ix.names, len(ix.letters)
+    # The row of the state of name rank r on letter i goes to slot r * k + i;
+    # rows are numbered once the empty slots are dropped.
+    slots: list[dict | None] = [None] * (len(names) * k)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    for i, (x, col) in enumerate(zip(ix.letters, ix.succ)):
+        slots[i::k] = [{"id": 0, "from": names[s], "label": x, "to": names[t]} if (t := col[s]) >= 0 else None for s in order]
+    rows = list(filter(None, slots))
+    for i, row in enumerate(rows):
+        row["id"] = i
+    return rows
 
 
 def tree_from_doc(doc: Any) -> DiscTree:

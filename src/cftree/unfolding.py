@@ -33,6 +33,10 @@ def _node_sort_key(v: Node):
     return (type(v).__name__, repr(v))
 
 
+def _last_step_key(w: Word) -> str:
+    return repr(w[-1])
+
+
 class DiscTree:
     """A finite rooted involutive tree of bounded radius.
 
@@ -108,7 +112,28 @@ class DiscTree:
             yield (c, self.alphabet.inv(a), v)
 
     def sorted_nodes(self) -> list[Node]:
-        return sorted(self.labels, key=lambda v: (self.level[v], _node_sort_key(v)))
+        """Nodes by level, then by type name and ``repr`` within a level.
+
+        When every node but the root is a word that extends its parent's by
+        one ``str`` or ``int`` step, as unfolding makes them, the order is
+        built breadth-first without the ``repr`` of a whole word, which
+        costs time quadratic in the depth: two words of one length compare
+        by ``repr`` as the reprs of the first step at which they differ
+        (no ``str`` repr is a prefix of another, and the separators after a
+        step sort below digits), so a word's place within its level is its
+        parent's place, then the ``repr`` of its last step.
+        """
+        words = all(
+            type(c) is tuple and c[:-1] == v and type(c[-1]) in (str, int)
+            for v, kids in self.children.items()
+            for _, c in kids
+        )
+        if not words:
+            return sorted(self.labels, key=lambda v: (self.level[v], _node_sort_key(v)))
+        order = [self.root]
+        for v in order:  # ``order`` grows while it is read: a breadth-first walk
+            order += sorted((c for _, c in self.children.get(v, ())), key=_last_step_key)
+        return order
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscTree):

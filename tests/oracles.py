@@ -16,7 +16,10 @@ library's cached integer index.  The labeled disc oracle enumerates every
 rooted isomorphism outright; the recursive matcher it replaced is kept for
 pDFA discs, where it is complete.  The document readers that check each
 row with ``_require_fields``, and the standard library's indenting encoder,
-check the one-pass readers and the column writer of ``cftree.jsonio``.
+check the one-pass readers and the column writer of ``cftree.jsonio``.  The
+quotient that renames classes through string dicts checks the one built
+straight from the refinement's blocks, and a plain ``repr`` sort checks the
+breadth-first node order of word discs.
 """
 
 import json
@@ -37,6 +40,7 @@ from cftree import (
     Witness,
     as_pdfa,
     involutive_closure,
+    language_classes,
     merge_alphabets,
     pdfa_to_mnfa,
     require_reduced,
@@ -44,7 +48,7 @@ from cftree import (
     trim,
 )
 from cftree.jsonio import _require_fields, alphabet_from_doc
-from cftree.unfolding import DiscTree, Node, Word, _canonical_forms
+from cftree.unfolding import DiscTree, Node, Word, _canonical_forms, _node_sort_key
 
 ENUMERATION_CUTOFF = 8
 
@@ -182,6 +186,18 @@ def quotient_by_pairs(d: PDfa) -> tuple[PDfa, dict[str, str]]:
             rep[p] = q
     delta = {(rep[p], x): rep[q] for (p, x), q in d.delta.items()}
     return PDfa(set(rep.values()), d.alphabet, delta), rep
+
+
+def quotient_by_names(d: PDfa) -> tuple[PDfa, dict[str, str]]:
+    """The quotient that renames ``language_classes``' classes through string
+    dicts, each class named by its smallest member."""
+    (cls,) = language_classes(d)
+    name: dict[int, str] = {}
+    for p in sorted(d.states):
+        name.setdefault(cls[p], p)
+    rep = {p: name[c] for p, c in cls.items()}
+    delta = {(rep[p], a): rep[q] for (p, a), q in d.delta.items()}
+    return PDfa(name.values(), d.alphabet, delta), rep
 
 
 def canonical_rooted_key(d: PDfa, root: str) -> str:
@@ -741,6 +757,11 @@ def tree_from_doc_by_fields(doc: Any) -> DiscTree:
 def dumps_stdlib(doc: Any) -> str:
     """The document writer as the standard library's indenting encoder."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+def sorted_nodes_by_repr(t: DiscTree) -> list[Node]:
+    """The nodes sorted by level, then by type name and ``repr``."""
+    return sorted(t.labels, key=lambda v: (t.level[v], _node_sort_key(v)))
 
 
 def nondeterministic_vertex_sorted(t: DiscTree) -> Node | None:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -15,12 +17,15 @@ from cftree import (
     find_nondeterministic_pair,
     involutive_closure,
     is_reduced,
+    merge_alphabets,
     pdfa_to_mnfa,
     reducedness_violation,
     trim,
     unfold_mnfa,
     validate_mnfa,
 )
+from cftree.automata import _build_index
+from cftree.jsonio import automaton_from_doc, automaton_to_doc
 from oracles import reducedness_violation_by_scan
 from randgen import random_alphabet, random_pdfa, random_reduced_pdfa
 
@@ -204,3 +209,53 @@ def test_trim_preserves_discs():
             x = unfold_mnfa(m, root, radius)
             y = unfold_mnfa(trimmed, root, radius)
             assert disc_equal_rooted(x, y, use_labels=True)
+
+
+def test_transition_is_an_immutable_value_equal_only_to_transitions():
+    t = Transition(3, "p", "a", "q")
+    plain = (3, "p", "a", "q")
+    assert (t.tid, t.src, t.label, t.dst) == plain
+    assert Transition(tid=3, src="p", label="a", dst="q") == t and t.triple() == ("p", "a", "q")
+    assert repr(t) == "Transition(tid=3, src='p', label='a', dst='q')"
+    # Equal only to a transition with the same fields, from either side.
+    assert t != plain and plain != t and not t == plain and not plain == t
+    assert t != Transition(4, "p", "a", "q") and not t == Transition(4, "p", "a", "q")
+    assert [t] != [plain] and plain not in {t} and t in {Transition(3, "p", "a", "q")}
+    assert t != "x" and t is not None and t != None  # noqa: E711
+    # Hashed as the tuple of its fields.
+    assert hash(t) == hash(Transition(3, "p", "a", "q")) == hash(plain)
+    assert len({t, Transition(3, "p", "a", "q"), Transition(4, "p", "a", "q")}) == 2
+    for field in ("tid", "src", "label", "dst", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, 0)
+    with pytest.raises(AttributeError):
+        del t.src
+    assert t == Transition(3, "p", "a", "q")
+    assert copy.deepcopy(t) == t and pickle.loads(pickle.dumps(t)) == t
+
+
+def test_index_over_a_larger_alphabet_matches_a_fresh_build():
+    # Own columns are kept, absent letters read nothing, and mask and back
+    # bits follow the larger alphabet's numbering, for pDFAs built from a
+    # map and for ones loaded into their index.
+    c = InvolutiveAlphabet({"c"}, {"c": "c"})
+    alphabets = [
+        involutive_closure(["a"]),
+        involutive_closure(["b"]),
+        involutive_closure(["a", "b"]),
+        involutive_closure(["b", "d"]),
+        c,
+        merge_alphabets(involutive_closure(["a"]), c),
+    ]
+    rng = random.Random(61)
+    renumbered = 0
+    for _ in range(200):
+        small = rng.choice(alphabets)
+        large = merge_alphabets(small, rng.choice(alphabets))
+        d, _ = random_pdfa(rng, rng.randint(1, 8), small, density=rng.random())
+        loaded, _ = automaton_from_doc(automaton_to_doc(d))
+        for form in (d, loaded):
+            names = form._indexed().names
+            assert form._indexed(large) == _build_index(names, large, d.delta)
+        renumbered += small.sorted_letters() != large.sorted_letters()[: len(small)]
+    assert renumbered >= 50

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import samples
-from cftree import compression
-from oracles import dumps_stdlib
+from cftree import automata, compression, involutive_closure, jsonio
+from oracles import automaton_from_doc_by_fields, dumps_stdlib
 from randgen import random_reduced_pdfa
 from cftree.cli import run
 from cftree.jsonio import automaton_to_doc, dumps, tree_to_doc
@@ -194,8 +194,8 @@ def test_minimize_cli(fig_files, capsys):
 
 def test_minimize_cli_refines_once(fig_files, monkeypatch, capsys):
     calls = []
-    refine = compression.language_classes
-    monkeypatch.setattr(compression, "language_classes", lambda *ds: calls.append(ds) or refine(*ds))
+    refine = compression._classes
+    monkeypatch.setattr(compression, "_classes", lambda sides: calls.append(sides) or refine(sides))
     for extra in ([], ["--trim"]):
         calls.clear()
         assert run(["minimize", str(fig_files["fig2"]), *extra]) == 0
@@ -500,6 +500,62 @@ def test_written_documents_are_the_stdlib_writers_bytes(fig_files, tmp_path, cap
             texts = [Path(written).read_text() for written in outs[1::2]]
         for text in texts:
             assert text == dumps_stdlib(json.loads(text)), args
+
+
+def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatch, capsys):
+    # A strict pdfa document loads into the integer index only; `iso` and
+    # `minimize` never decode it into a transition map.  Every command gives
+    # the same output as with the field-by-field reader, whose pDFAs hold a
+    # map from the start.
+    rng = random.Random(47)
+    al_b = involutive_closure(["b"])
+    paths = {}
+    for name, alphabet, n in (("ab", samples.AL_AB, 60), ("ab2", samples.AL_AB, 60), ("a", samples.AL_A, 6), ("b", al_b, 6)):
+        d, root = random_reduced_pdfa(rng, n, alphabet)
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dumps(automaton_to_doc(d, root=root)))
+    d, root = random_reduced_pdfa(random.Random(47), 60, samples.AL_AB)  # "ab" again, renamed
+    renamed = PDfa({f"r{p}" for p in d.states}, d.alphabet, {(f"r{p}", x): f"r{q}" for (p, x), q in d.delta.items()})
+    paths["ab-renamed"] = tmp_path / "ab-renamed.json"
+    paths["ab-renamed"].write_text(dumps(automaton_to_doc(renamed, root=f"r{root}")))
+    ab, ab2, ab_renamed, a, b = (str(paths[k]) for k in ("ab", "ab2", "ab-renamed", "a", "b"))
+    quiet = [
+        ["iso", ab, ab_renamed, "--witness"],
+        ["iso", ab, ab2, "--witness"],
+        ["iso", ab, ab_renamed, "--unrooted", "--witness"],
+        ["iso", ab2, ab, "--unrooted", "--witness"],
+        ["iso", a, ab, "--witness"],
+        ["iso", ab, b, "--unrooted", "--witness"],
+        ["iso", b, ab, "--state", "s0", "--state", "s1", "--witness"],
+        ["minimize", ab],
+        ["minimize", b],
+    ]
+    decoding = [
+        ["reroot", ab, "--word", ""],
+        ["unfold", ab, "--radius", "3"],
+        ["unfold", a, "--radius", "2", "--dot"],
+        ["validate", ab],
+        ["minimize", ab, "--trim"],
+    ]
+    decodes = []
+    decode = automata._decode_delta
+    monkeypatch.setattr(automata, "_decode_delta", lambda ix: decodes.append(ix) or decode(ix))
+
+    def outputs(commands):
+        results = []
+        for args in commands:
+            decodes.clear()
+            code = run(args)
+            results.append((code, *capsys.readouterr(), len(decodes)))
+        return results
+
+    got = outputs(quiet + decoding)
+    assert [r[3] for r in got[: len(quiet)]] == [0] * len(quiet)
+    assert got[len(quiet)][3] >= 1  # reroot reads the map: the counter sees decodes
+    assert {r[0] for r in got} == {0, 1}
+    monkeypatch.setattr(jsonio, "automaton_from_doc", automaton_from_doc_by_fields)
+    want = outputs(quiet + decoding)
+    assert [r[:3] for r in got] == [r[:3] for r in want]
 
 
 def test_byte_identical_output(fig_files):

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
 import samples
 from cftree import (
     DiscTree,
+    InvolutiveAlphabet,
     NondeterministicTreeError,
     PDfa,
+    UnknownStateError,
     compress_finite_tree,
     disc_equal_rooted,
     involutive_closure,
@@ -15,10 +18,13 @@ from cftree import (
     language_classes,
     minimize,
     quotient,
+    reachable_states,
     unfold_mnfa,
     unfold_pdfa,
 )
-from randgen import random_involutive_tree
+from cftree.automata import _build_index
+from oracles import quotient_by_names
+from randgen import random_involutive_tree, random_pdfa, random_reduced_pdfa
 
 
 def path_tree(letters):
@@ -123,6 +129,45 @@ def test_minimize_idempotent():
         for p in d.states:
             ok, _ = iso_rooted(d, p, m, rep[p])
             assert ok
+
+
+def test_quotient_matches_renaming_oracle():
+    # Random and reduced pDFAs, a third over an alphabet with a self-inverse
+    # letter and a quarter with a second part unreachable from the first;
+    # the quotient's index is checked against one built from its decoded map.
+    rng = random.Random(29)
+    self_inverse = InvolutiveAlphabet({"a", "a^-1", "c"}, {"a": "a^-1", "a^-1": "a", "c": "c"})
+    seen = Counter()
+    for i in range(300):
+        alphabet = self_inverse if i % 3 == 0 else involutive_closure(["a", "b"])
+        parts = []
+        for _ in range(2 if i % 4 == 0 else 1):
+            if rng.random() < 0.5:
+                d, _ = random_pdfa(rng, rng.randint(1, 12), alphabet, density=rng.random())
+            else:
+                d, _ = random_reduced_pdfa(rng, rng.randint(1, 12), alphabet, extra_density=rng.random())
+            parts.append(d)
+        if len(parts) == 2:  # the second part's states renamed apart
+            delta = dict(parts[0].delta)
+            delta.update(((f"t{p}", x), f"t{q}") for (p, x), q in parts[1].delta.items())
+            d = PDfa(parts[0].states | {f"t{p}" for p in parts[1].states}, alphabet, delta)
+        m, rep = quotient(d)
+        ix = m._indexed()
+        want_m, want_rep = quotient_by_names(d)
+        assert m == want_m and rep == want_rep
+        assert ix.names == sorted(m.states)
+        built = _build_index(ix.names, m.alphabet, m.delta)
+        assert (ix.succ, ix.masks, ix.back) == (built.succ, built.masks, built.back)
+        seen["merged" if len(m.states) < len(d.states) else "kept"] += 1
+        seen["unreachable"] += len(reachable_states(d, "s0")) < len(d.states)
+        seen["self-inverse"] += alphabet is self_inverse
+    assert min(seen.values()) >= 20, seen
+
+
+def test_quotient_rejects_a_state_only_transitions_name():
+    al = involutive_closure(["a"])
+    with pytest.raises(UnknownStateError, match="'ghost'"):
+        quotient(PDfa({"p"}, al, {("p", "a"): "ghost"}))
 
 
 def test_compress_handles_mnfa_style_labels():

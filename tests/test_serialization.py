@@ -17,6 +17,7 @@ from cftree import (
     unfold_mnfa,
     unfold_pdfa,
 )
+from cftree.automata import _build_index
 from cftree.jsonio import (
     automaton_from_doc,
     automaton_to_doc,
@@ -280,6 +281,22 @@ def _outcome(read, doc, **kw):
     return result
 
 
+def _check_pdfa_forms(read, doc, kw, want: PDfa):
+    """Whichever of ``delta`` and the index is read first, the map equals
+    the oracle's and the index is the one ``_build_index`` makes from it;
+    written from its index alone, the pDFA gives the oracle's document."""
+    for delta_first in (True, False):
+        d, _ = read(copy.deepcopy(doc), **kw)
+        if delta_first:
+            assert d.delta == want.delta
+        else:
+            assert automaton_to_doc(d) == automaton_to_doc(want)
+        ix = d._indexed()
+        built = _build_index(ix.names, want.alphabet, want.delta)
+        assert (ix.succ, ix.masks, ix.back) == (built.succ, built.masks, built.back)
+        assert (d.states, d.alphabet, d.delta) == (want.states, want.alphabet, want.delta)
+
+
 def test_readers_match_field_by_field_oracles_on_damaged_documents():
     rng = random.Random(41)
     outcomes = Counter()
@@ -296,7 +313,10 @@ def test_readers_match_field_by_field_oracles_on_damaged_documents():
             for damaged in [doc, *once, *rng.sample(twice, min(200, len(twice)))]:
                 for read, oracle, kw in readers:
                     got = _outcome(read, damaged, **kw)
-                    assert got == _outcome(oracle, damaged, **kw), damaged
+                    want = _outcome(oracle, damaged, **kw)
+                    assert got == want, damaged
                     outcomes[got[0] if isinstance(got, tuple) else "tree"] += 1
+                    if isinstance(got, tuple) and got[0] is PDfa and kw["strict"]:
+                        _check_pdfa_forms(read, damaged, kw, want[1][0])
     assert outcomes[SchemaError] >= 1000 and outcomes[PDfa] >= 100 and outcomes[MNfa] >= 100, outcomes
     assert outcomes["tree"] >= 50 and set(outcomes) == {SchemaError, PDfa, MNfa, "tree"}, outcomes

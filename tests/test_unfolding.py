@@ -18,6 +18,7 @@ from cftree import (
     end_cone,
     export_dot,
     involutive_closure,
+    pdfa_to_mnfa,
     is_reduced,
     nondeterministic_vertex,
     reroot_disc,
@@ -25,8 +26,14 @@ from cftree import (
     unfold_mnfa,
     unfold_pdfa,
 )
-from cftree.jsonio import tree_to_doc
-from oracles import labeled_iso_brute, labeled_iso_recursive, language_upto, nondeterministic_vertex_sorted
+from cftree.jsonio import tree_from_doc, tree_to_doc
+from oracles import (
+    labeled_iso_brute,
+    labeled_iso_recursive,
+    language_upto,
+    nondeterministic_vertex_sorted,
+    sorted_nodes_by_repr,
+)
 from randgen import (
     random_involutive_tree,
     random_labeled_disc,
@@ -376,3 +383,35 @@ def test_export_dot_deterministic():
     assert export_dot(t) == export_dot(unfold_pdfa(samples.astar_bstar_pdfa(), "p", 3))
     m = samples.astar_bstar_mnfa()
     assert export_dot(m) == export_dot(samples.astar_bstar_mnfa())
+
+
+class _Step(str):
+    def __repr__(self):
+        return str(self)
+
+
+def test_sorted_nodes_matches_repr_sort():
+    # Word discs of pDFAs (str steps) and mNFAs (int steps of one to three
+    # digits, some negative, so one step's repr is a prefix of another's),
+    # their end-cones and truncations take the breadth-first order; re-rooted
+    # discs and discs with int or loaded string nodes take the repr sort.
+    rng = random.Random(67)
+    trees = [unfold_pdfa(samples.ray(), "u", 2000)]
+    for _ in range(60):
+        d, root = random_pdfa(rng, rng.randint(1, 6))
+        m = pdfa_to_mnfa(d)
+        tids = rng.sample([-12, -1, *range(130)], len(m.transitions))
+        m = MNfa(m.states, m.alphabet, [Transition(i, *t.triple()) for i, t in zip(tids, m.transitions)])
+        for t in (unfold_pdfa(d, root, rng.randint(0, 5)), unfold_mnfa(m, root, rng.randint(0, 4))):
+            v = rng.choice(list(t.nodes))
+            trees += [t, end_cone(t, v), reroot_disc(t, v), truncate(t, t.radius // 2), tree_from_doc(tree_to_doc(t))]
+        trees += [random_involutive_tree(rng, 30), random_labeled_disc(rng)]
+    # Steps of other types take the repr sort: "(x y,)" sorts before "(x,)".
+    x, x_y = _Step("x"), _Step("x y")
+    trees.append(DiscTree(1, (), {(): "r", (x,): "s", (x_y,): "s"}, {(): (("a", (x,)), ("b", (x_y,)))}, samples.AL_AB))
+    assert trees[-1].sorted_nodes()[1:] == [(x_y,), (x,)]
+    kinds = Counter()
+    for t in trees:
+        assert t.sorted_nodes() == sorted_nodes_by_repr(t)
+        kinds[type(t.root).__name__] += 1
+    assert kinds["tuple"] >= 300 and kinds["str"] >= 100 and kinds["int"] >= 100, kinds
