@@ -7,9 +7,10 @@ determinism holds by representation.  It is held as the map ``delta``, as
 an integer index (one successor column per letter), or both, and each form
 is derived from the other on first use: a pDFA built from a map indexes it
 when a decision first runs, and one loaded from a document or made by a
-quotient holds only its index until ``delta`` is read.  Both kinds are
-immutable after construction; all checks live in separate functions so a
-caller can collect every problem at once instead of failing fast.
+quotient or ``trim`` holds only its index until ``delta`` is read.  Both
+kinds are immutable after construction; all checks live in separate
+functions so a caller can collect every problem at once instead of failing
+fast.
 """
 
 from __future__ import annotations
@@ -420,9 +421,26 @@ def trim(aut: MNfa | PDfa, root: str) -> MNfa | PDfa:
     The tree generated from ``root`` is unchanged at every radius, and
     ``root`` becomes a root of the result.
     """
-    keep = reachable_states(aut, root)
     if isinstance(aut, MNfa):
+        keep = reachable_states(aut, root)
         transitions = [t for t in aut.transitions if t.src in keep]
         return MNfa(keep, aut.alphabet, transitions)
-    delta = {(p, a): q for (p, a), q in aut.delta.items() if p in keep}
-    return PDfa(keep, aut.alphabet, delta)
+    # On a pDFA, restrict the index: the kept states in id order, their
+    # columns renumbered, and the back bits of the transitions that remain.
+    if root not in aut.states:
+        raise UnknownStateError(f"state {root!r} is not in the automaton")
+    ix = aut._indexed()
+    keep = sorted(_reach(aut, root))
+    new = [-1] * (len(ix.names) + 1)  # new[-1] == -1 keeps "no successor"
+    for i, s in enumerate(keep):
+        new[s] = i
+    succ = [[new[col[s]] for s in keep] for col in ix.succ]
+    back = [0] * len(keep)
+    for col, j in zip(succ, ix.inverse):
+        for q in col:
+            if q >= 0:
+                back[q] |= 1 << j
+    names = [ix.names[s] for s in keep]
+    ids = dict(zip(names, range(len(keep))))
+    out = _Index(names, ids, ix.letters, ix.inverse, succ, [ix.masks[s] for s in keep], back)
+    return PDfa._from_index(aut.alphabet, out)

@@ -28,18 +28,13 @@ def compress_finite_tree(t: DiscTree) -> tuple[PDfa, str]:
             f"involutive closure is not deterministic at node {bad!r}"
         )
     (forms,) = _canonical_forms([t])
-    state_of_form: dict[int, str] = {}
-    rep_of_form: dict[int, object] = {}
-    for v in t.sorted_nodes():
-        f = forms[v]
-        if f not in state_of_form:
-            state_of_form[f] = f"c{len(state_of_form)}"
-            rep_of_form[f] = v
-    delta: dict[tuple[str, str], str] = {}
-    for f, rep in rep_of_form.items():
-        for a, c in t.children.get(rep, ()):
-            delta[(state_of_form[f], a)] = state_of_form[forms[c]]
-    return PDfa(state_of_form.values(), t.alphabet, delta), state_of_form[forms[t.root]]
+    # Node numbers run in ``sorted_nodes`` order: name each form by its first
+    # appearance, and take its first node as its representative.
+    state = {f: f"c{i}" for i, f in enumerate(dict.fromkeys(forms))}
+    rep = dict(zip(reversed(forms), range(len(forms) - 1, -1, -1)))
+    kids, off, letter = t._kids, t._off, t._letter
+    delta = {(state[f], letter[c]): state[forms[c]] for f, v in rep.items() for c in kids[off[v] : off[v + 1]]}
+    return PDfa(state.values(), t.alphabet, delta), state[forms[0]]
 
 
 def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:

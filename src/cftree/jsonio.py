@@ -33,7 +33,6 @@ is read; the writer lists the rows of such a pDFA from its index.
 from __future__ import annotations
 
 import json
-from collections import deque
 from itertools import repeat
 from operator import itemgetter
 from typing import Any, Iterable
@@ -42,7 +41,7 @@ from .alphabet import InvolutiveAlphabet, involutive_closure
 from .automata import MNfa, PDfa, Transition, _blank_index, _Index
 from .errors import CFTreeError, SchemaError
 from .reductions import Gap2Instance
-from .unfolding import DiscTree, Node
+from .unfolding import DiscTree, _link
 
 
 def _require_fields(doc: dict, required: set[str], optional: set[str], what: str) -> None:
@@ -227,38 +226,85 @@ def _pdfa_rows(d: PDfa) -> list[dict]:
     return rows
 
 
+def _string_columns(rows: list, fields: tuple[str, ...]) -> list[list[str]] | None:
+    """The columns ``fields`` of ``rows`` when every row is a dict with
+    exactly those fields and every value a ``str``; else None, and the
+    caller's row-by-row checks name the problem."""
+    if set(map(type, rows)) <= {dict} and set(map(len, rows)) <= {len(fields)}:
+        try:
+            columns = [list(map(itemgetter(k), rows)) for k in fields]
+        except KeyError:
+            return None
+        if all(set(map(type, col)) <= {str} for col in columns):
+            return columns
+    return None
+
+
+def _checked_nodes(rows: list) -> list[list[str]]:
+    names: list[str] = []
+    labels: list[str] = []
+    seen: set[str] = set()
+    for nd in rows:
+        if not isinstance(nd, dict) or nd.keys() != _NODE_FIELDS:
+            _require_fields(nd, _NODE_FIELDS, set(), "node")
+        v, label = nd["id"], nd["label"]
+        if not (isinstance(v, str) and isinstance(label, str)):
+            raise SchemaError("node id and label must be strings")
+        if v in seen:
+            raise SchemaError(f"duplicate node id {v!r}")
+        seen.add(v)
+        names.append(v)
+        labels.append(label)
+    return [names, labels]
+
+
+def _checked_edges(rows: list, pos: dict[str, int]) -> list[list]:
+    columns: list[list] = [[], [], []]
+    for ed in rows:
+        if not isinstance(ed, dict) or ed.keys() != _EDGE_FIELDS:
+            _require_fields(ed, _EDGE_FIELDS, set(), "edge")
+        u, a, v = ed["from"], ed["label"], ed["to"]
+        if not (isinstance(u, str) and isinstance(a, str) and isinstance(v, str)):
+            raise SchemaError("edge endpoints and label must be strings")
+        if u not in pos or v not in pos:
+            raise SchemaError(f"edge ({u!r}, {a!r}, {v!r}) references unknown node")
+        for column, value in zip(columns, (pos[u], a, pos[v])):
+            column.append(value)
+    return columns
+
+
 def tree_from_doc(doc: Any) -> DiscTree:
+    """A tree document as a disc whose handles are the document's node ids.
+
+    Node rows and edge rows are each read as columns when every row is
+    well formed, and checked row by row otherwise.  One breadth-first walk
+    from the root gives each node its level, and the nodes are numbered by
+    level, then ``repr``; a node's children are listed by letter, then id.
+    """
     _require_fields(doc, {"radius", "root", "nodes", "edges"}, {"alphabet"}, "tree")
-    if not _is_int(doc["radius"]):
+    radius = doc["radius"]
+    if not _is_int(radius):
         raise SchemaError("radius must be an integer")
     if not isinstance(doc["root"], str):
         raise SchemaError("root must be a node id")
     for key in ("nodes", "edges"):
         if not isinstance(doc[key], list):
             raise SchemaError(f"{key} must be a list")
-    labels: dict[Node, str] = {}
-    for nd in doc["nodes"]:
-        if not isinstance(nd, dict) or nd.keys() != _NODE_FIELDS:
-            _require_fields(nd, _NODE_FIELDS, set(), "node")
-        v, label = nd["id"], nd["label"]
-        if not (isinstance(v, str) and isinstance(label, str)):
-            raise SchemaError("node id and label must be strings")
-        if v in labels:
-            raise SchemaError(f"duplicate node id {v!r}")
-        labels[v] = label
-    if doc["root"] not in labels:
+    nodes = _string_columns(doc["nodes"], ("id", "label"))
+    if nodes is None or len(set(nodes[0])) < len(nodes[0]):
+        nodes = _checked_nodes(doc["nodes"])
+    label_of = dict(zip(*nodes))
+    names = sorted(label_of)  # until the final sort, a node's number is the rank of its id
+    labels = list(map(label_of.__getitem__, names))
+    pos = dict(zip(names, range(len(names))))
+    if doc["root"] not in pos:
         raise SchemaError("root is not a listed node")
-    listed: list[tuple[Node, str, Node]] = []
-    for ed in doc["edges"]:
-        if not isinstance(ed, dict) or ed.keys() != _EDGE_FIELDS:
-            _require_fields(ed, _EDGE_FIELDS, set(), "edge")
-        u, a, v = ed["from"], ed["label"], ed["to"]
-        if not (isinstance(u, str) and isinstance(a, str) and isinstance(v, str)):
-            raise SchemaError("edge endpoints and label must be strings")
-        if u not in labels or v not in labels:
-            raise SchemaError(f"edge ({u!r}, {a!r}, {v!r}) references unknown node")
-        listed.append((u, a, v))
-    letters = {a for _, a, _ in listed}
+    edges = _string_columns(doc["edges"], ("from", "label", "to"))
+    if edges is not None and pos.keys() >= {*edges[0], *edges[2]}:
+        edges = [list(map(pos.__getitem__, edges[0])), edges[1], list(map(pos.__getitem__, edges[2]))]
+    else:
+        edges = _checked_edges(doc["edges"], pos)
+    letters = set(edges[1])
     if "alphabet" in doc:
         alphabet = alphabet_from_doc(doc["alphabet"])
         if not letters <= alphabet.letters:
@@ -269,49 +315,61 @@ def tree_from_doc(doc: Any) -> DiscTree:
         alphabet = involutive_closure(sorted(base) if base else ["a"])
 
     # Each listed edge stands for an involutive pair and may be written in
-    # either orientation; BFS from the root over the symmetric adjacency
-    # orients everything parent-to-child.
-    adj: dict[Node, list[tuple[str, Node]]] = {v: [] for v in labels}
-    for u, a, v in listed:
+    # either orientation; a breadth-first walk from the root over the
+    # symmetric adjacency orients everything parent-to-child.  Which edge
+    # finds a node cannot matter in a tree, and a document that is no tree
+    # fails the checks after the walk, so children are sorted afterwards.
+    adj: list[list[tuple[str, int]]] = [[] for _ in names]
+    for u, a, v in zip(*edges):
         adj[u].append((a, v))
         adj[v].append((alphabet.inv(a), u))
-    children: dict[Node, tuple[tuple[str, Node], ...]] = {}
-    seen = {doc["root"]}
-    queue = deque([doc["root"]])
-    while queue:
-        u = queue.popleft()
-        kids: list[tuple[str, Node]] = []
-        for a, v in sorted(adj[u]):  # node ids are strings: by letter, then id
-            if v in seen:
-                continue
-            seen.add(v)
-            kids.append((a, v))
-            queue.append(v)
-        if kids:
-            children[u] = tuple(kids)
-    if seen != set(labels):
+    level = [-1] * len(names)
+    level[pos[doc["root"]]] = 0
+    kids: list[list[tuple[str, int]]] = [[] for _ in names]
+    order = [pos[doc["root"]]]
+    for u in order:  # ``order`` grows while it is read
+        for a, v in adj[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                kids[u].append((a, v))
+                order.append(v)
+    for k in kids:
+        if len(k) > 1:
+            k.sort()  # by letter, then id
+    if len(order) != len(names):
         raise SchemaError("tree document is not connected")
-    if len(listed) != len(labels) - 1:
+    if len(edges[1]) != len(names) - 1:
         raise SchemaError("a tree on n nodes must list exactly n-1 edges")
-    try:
-        return DiscTree(doc["radius"], doc["root"], labels, children, alphabet)
-    except ValueError as e:
-        raise SchemaError(f"bad tree document: {e}") from e
+    if radius < 0:
+        raise SchemaError("bad tree document: radius must be non-negative")
+    if level[order[-1]] > radius:
+        raise SchemaError("bad tree document: node level exceeds the declared radius")
+    reprs = list(map(repr, names))
+    order = sorted(sorted(order, key=reprs.__getitem__), key=level.__getitem__)  # stable: by level, then repr
+    _, parent, letter, off, kid_list = _link(order, kids.__getitem__)
+    return DiscTree._from_arrays(
+        radius,
+        doc["root"],
+        alphabet,
+        parent,
+        letter,
+        [labels[v] for v in order],
+        [level[v] for v in order],
+        off,
+        kid_list,
+        names=[names[v] for v in order],
+    )
 
 
 def tree_to_doc(t: DiscTree) -> dict:
-    order = t.sorted_nodes()
-    ids = {v: f"v{i}" for i, v in enumerate(order)}
+    ids = [f"v{i}" for i in range(len(t))]
+    parent, letter = t._parent, t._letter
     return {
         "radius": t.radius,
-        "root": ids[t.root],
+        "root": ids[0],
         "alphabet": alphabet_to_doc(t.alphabet),
-        "nodes": [{"id": ids[v], "label": t.labels[v]} for v in order],
-        "edges": [
-            {"from": ids[v], "label": a, "to": ids[c]}
-            for v in order
-            for a, c in t.children.get(v, ())
-        ],
+        "nodes": [{"id": v, "label": label} for v, label in zip(ids, t._label)],
+        "edges": [{"from": ids[parent[c]], "label": letter[c], "to": ids[c]} for c in t._kids],
     }
 
 

@@ -1,16 +1,34 @@
 """Finite-radius unfolding of the tree generated from an automaton state.
 
 The infinite tree of runs is materialized only as a disc: all nodes within a
-given distance of the root.  Nodes of a pDFA unfolding are words (tuples of
-letters); nodes of an mNFA unfolding are run prefixes (tuples of transition
-ids).  No operation here ever inspects node identity, so discs loaded from
-JSON with opaque string ids behave the same.
+given distance of the root.  A disc numbers its nodes ``0 .. n-1`` in
+``sorted_nodes`` order (by level, then by the type name and ``repr`` of
+their handles), so the root is node 0 and every child comes after its
+parent.  It holds flat lists indexed by node number: the parent, the letter
+on the edge from the parent, the label and the level, and each node's
+children as one slice of a shared child list.  Every operation here works on
+those numbers.
+
+A node's *handle* is the name a caller uses for it.  In a pDFA unfolding it
+is the word (tuple of letters) read from the root; in an mNFA unfolding, the
+run prefix (tuple of transition ids).  Discs made from an unfolded one by
+``end_cone``, ``reroot_disc`` and ``truncate`` keep those words.  A disc
+loaded from JSON uses its string ids, and one built with the constructor the
+keys of its dicts.  No operation inspects a handle beyond its ``repr``, so
+all kinds of disc behave the same.
+
+The dict views ``labels``, ``children``, ``level`` and ``parent`` are keyed
+by handles and built on first read.  A word handle passed to ``end_cone``,
+``reroot_disc`` or ``children_of`` is found by walking down from the root,
+so those stay linear in the depth.  The views of a deep unfolded disc, and
+its DOT output, spell out every word: their time and memory are quadratic
+in the depth.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Hashable, Iterable, Iterator
+from bisect import bisect_right
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .alphabet import InvolutiveAlphabet
 from .automata import MNfa, PDfa
@@ -33,8 +51,23 @@ def _node_sort_key(v: Node):
     return (type(v).__name__, repr(v))
 
 
-def _last_step_key(w: Word) -> str:
-    return repr(w[-1])
+def _link(order: Iterable, out: Callable) -> tuple[dict, list[int], list, list[int], list[int]]:
+    """Number the nodes ``order`` by their place in it, and list the parent,
+    edge letter, child offsets and children of each; ``out(v)`` gives the
+    ``(letter, child)`` pairs of ``v`` in child order."""
+    pos = {v: i for i, v in enumerate(order)}
+    parent = [-1] * len(pos)
+    letter: list = [None] * len(pos)
+    kids: list[int] = []
+    off = [0]
+    for i, v in enumerate(order):
+        for a, c in out(v):
+            j = pos[c]
+            parent[j] = i
+            letter[j] = a
+            kids.append(j)
+        off.append(len(kids))
+    return pos, parent, letter, off, kids
 
 
 class DiscTree:
@@ -42,10 +75,39 @@ class DiscTree:
 
     Stored as parent-to-child edges; the inverse edges of the involutive
     closure are derived on demand.  ``radius`` is the validity bound of the
-    disc and may exceed the actual height.
+    disc and may exceed the actual height.  The constructor takes the
+    ``labels`` and ``children`` dicts keyed by node handles; they become its
+    views.
     """
 
-    __slots__ = ("radius", "root", "labels", "children", "alphabet", "level", "parent")
+    __slots__ = (
+        "radius",
+        "root",
+        "alphabet",
+        # Node number -> parent number (-1 at the root), letter on the edge
+        # from the parent (None at the root), label and level.
+        "_parent",
+        "_letter",
+        "_label",
+        "_level",
+        # The children of node i, in child order, are _kids[_off[i]:_off[i + 1]].
+        "_off",
+        "_kids",
+        # Handles come from one of three places: the list ``_names``; for an
+        # unfolded disc, the step on each node's edge (``_steps``); or the
+        # nodes ``_src_ids`` of the unfolded disc ``_src``.  ``_names`` also
+        # caches the words of the other two.  ``_ids`` maps a handle to its
+        # number, or for a ``_src`` disc, a source number to its own.
+        "_names",
+        "_steps",
+        "_src",
+        "_src_ids",
+        "_ids",
+        "_labels",
+        "_children",
+        "_levels",
+        "_parents",
+    )
 
     def __init__(
         self,
@@ -59,51 +121,204 @@ class DiscTree:
             raise ValueError("radius must be non-negative")
         if root not in labels:
             raise ValueError("root must be a labeled node")
-        self.radius = radius
-        self.root = root
-        self.labels = labels
-        self.children = children
-        self.alphabet = alphabet
         level: dict[Node, int] = {root: 0}
-        parent: dict[Node, tuple[Node, str]] = {}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+        order = [root]
+        for v in order:  # ``order`` grows while it is read: a breadth-first walk
             for a, c in children.get(v, ()):
                 if c in level:
                     raise ValueError(f"node {c!r} has two parents")
                 if c not in labels:
                     raise ValueError(f"child node {c!r} is not labeled")
                 level[c] = level[v] + 1
-                parent[c] = (v, a)
-                queue.append(c)
+                order.append(c)
         if len(level) != len(labels):
             raise ValueError("some labeled nodes are not reachable from the root")
-        if level and max(level.values()) > radius:
+        if level[order[-1]] > radius:
             raise ValueError("node level exceeds the declared radius")
-        self.level = level
-        self.parent = parent
+        order.sort(key=lambda v: (level[v], _node_sort_key(v)))
+        ids, parent, letter, off, kids = _link(order, lambda v: children.get(v, ()))
+        label = [labels[v] for v in order]
+        self._set(radius, root, alphabet, parent, letter, label, [level[v] for v in order], off, kids, names=order)
+        self._ids = ids
+        self._labels, self._children, self._levels = labels, children, level
+
+    def _set(
+        self, radius, root, alphabet, parent, letter, label, level, off, kids,
+        *, names=None, steps=None, src=None, src_ids=None,
+    ) -> None:
+        self.radius = radius
+        self.root = root
+        self.alphabet = alphabet
+        self._parent, self._letter, self._label, self._level = parent, letter, label, level
+        self._off, self._kids = off, kids
+        self._names, self._steps, self._src, self._src_ids = names, steps, src, src_ids
+        self._ids = self._labels = self._children = self._levels = self._parents = None
+
+    @classmethod
+    def _from_arrays(cls, *args, **handles) -> DiscTree:
+        t = cls.__new__(cls)
+        t._set(*args, **handles)
+        return t
+
+    def _derived(self, radius: int, root: Node, order: Iterable[int], level: list[int], out: Callable) -> DiscTree:
+        """The disc on this disc's nodes ``order``, listed in its
+        ``sorted_nodes`` order, with their handles and labels; ``out(u)``
+        gives node ``u``'s ``(letter, child)`` pairs in child order."""
+        _, parent, letter, off, kids = _link(order, out)
+        label = [self._label[u] for u in order]
+        args = (radius, root, self.alphabet, parent, letter, label, level, off, kids)
+        if self._src is not None:
+            return DiscTree._from_arrays(*args, src=self._src, src_ids=[self._src_ids[u] for u in order])
+        if self._steps is not None:
+            return DiscTree._from_arrays(*args, src=self, src_ids=list(order))
+        return DiscTree._from_arrays(*args, names=[self._names[u] for u in order])
+
+    def _out(self, u: int) -> list[tuple[str, int]]:
+        """``(letter, child)`` for each child of node ``u``, in child order."""
+        letter = self._letter
+        return [(letter[c], c) for c in self._kids[self._off[u] : self._off[u + 1]]]
+
+    def _handles(self) -> list[Node]:
+        """Every node's handle, by number; words are built on first use."""
+        if self._names is None:
+            if self._src is not None:
+                words = self._src._handles()
+                self._names = [words[k] for k in self._src_ids]
+            else:  # each word extends its parent's by one step
+                parent, steps = self._parent, self._steps
+                words = [()]
+                for c in range(1, len(parent)):
+                    words.append(words[parent[c]] + (steps[c],))
+                self._names = words
+        return self._names
+
+    def _handle(self, i: int) -> Node:
+        """The handle of node ``i``, without building the others."""
+        if self._names is not None:
+            return self._names[i]
+        if self._src is not None:
+            return self._src._handle(self._src_ids[i])
+        path = []  # the steps from node i up to the root
+        while i > 0:
+            path.append(self._steps[i])
+            i = self._parent[i]
+        return tuple(reversed(path))
+
+    def _find(self, v: Node) -> int:
+        """The number of the node whose handle is ``v``."""
+        if self._steps is not None:  # a word: walk down from the root
+            i = 0
+            if type(v) is tuple:
+                steps, kids, off = self._steps, self._kids, self._off
+                for s in v:
+                    i = next((c for c in kids[off[i] : off[i + 1]] if steps[c] == s), -1)
+                    if i < 0:
+                        break
+                else:
+                    return i
+        elif self._src is not None:
+            if self._ids is None:
+                self._ids = {k: i for i, k in enumerate(self._src_ids)}
+            i = self._ids.get(self._src._find(v), -1)
+            if i >= 0:
+                return i
+        else:
+            if self._ids is None:
+                self._ids = {v: i for i, v in enumerate(self._names)}
+            if v in self._ids:
+                return self._ids[v]
+        raise UnknownNodeError(f"node {v!r} is not in the tree")
+
+    def _sort_keys(self) -> list:
+        """A key per node number that orders handles as their type name and
+        ``repr`` do, for sorting nodes of a disc made from this one."""
+        if self._src is not None:
+            ranks = self._src._sort_keys()
+            return [ranks[k] for k in self._src_ids]
+        if self._steps is None:
+            return list(map(_node_sort_key, self._names))
+        return self._word_ranks()
+
+    def _word_ranks(self) -> list[int]:
+        """The rank of each word among all words of this unfolded disc in
+        ``repr`` order, found by one depth-first walk.
+
+        Siblings are numbered by the ``repr`` of their steps, so words that
+        are not prefixes of one another come in the walk's order.  A word
+        ``u`` and its extension ``w`` compare where ``repr(u)`` closes: for
+        two or more steps ``)`` against ``,``, so ``u`` is first; for one
+        step ``,)`` against ``, ``, so ``w`` is; for the root ``()``
+        against a quote (``str`` steps, ``w`` first) or a digit or minus
+        sign (``int`` steps, ``u`` first).  Each node is ranked before or
+        after its descendants accordingly.
+        """
+        parent, level, kids, off = self._parent, self._level, self._kids, self._off
+        root_last = len(parent) > 1 and type(self._steps[1]) is not int
+        order: list[int] = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            if v < 0:  # leaving ~v
+                order.append(~v)
+                continue
+            if level[v] == 1 or (v == 0 and root_last):
+                stack.append(~v)
+            else:
+                order.append(v)
+            stack += sorted(kids[off[v] : off[v + 1]], reverse=True)
+        ranks = [0] * len(parent)
+        for r, v in enumerate(order):
+            ranks[v] = r
+        return ranks
+
+    @property
+    def labels(self) -> dict[Node, str]:
+        if self._labels is None:
+            self._labels = dict(zip(self._handles(), self._label))
+        return self._labels
+
+    @property
+    def children(self) -> dict[Node, tuple[tuple[str, Node], ...]]:
+        if self._children is None:
+            h, letter, kids, off = self._handles(), self._letter, self._kids, self._off
+            self._children = {
+                h[i]: tuple((letter[c], h[c]) for c in kids[off[i] : off[i + 1]])
+                for i in range(len(h))
+                if off[i] < off[i + 1]
+            }
+        return self._children
+
+    @property
+    def level(self) -> dict[Node, int]:
+        if self._levels is None:
+            self._levels = dict(zip(self._handles(), self._level))
+        return self._levels
+
+    @property
+    def parent(self) -> dict[Node, tuple[Node, str]]:
+        if self._parents is None:
+            h, parent, letter = self._handles(), self._parent, self._letter
+            self._parents = {h[c]: (h[parent[c]], letter[c]) for c in range(1, len(h))}
+        return self._parents
 
     @property
     def nodes(self) -> Iterable[Node]:
         return self.labels.keys()
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self._label)
 
     def height(self) -> int:
-        return max(self.level.values())
+        return self._level[-1]
 
     def children_of(self, v: Node) -> tuple[tuple[str, Node], ...]:
-        if v not in self.labels:
-            raise UnknownNodeError(f"node {v!r} is not in the tree")
-        return self.children.get(v, ())
+        return tuple((a, self._handle(c)) for a, c in self._out(self._find(v)))
 
     def down_edges(self) -> Iterator[tuple[Node, str, Node]]:
         """One edge per involutive pair, oriented from parent to child."""
-        for v in self.labels:
-            for a, c in self.children.get(v, ()):
-                yield (v, a, c)
+        h, parent, letter = self._handles(), self._parent, self._letter
+        for c in self._kids:
+            yield (h[parent[c]], letter[c], h[c])
 
     def closure_edges(self) -> Iterator[tuple[Node, str, Node]]:
         """All edges of the involutive closure."""
@@ -112,28 +327,9 @@ class DiscTree:
             yield (c, self.alphabet.inv(a), v)
 
     def sorted_nodes(self) -> list[Node]:
-        """Nodes by level, then by type name and ``repr`` within a level.
-
-        When every node but the root is a word that extends its parent's by
-        one ``str`` or ``int`` step, as unfolding makes them, the order is
-        built breadth-first without the ``repr`` of a whole word, which
-        costs time quadratic in the depth: two words of one length compare
-        by ``repr`` as the reprs of the first step at which they differ
-        (no ``str`` repr is a prefix of another, and the separators after a
-        step sort below digits), so a word's place within its level is its
-        parent's place, then the ``repr`` of its last step.
-        """
-        words = all(
-            type(c) is tuple and c[:-1] == v and type(c[-1]) in (str, int)
-            for v, kids in self.children.items()
-            for _, c in kids
-        )
-        if not words:
-            return sorted(self.labels, key=lambda v: (self.level[v], _node_sort_key(v)))
-        order = [self.root]
-        for v in order:  # ``order`` grows while it is read: a breadth-first walk
-            order += sorted((c for _, c in self.children.get(v, ())), key=_last_step_key)
-        return order
+        """Nodes by level, then by type name and ``repr`` within a level:
+        the handles in node-number order."""
+        return list(self._handles())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscTree):
@@ -147,84 +343,113 @@ class DiscTree:
         )
 
     def __repr__(self) -> str:
-        return f"DiscTree(radius={self.radius}, nodes={len(self.labels)})"
+        return f"DiscTree(radius={self.radius}, nodes={len(self)})"
 
 
 def _unfold(
-    table: dict[str, tuple], p: str, radius: int, max_nodes: int, alphabet: InvolutiveAlphabet
+    radius: int,
+    max_nodes: int,
+    alphabet: InvolutiveAlphabet,
+    start,
+    moves: Callable,
+    names: list[str] | None,
+    by_value: bool,
 ) -> DiscTree:
-    # ``table[state]`` lists the (label, step, target) of each edge out of
-    # ``state``; a child node is its parent's tuple extended by the step.
-    if p not in table:
-        raise UnknownStateError(f"state {p!r} is not in the automaton")
-    root: Word = ()
-    labels: dict[Node, str] = {root: p}
-    children: dict[Node, tuple[tuple[str, Node], ...]] = {}
-    frontier: list[tuple[Node, str]] = [(root, p)]
-    for _ in range(radius):
-        if not frontier:  # every branch ended: a larger radius adds nothing
+    # A breadth-first walk from the frontier only.  ``moves(state)`` lists
+    # the (step, letter, target) of each edge out of ``state`` by the
+    # ``repr`` of its step, so the children of a node get consecutive numbers
+    # in ``sorted_nodes`` order.  Child order is by step value, as the
+    # automaton lists its edges; ``by_value`` says the two orders may differ.
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    parent, steps, letter, state, level = [-1], [None], [None], [start], [0]
+    off: list[int] = []  # one entry per expanded node, in number order
+    for depth in range(1, radius + 1):
+        end = len(parent)
+        if len(off) == end:  # every branch ended: a larger radius adds nothing
             break
-        nxt: list[tuple[Node, str]] = []
-        for node, state in frontier:
-            kids = []
-            try:
-                edges = table[state]
-            except KeyError:  # an edge into a state the automaton lacks
-                raise UnknownStateError(f"state {state!r} is not in the automaton") from None
-            for label, step, target in edges:
-                child = node + (step,)
-                labels[child] = target
-                kids.append((label, child))
-                nxt.append((child, target))
-            if kids:
-                children[node] = tuple(kids)
-            if len(labels) > max_nodes:
-                raise MaterializationLimitError(
-                    f"unfolding would exceed {max_nodes} nodes"
-                )
-        frontier = nxt
-    return DiscTree(radius, root, labels, children, alphabet)
+        for v in range(len(off), end):
+            off.append(len(parent) - 1)  # child c sits at kids[c - 1]
+            for step, a, q in moves(state[v]):
+                parent.append(v)
+                steps.append(step)
+                letter.append(a)
+                state.append(q)
+            if len(parent) > max_nodes:
+                raise MaterializationLimitError(f"unfolding would exceed {max_nodes} nodes")
+        level += [depth] * (len(parent) - end)
+    n = len(parent)
+    off += [n - 1] * (n + 1 - len(off))
+    kids = list(range(1, n))
+    if by_value:
+        for v in range(n):
+            a, b = off[v], off[v + 1]
+            if b - a > 1:
+                kids[a:b] = sorted(kids[a:b], key=steps.__getitem__)
+    label = state if names is None else [names[q] for q in state]
+    return DiscTree._from_arrays(radius, (), alphabet, parent, letter, label, level, off, kids, steps=steps)
 
 
 def unfold_mnfa(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> DiscTree:
     """Disc of the run tree of ``m`` started in ``p``.
 
-    Nodes are runs (tuples of transition ids) of length at most ``radius``;
-    each node is labeled with the state its run ends in.
+    Nodes are runs of length at most ``radius``; a node's handle is its run
+    as a tuple of transition ids, and its label the state the run ends in.
     """
-    table = {
-        s: tuple((t.label, t.tid, t.dst) for t in m.transitions_from(s))
-        for s in m.states
-    }
-    return _unfold(table, p, radius, max_nodes, m.alphabet)
+    if p not in m.states:
+        raise UnknownStateError(f"state {p!r} is not in the automaton")
+
+    def moves(s: str) -> list[tuple[int, str, str]]:
+        ts = sorted(m.transitions_from(s), key=lambda t: repr(t.tid))
+        for t, u in zip(ts, ts[1:]):
+            if t.tid == u.tid:  # two children would share one run
+                raise ValueError(f"transition id {t.tid} is used twice from state {s!r}")
+        return [(t.tid, t.label, t.dst) for t in ts]
+
+    return _unfold(radius, max_nodes, m.alphabet, p, moves, None, True)
 
 
 def unfold_pdfa(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> DiscTree:
     """Disc of the tree generated from state ``p`` of a pDFA.
 
-    Nodes are the words of length at most ``radius`` readable from ``p``; the
-    parent of ``wa`` is ``w`` and labels record the state reached.
+    Nodes are the words of length at most ``radius`` readable from ``p``; a
+    node's handle is its word, the parent of ``wa`` is ``w`` and labels
+    record the state reached.  The walk reads the pDFA's index.
     """
+    if p not in d.states:
+        raise UnknownStateError(f"state {p!r} is not in the automaton")
     ix = d._indexed()
-    table = {s: tuple((a, a, t) for a, t in ix.edges(s)) for s in d.states}
-    return _unfold(table, p, radius, max_nodes, d.alphabet)
+    known = len(d.states)  # ids past these name states only transitions mention
+    columns = sorted(zip(ix.letters, ix.succ), key=lambda xc: repr(xc[0]))
+
+    def moves(s: int) -> list[tuple[str, str, int]]:
+        if s >= known:
+            raise UnknownStateError(f"state {ix.names[s]!r} is not in the automaton")
+        return [(x, x, q) for x, col in columns if (q := col[s]) >= 0]
+
+    by_value = [x for x, _ in columns] != ix.letters
+    return _unfold(radius, max_nodes, d.alphabet, ix.ids[p], moves, ix.names, by_value)
 
 
-def _canonical_forms(trees: list[DiscTree]) -> list[dict[Node, int]]:
-    # Forms are interned in a table shared across the given trees, so equal
-    # ids mean isomorphic (unlabeled) subtrees even across trees.
+def _canonical_forms(trees: list[DiscTree]) -> list[list[int]]:
+    # A node's form is the sorted tuple of (letter, child form) pairs,
+    # interned in a table shared across the given trees, so equal ids mean
+    # isomorphic (unlabeled) subtrees even across trees.  Reversed node
+    # order lists every child before its parent.
     table: dict[tuple, int] = {}
     result = []
     for t in trees:
-        forms: dict[Node, int] = {}
-        for v in sorted(t.labels, key=lambda u: -t.level[u]):
-            key = tuple(sorted((a, forms[c]) for a, c in t.children.get(v, ())))
+        kids, off, letter = t._kids, t._off, t._letter
+        forms = [0] * len(t)
+        for v in reversed(range(len(forms))):
+            a, b = off[v], off[v + 1]
+            key = tuple(sorted([(letter[c], forms[c]) for c in kids[a:b]])) if a < b else ()
             forms[v] = table.setdefault(key, len(table))
         result.append(forms)
     return result
 
 
-def _labeled_iso_exists(x: DiscTree, y: DiscTree, fx: dict[Node, int], fy: dict[Node, int]) -> bool:
+def _labeled_iso_exists(x: DiscTree, y: DiscTree, fx: list[int], fy: list[int]) -> bool:
     # Search for a bijection beta on node labels together with a rooted
     # isomorphism.  Equal canonical forms already settle the shape, so only
     # the labels need a search.  Pending work is a linked list (item, rest)
@@ -237,14 +462,15 @@ def _labeled_iso_exists(x: DiscTree, y: DiscTree, fx: dict[Node, int], fy: dict[
     beta_inv: dict[str, str] = {}
     trail: list[str] = []
     choices: list[tuple] = []
-    work: tuple | None = (((x.root,), (y.root,)), None)
+    work: tuple | None = (((0,), (0,)), None)
     j = 0
+    xk, xo, xa, yk, yo, ya = x._kids, x._off, x._letter, y._kids, y._off, y._letter
     while work is not None:
         (xs, ys), rest = work
         if j + 1 < len(ys):
             choices.append((xs, ys, j + 1, rest, len(trail)))
         v, w = xs[0], ys[j]
-        lv, lw = x.labels[v], y.labels[w]
+        lv, lw = x._label[v], y._label[w]
         if beta.get(lv, lw) == lw and beta_inv.get(lw, lv) == lv:
             if lv not in beta:
                 beta[lv] = lw
@@ -252,11 +478,11 @@ def _labeled_iso_exists(x: DiscTree, y: DiscTree, fx: dict[Node, int], fy: dict[
                 trail.append(lv)
             if len(xs) > 1:
                 rest = ((xs[1:], ys[:j] + ys[j + 1 :]), rest)
-            groups: dict[tuple[str, int], tuple[list[Node], list[Node]]] = {}
-            for a, c in x.children.get(v, ()):
-                groups.setdefault((a, fx[c]), ([], []))[0].append(c)
-            for a, c in y.children.get(w, ()):
-                groups[(a, fy[c])][1].append(c)
+            groups: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
+            for c in xk[xo[v] : xo[v + 1]]:
+                groups.setdefault((xa[c], fx[c]), ([], []))[0].append(c)
+            for c in yk[yo[w] : yo[w + 1]]:
+                groups[(ya[c], fy[c])][1].append(c)
             for item in groups.values():
                 rest = (item, rest)
             work, j = rest, 0
@@ -283,7 +509,7 @@ def disc_equal_rooted(x: DiscTree, y: DiscTree, *, use_labels: bool = False) -> 
     if x.radius != y.radius:
         raise RadiusMismatchError(f"radii differ: {x.radius} vs {y.radius}")
     fx, fy = _canonical_forms([x, y])
-    if fx[x.root] != fy[y.root]:
+    if fx[0] != fy[0]:
         return False
     if not use_labels:
         return True
@@ -296,19 +522,13 @@ def end_cone(t: DiscTree, v: Node) -> DiscTree:
     Its radius is what remains of the disc below ``v``; in a tree, ``v`` is
     the unique frontier point of its end-cone.
     """
-    if v not in t.labels:
-        raise UnknownNodeError(f"node {v!r} is not in the tree")
-    labels: dict[Node, str] = {}
-    children: dict[Node, tuple[tuple[str, Node], ...]] = {}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        labels[u] = t.labels[u]
-        kids = t.children.get(u, ())
-        if kids:
-            children[u] = kids
-            queue.extend(c for _, c in kids)
-    return DiscTree(t.radius - t.level[v], v, labels, children, t.alphabet)
+    i = t._find(v)
+    cone = [i]
+    for u in cone:  # ``cone`` grows while it is read
+        cone += t._kids[t._off[u] : t._off[u + 1]]
+    cone.sort()  # levels differ from ``t``'s by one constant, so the order holds
+    top = t._level[i]
+    return t._derived(t.radius - top, v, cone, [t._level[u] - top for u in cone], t._out)
 
 
 def reroot_disc(t: DiscTree, v: Node) -> DiscTree:
@@ -317,62 +537,55 @@ def reroot_disc(t: DiscTree, v: Node) -> DiscTree:
     A disc of radius ``r`` only determines the re-rooted tree out to distance
     ``r - level(v)`` from ``v``, so the result is truncated to that radius.
     """
-    if v not in t.labels:
-        raise UnknownNodeError(f"node {v!r} is not in the tree")
-    new_radius = t.radius - t.level[v]
-    labels: dict[Node, str] = {v: t.labels[v]}
-    children: dict[Node, tuple[tuple[str, Node], ...]] = {}
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
+    i = t._find(v)
+    new_radius = t.radius - t._level[i]
+    parent, letter = t._parent, t._letter
+    dist = {i: 0}
+    order = [i]
+    out: dict[int, list[tuple[str, int]]] = {}
+    for u in order:  # ``order`` grows while it is read: a breadth-first walk
         if dist[u] == new_radius:
             continue
-        kids: list[tuple[str, Node]] = []
-        if u in t.parent:
-            par, letter = t.parent[u]
-            if par not in dist:
-                kids.append((t.alphabet.inv(letter), par))
-        for a, c in t.children.get(u, ()):
-            if c not in dist:
-                kids.append((a, c))
-        for a, c in kids:
+        kids: list[tuple[str, int]] = []
+        if parent[u] >= 0 and parent[u] not in dist:
+            kids.append((t.alphabet.inv(letter[u]), parent[u]))
+        kids += [(a, c) for a, c in t._out(u) if c not in dist]
+        for _, c in kids:
             dist[c] = dist[u] + 1
-            labels[c] = t.labels[c]
-            queue.append(c)
-        if kids:
-            children[u] = tuple(kids)
-    return DiscTree(new_radius, v, labels, children, t.alphabet)
+            order.append(c)
+        out[u] = kids
+    keys = t._sort_keys()
+    order.sort(key=lambda u: (dist[u], keys[u]))
+    return t._derived(new_radius, v, order, [dist[u] for u in order], lambda u: out.get(u, ()))
 
 
 def truncate(t: DiscTree, radius: int) -> DiscTree:
     """Restriction of the disc to the nodes of level at most ``radius``."""
     if radius > t.radius:
         raise RadiusMismatchError(f"cannot extend a disc of radius {t.radius} to {radius}")
-    labels = {v: lab for v, lab in t.labels.items() if t.level[v] <= radius}
-    children = {
-        v: kids
-        for v, kids in t.children.items()
-        if t.level[v] < radius
-    }
-    return DiscTree(radius, t.root, labels, children, t.alphabet)
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    inner = bisect_right(t._level, radius - 1)  # the nodes that keep their children
+    n = bisect_right(t._level, radius)
+    return t._derived(radius, t.root, range(n), t._level[:n], lambda u: t._out(u) if u < inner else ())
 
 
 def nondeterministic_vertex(t: DiscTree) -> Node | None:
     """A node whose involutive closure has two equal-labeled outgoing edges.
 
-    Of several such nodes, the first in ``sorted_nodes`` order, found
-    without sorting the tree.
+    Of several such nodes, the first in ``sorted_nodes`` order: the one with
+    the smallest number.
     """
-    bad = []
-    for v in t.labels:
-        letters = [a for a, _ in t.children.get(v, ())]
-        if v in t.parent:
-            _, down = t.parent[v]
-            letters.append(t.alphabet.inv(down))
-        if len(set(letters)) < len(letters):
-            bad.append(v)
-    return min(bad, key=lambda v: (t.level[v], _node_sort_key(v)), default=None)
+    parent, letter = t._parent, t._letter
+    back = [None, *map(t.alphabet.inv, letter[1:])]  # the letter from each node to its parent
+    seen: set[tuple[int, str]] = set()
+    bad = len(parent)
+    for c in range(1, len(parent)):
+        p, a = parent[c], letter[c]
+        if (p, a) in seen or a == back[p]:
+            bad = min(bad, p)
+        seen.add((p, a))
+    return t._handle(bad) if bad < len(parent) else None
 
 
 def _dot_quote(s: str) -> str:
@@ -394,14 +607,12 @@ def export_dot(obj: DiscTree | MNfa | PDfa) -> str:
     """
     lines = ["digraph {"]
     if isinstance(obj, DiscTree):
-        order = obj.sorted_nodes()
-        ids = {v: f"n{i}" for i, v in enumerate(order)}
-        for v in order:
-            text = f"{_word_text(v)} : {obj.labels[v]}"
-            lines.append(f"  {ids[v]} [label={_dot_quote(text)}];")
-        for v in order:
-            for a, c in obj.children.get(v, ()):
-                lines.append(f"  {ids[v]} -> {ids[c]} [label={_dot_quote(a)}];")
+        for i, (v, label) in enumerate(zip(obj._handles(), obj._label)):
+            text = f"{_word_text(v)} : {label}"
+            lines.append(f"  n{i} [label={_dot_quote(text)}];")
+        parent, letter = obj._parent, obj._letter
+        for c in obj._kids:
+            lines.append(f"  n{parent[c]} -> n{c} [label={_dot_quote(letter[c])}];")
     elif isinstance(obj, MNfa):
         for s in sorted(obj.states):
             lines.append(f"  {_dot_quote(s)};")

@@ -19,7 +19,11 @@ row with ``_require_fields``, and the standard library's indenting encoder,
 check the one-pass readers and the column writer of ``cftree.jsonio``.  The
 quotient that renames classes through string dicts checks the one built
 straight from the refinement's blocks, and a plain ``repr`` sort checks the
-breadth-first node order of word discs.
+breadth-first node order of word discs.  Discs unfolded as word tuples and
+handed to the ``DiscTree`` constructor, with the document writer, DOT
+writer, compression and determinism scan read off their dict views, check
+the discs that unfold, write and compress on node numbers; a filter over
+the ``delta`` map checks the ``trim`` that restricts the index.
 """
 
 import json
@@ -31,6 +35,7 @@ from cftree import (
     DEFAULT_MAX_NODES,
     Gap2Instance,
     MaterializationLimitError,
+    NondeterministicTreeError,
     MNfa,
     NonRootedWitness,
     PDfa,
@@ -48,7 +53,8 @@ from cftree import (
     trim,
 )
 from cftree.jsonio import _require_fields, alphabet_from_doc
-from cftree.unfolding import DiscTree, Node, Word, _canonical_forms, _node_sort_key
+from cftree.jsonio import alphabet_to_doc
+from cftree.unfolding import DiscTree, Node, Word, _dot_quote, _node_sort_key, _word_text
 
 ENUMERATION_CUTOFF = 8
 
@@ -514,7 +520,7 @@ def labeled_iso_recursive(x: DiscTree, y: DiscTree) -> bool:
     and the search may answer False on isomorphic discs.  It also recurses
     once per level, so deep discs exhaust Python's recursion limit.
     """
-    fx, fy = _canonical_forms([x, y])
+    fx, fy = canonical_forms_by_handle([x, y])
     if fx[x.root] != fy[y.root]:
         return False
     # Search for a bijection beta on node labels together with a rooted
@@ -764,6 +770,20 @@ def sorted_nodes_by_repr(t: DiscTree) -> list[Node]:
     return sorted(t.labels, key=lambda v: (t.level[v], _node_sort_key(v)))
 
 
+def nondeterministic_vertex_by_repr(t: DiscTree) -> Node | None:
+    """The bad node of least level, type name and ``repr``, found by a scan
+    of the dict views."""
+    bad = []
+    for v in t.labels:
+        letters = [a for a, _ in t.children.get(v, ())]
+        if v in t.parent:
+            _, down = t.parent[v]
+            letters.append(t.alphabet.inv(down))
+        if len(set(letters)) < len(letters):
+            bad.append(v)
+    return min(bad, key=lambda v: (t.level[v], _node_sort_key(v)), default=None)
+
+
 def nondeterministic_vertex_sorted(t: DiscTree) -> Node | None:
     """The first bad node of a scan in ``sorted_nodes`` order."""
     for v in t.sorted_nodes():
@@ -774,3 +794,153 @@ def nondeterministic_vertex_sorted(t: DiscTree) -> Node | None:
         if len(set(letters)) < len(letters):
             return v
     return None
+
+
+def unfold_by_words(
+    table: dict[str, tuple], p: str, radius: int, max_nodes: int, alphabet
+) -> DiscTree:
+    """A disc whose nodes are word tuples, built level by level and handed
+    to the ``DiscTree`` constructor as dicts.
+
+    ``table[state]`` lists the (label, step, target) of each edge out of
+    ``state``; a child node is its parent's tuple extended by the step.
+    """
+    if p not in table:
+        raise UnknownStateError(f"state {p!r} is not in the automaton")
+    root: Word = ()
+    labels: dict[Node, str] = {root: p}
+    children: dict[Node, tuple[tuple[str, Node], ...]] = {}
+    frontier: list[tuple[Node, str]] = [(root, p)]
+    for _ in range(radius):
+        if not frontier:
+            break
+        nxt: list[tuple[Node, str]] = []
+        for node, state in frontier:
+            kids = []
+            try:
+                edges = table[state]
+            except KeyError:
+                raise UnknownStateError(f"state {state!r} is not in the automaton") from None
+            for label, step, target in edges:
+                child = node + (step,)
+                labels[child] = target
+                kids.append((label, child))
+                nxt.append((child, target))
+            if kids:
+                children[node] = tuple(kids)
+            if len(labels) > max_nodes:
+                raise MaterializationLimitError(f"unfolding would exceed {max_nodes} nodes")
+        frontier = nxt
+    return DiscTree(radius, root, labels, children, alphabet)
+
+
+def unfold_pdfa_by_words(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> DiscTree:
+    """``unfold_pdfa`` through an edge table over every state and word tuples."""
+    table = {s: tuple((a, a, d.delta[(s, a)]) for a in sorted(d.out_set(s))) for s in d.states}
+    return unfold_by_words(table, p, radius, max_nodes, d.alphabet)
+
+
+def unfold_mnfa_by_words(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> DiscTree:
+    """``unfold_mnfa`` through an edge table over every state and word tuples."""
+    table = {s: tuple((t.label, t.tid, t.dst) for t in m.transitions_from(s)) for s in m.states}
+    return unfold_by_words(table, p, radius, max_nodes, m.alphabet)
+
+
+def sorted_nodes_by_words(t: DiscTree) -> list[Node]:
+    """``sorted_nodes`` read off the dict views.
+
+    When every node but the root is a word that extends its parent's by one
+    ``str`` or ``int`` step, the order is built breadth-first, each node's
+    children by the ``repr`` of their last step; otherwise it is the plain
+    ``repr`` sort.
+    """
+    words = all(
+        type(c) is tuple and c[:-1] == v and type(c[-1]) in (str, int)
+        for v, kids in t.children.items()
+        for _, c in kids
+    )
+    if not words:
+        return sorted_nodes_by_repr(t)
+    order = [t.root]
+    for v in order:
+        order += sorted((c for _, c in t.children.get(v, ())), key=lambda w: repr(w[-1]))
+    return order
+
+
+def canonical_forms_by_handle(trees: list[DiscTree]) -> list[dict[Node, int]]:
+    """Bottom-up shape ids keyed by handle, shared across ``trees``."""
+    table: dict[tuple, int] = {}
+    result = []
+    for t in trees:
+        forms: dict[Node, int] = {}
+        for v in sorted(t.labels, key=lambda u: -t.level[u]):
+            key = tuple(sorted((a, forms[c]) for a, c in t.children.get(v, ())))
+            forms[v] = table.setdefault(key, len(table))
+        result.append(forms)
+    return result
+
+
+def tree_to_doc_by_views(t: DiscTree, order: list[Node]) -> dict:
+    """The tree document of ``t`` with its nodes listed in ``order``."""
+    ids = {v: f"v{i}" for i, v in enumerate(order)}
+    return {
+        "radius": t.radius,
+        "root": ids[t.root],
+        "alphabet": alphabet_to_doc(t.alphabet),
+        "nodes": [{"id": ids[v], "label": t.labels[v]} for v in order],
+        "edges": [
+            {"from": ids[v], "label": a, "to": ids[c]}
+            for v in order
+            for a, c in t.children.get(v, ())
+        ],
+    }
+
+
+def export_dot_by_views(t: DiscTree, order: list[Node]) -> str:
+    """The DOT text of ``t`` with its nodes listed in ``order``."""
+    ids = {v: f"n{i}" for i, v in enumerate(order)}
+    lines = ["digraph {"]
+    for v in order:
+        text = f"{_word_text(v)} : {t.labels[v]}"
+        lines.append(f"  {ids[v]} [label={_dot_quote(text)}];")
+    for v in order:
+        for a, c in t.children.get(v, ()):
+            lines.append(f"  {ids[v]} -> {ids[c]} [label={_dot_quote(a)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def compress_finite_tree_by_views(t: DiscTree) -> tuple[PDfa, str]:
+    """``compress_finite_tree`` on the dict views, with the nodes taken in
+    ``repr`` order."""
+    bad = nondeterministic_vertex_by_repr(t)
+    if bad is not None:
+        raise NondeterministicTreeError(f"involutive closure is not deterministic at node {bad!r}")
+    (forms,) = canonical_forms_by_handle([t])
+    state_of_form: dict[int, str] = {}
+    rep_of_form: dict[int, Node] = {}
+    for v in sorted_nodes_by_repr(t):
+        if forms[v] not in state_of_form:
+            state_of_form[forms[v]] = f"c{len(state_of_form)}"
+            rep_of_form[forms[v]] = v
+    delta = {
+        (state_of_form[f], a): state_of_form[forms[c]]
+        for f, rep in rep_of_form.items()
+        for a, c in t.children.get(rep, ())
+    }
+    return PDfa(state_of_form.values(), t.alphabet, delta), state_of_form[forms[t.root]]
+
+
+def trim_by_delta(d: PDfa, root: str) -> PDfa:
+    """``trim`` of a pDFA as a filter over its ``delta`` map."""
+    if root not in d.states:
+        raise UnknownStateError(f"state {root!r} is not in the automaton")
+    out: dict[str, list[str]] = {}
+    for (p, _), q in d.delta.items():
+        out.setdefault(p, []).append(q)
+    keep = {root}
+    frontier = [root]
+    while frontier:
+        frontier = [q for p in frontier for q in out.get(p, ()) if q not in keep]
+        keep.update(frontier)
+    return PDfa(keep, d.alphabet, {(p, a): q for (p, a), q in d.delta.items() if p in keep})

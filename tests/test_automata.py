@@ -26,7 +26,7 @@ from cftree import (
 )
 from cftree.automata import _build_index
 from cftree.jsonio import automaton_from_doc, automaton_to_doc
-from oracles import reducedness_violation_by_scan
+from oracles import reducedness_violation_by_scan, trim_by_delta
 from randgen import random_alphabet, random_pdfa, random_reduced_pdfa
 
 
@@ -209,6 +209,35 @@ def test_trim_preserves_discs():
             x = unfold_mnfa(m, root, radius)
             y = unfold_mnfa(trimmed, root, radius)
             assert disc_equal_rooted(x, y, use_labels=True)
+
+
+def test_trim_on_the_index_matches_the_map_filter():
+    # A second part that the root does not reach sends transitions into the
+    # first, so the trimmed index must drop their back bits.  Built from a
+    # map or loaded into its index, the trimmed pDFA holds only an index,
+    # equal to one built fresh from the filtered map.
+    rng = random.Random(83)
+    dropped = 0
+    for i in range(200):
+        d, root = random_pdfa(rng, rng.randint(1, 8), density=0.3)
+        letters = d.alphabet.sorted_letters()
+        junk = {(f"z{j}", rng.choice(letters)): rng.choice(sorted(d.states)) for j in range(rng.randint(0, 3))}
+        d = PDfa(d.states | {p for p, _ in junk}, d.alphabet, {**d.delta, **junk})
+        if i % 2:
+            d = automaton_from_doc(automaton_to_doc(d))[0]
+        got, want = trim(d, root), trim_by_delta(d, root)
+        assert got._delta is None
+        ix = got._indexed()
+        fresh = _build_index(ix.names, got.alphabet, want.delta)
+        assert (ix.succ, ix.masks, ix.back) == (fresh.succ, fresh.masks, fresh.back)
+        assert got == want and is_reduced(got) == is_reduced(want)
+        dropped += len(d.states) - len(got.states)
+    assert dropped >= 200
+    with pytest.raises(UnknownStateError):
+        trim(samples.ray(), "ghost")
+    dangling = PDfa({"p"}, samples.AL_A, {("p", "a"): "zz"})
+    with pytest.raises(UnknownStateError, match="'zz'"):
+        trim(dangling, "p")
 
 
 def test_transition_is_an_immutable_value_equal_only_to_transitions():

@@ -503,17 +503,19 @@ def test_written_documents_are_the_stdlib_writers_bytes(fig_files, tmp_path, cap
 
 
 def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatch, capsys):
-    # A strict pdfa document loads into the integer index only; `iso` and
-    # `minimize` never decode it into a transition map.  Every command gives
-    # the same output as with the field-by-field reader, whose pDFAs hold a
-    # map from the start.
+    # A strict pdfa document loads into the integer index only; `iso`,
+    # `minimize` (also with `--trim`) and `unfold` never decode it into a
+    # transition map.  Every command gives the same output as with the
+    # field-by-field reader, whose pDFAs hold a map from the start.
     rng = random.Random(47)
     al_b = involutive_closure(["b"])
     paths = {}
+    first_letters = {}
     for name, alphabet, n in (("ab", samples.AL_AB, 60), ("ab2", samples.AL_AB, 60), ("a", samples.AL_A, 6), ("b", al_b, 6)):
         d, root = random_reduced_pdfa(rng, n, alphabet)
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(dumps(automaton_to_doc(d, root=root)))
+        first_letters[name] = min(d.out_set(root))
     d, root = random_reduced_pdfa(random.Random(47), 60, samples.AL_AB)  # "ab" again, renamed
     renamed = PDfa({f"r{p}" for p in d.states}, d.alphabet, {(f"r{p}", x): f"r{q}" for (p, x), q in d.delta.items()})
     paths["ab-renamed"] = tmp_path / "ab-renamed.json"
@@ -529,13 +531,13 @@ def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatc
         ["iso", b, ab, "--state", "s0", "--state", "s1", "--witness"],
         ["minimize", ab],
         ["minimize", b],
-    ]
-    decoding = [
-        ["reroot", ab, "--word", ""],
+        ["minimize", ab, "--trim"],
         ["unfold", ab, "--radius", "3"],
         ["unfold", a, "--radius", "2", "--dot"],
+    ]
+    decoding = [
+        ["reroot", ab, "--word", first_letters["ab"]],
         ["validate", ab],
-        ["minimize", ab, "--trim"],
     ]
     decodes = []
     decode = automata._decode_delta

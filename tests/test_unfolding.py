@@ -8,6 +8,7 @@ from cftree import (
     DiscTree,
     MaterializationLimitError,
     MNfa,
+    NondeterministicTreeError,
     PDfa,
     RadiusMismatchError,
     Transition,
@@ -26,13 +27,22 @@ from cftree import (
     unfold_mnfa,
     unfold_pdfa,
 )
-from cftree.jsonio import tree_from_doc, tree_to_doc
+from cftree.jsonio import alphabet_to_doc, automaton_to_doc, dumps, tree_from_doc, tree_to_doc
 from oracles import (
+    canonical_forms_by_handle,
+    compress_finite_tree_by_views,
+    export_dot_by_views,
     labeled_iso_brute,
     labeled_iso_recursive,
     language_upto,
+    nondeterministic_vertex_by_repr,
     nondeterministic_vertex_sorted,
     sorted_nodes_by_repr,
+    sorted_nodes_by_words,
+    tree_from_doc_by_fields,
+    tree_to_doc_by_views,
+    unfold_mnfa_by_words,
+    unfold_pdfa_by_words,
 )
 from randgen import (
     random_involutive_tree,
@@ -220,6 +230,36 @@ def test_deep_ray_has_no_depth_limit():
     assert len(d.states) == 2001 and root in d.states
     assert export_dot(t).count("->") == 2000
     assert len(tree_to_doc(t)["nodes"]) == 2001
+    # The same at radius 20000, on node numbers alone: the word-keyed views
+    # would hold every word, in memory quadratic in the depth, so none is
+    # read.  The labeled copies are built through tree documents, where the
+    # node listed i-th is the one at level i.
+    t = unfold_pdfa(samples.ray(), "u", 20000)
+    doc = tree_to_doc(t)
+    assert dumps(doc).count('"label": "a"') == 20000
+    assert [nd["id"] for nd in doc["nodes"][:3]] == ["v0", "v1", "v2"]
+
+    def relabeled(f):
+        copy = {**doc, "nodes": [{"id": nd["id"], "label": f(i)} for i, nd in enumerate(doc["nodes"])]}
+        return tree_from_doc(copy)
+
+    x = relabeled(lambda i: str(i % 3))
+    assert disc_equal_rooted(t, t) and disc_equal_rooted(t, x)
+    assert disc_equal_rooted(t, t, use_labels=True)
+    assert not disc_equal_rooted(t, x, use_labels=True)
+    assert disc_equal_rooted(x, relabeled(lambda i: f"L{i % 3}"), use_labels=True)
+    assert not disc_equal_rooted(x, relabeled(lambda i: "tip" if i == 20000 else str(i % 3)), use_labels=True)
+    assert nondeterministic_vertex(t) is None
+    d, root = compress_finite_tree(t)
+    assert len(d.states) == 20001 and root in d.states
+    mid = w("a") * 10000
+    cone, star = end_cone(t, mid), reroot_disc(t, mid)
+    assert len(cone) == 10001 and cone.radius == 10000 and disc_equal_rooted(cone, truncate(t, 10000))
+    assert len(star) == 20001 and star.radius == 10000
+    assert star.children_of(mid) == (("a^-1", w("a") * 9999), ("a", w("a") * 10001))
+    assert nondeterministic_vertex(star) is None
+    assert len(compress_finite_tree(star)[0].states) == 20000  # both ends are leaves: one shape
+    assert t._names is None and cone._names is None and star._names is None  # no word list was built
 
 
 def test_disc_label_coherence_of_unfoldings():
@@ -342,6 +382,20 @@ def test_materialization_cap():
         unfold_mnfa(samples.one_state_two_loops(), "p", 30, max_nodes=1000)
 
 
+def test_unfold_budget_boundary_is_the_disc_size():
+    full_binary = PDfa({"p"}, samples.AL_AB, {("p", "a"): "p", ("p", "b"): "p"})
+    for unfold, oracle, aut in (
+        (unfold_pdfa, unfold_pdfa_by_words, full_binary),
+        (unfold_mnfa, unfold_mnfa_by_words, samples.one_state_two_loops()),
+    ):
+        size = len(unfold(aut, "p", 6))
+        assert size == 127
+        for f in (unfold, oracle):
+            assert len(f(aut, "p", 6, max_nodes=size)) == size
+            with pytest.raises(MaterializationLimitError, match=f"^unfolding would exceed {size - 1} nodes$"):
+                f(aut, "p", 6, max_nodes=size - 1)
+
+
 def test_unfold_budget_and_unknown_states_alike_for_both_kinds():
     full_binary = PDfa({"p"}, samples.AL_AB, {("p", "a"): "p", ("p", "b"): "p"})
     for unfold, aut in ((unfold_mnfa, samples.one_state_two_loops()), (unfold_pdfa, full_binary)):
@@ -415,3 +469,107 @@ def test_sorted_nodes_matches_repr_sort():
         assert t.sorted_nodes() == sorted_nodes_by_repr(t)
         kinds[type(t.root).__name__] += 1
     assert kinds["tuple"] >= 300 and kinds["str"] >= 100 and kinds["int"] >= 100, kinds
+
+
+# Letters whose ``repr`` order differs from their value order: "x" < "x'" as
+# strings, but repr("x'") starts with a double quote, which sorts first.
+AL_X = involutive_closure(["x", "x'"])
+
+
+def _with_parallel_and_negative_tids(rng, d):
+    """``d`` as an mNFA with a few parallel copies of its transitions and
+    ids drawn from -12 to 129, so that some ids' reprs are prefixes of others'."""
+    triples = [t.triple() for t in pdfa_to_mnfa(d).transitions]
+    triples += [rng.choice(triples) for _ in range(rng.randint(1, 2))] if triples else []
+    tids = rng.sample([-12, -1, *range(130)], len(triples))
+    return MNfa(d.states, d.alphabet, [Transition(i, *tr) for i, tr in zip(tids, triples)])
+
+
+def _shuffled_doc(rng, t):
+    """A tree document of ``t`` with node ids ``n0``, ``n1``, .. in random
+    order, rows shuffled and each edge in a random orientation."""
+    order = list(t.labels)
+    rng.shuffle(order)
+    ids = {v: f"n{i}" for i, v in enumerate(order)}
+    nodes = [{"id": ids[v], "label": lab} for v, lab in t.labels.items()]
+    edges = [
+        {"from": ids[v], "label": a, "to": ids[c]}
+        if rng.random() < 0.5
+        else {"from": ids[c], "label": t.alphabet.inv(a), "to": ids[v]}
+        for v, a, c in t.down_edges()
+    ]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    alphabet = alphabet_to_doc(t.alphabet)
+    return {"radius": t.radius, "root": ids[t.root], "alphabet": alphabet, "nodes": nodes, "edges": edges}
+
+
+def _compressed(compress, t):
+    try:
+        d, root = compress(t)
+    except NondeterministicTreeError as e:
+        return str(e)
+    return dumps(automaton_to_doc(d, root=root))
+
+
+def _check_against_views(new, old, order):
+    """``new`` writes, draws, compresses and scans as ``old`` does through
+    its dict views with the nodes in ``order``; the views come last, so the
+    operations run before any word is built."""
+    assert nondeterministic_vertex(new) == nondeterministic_vertex_by_repr(old)
+    got = _compressed(compress_finite_tree, new)
+    assert got == _compressed(compress_finite_tree_by_views, old)
+    assert dumps(tree_to_doc(new)) == dumps(tree_to_doc_by_views(old, order))
+    assert export_dot(new) == export_dot_by_views(old, order)
+    assert new.sorted_nodes() == order == sorted_nodes_by_repr(old)
+    assert (new.labels, new.children, new.level, new.parent) == (old.labels, old.children, old.level, old.parent)
+    return got.startswith("{")
+
+
+def test_disc_operations_match_word_oracles():
+    # pDFA and mNFA discs unfolded on node numbers against word-tuple discs
+    # built through the constructor, loaded trees against the field-by-field
+    # reader, and the end-cones, re-rooted discs and truncations of both,
+    # byte for byte.
+    rng = random.Random(71)
+    discs = []
+    for i in range(120):
+        d, root = random_pdfa(rng, rng.randint(1, 5), AL_X if i % 2 else None)
+        m = _with_parallel_and_negative_tids(rng, d)
+        r, s = rng.randint(0, 5), rng.randint(0, 3)
+        discs.append(("pdfa", unfold_pdfa(d, root, r), unfold_pdfa_by_words(d, root, r)))
+        discs.append(("mnfa", unfold_mnfa(m, root, s), unfold_mnfa_by_words(m, root, s)))
+    for i in range(120):
+        t = random_labeled_disc(rng, 14) if i % 3 == 2 else random_involutive_tree(rng, 30, AL_X if i % 2 else None)
+        doc = _shuffled_doc(rng, t)
+        discs.append(("loaded", tree_from_doc(doc), tree_from_doc_by_fields(doc)))
+    loaded_ids = {v for kind, _, old in discs if kind == "loaded" for v in old.nodes}
+    assert {"n2", "n10"} <= loaded_ids
+    counts = Counter()
+    for kind, new, old in discs:
+        v = rng.choice(sorted_nodes_by_repr(old))
+        cut = rng.randint(0, new.radius)
+        derived = [(end_cone(new, v), end_cone(old, v)), (reroot_disc(new, v), reroot_disc(old, v))]
+        derived.append((truncate(new, cut), truncate(old, cut)))
+        counts[kind, _check_against_views(new, old, sorted_nodes_by_words(old))] += 1
+        for x, y in derived:
+            _check_against_views(x, y, sorted_nodes_by_repr(y))
+    assert min(counts.values()) >= 20 and len(counts) == 6, counts
+
+    verdicts = Counter()
+    by_radius = {}
+    for kind, new, old in discs:
+        small = kind != "mnfa" or len(old) <= 15  # brute force is factorial in equal-letter siblings
+        copy = shuffled_relabeled_copy(rng, old, perturb=rng.random() < 0.5)
+        partners = [(copy, copy)] + [(x, y) for x, y in by_radius.get(new.radius, [])[-2:]]
+        by_radius.setdefault(new.radius, []).append((new, old))
+        for x, y in partners:
+            fo, fy = canonical_forms_by_handle([old, y])
+            shape = fo[old.root] == fy[y.root]
+            assert disc_equal_rooted(new, x) == shape
+            if small and (shape or y is copy):
+                expect = labeled_iso_brute(old, y)
+                assert disc_equal_rooted(new, x, use_labels=True) == expect
+                assert disc_equal_rooted(x, new, use_labels=True) == expect
+                verdicts[kind, expect] += 1
+    assert min(verdicts.values()) >= 20 and len(verdicts) == 6, verdicts
