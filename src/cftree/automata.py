@@ -7,10 +7,10 @@ determinism holds by representation.  It is held as the map ``delta``, as
 an integer index (one successor column per letter), or both, and each form
 is derived from the other on first use: a pDFA built from a map indexes it
 when a decision first runs, and one loaded from a document or made by a
-quotient or ``trim`` holds only its index until ``delta`` is read.  Both
-kinds are immutable after construction; all checks live in separate
-functions so a caller can collect every problem at once instead of failing
-fast.
+quotient, ``trim`` or a re-rooting (all three through ``_restrict``) holds
+only its index until ``delta`` is read.  Both kinds are immutable after
+construction; all checks live in separate functions so a caller can
+collect every problem at once instead of failing fast.
 """
 
 from __future__ import annotations
@@ -108,11 +108,6 @@ class _Index(NamedTuple):
     masks: list[int]  # bit i of masks[p]: p reads letter i
     back: list[int]  # bit inverse[i] of back[q]: some transition into q reads letter i
 
-    def edges(self, p: str) -> list[tuple[str, str]]:
-        """``(letter, target)`` for each transition out of ``p``, by letter."""
-        i = self.ids[p]
-        return [(x, self.names[col[i]]) for x, col in zip(self.letters, self.succ) if col[i] >= 0]
-
 
 def _blank_index(
     names: list[str], alphabet: InvolutiveAlphabet
@@ -155,6 +150,25 @@ def _widened(ix: _Index, alphabet: InvolutiveAlphabet) -> _Index:
         masks = list(map(renumbered.__getitem__, masks))
         back = list(map(renumbered.__getitem__, back))
     return _Index(ix.names, ix.ids, letters, inverse, succ, masks, back)
+
+
+def _restrict(ix: _Index, keep: list[int], to: list[int] | None = None) -> _Index:
+    """``ix`` on the states ``keep``, in that order, with each successor ``t``
+    renamed ``to[t]``: by default its place in ``keep``.  A given ``to``
+    ends in ``-1``, so that ``to[-1]`` keeps "no successor".  The back bits
+    are recomputed from the columns that remain."""
+    if to is None:
+        to = [-1] * (len(ix.names) + 1)
+        for i, s in enumerate(keep):
+            to[s] = i
+    succ = [[to[col[s]] for s in keep] for col in ix.succ]
+    back = [0] * len(keep)
+    for col, j in zip(succ, ix.inverse):
+        for q in col:
+            if q >= 0:
+                back[q] |= 1 << j
+    names = [ix.names[s] for s in keep]
+    return _Index(names, dict(zip(names, range(len(keep)))), ix.letters, ix.inverse, succ, [ix.masks[s] for s in keep], back)
 
 
 def _decode_delta(ix: _Index) -> dict[tuple[str, str], str]:
@@ -205,7 +219,8 @@ class PDfa:
         """Letters readable from ``p``."""
         if p not in self.states:
             raise UnknownStateError(f"state {p!r} is not in the automaton")
-        return frozenset(x for x, _ in self._indexed().edges(p))
+        ix = self._indexed()
+        return frozenset(x for x, col in zip(ix.letters, ix.succ) if col[ix.ids[p]] >= 0)
 
     def _indexed(self, alphabet: InvolutiveAlphabet | None = None) -> _Index:
         """The integer index of this automaton, built at most once.
@@ -256,7 +271,9 @@ class PDfa:
         return hash((self.states, self.alphabet, tuple(sorted(self.delta.items()))))
 
     def __repr__(self) -> str:
-        return f"PDfa(states={len(self.states)}, transitions={len(self.delta)})"
+        # Reading ``delta`` would decode the whole map only to count it.
+        n = len(self._delta) if self._delta is not None else sum(map(int.bit_count, self._index.masks))
+        return f"PDfa(states={len(self.states)}, transitions={n})"
 
 
 class Issue(NamedTuple):
@@ -379,16 +396,21 @@ def require_reduced(d: PDfa, what: str = "automaton") -> None:
         )
 
 
-def _reach(d: PDfa, root: str) -> set[int]:
-    """Index ids of the states reachable from ``root``, found level by level."""
+def _reach(d: PDfa, root: str) -> list[int]:
+    """Index ids of the states reachable from ``root``, in the order of one
+    breadth-first worklist walk."""
     ix = d._indexed()
-    seen = frontier = {ix.ids[root]}
-    while frontier:
-        frontier = {col[p] for col in ix.succ for p in frontier} - seen - {-1}
-        seen |= frontier
-    if max(seen) >= len(d.states):  # ids past those are states only transitions name
-        raise UnknownStateError(f"state {ix.names[max(seen)]!r} is not in the automaton")
-    return seen
+    todo = [ix.ids[root]]
+    seen = {todo[0], -1}  # -1, "no successor", is never queued
+    for p in todo:
+        for col in ix.succ:
+            q = col[p]
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    if max(todo) >= len(d.states):  # ids past those are states only transitions name
+        raise UnknownStateError(f"state {ix.names[max(todo)]!r} is not in the automaton")
+    return todo
 
 
 def _require_pair(a: PDfa, p_root: str, b: PDfa, q_root: str) -> InvolutiveAlphabet:
@@ -425,22 +447,6 @@ def trim(aut: MNfa | PDfa, root: str) -> MNfa | PDfa:
         keep = reachable_states(aut, root)
         transitions = [t for t in aut.transitions if t.src in keep]
         return MNfa(keep, aut.alphabet, transitions)
-    # On a pDFA, restrict the index: the kept states in id order, their
-    # columns renumbered, and the back bits of the transitions that remain.
     if root not in aut.states:
         raise UnknownStateError(f"state {root!r} is not in the automaton")
-    ix = aut._indexed()
-    keep = sorted(_reach(aut, root))
-    new = [-1] * (len(ix.names) + 1)  # new[-1] == -1 keeps "no successor"
-    for i, s in enumerate(keep):
-        new[s] = i
-    succ = [[new[col[s]] for s in keep] for col in ix.succ]
-    back = [0] * len(keep)
-    for col, j in zip(succ, ix.inverse):
-        for q in col:
-            if q >= 0:
-                back[q] |= 1 << j
-    names = [ix.names[s] for s in keep]
-    ids = dict(zip(names, range(len(keep))))
-    out = _Index(names, ids, ix.letters, ix.inverse, succ, [ix.masks[s] for s in keep], back)
-    return PDfa._from_index(aut.alphabet, out)
+    return PDfa._from_index(aut.alphabet, _restrict(aut._indexed(), sorted(_reach(aut, root))))

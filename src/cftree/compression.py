@@ -7,7 +7,7 @@ subtrees yields the states of a pDFA whose unfolding reproduces the tree.
 
 from __future__ import annotations
 
-from .automata import PDfa, _Index
+from .automata import PDfa, _restrict
 from .errors import NondeterministicTreeError, UnknownStateError
 from .isomorphism import _classes
 from .unfolding import DiscTree, _canonical_forms, nondeterministic_vertex
@@ -45,8 +45,8 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     result states are equivalent, and reducedness survives the quotient.
     Class names are the smallest member state name.  The quotient's index is
     built from the blocks of ``_classes`` on the automaton's own index: a
-    class reads what its smallest member reads, and it is entered on a
-    letter exactly when one of its members is.
+    class reads what its smallest member reads, into the classes of that
+    member's successors.
     """
     ix = d._indexed()
     names = ix.names
@@ -60,20 +60,8 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
             rank[block[s]] = len(heads)
             heads.append(s)
     cls = [rank[b] for b in block] + [-1]  # cls[-1] == -1 keeps "no successor"
-    back = [0] * len(heads)
-    for c, bits in zip(cls, ix.back):
-        back[c] |= bits
-    head_names = [names[s] for s in heads]
-    out = _Index(
-        head_names,
-        dict(zip(head_names, range(len(heads)))),
-        ix.letters,
-        ix.inverse,
-        [[cls[col[s]] for s in heads] for col in ix.succ],
-        [ix.masks[s] for s in heads],
-        back,
-    )
-    return PDfa._from_index(d.alphabet, out), dict(zip(names, map(head_names.__getitem__, cls)))
+    out = _restrict(ix, heads, cls)
+    return PDfa._from_index(d.alphabet, out), dict(zip(names, map(out.names.__getitem__, cls)))
 
 
 def minimize(d: PDfa) -> PDfa:

@@ -181,7 +181,7 @@ def iso_nonrooted(
     alphabet = _require_pair(a, p_root, b, q_root)
     ia, ib = a._indexed(alphabet), b._indexed(alphabet)
     letters, inverse = ia.letters, ia.inverse
-    reach_a = list(_reach(a, p_root))
+    reach_a = sorted(_reach(a, p_root))
     reach_b = sorted(_reach(b, q_root), key=ib.names.__getitem__)
     masks, succ, preds, cls = _classes([(reach_a, ia), (reach_b, ib)])
     # The union holds a's reachable states, then b's by name.  Configuration

@@ -3,14 +3,15 @@
 A single step on an mNFA duplicates the old root state and the target of the
 crossed transition into fresh states; the tree generated from the fresh
 target is the old tree with its root moved across that edge.  Along a word,
-a pDFA is re-rooted in one pass: one fresh copy per node of the path, then a
-single trim, in O(|w|·|Σ| + |d|) rather than a step, a trim and a
+a pDFA is re-rooted in one pass on its integer index, never its ``delta``
+map: one fresh copy per node of the path, appended as a new state id, then
+a single trim, in O(|w|·|Σ| + |d|) rather than a step, a trim and a
 re-condensing per letter.
 """
 
 from __future__ import annotations
 
-from .automata import MNfa, PDfa, Transition, require_reduced, trim
+from .automata import MNfa, PDfa, Transition, _reach, _restrict, require_reduced, trim
 from .errors import UnknownStateError, WordNotInLanguageError
 from .unfolding import Word
 
@@ -66,30 +67,44 @@ def reroot_along_word(d: PDfa, root: str, w: Word) -> tuple[PDfa, str]:
     for ``i = k``), plus ``w[i-1]^-1`` back to ``c_{i-1}``; the result is
     trimmed once from the new root ``c_k`` and is again reduced.  The copies
     are named ``{root}@p0``, ``{s_i}@q{i-1}@p{i}`` and ``{s_k}@q{k-1}``, with
-    ``+`` appended until fresh.  Runs in O(|w|·|Σ| + |d|).
+    ``+`` appended until fresh.  Runs in O(|w|·|Σ| + |d|).  A letter outside
+    the alphabet makes ``w`` unreadable; a state reachable from ``root`` that
+    only transitions name raises ``UnknownStateError``, as in ``trim``.
     """
     require_reduced(d, "input")
     if root not in d.states:
         raise UnknownStateError(f"state {root!r} is not in the automaton")
-    if d.run(root, w) is None:
-        raise WordNotInLanguageError(
-            f"word {','.join(w) or 'eps'} is not readable from {root!r}"
-        )
+    ix = d._indexed()
+    taken = set(d.states)
+    # ``path`` holds s_0, .., s_i; ``here`` names path node i before its
+    # ``@p{i}`` suffix, and after the loop it is c_k.
+    path, copies, here = [ix.ids[root]], [], root
+    for i, a in enumerate(w):
+        s = ix.succ[ix.letters.index(a)][path[-1]] if a in ix.letters else -1
+        if s < 0:
+            raise WordNotInLanguageError(f"word {','.join(w) or 'eps'} is not readable from {root!r}")
+        path.append(s)
+        copies.append(_fresh(f"{here}@p{i}", taken))
+        here = _fresh(f"{ix.names[s]}@q{i}", taken)
     if not w:
         return trim(d, root), root
-    ix = d._indexed()
-    delta = dict(d.delta)
-    taken = set(d.states)
-    # ``here`` names path node i before its ``@p{i}`` suffix; after the
-    # loop it is c_k.
-    s, here, prev = root, root, None
-    for i, a in enumerate(w):
-        copy = _fresh(f"{here}@p{i}", taken)
-        delta.update(((copy, x), t) for x, t in ix.edges(s) if x != a)
-        if prev is not None:
-            delta[(copy, d.alphabet.inv(w[i - 1]))] = prev
-        prev, s = copy, d.delta[(s, a)]
-        here = _fresh(f"{s}@q{i}", taken)
-    delta.update(((here, x), t) for x, t in ix.edges(s))
-    delta[(here, d.alphabet.inv(w[-1]))] = prev
-    return trim(PDfa(taken, d.alphabet, delta), here), here
+    copies.append(here)
+    # The restriction to the states reachable from ``root`` holds fresh
+    # lists, so copy c_i gets id m + i by appending to them.
+    r = _restrict(ix, sorted(_reach(d, root)))
+    m = len(r.names)
+    path = [r.ids[ix.names[s]] for s in path]
+    for col in r.succ:
+        col += [col[s] for s in path]
+    r.masks.extend(r.masks[s] for s in path)
+    r.back.extend([0] * len(path))
+    for i, a in enumerate(map(ix.letters.index, w), m):
+        b = ix.inverse[a]
+        r.succ[a][i] = -1
+        r.masks[i] ^= 1 << a
+        r.succ[b][i + 1] = i
+        r.masks[i + 1] |= 1 << b
+        r.back[i] = 1 << a  # c_i is entered on b, the inverse of a
+    r.names.extend(copies)
+    r.ids.update(zip(copies, range(m, len(r.names))))
+    return trim(PDfa._from_index(d.alphabet, r), here), here

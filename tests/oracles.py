@@ -23,7 +23,9 @@ breadth-first node order of word discs.  Discs unfolded as word tuples and
 handed to the ``DiscTree`` constructor, with the document writer, DOT
 writer, compression and determinism scan read off their dict views, check
 the discs that unfold, write and compress on node numbers; a filter over
-the ``delta`` map checks the ``trim`` that restricts the index.
+the ``delta`` map checks the ``trim`` that restricts the index, and
+re-rooting by copying the ``delta`` map checks the re-rooting that appends
+the path copies to the index.
 """
 
 import json
@@ -43,6 +45,7 @@ from cftree import (
     Transition,
     UnknownStateError,
     Witness,
+    WordNotInLanguageError,
     as_pdfa,
     involutive_closure,
     language_classes,
@@ -944,3 +947,38 @@ def trim_by_delta(d: PDfa, root: str) -> PDfa:
         frontier = [q for p in frontier for q in out.get(p, ()) if q not in keep]
         keep.update(frontier)
     return PDfa(keep, d.alphabet, {(p, a): q for (p, a), q in d.delta.items() if p in keep})
+
+
+def reroot_along_word_by_delta(d: PDfa, root: str, w) -> tuple[PDfa, str]:
+    """``reroot_along_word`` on the ``delta`` map: read ``w`` with
+    ``PDfa.run``, add the path copies to a copy of the map, named as the
+    library names them, and filter the result with ``trim_by_delta``."""
+    require_reduced(d, "input")
+    if root not in d.states:
+        raise UnknownStateError(f"state {root!r} is not in the automaton")
+    if d.run(root, w) is None:
+        raise WordNotInLanguageError(f"word {','.join(w) or 'eps'} is not readable from {root!r}")
+    if not w:
+        return trim_by_delta(d, root), root
+    edges: dict[str, list[tuple[str, str]]] = defaultdict(list)
+    for (p, x), t in d.delta.items():
+        edges[p].append((x, t))
+    delta = dict(d.delta)
+    taken = set(d.states)
+
+    def fresh(name: str) -> str:
+        name = _fresh(name, taken)
+        taken.add(name)
+        return name
+
+    s, here, prev = root, root, None
+    for i, a in enumerate(w):
+        copy = fresh(f"{here}@p{i}")
+        delta.update(((copy, x), t) for x, t in edges[s] if x != a)
+        if prev is not None:
+            delta[(copy, d.alphabet.inv(w[i - 1]))] = prev
+        prev, s = copy, d.delta[(s, a)]
+        here = fresh(f"{s}@q{i}")
+    delta.update(((here, x), t) for x, t in edges[s])
+    delta[(here, d.alphabet.inv(w[-1]))] = prev
+    return trim_by_delta(PDfa(taken, d.alphabet, delta), here), here

@@ -24,6 +24,7 @@ from cftree import (
     unfold_mnfa,
     validate_mnfa,
 )
+from cftree import automata
 from cftree.automata import _build_index
 from cftree.jsonio import automaton_from_doc, automaton_to_doc
 from oracles import reducedness_violation_by_scan, trim_by_delta
@@ -238,6 +239,15 @@ def test_trim_on_the_index_matches_the_map_filter():
     dangling = PDfa({"p"}, samples.AL_A, {("p", "a"): "zz"})
     with pytest.raises(UnknownStateError, match="'zz'"):
         trim(dangling, "p")
+
+
+def test_repr_of_a_loaded_pdfa_decodes_nothing(monkeypatch):
+    # A pDFA loaded from a document counts its transitions from the index.
+    d = samples.astar_bstar_pdfa()
+    loaded = automaton_from_doc(automaton_to_doc(d))[0]
+    monkeypatch.setattr(automata, "_decode_delta", lambda ix: pytest.fail("repr decoded the map"))
+    assert loaded._delta is None
+    assert repr(loaded) == repr(d) == f"PDfa(states=2, transitions={len(d.delta)})"
 
 
 def test_transition_is_an_immutable_value_equal_only_to_transitions():

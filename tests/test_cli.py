@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -36,9 +37,13 @@ def fig_files(tmp_path):
     return files
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def invoke(args):
     proc = subprocess.run(
         [sys.executable, "-m", "cftree.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
     )
@@ -504,8 +509,8 @@ def test_written_documents_are_the_stdlib_writers_bytes(fig_files, tmp_path, cap
 
 def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatch, capsys):
     # A strict pdfa document loads into the integer index only; `iso`,
-    # `minimize` (also with `--trim`) and `unfold` never decode it into a
-    # transition map.  Every command gives the same output as with the
+    # `minimize` (also with `--trim`), `unfold` and `reroot` never decode it
+    # into a transition map.  Every command gives the same output as with the
     # field-by-field reader, whose pDFAs hold a map from the start.
     rng = random.Random(47)
     al_b = involutive_closure(["b"])
@@ -534,9 +539,10 @@ def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatc
         ["minimize", ab, "--trim"],
         ["unfold", ab, "--radius", "3"],
         ["unfold", a, "--radius", "2", "--dot"],
+        ["reroot", ab, "--word", first_letters["ab"]],
     ]
     decoding = [
-        ["reroot", ab, "--word", first_letters["ab"]],
+        ["lift-nonrooted", ab, ab2, "--out-a", str(tmp_path / "lift-a.json"), "--out-b", str(tmp_path / "lift-b.json")],
         ["validate", ab],
     ]
     decodes = []
@@ -553,7 +559,7 @@ def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatc
 
     got = outputs(quiet + decoding)
     assert [r[3] for r in got[: len(quiet)]] == [0] * len(quiet)
-    assert got[len(quiet)][3] >= 1  # reroot reads the map: the counter sees decodes
+    assert got[len(quiet)][3] >= 1  # the lift reads the map: the counter sees decodes
     assert {r[0] for r in got} == {0, 1}
     monkeypatch.setattr(jsonio, "automaton_from_doc", automaton_from_doc_by_fields)
     want = outputs(quiet + decoding)

@@ -5,7 +5,9 @@ import pytest
 
 import samples
 from cftree import (
+    InvolutiveAlphabet,
     MNfa,
+    PDfa,
     UnknownStateError,
     WordNotInLanguageError,
     as_pdfa,
@@ -22,7 +24,11 @@ from cftree import (
     unfold_mnfa,
     unfold_pdfa,
 )
-from oracles import language_upto, reroot_by_steps
+from cftree.automata import _build_index
+from cftree.cli import run
+from cftree.compression import quotient
+from cftree.jsonio import automaton_from_doc, automaton_to_doc, dumps
+from oracles import language_upto, reroot_along_word_by_delta, reroot_by_steps
 from randgen import random_reduced_pdfa
 
 
@@ -118,6 +124,27 @@ def test_reroot_along_word_on_ray_gains_back_edge():
 def test_reroot_along_word_rejects_words_outside_language():
     with pytest.raises(WordNotInLanguageError):
         reroot_along_word(samples.ray(), "u", ("a^-1",))
+    # A letter outside the alphabet is not readable either, from a map or
+    # from an index.
+    loaded = automaton_from_doc(automaton_to_doc(samples.ray()))[0]
+    for d in (samples.ray(), loaded):
+        with pytest.raises(WordNotInLanguageError, match="a,zz"):
+            reroot_along_word(d, "u", ("a", "zz"))
+
+
+def test_reroot_along_word_rejects_unlisted_states():
+    # A state that only a transition names, reachable from the root, is
+    # reported as ``trim`` reports it: also when only its copy is reachable
+    # from the new root.
+    for delta, w in (
+        ({("u", "a"): "u", ("u", "b"): "v"}, ("a",)),  # the new root reads b to v
+        ({("u", "a"): "v"}, ("a",)),  # v is the last path node
+    ):
+        d = PDfa({"u"}, samples.AL_AB, delta)
+        with pytest.raises(UnknownStateError, match="'v'"):
+            trim(d, "u")
+        with pytest.raises(UnknownStateError, match="'v'"):
+            reroot_along_word(d, "u", w)
 
 
 def test_reroot_along_word_requires_reduced():
@@ -198,6 +225,41 @@ def test_reroot_along_word_matches_step_oracle():
     assert longest == 25
 
 
+def test_reroot_along_word_matches_map_oracle(tmp_path, capsys):
+    # The copies are appended to the index and trimmed there; the oracle adds
+    # them to a copy of the ``delta`` map.  Same root, states, map and output
+    # bytes, and the index equals one built fresh from the oracle's map, so
+    # every mask and back bit is checked.  Half the inputs are loaded from
+    # documents and hold only an index, as on the CLI path.
+    rng = random.Random(12)
+    with_c = InvolutiveAlphabet({"a", "A", "c"}, {"a": "A", "A": "a", "c": "c"})  # c is its own inverse
+    cases = []
+    for i in range(200):
+        alphabet = with_c if i % 4 == 3 else None
+        d, root = random_reduced_pdfa(rng, rng.randint(1, 12), alphabet, extra_density=rng.choice((0.5, 0.9)))
+        w = _random_walk(rng, d, root, rng.randint(0, 25))
+        if i % 2:
+            d = automaton_from_doc(automaton_to_doc(d))[0]
+        cases.append((d, root, w))
+    cases.append((samples.ray(), "u", ("a",) * 2000))
+    longest = 0
+    for d, root, w in cases:
+        out, state = reroot_along_word(d, root, w)
+        want, want_state = reroot_along_word_by_delta(d, root, w)
+        assert out._delta is None
+        assert dumps(automaton_to_doc(out, root=state)) == dumps(automaton_to_doc(want, root=want_state))
+        assert out._index == _build_index(out._index.names, out.alphabet, want.delta)
+        assert (state, out.states, out.delta) == (want_state, want.states, want.delta)
+        longest = max(longest, len(w))
+    assert longest == 2000 and max(len(w) for _, _, w in cases[:-1]) == 25
+    # ``cftree reroot`` writes the oracle's bytes along the radius-2000 ray.
+    ray_doc = tmp_path / "ray.json"
+    ray_doc.write_text(dumps(automaton_to_doc(samples.ray(), root="u")))
+    assert run(["reroot", str(ray_doc), "--word", ",".join(("a",) * 2000)]) == 0
+    want, want_state = reroot_along_word_by_delta(samples.ray(), "u", ("a",) * 2000)
+    assert capsys.readouterr().out == dumps(automaton_to_doc(want, root=want_state))
+
+
 def test_reroot_along_long_word_on_ray():
     k = 2000
     out, state = reroot_along_word(samples.ray(), "u", ("a",) * k)
@@ -222,4 +284,12 @@ def test_reroot_along_word_is_one_pass(monkeypatch):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     monkeypatch.setattr(MNfa, "__init__", counted("MNfa", MNfa.__init__))
     reroot_along_word(samples.astar_bstar_pdfa(), "p", ("a", "a", "b"))
+    assert calls == {"trim": 1}
+    # On a pDFA that holds only its index, as ``quotient`` makes it, the
+    # map is never decoded and nothing is indexed again.
+    d = quotient(samples.astar_bstar_pdfa())[0]
+    for name in ("_decode_delta", "_build_index"):
+        monkeypatch.setattr(automata, name, counted(name, getattr(automata, name)))
+    calls.clear()
+    reroot_along_word(d, "p", ("a", "a", "b"))
     assert calls == {"trim": 1}
