@@ -21,6 +21,7 @@ from itertools import accumulate
 
 from .alphabet import merge_alphabets
 from .automata import PDfa, _reach, _require_pair
+from .errors import UnknownStateError
 from .rerooting import reroot_along_word
 from .unfolding import Word
 
@@ -108,10 +109,14 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
     the automata's indexes over their merged alphabet, starting from the
     blocks of equal out-masks.  Returns one map per automaton from state
     to class id: two states get the same id exactly when they generate the
-    same language.
+    same language.  A state that only transitions name raises
+    ``UnknownStateError``, as in ``quotient``.
     """
     alphabet = reduce(merge_alphabets, (d.alphabet for d in automata))
     indexes = [d._indexed(alphabet) for d in automata]
+    for d, ix in zip(automata, indexes):
+        if len(ix.names) > len(d.states):  # ids past those are states only transitions name
+            raise UnknownStateError(f"state {ix.names[len(d.states)]!r} is not in the automaton")
     block = _classes([(range(len(ix.names)), ix) for ix in indexes])[3]
     starts = accumulate((len(ix.names) for ix in indexes), initial=0)
     return [dict(zip(ix.names[: len(d.states)], block[i:])) for d, ix, i in zip(automata, indexes, starts)]
@@ -125,10 +130,14 @@ def iso_rooted(
     Equivalent to language equality of the designated states.  On failure
     returns a shortest separating word, found by BFS over reachable state
     pairs: the first pair with different out-sets, extended by a letter
-    readable on one side only.
+    readable on one side only.  A state that only transitions name raises
+    ``UnknownStateError`` when it is reachable from the root, as in ``trim``.
     """
     alphabet = _require_pair(a, p_root, b, q_root)
     ia, ib = a._indexed(alphabet), b._indexed(alphabet)
+    for d, ix, root in ((a, ia, p_root), (b, ib, q_root)):
+        if len(ix.names) > len(d.states):  # ids past those are states only transitions name
+            _reach(d, root)
     letters, mask_a, succ_a, mask_b, succ_b = ia.letters, ia.masks, ia.succ, ib.masks, ib.succ
     k, nb = len(letters), len(ib.names)
     start = ia.ids[p_root] * nb + ib.ids[q_root]

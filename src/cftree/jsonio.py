@@ -278,8 +278,8 @@ def tree_from_doc(doc: Any) -> DiscTree:
 
     Node rows and edge rows are each read as columns when every row is
     well formed, and checked row by row otherwise.  One breadth-first walk
-    from the root gives each node its level, and the nodes are numbered by
-    level, then ``repr``; a node's children are listed by letter, then id.
+    from the root, which takes each node's neighbours by letter, then id,
+    numbers the nodes and lists every node's children in that order.
     """
     _require_fields(doc, {"radius", "root", "nodes", "edges"}, {"alphabet"}, "tree")
     radius = doc["radius"]
@@ -294,7 +294,7 @@ def tree_from_doc(doc: Any) -> DiscTree:
     if nodes is None or len(set(nodes[0])) < len(nodes[0]):
         nodes = _checked_nodes(doc["nodes"])
     label_of = dict(zip(*nodes))
-    names = sorted(label_of)  # until the final sort, a node's number is the rank of its id
+    names = sorted(label_of)  # numbers follow ids, so (letter, number) pairs sort by letter, then id
     labels = list(map(label_of.__getitem__, names))
     pos = dict(zip(names, range(len(names))))
     if doc["root"] not in pos:
@@ -316,9 +316,8 @@ def tree_from_doc(doc: Any) -> DiscTree:
 
     # Each listed edge stands for an involutive pair and may be written in
     # either orientation; a breadth-first walk from the root over the
-    # symmetric adjacency orients everything parent-to-child.  Which edge
-    # finds a node cannot matter in a tree, and a document that is no tree
-    # fails the checks after the walk, so children are sorted afterwards.
+    # symmetric adjacency orients everything parent-to-child.  A document
+    # that is no tree fails the checks after the walk.
     adj: list[list[tuple[str, int]]] = [[] for _ in names]
     for u, a, v in zip(*edges):
         adj[u].append((a, v))
@@ -328,14 +327,13 @@ def tree_from_doc(doc: Any) -> DiscTree:
     kids: list[list[tuple[str, int]]] = [[] for _ in names]
     order = [pos[doc["root"]]]
     for u in order:  # ``order`` grows while it is read
+        if len(adj[u]) > 1:
+            adj[u].sort()  # by letter, then id
         for a, v in adj[u]:
             if level[v] < 0:
                 level[v] = level[u] + 1
                 kids[u].append((a, v))
                 order.append(v)
-    for k in kids:
-        if len(k) > 1:
-            k.sort()  # by letter, then id
     if len(order) != len(names):
         raise SchemaError("tree document is not connected")
     if len(edges[1]) != len(names) - 1:
@@ -344,8 +342,6 @@ def tree_from_doc(doc: Any) -> DiscTree:
         raise SchemaError("bad tree document: radius must be non-negative")
     if level[order[-1]] > radius:
         raise SchemaError("bad tree document: node level exceeds the declared radius")
-    reprs = list(map(repr, names))
-    order = sorted(sorted(order, key=reprs.__getitem__), key=level.__getitem__)  # stable: by level, then repr
     _, parent, letter, off, kid_list = _link(order, kids.__getitem__)
     return DiscTree._from_arrays(
         radius,

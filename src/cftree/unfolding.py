@@ -2,9 +2,13 @@
 
 The infinite tree of runs is materialized only as a disc: all nodes within a
 given distance of the root.  A disc numbers its nodes ``0 .. n-1`` in
-``sorted_nodes`` order (by level, then by the type name and ``repr`` of
-their handles), so the root is node 0 and every child comes after its
-parent.  It holds flat lists indexed by node number: the parent, the letter
+``sorted_nodes`` order: one breadth-first walk from the root that lists each
+node's children in child order.  So the root is node 0, levels never
+decrease and a node's children get consecutive numbers.  Child order is
+letter order in a pDFA unfolding, transition-id order in an mNFA unfolding,
+(letter, id) order in a loaded tree and the given order for the
+constructor; a re-rooted disc lists a node's old parent first, then its
+children.  It holds flat lists indexed by node number: the parent, the letter
 on the edge from the parent, the label and the level, and each node's
 children as one slice of a shared child list.  Every operation here works on
 those numbers.
@@ -14,8 +18,8 @@ is the word (tuple of letters) read from the root; in an mNFA unfolding, the
 run prefix (tuple of transition ids).  Discs made from an unfolded one by
 ``end_cone``, ``reroot_disc`` and ``truncate`` keep those words.  A disc
 loaded from JSON uses its string ids, and one built with the constructor the
-keys of its dicts.  No operation inspects a handle beyond its ``repr``, so
-all kinds of disc behave the same.
+keys of its dicts.  No operation inspects a handle, so all kinds of disc
+behave the same.
 
 The dict views ``labels``, ``children``, ``level`` and ``parent`` are keyed
 by handles and built on first read.  A word handle passed to ``end_cone``,
@@ -47,10 +51,6 @@ Word = tuple[str, ...]
 DEFAULT_MAX_NODES = 2**20
 
 
-def _node_sort_key(v: Node):
-    return (type(v).__name__, repr(v))
-
-
 def _link(order: Iterable, out: Callable) -> tuple[dict, list[int], list, list[int], list[int]]:
     """Number the nodes ``order`` by their place in it, and list the parent,
     edge letter, child offsets and children of each; ``out(v)`` gives the
@@ -77,7 +77,7 @@ class DiscTree:
     closure are derived on demand.  ``radius`` is the validity bound of the
     disc and may exceed the actual height.  The constructor takes the
     ``labels`` and ``children`` dicts keyed by node handles; they become its
-    views.
+    views, and each ``children`` tuple gives that node's child order.
     """
 
     __slots__ = (
@@ -135,7 +135,6 @@ class DiscTree:
             raise ValueError("some labeled nodes are not reachable from the root")
         if level[order[-1]] > radius:
             raise ValueError("node level exceeds the declared radius")
-        order.sort(key=lambda v: (level[v], _node_sort_key(v)))
         ids, parent, letter, off, kids = _link(order, lambda v: children.get(v, ()))
         label = [labels[v] for v in order]
         self._set(radius, root, alphabet, parent, letter, label, [level[v] for v in order], off, kids, names=order)
@@ -229,48 +228,6 @@ class DiscTree:
                 return self._ids[v]
         raise UnknownNodeError(f"node {v!r} is not in the tree")
 
-    def _sort_keys(self) -> list:
-        """A key per node number that orders handles as their type name and
-        ``repr`` do, for sorting nodes of a disc made from this one."""
-        if self._src is not None:
-            ranks = self._src._sort_keys()
-            return [ranks[k] for k in self._src_ids]
-        if self._steps is None:
-            return list(map(_node_sort_key, self._names))
-        return self._word_ranks()
-
-    def _word_ranks(self) -> list[int]:
-        """The rank of each word among all words of this unfolded disc in
-        ``repr`` order, found by one depth-first walk.
-
-        Siblings are numbered by the ``repr`` of their steps, so words that
-        are not prefixes of one another come in the walk's order.  A word
-        ``u`` and its extension ``w`` compare where ``repr(u)`` closes: for
-        two or more steps ``)`` against ``,``, so ``u`` is first; for one
-        step ``,)`` against ``, ``, so ``w`` is; for the root ``()``
-        against a quote (``str`` steps, ``w`` first) or a digit or minus
-        sign (``int`` steps, ``u`` first).  Each node is ranked before or
-        after its descendants accordingly.
-        """
-        parent, level, kids, off = self._parent, self._level, self._kids, self._off
-        root_last = len(parent) > 1 and type(self._steps[1]) is not int
-        order: list[int] = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            if v < 0:  # leaving ~v
-                order.append(~v)
-                continue
-            if level[v] == 1 or (v == 0 and root_last):
-                stack.append(~v)
-            else:
-                order.append(v)
-            stack += sorted(kids[off[v] : off[v + 1]], reverse=True)
-        ranks = [0] * len(parent)
-        for r, v in enumerate(order):
-            ranks[v] = r
-        return ranks
-
     @property
     def labels(self) -> dict[Node, str]:
         if self._labels is None:
@@ -327,8 +284,9 @@ class DiscTree:
             yield (c, self.alphabet.inv(a), v)
 
     def sorted_nodes(self) -> list[Node]:
-        """Nodes by level, then by type name and ``repr`` within a level:
-        the handles in node-number order."""
+        """Nodes in the order of one breadth-first walk from the root that
+        lists each node's children in child order: the handles in
+        node-number order."""
         return list(self._handles())
 
     def __eq__(self, other: object) -> bool:
@@ -353,13 +311,11 @@ def _unfold(
     start,
     moves: Callable,
     names: list[str] | None,
-    by_value: bool,
 ) -> DiscTree:
     # A breadth-first walk from the frontier only.  ``moves(state)`` lists
-    # the (step, letter, target) of each edge out of ``state`` by the
-    # ``repr`` of its step, so the children of a node get consecutive numbers
-    # in ``sorted_nodes`` order.  Child order is by step value, as the
-    # automaton lists its edges; ``by_value`` says the two orders may differ.
+    # the (step, letter, target) of each edge out of ``state`` in child
+    # order, so the walk's order is the ``sorted_nodes`` order and the
+    # children of a node get consecutive numbers.
     if radius < 0:
         raise ValueError("radius must be non-negative")
     parent, steps, letter, state, level = [-1], [None], [None], [start], [0]
@@ -381,11 +337,6 @@ def _unfold(
     n = len(parent)
     off += [n - 1] * (n + 1 - len(off))
     kids = list(range(1, n))
-    if by_value:
-        for v in range(n):
-            a, b = off[v], off[v + 1]
-            if b - a > 1:
-                kids[a:b] = sorted(kids[a:b], key=steps.__getitem__)
     label = state if names is None else [names[q] for q in state]
     return DiscTree._from_arrays(radius, (), alphabet, parent, letter, label, level, off, kids, steps=steps)
 
@@ -395,18 +346,19 @@ def unfold_mnfa(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
 
     Nodes are runs of length at most ``radius``; a node's handle is its run
     as a tuple of transition ids, and its label the state the run ends in.
+    A node's children come in transition-id order.
     """
     if p not in m.states:
         raise UnknownStateError(f"state {p!r} is not in the automaton")
 
     def moves(s: str) -> list[tuple[int, str, str]]:
-        ts = sorted(m.transitions_from(s), key=lambda t: repr(t.tid))
+        ts = m.transitions_from(s)  # in transition-id order
         for t, u in zip(ts, ts[1:]):
             if t.tid == u.tid:  # two children would share one run
                 raise ValueError(f"transition id {t.tid} is used twice from state {s!r}")
         return [(t.tid, t.label, t.dst) for t in ts]
 
-    return _unfold(radius, max_nodes, m.alphabet, p, moves, None, True)
+    return _unfold(radius, max_nodes, m.alphabet, p, moves, None)
 
 
 def unfold_pdfa(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> DiscTree:
@@ -414,21 +366,21 @@ def unfold_pdfa(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
 
     Nodes are the words of length at most ``radius`` readable from ``p``; a
     node's handle is its word, the parent of ``wa`` is ``w`` and labels
-    record the state reached.  The walk reads the pDFA's index.
+    record the state reached.  A node's children come in letter order.  The
+    walk reads the pDFA's index.
     """
     if p not in d.states:
         raise UnknownStateError(f"state {p!r} is not in the automaton")
     ix = d._indexed()
     known = len(d.states)  # ids past these name states only transitions mention
-    columns = sorted(zip(ix.letters, ix.succ), key=lambda xc: repr(xc[0]))
+    columns = list(zip(ix.letters, ix.succ))
 
     def moves(s: int) -> list[tuple[str, str, int]]:
         if s >= known:
             raise UnknownStateError(f"state {ix.names[s]!r} is not in the automaton")
         return [(x, x, q) for x, col in columns if (q := col[s]) >= 0]
 
-    by_value = [x for x, _ in columns] != ix.letters
-    return _unfold(radius, max_nodes, d.alphabet, ix.ids[p], moves, ix.names, by_value)
+    return _unfold(radius, max_nodes, d.alphabet, ix.ids[p], moves, ix.names)
 
 
 def _canonical_forms(trees: list[DiscTree]) -> list[list[int]]:
@@ -524,9 +476,8 @@ def end_cone(t: DiscTree, v: Node) -> DiscTree:
     """
     i = t._find(v)
     cone = [i]
-    for u in cone:  # ``cone`` grows while it is read
+    for u in cone:  # ``cone`` grows while it is read: a breadth-first walk
         cone += t._kids[t._off[u] : t._off[u + 1]]
-    cone.sort()  # levels differ from ``t``'s by one constant, so the order holds
     top = t._level[i]
     return t._derived(t.radius - top, v, cone, [t._level[u] - top for u in cone], t._out)
 
@@ -536,26 +487,27 @@ def reroot_disc(t: DiscTree, v: Node) -> DiscTree:
 
     A disc of radius ``r`` only determines the re-rooted tree out to distance
     ``r - level(v)`` from ``v``, so the result is truncated to that radius.
+    A node's children are its old parent, when that is farther from ``v``,
+    then its old children.
     """
     i = t._find(v)
     new_radius = t.radius - t._level[i]
     parent, letter = t._parent, t._letter
-    dist = {i: 0}
+    dist = [-1] * len(t)
+    dist[i] = 0
     order = [i]
     out: dict[int, list[tuple[str, int]]] = {}
     for u in order:  # ``order`` grows while it is read: a breadth-first walk
         if dist[u] == new_radius:
             continue
         kids: list[tuple[str, int]] = []
-        if parent[u] >= 0 and parent[u] not in dist:
+        if parent[u] >= 0 and dist[parent[u]] < 0:
             kids.append((t.alphabet.inv(letter[u]), parent[u]))
-        kids += [(a, c) for a, c in t._out(u) if c not in dist]
+        kids += [(a, c) for a, c in t._out(u) if dist[c] < 0]
         for _, c in kids:
             dist[c] = dist[u] + 1
             order.append(c)
         out[u] = kids
-    keys = t._sort_keys()
-    order.sort(key=lambda u: (dist[u], keys[u]))
     return t._derived(new_radius, v, order, [dist[u] for u in order], lambda u: out.get(u, ()))
 
 

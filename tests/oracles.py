@@ -18,11 +18,11 @@ pDFA discs, where it is complete.  The document readers that check each
 row with ``_require_fields``, and the standard library's indenting encoder,
 check the one-pass readers and the column writer of ``cftree.jsonio``.  The
 quotient that renames classes through string dicts checks the one built
-straight from the refinement's blocks, and a plain ``repr`` sort checks the
-breadth-first node order of word discs.  Discs unfolded as word tuples and
-handed to the ``DiscTree`` constructor, with the document writer, DOT
-writer, compression and determinism scan read off their dict views, check
-the discs that unfold, write and compress on node numbers; a filter over
+straight from the refinement's blocks, and a breadth-first walk over the
+dict views checks the node numbering of every disc.  Discs unfolded as word
+tuples and handed to the ``DiscTree`` constructor, with the document writer,
+DOT writer, compression and determinism scan read off their dict views,
+check the discs that unfold, write and compress on node numbers; a filter over
 the ``delta`` map checks the ``trim`` that restricts the index, and
 re-rooting by copying the ``delta`` map checks the re-rooting that appends
 the path copies to the index.
@@ -57,7 +57,7 @@ from cftree import (
 )
 from cftree.jsonio import _require_fields, alphabet_from_doc
 from cftree.jsonio import alphabet_to_doc
-from cftree.unfolding import DiscTree, Node, Word, _dot_quote, _node_sort_key, _word_text
+from cftree.unfolding import DiscTree, Node, Word, _dot_quote, _word_text
 
 ENUMERATION_CUTOFF = 8
 
@@ -768,28 +768,18 @@ def dumps_stdlib(doc: Any) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def sorted_nodes_by_repr(t: DiscTree) -> list[Node]:
-    """The nodes sorted by level, then by type name and ``repr``."""
-    return sorted(t.labels, key=lambda v: (t.level[v], _node_sort_key(v)))
+def sorted_nodes_by_walk(t: DiscTree) -> list[Node]:
+    """The nodes in the order of a breadth-first walk over the ``children``
+    view, each node's children in the order the view lists them."""
+    order = [t.root]
+    for v in order:
+        order += [c for _, c in t.children.get(v, ())]
+    return order
 
 
-def nondeterministic_vertex_by_repr(t: DiscTree) -> Node | None:
-    """The bad node of least level, type name and ``repr``, found by a scan
-    of the dict views."""
-    bad = []
-    for v in t.labels:
-        letters = [a for a, _ in t.children.get(v, ())]
-        if v in t.parent:
-            _, down = t.parent[v]
-            letters.append(t.alphabet.inv(down))
-        if len(set(letters)) < len(letters):
-            bad.append(v)
-    return min(bad, key=lambda v: (t.level[v], _node_sort_key(v)), default=None)
-
-
-def nondeterministic_vertex_sorted(t: DiscTree) -> Node | None:
-    """The first bad node of a scan in ``sorted_nodes`` order."""
-    for v in t.sorted_nodes():
+def _first_bad_node(t: DiscTree, order: list[Node]) -> Node | None:
+    """The first node of ``order`` with two equal letters among its edges."""
+    for v in order:
         letters = [a for a, _ in t.children.get(v, ())]
         if v in t.parent:
             _, down = t.parent[v]
@@ -797,6 +787,17 @@ def nondeterministic_vertex_sorted(t: DiscTree) -> Node | None:
         if len(set(letters)) < len(letters):
             return v
     return None
+
+
+def nondeterministic_vertex_by_walk(t: DiscTree) -> Node | None:
+    """The first bad node of a scan of the dict views in breadth-first walk
+    order."""
+    return _first_bad_node(t, sorted_nodes_by_walk(t))
+
+
+def nondeterministic_vertex_sorted(t: DiscTree) -> Node | None:
+    """The first bad node of a scan in ``sorted_nodes`` order."""
+    return _first_bad_node(t, t.sorted_nodes())
 
 
 def unfold_by_words(
@@ -849,27 +850,6 @@ def unfold_mnfa_by_words(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_
     return unfold_by_words(table, p, radius, max_nodes, m.alphabet)
 
 
-def sorted_nodes_by_words(t: DiscTree) -> list[Node]:
-    """``sorted_nodes`` read off the dict views.
-
-    When every node but the root is a word that extends its parent's by one
-    ``str`` or ``int`` step, the order is built breadth-first, each node's
-    children by the ``repr`` of their last step; otherwise it is the plain
-    ``repr`` sort.
-    """
-    words = all(
-        type(c) is tuple and c[:-1] == v and type(c[-1]) in (str, int)
-        for v, kids in t.children.items()
-        for _, c in kids
-    )
-    if not words:
-        return sorted_nodes_by_repr(t)
-    order = [t.root]
-    for v in order:
-        order += sorted((c for _, c in t.children.get(v, ())), key=lambda w: repr(w[-1]))
-    return order
-
-
 def canonical_forms_by_handle(trees: list[DiscTree]) -> list[dict[Node, int]]:
     """Bottom-up shape ids keyed by handle, shared across ``trees``."""
     table: dict[tuple, int] = {}
@@ -915,14 +895,14 @@ def export_dot_by_views(t: DiscTree, order: list[Node]) -> str:
 
 def compress_finite_tree_by_views(t: DiscTree) -> tuple[PDfa, str]:
     """``compress_finite_tree`` on the dict views, with the nodes taken in
-    ``repr`` order."""
-    bad = nondeterministic_vertex_by_repr(t)
+    breadth-first walk order."""
+    bad = nondeterministic_vertex_by_walk(t)
     if bad is not None:
         raise NondeterministicTreeError(f"involutive closure is not deterministic at node {bad!r}")
     (forms,) = canonical_forms_by_handle([t])
     state_of_form: dict[int, str] = {}
     rep_of_form: dict[int, Node] = {}
-    for v in sorted_nodes_by_repr(t):
+    for v in sorted_nodes_by_walk(t):
         if forms[v] not in state_of_form:
             state_of_form[forms[v]] = f"c{len(state_of_form)}"
             rep_of_form[forms[v]] = v

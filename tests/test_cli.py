@@ -109,6 +109,55 @@ def test_unfold_json_round_trips_through_compress(fig_files, tmp_path, capsys):
     assert "root" in doc
 
 
+def _munn_tree_rows(rng, n_nodes):
+    """The Munn tree of a random walk in the Cayley graph of the free group
+    on a and b, until ``n_nodes`` nodes are visited: its nodes as reduced
+    words, in visiting order, and its parent-to-child edges."""
+    inv = {"a": "a^-1", "a^-1": "a", "b": "b^-1", "b^-1": "b"}
+    cur = ()
+    nodes, edges = [cur], []
+    seen = {cur}
+    while len(nodes) < n_nodes:
+        x = rng.choice(sorted(inv))
+        if cur and cur[-1] == inv[x]:
+            cur = cur[:-1]
+            continue
+        nxt = cur + (x,)
+        if nxt not in seen:
+            seen.add(nxt)
+            nodes.append(nxt)
+            edges.append((cur, x, nxt))
+        cur = nxt
+    return nodes, edges, inv
+
+
+def test_compress_output_depends_only_on_the_tree(tmp_path, capsys):
+    # One 500-node Munn tree written 20 times, with node ids renamed at
+    # random (ids of several lengths, so their repr order differs from the
+    # tree's), rows shuffled and each edge in a random orientation: every
+    # document compresses to the same bytes.
+    rng = random.Random(83)
+    nodes, edges, inv = _munn_tree_rows(rng, 500)
+    outputs = set()
+    for k in range(20):
+        names = [f"n{j}" for j in rng.sample(range(5000), len(nodes))]
+        ids = dict(zip(nodes, names))
+        node_rows = [{"id": ids[v], "label": "t"} for v in nodes]
+        edge_rows = [
+            {"from": ids[u], "label": x, "to": ids[v]} if rng.random() < 0.5 else {"from": ids[v], "label": inv[x], "to": ids[u]}
+            for u, x, v in edges
+        ]
+        rng.shuffle(node_rows)
+        rng.shuffle(edge_rows)
+        doc = {"radius": max(map(len, nodes)), "root": ids[()], "nodes": node_rows, "edges": edge_rows}
+        tree_file = tmp_path / f"tree{k}.json"
+        tree_file.write_text(dumps(doc))
+        assert run(["compress", str(tree_file)]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["kind"] == "pdfa"
+
+
 def test_validate_ok_and_exit_codes(fig_files, tmp_path, capsys):
     assert run(["validate", str(fig_files["fig2"])]) == 0
     capsys.readouterr()

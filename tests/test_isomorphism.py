@@ -10,6 +10,7 @@ from cftree import (
     NotReducedError,
     PDfa,
     UnknownLetterError,
+    UnknownStateError,
     automata,
     gap2_has_path,
     involutive_closure,
@@ -486,6 +487,32 @@ def test_unknown_letter_raises(name):
     good = PDfa({"s", "t"}, samples.AL_AB, {("s", "a"): "t", ("t", "b"): "t"})
     with pytest.raises(UnknownLetterError):
         UNKNOWN_LETTER_CALLS[name](bad, good)
+
+
+def test_states_only_transitions_name_raise_as_in_trim():
+    # ``zz`` is read from the root but not listed: every decision and the
+    # state equivalence raise, on either side of a pair.
+    dangling = PDfa({"p"}, samples.AL_A, {("p", "a"): "zz"})
+    good = PDfa({"s"}, samples.AL_A, {})
+    calls = [
+        lambda: iso_rooted(dangling, "p", dangling, "p"),
+        lambda: iso_rooted(good, "s", dangling, "p"),
+        lambda: iso_nonrooted(dangling, "p", good, "s"),
+        lambda: language_classes(dangling),
+        lambda: language_classes(good, dangling),
+        lambda: trim(dangling, "p"),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownStateError, match="'zz'"):
+            call()
+    # A state only transitions name that the root cannot reach still gives
+    # a verdict, as ``trim`` keeps it out.
+    ghost = PDfa({"p", "q"}, samples.AL_A, {("q", "a"): "zz"})
+    assert trim(ghost, "p").states == {"p"}
+    assert iso_rooted(ghost, "p", good, "s") == (True, None)
+    assert iso_rooted(good, "s", ghost, "p") == (True, None)
+    with pytest.raises(UnknownStateError, match="'zz'"):
+        iso_rooted(ghost, "q", good, "s")
 
 
 def test_merged_alphabets_are_handled():

@@ -35,10 +35,9 @@ from oracles import (
     labeled_iso_brute,
     labeled_iso_recursive,
     language_upto,
-    nondeterministic_vertex_by_repr,
+    nondeterministic_vertex_by_walk,
     nondeterministic_vertex_sorted,
-    sorted_nodes_by_repr,
-    sorted_nodes_by_words,
+    sorted_nodes_by_walk,
     tree_from_doc_by_fields,
     tree_to_doc_by_views,
     unfold_mnfa_by_words,
@@ -444,29 +443,46 @@ class _Step(str):
         return str(self)
 
 
-def test_sorted_nodes_matches_repr_sort():
+def test_sorted_nodes_is_breadth_first_in_child_order():
     # Word discs of pDFAs (str steps) and mNFAs (int steps of one to three
     # digits, some negative, so one step's repr is a prefix of another's),
-    # their end-cones and truncations take the breadth-first order; re-rooted
-    # discs and discs with int or loaded string nodes take the repr sort.
+    # their end-cones, re-rooted discs and truncations, discs with int nodes
+    # and loaded discs with string nodes all list their nodes in one
+    # breadth-first walk over the ``children`` view.  Children come by
+    # letter in a pDFA unfolding, by transition id in an mNFA unfolding and
+    # by (letter, id) in a loaded disc; a re-rooted disc lists the new
+    # root's old parent first.
     rng = random.Random(67)
     trees = [unfold_pdfa(samples.ray(), "u", 2000)]
+    sorted_by = []
     for _ in range(60):
         d, root = random_pdfa(rng, rng.randint(1, 6))
         m = pdfa_to_mnfa(d)
         tids = rng.sample([-12, -1, *range(130)], len(m.transitions))
         m = MNfa(m.states, m.alphabet, [Transition(i, *t.triple()) for i, t in zip(tids, m.transitions)])
-        for t in (unfold_pdfa(d, root, rng.randint(0, 5)), unfold_mnfa(m, root, rng.randint(0, 4))):
+        tp, tm = unfold_pdfa(d, root, rng.randint(0, 5)), unfold_mnfa(m, root, rng.randint(0, 4))
+        sorted_by += [(tp, lambda e: e[0]), (tm, lambda e: e[1][-1])]
+        for t in (tp, tm):
             v = rng.choice(list(t.nodes))
-            trees += [t, end_cone(t, v), reroot_disc(t, v), truncate(t, t.radius // 2), tree_from_doc(tree_to_doc(t))]
+            loaded, moved = tree_from_doc(tree_to_doc(t)), reroot_disc(t, v)
+            trees += [t, end_cone(t, v), moved, truncate(t, t.radius // 2), loaded]
+            sorted_by.append((loaded, lambda e: e))
+            if v != t.root and moved.radius > 0:
+                up, a = t.parent[v]
+                assert moved.children[v][0] == (t.alphabet.inv(a), up)
         trees += [random_involutive_tree(rng, 30), random_labeled_disc(rng)]
-    # Steps of other types take the repr sort: "(x y,)" sorts before "(x,)".
+    for t, key in sorted_by:
+        for kids in t.children.values():
+            keys = list(map(key, kids))
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    # Handles of other types are never inspected: the children come in the
+    # given order, although "(x y,)" sorts before "(x,)" by repr.
     x, x_y = _Step("x"), _Step("x y")
     trees.append(DiscTree(1, (), {(): "r", (x,): "s", (x_y,): "s"}, {(): (("a", (x,)), ("b", (x_y,)))}, samples.AL_AB))
-    assert trees[-1].sorted_nodes()[1:] == [(x_y,), (x,)]
+    assert trees[-1].sorted_nodes()[1:] == [(x,), (x_y,)]
     kinds = Counter()
     for t in trees:
-        assert t.sorted_nodes() == sorted_nodes_by_repr(t)
+        assert t.sorted_nodes() == sorted_nodes_by_walk(t)
         kinds[type(t.root).__name__] += 1
     assert kinds["tuple"] >= 300 and kinds["str"] >= 100 and kinds["int"] >= 100, kinds
 
@@ -516,12 +532,12 @@ def _check_against_views(new, old, order):
     """``new`` writes, draws, compresses and scans as ``old`` does through
     its dict views with the nodes in ``order``; the views come last, so the
     operations run before any word is built."""
-    assert nondeterministic_vertex(new) == nondeterministic_vertex_by_repr(old)
+    assert nondeterministic_vertex(new) == nondeterministic_vertex_by_walk(old)
     got = _compressed(compress_finite_tree, new)
     assert got == _compressed(compress_finite_tree_by_views, old)
     assert dumps(tree_to_doc(new)) == dumps(tree_to_doc_by_views(old, order))
     assert export_dot(new) == export_dot_by_views(old, order)
-    assert new.sorted_nodes() == order == sorted_nodes_by_repr(old)
+    assert new.sorted_nodes() == order == sorted_nodes_by_walk(old)
     assert (new.labels, new.children, new.level, new.parent) == (old.labels, old.children, old.level, old.parent)
     return got.startswith("{")
 
@@ -547,13 +563,13 @@ def test_disc_operations_match_word_oracles():
     assert {"n2", "n10"} <= loaded_ids
     counts = Counter()
     for kind, new, old in discs:
-        v = rng.choice(sorted_nodes_by_repr(old))
+        v = rng.choice(sorted_nodes_by_walk(old))
         cut = rng.randint(0, new.radius)
         derived = [(end_cone(new, v), end_cone(old, v)), (reroot_disc(new, v), reroot_disc(old, v))]
         derived.append((truncate(new, cut), truncate(old, cut)))
-        counts[kind, _check_against_views(new, old, sorted_nodes_by_words(old))] += 1
+        counts[kind, _check_against_views(new, old, sorted_nodes_by_walk(old))] += 1
         for x, y in derived:
-            _check_against_views(x, y, sorted_nodes_by_repr(y))
+            _check_against_views(x, y, sorted_nodes_by_walk(y))
     assert min(counts.values()) >= 20 and len(counts) == 6, counts
 
     verdicts = Counter()
