@@ -10,13 +10,16 @@ when a decision first runs, and one loaded from a document or made by a
 quotient, ``trim`` or a re-rooting (all three through ``_restrict``) holds
 only its index until ``delta`` is read.  Both kinds are immutable after
 construction; all checks live in separate functions so a caller can
-collect every problem at once instead of failing fast.
+collect every problem at once instead of failing fast.  Reducedness is one
+fact about a pDFA: ``reducedness_violation`` decides it from the successor
+columns the first time it is asked and keeps the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple
 
 from .alphabet import InvolutiveAlphabet, merge_alphabets
@@ -98,6 +101,9 @@ class _Index(NamedTuple):
     States get ids in ``names`` order; states that only transitions mention
     come after the listed ones.  Letter ``i`` is the alphabet's ``i``-th
     letter in sorted order, so two indexes over one alphabet share letter ids.
+    It holds the transitions only, one column and one mask bit per letter;
+    whatever is derived from them, such as reducedness, is computed from
+    the columns where it is needed.
     """
 
     names: list[str]
@@ -106,32 +112,30 @@ class _Index(NamedTuple):
     inverse: list[int]  # letter id -> id of its inverse
     succ: list[list[int]]  # succ[i][p]: target of p on letter i, or -1
     masks: list[int]  # bit i of masks[p]: p reads letter i
-    back: list[int]  # bit inverse[i] of back[q]: some transition into q reads letter i
 
 
 def _blank_index(
     names: list[str], alphabet: InvolutiveAlphabet
-) -> tuple[_Index, dict[str, tuple[list[int], int, int]]]:
+) -> tuple[_Index, dict[str, tuple[list[int], int]]]:
     """An index of ``names`` with no transitions, and for each letter its
-    successor column, its mask bit and the back bit its transitions set."""
+    successor column and its mask bit."""
     letters = alphabet.sorted_letters()
     inverse = [letters.index(alphabet.inv(x)) for x in letters]
     succ = [[-1] * len(names) for _ in letters]
-    ix = _Index(names, dict(zip(names, range(len(names)))), letters, inverse, succ, [0] * len(names), [0] * len(names))
-    return ix, {x: (succ[i], 1 << i, 1 << inverse[i]) for i, x in enumerate(letters)}
+    ix = _Index(names, dict(zip(names, range(len(names)))), letters, inverse, succ, [0] * len(names))
+    return ix, {x: (succ[i], 1 << i) for i, x in enumerate(letters)}
 
 
 def _build_index(
     names: list[str], alphabet: InvolutiveAlphabet, delta: dict[tuple[str, str], str]
 ) -> _Index:
     ix, by_letter = _blank_index(names, alphabet)
-    ids, masks, back = ix.ids, ix.masks, ix.back
+    ids, masks = ix.ids, ix.masks
     for (p, a), q in delta.items():
-        i, t = ids[p], ids[q]
-        column, bit, inv_bit = by_letter[a]
-        column[i] = t
+        i = ids[p]
+        column, bit = by_letter[a]
+        column[i] = ids[q]
         masks[i] |= bit
-        back[t] |= inv_bit
     return ix
 
 
@@ -143,32 +147,25 @@ def _widened(ix: _Index, alphabet: InvolutiveAlphabet) -> _Index:
     own = dict(zip(ix.letters, ix.succ))
     none = [-1] * len(ix.names)  # shared by the absent letters; callers only read
     succ = [own.get(x, none) for x in letters]
-    masks, back = ix.masks, ix.back
+    masks = ix.masks
     pos = [letters.index(x) for x in ix.letters]  # old letter id -> new one
     if pos != list(range(len(pos))):
-        renumbered = {m: sum(1 << j for i, j in enumerate(pos) if m >> i & 1) for m in {*masks, *back}}
+        renumbered = {m: sum(1 << j for i, j in enumerate(pos) if m >> i & 1) for m in set(masks)}
         masks = list(map(renumbered.__getitem__, masks))
-        back = list(map(renumbered.__getitem__, back))
-    return _Index(ix.names, ix.ids, letters, inverse, succ, masks, back)
+    return _Index(ix.names, ix.ids, letters, inverse, succ, masks)
 
 
 def _restrict(ix: _Index, keep: list[int], to: list[int] | None = None) -> _Index:
     """``ix`` on the states ``keep``, in that order, with each successor ``t``
     renamed ``to[t]``: by default its place in ``keep``.  A given ``to``
-    ends in ``-1``, so that ``to[-1]`` keeps "no successor".  The back bits
-    are recomputed from the columns that remain."""
+    ends in ``-1``, so that ``to[-1]`` keeps "no successor"."""
     if to is None:
         to = [-1] * (len(ix.names) + 1)
         for i, s in enumerate(keep):
             to[s] = i
     succ = [[to[col[s]] for s in keep] for col in ix.succ]
-    back = [0] * len(keep)
-    for col, j in zip(succ, ix.inverse):
-        for q in col:
-            if q >= 0:
-                back[q] |= 1 << j
     names = [ix.names[s] for s in keep]
-    return _Index(names, dict(zip(names, range(len(keep)))), ix.letters, ix.inverse, succ, [ix.masks[s] for s in keep], back)
+    return _Index(names, dict(zip(names, range(len(keep)))), ix.letters, ix.inverse, succ, [ix.masks[s] for s in keep])
 
 
 def _decode_delta(ix: _Index) -> dict[tuple[str, str], str]:
@@ -183,7 +180,9 @@ def _decode_delta(ix: _Index) -> dict[tuple[str, str], str]:
 class PDfa:
     """Partial deterministic finite automaton (a deterministic letter-labeled graph)."""
 
-    __slots__ = ("states", "alphabet", "_delta", "_index")
+    # ``_violation`` caches ``reducedness_violation``: None until it runs,
+    # then the pair it found, or ``()`` for a reduced automaton.
+    __slots__ = ("states", "alphabet", "_delta", "_index", "_violation")
 
     def __init__(
         self,
@@ -195,6 +194,7 @@ class PDfa:
         self.alphabet = alphabet
         self._delta: dict[tuple[str, str], str] | None = dict(delta)
         self._index: _Index | None = None
+        self._violation: tuple | None = None
 
     @classmethod
     def _from_index(cls, alphabet: InvolutiveAlphabet, index: _Index) -> PDfa:
@@ -205,6 +205,7 @@ class PDfa:
         d.alphabet = alphabet
         d._delta = None
         d._index = index
+        d._violation = None
         return d
 
     @property
@@ -245,9 +246,6 @@ class PDfa:
         if alphabet is None or alphabet == self.alphabet:
             return self._index
         return _widened(self._index, alphabet)
-
-    def step(self, p: str, a: str) -> str | None:
-        return self.delta.get((p, a))
 
     def run(self, p: str, word: Iterable[str]) -> str | None:
         """State reached from ``p`` by reading ``word``, or None if it dies."""
@@ -366,20 +364,24 @@ def reducedness_violation(d: PDfa) -> tuple[tuple[str, str, str], tuple[str, str
     Such a pair puts a word with an ``a a^-1`` factor in the language of
     ``p``, which is what reducedness forbids.  For a self-inverse letter this
     degenerates to an ``a a`` path.  Of all such pairs, the one with the
-    smallest ``(p, a, q)`` is returned.
+    smallest ``(p, a, q)`` is returned.  Decided once per automaton from
+    its successor columns, without decoding ``delta``.
     """
-    ix = d._indexed()
-    # State q is the middle of a violating pair exactly when a letter that
-    # enters q has its inverse among the letters q reads.
-    if not any(map(int.__and__, ix.back, ix.masks)):
-        return None
-    pairs = []
-    for (p, a), q in d.delta.items():
-        ainv = d.alphabet.inv(a)
-        r = d.delta.get((q, ainv))
-        if r is not None:
-            pairs.append(((p, a, q), (q, ainv, r)))
-    return min(pairs)
+    if d._violation is None:
+        ix = d._indexed()
+        names, letters, succ = ix.names, ix.letters, ix.succ
+        read = reduce(or_, ix.masks, 0)  # bit i: some state reads letter i
+        pairs = []
+        for a, b in enumerate(ix.inverse):
+            if read >> a & read >> b & 1:
+                col, back = succ[a], succ[b] + [-1]  # back[-1]: "no successor" reads nothing
+                # One pass: does any a-successor read b?
+                if max(map(back.__getitem__, col)) >= 0:
+                    p = min((p for p, q in enumerate(col) if back[q] >= 0), key=names.__getitem__)
+                    q = col[p]
+                    pairs.append(((names[p], letters[a], names[q]), (names[q], letters[b], names[back[q]])))
+        d._violation = min(pairs, default=())
+    return d._violation or None
 
 
 def is_reduced(d: PDfa) -> bool:

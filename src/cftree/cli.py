@@ -163,9 +163,11 @@ def _cmd_compress(args) -> int:
 def _cmd_minimize(args) -> int:
     aut, root = _load_automaton(args.file)
     d = _as_pdfa_input(aut, args.file)
+    if args.trim and root is None:
+        raise SchemaError(f"{args.file} has no root and --trim needs one")
     out, rep = compression.quotient(d)
     new_root = rep[root] if root is not None else None
-    if args.trim and new_root is not None:
+    if args.trim:
         out = trim(out, new_root)
     sys.stdout.write(jsonio.dumps(jsonio.automaton_to_doc(out, root=new_root)))
     return EXIT_OK

@@ -165,19 +165,18 @@ def _pdfa_index(states: list[str], alphabet: InvolutiveAlphabet, rows: list, roo
     their documented order to name the problem.
     """
     ix, by_letter = _blank_index(list(states), alphabet)  # the document keeps its own list
-    ids, masks, back = ix.ids, ix.masks, ix.back
+    ids, masks = ix.ids, ix.masks
     try:
         for td in rows:
             # Four entries and four successful lookups: exactly the four fields.
             if type(td) is not dict or len(td) != 4 or type(td["id"]) is not int:
                 return None
             p, q = ids[td["from"]], ids[td["to"]]
-            column, bit, inv_bit = by_letter[td["label"]]
+            column, bit = by_letter[td["label"]]
             if column[p] >= 0:
                 return None
             column[p] = q
             masks[p] |= bit
-            back[q] |= inv_bit
         if root is not None and root not in ids:
             return None
     except (KeyError, TypeError):  # a missing field, or an unknown or unhashable state, letter or root

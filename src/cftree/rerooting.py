@@ -97,14 +97,12 @@ def reroot_along_word(d: PDfa, root: str, w: Word) -> tuple[PDfa, str]:
     for col in r.succ:
         col += [col[s] for s in path]
     r.masks.extend(r.masks[s] for s in path)
-    r.back.extend([0] * len(path))
     for i, a in enumerate(map(ix.letters.index, w), m):
         b = ix.inverse[a]
         r.succ[a][i] = -1
         r.masks[i] ^= 1 << a
         r.succ[b][i + 1] = i
         r.masks[i + 1] |= 1 << b
-        r.back[i] = 1 << a  # c_i is entered on b, the inverse of a
     r.names.extend(copies)
     r.ids.update(zip(copies, range(m, len(r.names))))
     return trim(PDfa._from_index(d.alphabet, r), here), here

@@ -76,8 +76,10 @@ class DiscTree:
     Stored as parent-to-child edges; the inverse edges of the involutive
     closure are derived on demand.  ``radius`` is the validity bound of the
     disc and may exceed the actual height.  The constructor takes the
-    ``labels`` and ``children`` dicts keyed by node handles; they become its
-    views, and each ``children`` tuple gives that node's child order.
+    ``labels`` and ``children`` dicts keyed by node handles, and each
+    ``children`` tuple gives that node's child order.  It reads them once:
+    its views are built from its own lists, as for every other disc, so a
+    leaf listed with ``()`` and one left out give equal discs.
     """
 
     __slots__ = (
@@ -139,7 +141,6 @@ class DiscTree:
         label = [labels[v] for v in order]
         self._set(radius, root, alphabet, parent, letter, label, [level[v] for v in order], off, kids, names=order)
         self._ids = ids
-        self._labels, self._children, self._levels = labels, children, level
 
     def _set(
         self, radius, root, alphabet, parent, letter, label, level, off, kids,
@@ -276,12 +277,6 @@ class DiscTree:
         h, parent, letter = self._handles(), self._parent, self._letter
         for c in self._kids:
             yield (h[parent[c]], letter[c], h[c])
-
-    def closure_edges(self) -> Iterator[tuple[Node, str, Node]]:
-        """All edges of the involutive closure."""
-        for v, a, c in self.down_edges():
-            yield (v, a, c)
-            yield (c, self.alphabet.inv(a), v)
 
     def sorted_nodes(self) -> list[Node]:
         """Nodes in the order of one breadth-first walk from the root that

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from cftree import (
     InvolutiveAlphabet,
     MNfa,
     NotDeterministicError,
+    NotReducedError,
     PDfa,
     Transition,
     UnknownStateError,
@@ -20,6 +22,7 @@ from cftree import (
     merge_alphabets,
     pdfa_to_mnfa,
     reducedness_violation,
+    require_reduced,
     trim,
     unfold_mnfa,
     validate_mnfa,
@@ -157,6 +160,59 @@ def test_reducedness_violation_matches_sorted_scan():
     assert 100 < found < len(cases) - 100
 
 
+def test_reducedness_from_the_columns_matches_the_scan():
+    # The verdict and the named pair come from the successor columns.  They
+    # equal the sorted scan over the map for pDFAs built from a map, some
+    # with states that only transitions name, and for ones loaded from a
+    # document, which stay undecoded.  Some alphabets have a self-inverse
+    # letter, or one whose inverse no state reads.
+    rng = random.Random(97)
+    self_inverse = InvolutiveAlphabet({"c"}, {"c": "c"})
+    mixed = InvolutiveAlphabet({"a", "a^-1", "c"}, {"a": "a^-1", "a^-1": "a", "c": "c"})
+    seen = Counter()
+    for i in range(1200):
+        alphabet = (None, mixed, self_inverse)[i % 3]
+        if rng.random() < 0.5:
+            d, root = random_pdfa(rng, rng.randint(1, 10), alphabet, density=rng.random())
+        else:
+            d, root = random_reduced_pdfa(rng, rng.randint(1, 10), alphabet, extra_density=rng.random())
+        form = ("map", "loaded", "ghosts")[i % 4 % 3]
+        if form == "loaded":
+            d = automaton_from_doc(automaton_to_doc(d, root=root))[0]
+        else:
+            letters, ends = d.alphabet.sorted_letters(), [*sorted(d.states), "g0", "g1"]
+            ghosts = {(rng.choice(ends), rng.choice(letters)): rng.choice(ends) for _ in range(rng.randint(1, 4))}
+            d = PDfa(d.states, d.alphabet, {**d.delta, **ghosts} if form == "ghosts" else d.delta)
+        got = reducedness_violation(d)
+        assert (d._delta is None) == (form == "loaded")
+        expected = reducedness_violation_by_scan(d)
+        assert got == expected and is_reduced(d) == (expected is None)
+        seen[form, expected is None] += 1
+    assert min(seen.values()) >= 50 and len(seen) == 6, seen
+    assert sum(n for (_, ok), n in seen.items() if ok) >= 200
+    assert sum(n for (_, ok), n in seen.items() if not ok) >= 200
+
+
+def test_reducedness_is_decided_once_per_pdfa(monkeypatch):
+    indexed, decoded = [], []
+    index, decode = PDfa._indexed, automata._decode_delta
+    monkeypatch.setattr(PDfa, "_indexed", lambda d, *a: indexed.append(d) or index(d, *a))
+    monkeypatch.setattr(automata, "_decode_delta", lambda ix: decoded.append(ix) or decode(ix))
+    bad = automaton_from_doc(automaton_to_doc(samples.loop_both_directions(), root="p"))[0]
+    for d in (samples.astar_bstar_pdfa(), bad):
+        for attempt in range(3):
+            indexed.clear()
+            try:
+                require_reduced(d)
+            except NotReducedError as e:
+                assert d is bad and e.pair == reducedness_violation(d)
+            else:
+                assert d is not bad
+            assert len(indexed) == (attempt == 0)
+    assert decoded == []
+    assert not is_reduced(bad) and indexed == []
+
+
 def test_out_set():
     d = samples.astar_bstar_pdfa()
     assert d.out_set("p") == {"a", "b"}
@@ -214,9 +270,9 @@ def test_trim_preserves_discs():
 
 def test_trim_on_the_index_matches_the_map_filter():
     # A second part that the root does not reach sends transitions into the
-    # first, so the trimmed index must drop their back bits.  Built from a
-    # map or loaded into its index, the trimmed pDFA holds only an index,
-    # equal to one built fresh from the filtered map.
+    # first, so the trimmed pDFA's reducedness must not count them.  Built
+    # from a map or loaded into its index, the trimmed pDFA holds only an
+    # index, equal to one built fresh from the filtered map.
     rng = random.Random(83)
     dropped = 0
     for i in range(200):
@@ -230,7 +286,7 @@ def test_trim_on_the_index_matches_the_map_filter():
         assert got._delta is None
         ix = got._indexed()
         fresh = _build_index(ix.names, got.alphabet, want.delta)
-        assert (ix.succ, ix.masks, ix.back) == (fresh.succ, fresh.masks, fresh.back)
+        assert (ix.succ, ix.masks) == (fresh.succ, fresh.masks)
         assert got == want and is_reduced(got) == is_reduced(want)
         dropped += len(d.states) - len(got.states)
     assert dropped >= 200
@@ -274,8 +330,8 @@ def test_transition_is_an_immutable_value_equal_only_to_transitions():
 
 
 def test_index_over_a_larger_alphabet_matches_a_fresh_build():
-    # Own columns are kept, absent letters read nothing, and mask and back
-    # bits follow the larger alphabet's numbering, for pDFAs built from a
+    # Own columns are kept, absent letters read nothing, and mask bits
+    # follow the larger alphabet's numbering, for pDFAs built from a
     # map and for ones loaded into their index.
     c = InvolutiveAlphabet({"c"}, {"c": "c"})
     alphabets = [

@@ -559,8 +559,9 @@ def test_written_documents_are_the_stdlib_writers_bytes(fig_files, tmp_path, cap
 def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatch, capsys):
     # A strict pdfa document loads into the integer index only; `iso`,
     # `minimize` (also with `--trim`), `unfold` and `reroot` never decode it
-    # into a transition map.  Every command gives the same output as with the
-    # field-by-field reader, whose pDFAs hold a map from the start.
+    # into a transition map, not even to name the pair of transitions that
+    # makes a document not reduced.  Every command gives the same output as
+    # with the field-by-field reader, whose pDFAs hold a map from the start.
     rng = random.Random(47)
     al_b = involutive_closure(["b"])
     paths = {}
@@ -574,7 +575,13 @@ def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatc
     renamed = PDfa({f"r{p}" for p in d.states}, d.alphabet, {(f"r{p}", x): f"r{q}" for (p, x), q in d.delta.items()})
     paths["ab-renamed"] = tmp_path / "ab-renamed.json"
     paths["ab-renamed"].write_text(dumps(automaton_to_doc(renamed, root=f"r{root}")))
-    ab, ab2, ab_renamed, a, b = (str(paths[k]) for k in ("ab", "ab2", "ab-renamed", "a", "b"))
+    bad = PDfa({"s0", "s1", "s2", "s3"}, samples.AL_AB, {
+        ("s0", "a"): "s1", ("s1", "b"): "s2", ("s2", "b^-1"): "s3",
+        ("s3", "a"): "s0", ("s0", "b"): "s3", ("s3", "b^-1"): "s1",
+    })  # two violations; the one from the smallest state is named
+    paths["bad"] = tmp_path / "bad.json"
+    paths["bad"].write_text(dumps(automaton_to_doc(bad, root="s0")))
+    ab, ab2, ab_renamed, a, b, bad = (str(paths[k]) for k in ("ab", "ab2", "ab-renamed", "a", "b", "bad"))
     quiet = [
         ["iso", ab, ab_renamed, "--witness"],
         ["iso", ab, ab2, "--witness"],
@@ -589,6 +596,11 @@ def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatc
         ["unfold", ab, "--radius", "3"],
         ["unfold", a, "--radius", "2", "--dot"],
         ["reroot", ab, "--word", first_letters["ab"]],
+    ]
+    rejected = [
+        ["iso", bad, ab],
+        ["iso", ab, bad, "--unrooted"],
+        ["reroot", bad, "--word", "a"],
     ]
     decoding = [
         ["lift-nonrooted", ab, ab2, "--out-a", str(tmp_path / "lift-a.json"), "--out-b", str(tmp_path / "lift-b.json")],
@@ -610,9 +622,28 @@ def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatc
     assert [r[3] for r in got[: len(quiet)]] == [0] * len(quiet)
     assert got[len(quiet)][3] >= 1  # the lift reads the map: the counter sees decodes
     assert {r[0] for r in got} == {0, 1}
+    pair = "'s0' -b-> 's3' -b^-1-> 's1'\n"
+    got_rejected = outputs(rejected)
+    assert got_rejected == [
+        (2, "", f"error[NOT_REDUCED]: {what} is not reduced: {pair}", 0)
+        for what in ("first automaton", "second automaton", "input")
+    ]
     monkeypatch.setattr(jsonio, "automaton_from_doc", automaton_from_doc_by_fields)
     want = outputs(quiet + decoding)
     assert [r[:3] for r in got] == [r[:3] for r in want]
+    assert [r[:3] for r in got_rejected] == [r[:3] for r in outputs(rejected)]
+
+
+def test_minimize_trim_without_a_root_is_rejected(tmp_path, capsys):
+    # ``--trim`` keeps the states reachable from the root, so a document
+    # with no root cannot be trimmed; it is not quotiented untrimmed.
+    path = tmp_path / "rootless.json"
+    path.write_text(dumps(automaton_to_doc(samples.astar_bstar_pdfa())))
+    assert run(["minimize", str(path), "--trim"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error[BAD_DOCUMENT]: {path} has no root and --trim needs one\n")
+    assert run(["minimize", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["states"] == ["p", "q"]
 
 
 def test_byte_identical_output(fig_files):

@@ -157,7 +157,7 @@ def test_quotient_matches_renaming_oracle():
         assert m == want_m and rep == want_rep
         assert ix.names == sorted(m.states)
         built = _build_index(ix.names, m.alphabet, m.delta)
-        assert (ix.succ, ix.masks, ix.back) == (built.succ, built.masks, built.back)
+        assert (ix.succ, ix.masks) == (built.succ, built.masks)
         seen["merged" if len(m.states) < len(d.states) else "kept"] += 1
         seen["unreachable"] += len(reachable_states(d, "s0")) < len(d.states)
         seen["self-inverse"] += alphabet is self_inverse

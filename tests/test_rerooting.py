@@ -229,7 +229,7 @@ def test_reroot_along_word_matches_map_oracle(tmp_path, capsys):
     # The copies are appended to the index and trimmed there; the oracle adds
     # them to a copy of the ``delta`` map.  Same root, states, map and output
     # bytes, and the index equals one built fresh from the oracle's map, so
-    # every mask and back bit is checked.  Half the inputs are loaded from
+    # every column and mask bit is checked.  Half the inputs are loaded from
     # documents and hold only an index, as on the CLI path.
     rng = random.Random(12)
     with_c = InvolutiveAlphabet({"a", "A", "c"}, {"a": "A", "A": "a", "c": "c"})  # c is its own inverse

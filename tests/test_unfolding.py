@@ -334,6 +334,20 @@ def test_nondeterministic_vertex_matches_sorted_scan():
     assert min(found.values()) >= 300, found
 
 
+def test_constructor_views_come_from_its_own_lists():
+    # The constructor reads its dicts once: a leaf listed with ``()`` and one
+    # left out give equal discs, and later changes to the dicts change nothing.
+    labels = {"r": "p", "c": "p"}
+    children = {"r": (("a", "c"),), "c": ()}
+    t = DiscTree(1, "r", labels, children, samples.AL_A)
+    assert t == truncate(t, 1) == DiscTree(1, "r", dict(labels), {"r": (("a", "c"),)}, samples.AL_A)
+    labels["x"] = "q"
+    children["c"] = (("a", "x"),)
+    assert len(t) == 2 and list(t.nodes) == ["r", "c"] == t.sorted_nodes()
+    assert t.labels == {"r": "p", "c": "p"} and t.children == {"r": (("a", "c"),)}
+    assert t.level == {"r": 0, "c": 1}
+
+
 def test_end_cone_of_root_is_whole_tree():
     t = unfold_pdfa(samples.astar_bstar_pdfa(), "p", 2)
     assert end_cone(t, t.root) == t
