@@ -3,16 +3,19 @@
 An :class:`MNfa` is a finite edge-labeled multigraph: parallel transitions
 with identical endpoints and label are distinguished by an integer id.  A
 :class:`PDfa` is a partial function ``(state, letter) -> state``, so
-determinism holds by representation.  It is held as the map ``delta``, as
-an integer index (one successor column per letter), or both, and each form
-is derived from the other on first use: a pDFA built from a map indexes it
-when a decision first runs, and one loaded from a document or made by a
-quotient, ``trim`` or a re-rooting (all three through ``_restrict``) holds
-only its index until ``delta`` is read.  Both kinds are immutable after
-construction; all checks live in separate functions so a caller can
-collect every problem at once instead of failing fast.  Reducedness is one
-fact about a pDFA: ``reducedness_violation`` decides it from the successor
-columns the first time it is asked and keeps the verdict.
+determinism holds by representation.  It is held as a map, as an integer
+index (one successor column per letter), or both, and each form is derived
+from the other on first use: a pDFA built from a map indexes it when a
+decision first runs, and one loaded from a document or made by a quotient,
+``trim`` or a re-rooting (all three through ``_restrict``) holds only its
+index until ``delta``, a read-only view of the map, is read.  Both kinds are
+immutable after construction, so the index and the verdicts kept from it
+stay true.  ``_sorted_transitions`` lists the transitions in order from
+whichever form is held, so writers, ``pdfa_to_mnfa``, ``validate_pdfa`` and
+hashing decode nothing.  All checks live in separate functions so a caller
+can collect every problem at once instead of failing fast.  Reducedness is
+one fact about a pDFA: ``reducedness_violation`` decides it from the
+successor columns the first time it is asked and keeps the verdict.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, or_
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .alphabet import InvolutiveAlphabet, merge_alphabets
@@ -209,12 +213,12 @@ class PDfa:
         return d
 
     @property
-    def delta(self) -> dict[tuple[str, str], str]:
-        """The transitions as a ``(state, letter) -> state`` map, decoded
-        from the index on first read."""
+    def delta(self) -> Mapping[tuple[str, str], str]:
+        """The transitions as a read-only ``(state, letter) -> state`` view
+        of the held map, which is decoded from the index on first read."""
         if self._delta is None:
             self._delta = _decode_delta(self._index)
-        return self._delta
+        return MappingProxyType(self._delta)
 
     def out_set(self, p: str) -> frozenset[str]:
         """Letters readable from ``p``."""
@@ -266,12 +270,26 @@ class PDfa:
         )
 
     def __hash__(self) -> int:
-        return hash((self.states, self.alphabet, tuple(sorted(self.delta.items()))))
+        return hash((self.states, self.alphabet, tuple(_sorted_transitions(self))))
 
     def __repr__(self) -> str:
         # Reading ``delta`` would decode the whole map only to count it.
         n = len(self._delta) if self._delta is not None else sum(map(int.bit_count, self._index.masks))
         return f"PDfa(states={len(self.states)}, transitions={n})"
+
+
+def _sorted_transitions(d: PDfa) -> list[tuple[tuple[str, str], str]]:
+    """``sorted(d.delta.items())``, without decoding a map the pDFA does not hold.
+
+    Sorting a held map costs less than indexing it first, and listing an
+    index by name rank, then letter id, less than decoding its map first.
+    """
+    if d._delta is not None:
+        return sorted(d._delta.items())
+    ix = d._index
+    names, columns = ix.names, list(zip(ix.letters, ix.succ))
+    rank = sorted(range(len(names)), key=names.__getitem__)
+    return [((names[s], x), names[t]) for s in rank for x, col in columns if (t := col[s]) >= 0]
 
 
 class Issue(NamedTuple):
@@ -311,7 +329,7 @@ def validate_mnfa(m: MNfa) -> ValidationReport:
 
 def validate_pdfa(d: PDfa) -> ValidationReport:
     issues: list[Issue] = []
-    for (p, a), q in sorted(d.delta.items()):
+    for (p, a), q in _sorted_transitions(d):
         if p not in d.states:
             issues.append(Issue("DANGLING_STATE", f"transition from unknown state {p!r}", (p,)))
         if q not in d.states:
@@ -353,7 +371,7 @@ def pdfa_to_mnfa(d: PDfa) -> MNfa:
     """View a pDFA as an mNFA, with ids assigned in sorted transition order."""
     transitions = [
         Transition(i, p, a, q)
-        for i, ((p, a), q) in enumerate(sorted(d.delta.items()))
+        for i, ((p, a), q) in enumerate(_sorted_transitions(d))
     ]
     return MNfa(d.states, d.alphabet, transitions)
 

@@ -112,6 +112,8 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
     same language.  A state that only transitions name raises
     ``UnknownStateError``, as in ``quotient``.
     """
+    if not automata:
+        return []
     alphabet = reduce(merge_alphabets, (d.alphabet for d in automata))
     indexes = [d._indexed(alphabet) for d in automata]
     for d, ix in zip(automata, indexes):

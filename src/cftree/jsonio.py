@@ -27,7 +27,7 @@ writes that form without the standard library's pure-Python indenting
 encoder.  Readers check each row in one pass and build an error message
 only for a row that fails.  A strict "pdfa" document is read straight into
 the automaton's integer index, so the pDFA holds no ``delta`` map until one
-is read; the writer lists the rows of such a pDFA from its index.
+is read.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from operator import itemgetter
 from typing import Any, Iterable
 
 from .alphabet import InvolutiveAlphabet, involutive_closure
-from .automata import MNfa, PDfa, Transition, _blank_index, _Index
+from .automata import MNfa, PDfa, Transition, _blank_index, _Index, _sorted_transitions
 from .errors import CFTreeError, SchemaError
 from .reductions import Gap2Instance
 from .unfolding import DiscTree, _link
@@ -185,44 +185,20 @@ def _pdfa_index(states: list[str], alphabet: InvolutiveAlphabet, rows: list, roo
 
 
 def automaton_to_doc(aut: MNfa | PDfa, root: str | None = None) -> dict:
-    doc: dict[str, Any] = {"alphabet": alphabet_to_doc(aut.alphabet)}
-    if isinstance(aut, MNfa):
-        doc["kind"] = "mnfa"
-        doc["states"] = sorted(aut.states)
+    kind = "mnfa" if isinstance(aut, MNfa) else "pdfa"
+    doc: dict[str, Any] = {"alphabet": alphabet_to_doc(aut.alphabet), "kind": kind, "states": sorted(aut.states)}
+    if kind == "mnfa":
         doc["transitions"] = [
             {"id": t.tid, "from": t.src, "label": t.label, "to": t.dst}
             for t in aut.transitions
         ]
     else:
-        doc["kind"] = "pdfa"
-        doc["states"] = sorted(aut.states)
-        doc["transitions"] = _pdfa_rows(aut)
+        doc["transitions"] = [
+            {"id": i, "from": p, "label": a, "to": q} for i, ((p, a), q) in enumerate(_sorted_transitions(aut))
+        ]
     if root is not None:
         doc["root"] = root
     return doc
-
-
-def _pdfa_rows(d: PDfa) -> list[dict]:
-    """A pDFA's transition rows in (state, letter) order.
-
-    They are listed from its map if it holds one, else from its index:
-    sorting a map costs less than indexing it first, and listing an index
-    less than decoding its map first.
-    """
-    if d._delta is not None:
-        return [{"id": i, "from": p, "label": a, "to": q} for i, ((p, a), q) in enumerate(sorted(d._delta.items()))]
-    ix = d._index
-    names, k = ix.names, len(ix.letters)
-    # The row of the state of name rank r on letter i goes to slot r * k + i;
-    # rows are numbered once the empty slots are dropped.
-    slots: list[dict | None] = [None] * (len(names) * k)
-    order = sorted(range(len(names)), key=names.__getitem__)
-    for i, (x, col) in enumerate(zip(ix.letters, ix.succ)):
-        slots[i::k] = [{"id": 0, "from": names[s], "label": x, "to": names[t]} if (t := col[s]) >= 0 else None for s in order]
-    rows = list(filter(None, slots))
-    for i, row in enumerate(rows):
-        row["id"] = i
-    return rows
 
 
 def _string_columns(rows: list, fields: tuple[str, ...]) -> list[list[str]] | None:

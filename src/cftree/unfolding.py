@@ -35,7 +35,7 @@ from bisect import bisect_right
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .alphabet import InvolutiveAlphabet
-from .automata import MNfa, PDfa
+from .automata import MNfa, PDfa, _sorted_transitions
 from .errors import (
     MaterializationLimitError,
     RadiusMismatchError,
@@ -568,7 +568,7 @@ def export_dot(obj: DiscTree | MNfa | PDfa) -> str:
     elif isinstance(obj, PDfa):
         for s in sorted(obj.states):
             lines.append(f"  {_dot_quote(s)};")
-        for (p, a), q in sorted(obj.delta.items()):
+        for (p, a), q in _sorted_transitions(obj):
             lines.append(f"  {_dot_quote(p)} -> {_dot_quote(q)} [label={_dot_quote(a)}];")
     else:
         raise TypeError(f"cannot export {type(obj).__name__} as DOT")

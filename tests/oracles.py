@@ -25,7 +25,9 @@ DOT writer, compression and determinism scan read off their dict views,
 check the discs that unfold, write and compress on node numbers; a filter over
 the ``delta`` map checks the ``trim`` that restricts the index, and
 re-rooting by copying the ``delta`` map checks the re-rooting that appends
-the path copies to the index.
+the path copies to the index.  The pdfa document and the DOT text written
+from ``sorted(dict(d.delta).items())`` check the ordered listing of a
+pDFA's transitions, which reads an index without decoding it.
 """
 
 import json
@@ -877,6 +879,25 @@ def tree_to_doc_by_views(t: DiscTree, order: list[Node]) -> dict:
             for a, c in t.children.get(v, ())
         ],
     }
+
+
+def pdfa_doc_by_delta(d: PDfa, root: str | None = None) -> dict:
+    """The pdfa document of ``d``, its rows from the sorted ``delta`` map."""
+    rows = [{"id": i, "from": p, "label": a, "to": q} for i, ((p, a), q) in enumerate(sorted(dict(d.delta).items()))]
+    doc = {"alphabet": alphabet_to_doc(d.alphabet), "kind": "pdfa", "states": sorted(d.states), "transitions": rows}
+    if root is not None:
+        doc["root"] = root
+    return doc
+
+
+def export_dot_pdfa_by_delta(d: PDfa) -> str:
+    """The DOT text of ``d``, its edges from the sorted ``delta`` map."""
+    lines = ["digraph {"]
+    lines += [f"  {_dot_quote(s)};" for s in sorted(d.states)]
+    for (p, a), q in sorted(dict(d.delta).items()):
+        lines.append(f"  {_dot_quote(p)} -> {_dot_quote(q)} [label={_dot_quote(a)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def export_dot_by_views(t: DiscTree, order: list[Node]) -> str:

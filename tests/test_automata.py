@@ -16,21 +16,31 @@ from cftree import (
     UnknownStateError,
     as_pdfa,
     disc_equal_rooted,
+    export_dot,
     find_nondeterministic_pair,
     involutive_closure,
     is_reduced,
     merge_alphabets,
     pdfa_to_mnfa,
+    quotient,
     reducedness_violation,
     require_reduced,
+    reroot_along_word,
     trim,
     unfold_mnfa,
     validate_mnfa,
+    validate_pdfa,
 )
 from cftree import automata
-from cftree.automata import _build_index
-from cftree.jsonio import automaton_from_doc, automaton_to_doc
-from oracles import reducedness_violation_by_scan, trim_by_delta
+from cftree.automata import _build_index, _sorted_transitions
+from cftree.jsonio import automaton_from_doc, automaton_to_doc, dumps
+from oracles import (
+    dumps_stdlib,
+    export_dot_pdfa_by_delta,
+    pdfa_doc_by_delta,
+    reducedness_violation_by_scan,
+    trim_by_delta,
+)
 from randgen import random_alphabet, random_pdfa, random_reduced_pdfa
 
 
@@ -304,6 +314,113 @@ def test_repr_of_a_loaded_pdfa_decodes_nothing(monkeypatch):
     monkeypatch.setattr(automata, "_decode_delta", lambda ix: pytest.fail("repr decoded the map"))
     assert loaded._delta is None
     assert repr(loaded) == repr(d) == f"PDfa(states=2, transitions={len(d.delta)})"
+
+
+def _walk(rng, d, root):
+    """A random word of up to six letters readable from ``root``."""
+    word, state = [], root
+    for _ in range(rng.randint(0, 6)):
+        out = sorted(d.out_set(state))
+        if not out:
+            break
+        word.append(rng.choice(out))
+        state = d.run(state, word[-1:])
+    return word
+
+
+def test_sorted_transitions_match_the_sorted_map():
+    # The ordered listing equals ``sorted(dict(d.delta).items())`` for pDFAs
+    # built from a map, some with states that only transitions name and
+    # letters outside the alphabet, and for ones that hold only an index:
+    # loaded from a document or made by ``trim``, ``quotient`` or a
+    # re-rooting.  So do the document bytes, the DOT text, the mNFA view,
+    # the validation report and the hash, none of which decodes the map.
+    rng = random.Random(101)
+    self_inverse = InvolutiveAlphabet({"c"}, {"c": "c"})
+    mixed = InvolutiveAlphabet({"a", "a^-1", "c"}, {"a": "a^-1", "a^-1": "a", "c": "c"})
+    forms = ("map", "ghosts", "loaded", "trim", "quotient", "reroot")
+    seen = Counter()
+    for i in range(360):
+        alphabet = (None, mixed, self_inverse)[i % 3]
+        form = forms[i // 3 % len(forms)]
+        d, root = random_reduced_pdfa(rng, rng.randint(1, 10), alphabet, extra_density=rng.random())
+        if form == "ghosts":
+            letters, ends = [*d.alphabet.sorted_letters(), "z"], [*sorted(d.states), "g0", "g1"]
+            ghosts = {(rng.choice(ends), rng.choice(letters)): rng.choice(ends) for _ in range(rng.randint(1, 4))}
+            d = PDfa(d.states, d.alphabet, {**d.delta, **ghosts})
+        elif form == "loaded":
+            d = automaton_from_doc(automaton_to_doc(d, root=root))[0]
+        elif form == "trim":
+            root = rng.choice(sorted(d.states))
+            d = trim(d, root)
+        elif form == "quotient":
+            d, cls = quotient(d)
+            root = cls[root]
+        elif form == "reroot":
+            d, root = reroot_along_word(d, root, _walk(rng, d, root))
+        index_only = form not in ("map", "ghosts")
+        assert (d._delta is None) == index_only
+        got = _sorted_transitions(d)
+        doc, dot, view = dumps(automaton_to_doc(d, root)), export_dot(d), pdfa_to_mnfa(d)
+        report, key = validate_pdfa(d), hash(d)
+        assert (d._delta is None) == index_only
+        want = sorted(dict(d.delta).items())
+        assert got == want
+        assert doc == dumps_stdlib(pdfa_doc_by_delta(d, root))
+        assert dot == export_dot_pdfa_by_delta(d)
+        assert view == MNfa(d.states, d.alphabet, [Transition(i, p, a, q) for i, ((p, a), q) in enumerate(want)])
+        assert report == validate_pdfa(PDfa(d.states, d.alphabet, dict(d.delta)))
+        assert key == hash((d.states, d.alphabet, tuple(want)))
+        seen[form] += 1
+        seen["self-inverse"] += "c" in d.alphabet
+        seen["invalid"] += not report.ok
+    assert min(seen.values()) >= 40, seen
+
+
+def test_listing_a_pdfa_held_as_an_index_decodes_nothing(monkeypatch):
+    rng = random.Random(103)
+    d, root = random_reduced_pdfa(rng, 12, involutive_closure(["a", "b"]), extra_density=0.5)
+    held = [
+        automaton_from_doc(automaton_to_doc(d, root=root))[0],
+        quotient(d)[0],
+        trim(d, root),
+        reroot_along_word(d, root, _walk(rng, d, root) or [min(d.out_set(root))])[0],
+    ]
+    decoded = []
+    decode = automata._decode_delta
+    monkeypatch.setattr(automata, "_decode_delta", lambda ix: decoded.append(ix) or decode(ix))
+    for e in held:
+        for call in (automaton_to_doc, export_dot, pdfa_to_mnfa, validate_pdfa, hash):
+            call(e)
+            assert decoded == [], call.__name__
+        assert e._delta is None
+
+
+def test_delta_is_a_read_only_view():
+    # A write through ``delta`` would leave the index and the reducedness
+    # verdict describing other transitions than the map.
+    d = PDfa({"p", "q"}, samples.AL_A, {("p", "a"): "q"})
+    loaded = automaton_from_doc(automaton_to_doc(d))[0]
+    for e in (d, loaded):
+        assert is_reduced(e)
+        with pytest.raises(TypeError):
+            e.delta[("q", "a^-1")] = "p"
+        with pytest.raises(TypeError):
+            del e.delta[("p", "a")]
+        fresh = PDfa(e.states, e.alphabet, dict(e.delta))
+        assert e == fresh and is_reduced(e) == is_reduced(fresh)
+        assert type(e._delta) is dict
+
+
+def test_pdfas_pickle_and_deep_copy_in_either_form():
+    d = samples.astar_bstar_pdfa()
+    loaded = automaton_from_doc(automaton_to_doc(d))[0]
+    for e in (d, loaded):
+        assert is_reduced(e)
+        twins = [pickle.loads(pickle.dumps(e)), copy.deepcopy(e)]
+        assert [twin._delta is None for twin in twins] == [e is loaded] * 2
+        for twin in twins:
+            assert twin == e and hash(twin) == hash(e) and is_reduced(twin)
 
 
 def test_transition_is_an_immutable_value_equal_only_to_transitions():

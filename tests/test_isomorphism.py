@@ -71,6 +71,11 @@ def test_language_classes_ray_vs_dead_state():
     assert len(class_pairs(samples.ray(), dead)) == 0
 
 
+def test_language_classes_of_no_automata_is_empty():
+    # One map for each automaton given, so none for none.
+    assert language_classes() == []
+
+
 def test_language_classes_closure_property():
     rng = random.Random(19)
     for _ in range(20):
@@ -204,7 +209,7 @@ def test_iso_rooted_builds_one_index_per_automaton(monkeypatch):
     iso_rooted(a, ra, b, rb)
     iso_rooted(b, rb, a, ra)
     language_classes(a, b)
-    assert builds == {id(a.delta): 1, id(b.delta): 1}
+    assert builds == {id(a._delta): 1, id(b._delta): 1}
     assert not out_set_calls
 
 
@@ -350,7 +355,7 @@ def test_iso_nonrooted_builds_one_index_per_automaton(monkeypatch):
         builds.clear()
         for x, rx, y, ry in pairs[::-1] if swap else pairs:
             assert iso_nonrooted(x, rx, y, ry)[0]
-        assert builds == {id(a.delta): 1, id(b.delta): 1}
+        assert builds == {id(a._delta): 1, id(b._delta): 1}
         assert not calls
 
 
