@@ -90,8 +90,6 @@ def involutive_closure(base_letters: Iterable[str]) -> InvolutiveAlphabet:
     inverse: dict[str, str] = {}
     for a in base:
         b = a + INVERSE_SUFFIX
-        if b in seen:
-            raise AlphabetError(f"base letter {b!r} collides with the inverse of {a!r}")
         inverse[a] = b
         inverse[b] = a
     return InvolutiveAlphabet(inverse.keys(), inverse)

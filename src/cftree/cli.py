@@ -30,15 +30,15 @@ EXIT_INVALID = 2
 
 def _read_doc(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise SchemaError(f"cannot read {path}: {e}") from e
     return jsonio.loads(text)
 
 
 def _write_doc(path: str, doc: dict) -> None:
     try:
-        Path(path).write_text(jsonio.dumps(doc))
+        Path(path).write_text(jsonio.dumps(doc), encoding="utf-8")
     except OSError as e:
         raise SchemaError(f"cannot write {path}: {e}") from e
 

@@ -32,8 +32,8 @@ def compress_finite_tree(t: DiscTree) -> tuple[PDfa, str]:
     # appearance, and take its first node as its representative.
     state = {f: f"c{i}" for i, f in enumerate(dict.fromkeys(forms))}
     rep = dict(zip(reversed(forms), range(len(forms) - 1, -1, -1)))
-    kids, off, letter = t._kids, t._off, t._letter
-    delta = {(state[f], letter[c]): state[forms[c]] for f, v in rep.items() for c in kids[off[v] : off[v + 1]]}
+    off, letter = t._off, t._letter
+    delta = {(state[f], letter[c]): state[forms[c]] for f, v in rep.items() for c in range(off[v], off[v + 1])}
     return PDfa(state.values(), t.alphabet, delta), state[forms[0]]
 
 

@@ -41,7 +41,7 @@ from .alphabet import InvolutiveAlphabet, involutive_closure
 from .automata import MNfa, PDfa, Transition, _blank_index, _Index, _sorted_transitions
 from .errors import CFTreeError, SchemaError
 from .reductions import Gap2Instance
-from .unfolding import DiscTree, _link
+from .unfolding import DiscTree
 
 
 def _require_fields(doc: dict, required: set[str], optional: set[str], what: str) -> None:
@@ -254,7 +254,8 @@ def tree_from_doc(doc: Any) -> DiscTree:
     Node rows and edge rows are each read as columns when every row is
     well formed, and checked row by row otherwise.  One breadth-first walk
     from the root, which takes each node's neighbours by letter, then id,
-    numbers the nodes and lists every node's children in that order.
+    numbers the nodes and fills the disc's parent, letter and first-child
+    lists as it goes.
     """
     _require_fields(doc, {"radius", "root", "nodes", "edges"}, {"alphabet"}, "tree")
     radius = doc["radius"]
@@ -299,16 +300,19 @@ def tree_from_doc(doc: Any) -> DiscTree:
         adj[v].append((alphabet.inv(a), u))
     level = [-1] * len(names)
     level[pos[doc["root"]]] = 0
-    kids: list[list[tuple[str, int]]] = [[] for _ in names]
     order = [pos[doc["root"]]]
-    for u in order:  # ``order`` grows while it is read
+    parent, letter, off = [-1], [None], []
+    for i, u in enumerate(order):  # ``order`` grows while it is read
+        off.append(len(order))  # the number of u's first child
         if len(adj[u]) > 1:
             adj[u].sort()  # by letter, then id
         for a, v in adj[u]:
             if level[v] < 0:
                 level[v] = level[u] + 1
-                kids[u].append((a, v))
+                parent.append(i)
+                letter.append(a)
                 order.append(v)
+    off.append(len(order))
     if len(order) != len(names):
         raise SchemaError("tree document is not connected")
     if len(edges[1]) != len(names) - 1:
@@ -317,7 +321,6 @@ def tree_from_doc(doc: Any) -> DiscTree:
         raise SchemaError("bad tree document: radius must be non-negative")
     if level[order[-1]] > radius:
         raise SchemaError("bad tree document: node level exceeds the declared radius")
-    _, parent, letter, off, kid_list = _link(order, kids.__getitem__)
     return DiscTree._from_arrays(
         radius,
         doc["root"],
@@ -327,7 +330,6 @@ def tree_from_doc(doc: Any) -> DiscTree:
         [labels[v] for v in order],
         [level[v] for v in order],
         off,
-        kid_list,
         names=[names[v] for v in order],
     )
 
@@ -340,7 +342,7 @@ def tree_to_doc(t: DiscTree) -> dict:
         "root": ids[0],
         "alphabet": alphabet_to_doc(t.alphabet),
         "nodes": [{"id": v, "label": label} for v, label in zip(ids, t._label)],
-        "edges": [{"from": ids[parent[c]], "label": letter[c], "to": ids[c]} for c in t._kids],
+        "edges": [{"from": ids[parent[c]], "label": letter[c], "to": ids[c]} for c in range(1, len(t))],
     }
 
 

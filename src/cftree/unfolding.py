@@ -4,14 +4,14 @@ The infinite tree of runs is materialized only as a disc: all nodes within a
 given distance of the root.  A disc numbers its nodes ``0 .. n-1`` in
 ``sorted_nodes`` order: one breadth-first walk from the root that lists each
 node's children in child order.  So the root is node 0, levels never
-decrease and a node's children get consecutive numbers.  Child order is
-letter order in a pDFA unfolding, transition-id order in an mNFA unfolding,
-(letter, id) order in a loaded tree and the given order for the
-constructor; a re-rooted disc lists a node's old parent first, then its
-children.  It holds flat lists indexed by node number: the parent, the letter
-on the edge from the parent, the label and the level, and each node's
-children as one slice of a shared child list.  Every operation here works on
-those numbers.
+decrease and a node's children get consecutive numbers, counted from its
+first child's.  Child order is letter order in a pDFA unfolding,
+transition-id order in an mNFA unfolding, (letter, id) order in a loaded tree
+and the given order for the constructor; a re-rooted disc lists a node's old
+parent first, then its children.  It holds flat lists indexed by node number:
+the parent, the letter on the edge from the parent, the label, the level and
+the number of the first child; no list of children is kept.  Every operation
+here works on those numbers.
 
 A node's *handle* is the name a caller uses for it.  In a pDFA unfolding it
 is the word (tuple of letters) read from the root; in an mNFA unfolding, the
@@ -35,7 +35,7 @@ from bisect import bisect_right
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .alphabet import InvolutiveAlphabet
-from .automata import MNfa, PDfa, _sorted_transitions
+from .automata import MNfa, PDfa, pdfa_to_mnfa
 from .errors import (
     MaterializationLimitError,
     RadiusMismatchError,
@@ -51,23 +51,19 @@ Word = tuple[str, ...]
 DEFAULT_MAX_NODES = 2**20
 
 
-def _link(order: Iterable, out: Callable) -> tuple[dict, list[int], list, list[int], list[int]]:
-    """Number the nodes ``order`` by their place in it, and list the parent,
-    edge letter, child offsets and children of each; ``out(v)`` gives the
-    ``(letter, child)`` pairs of ``v`` in child order."""
-    pos = {v: i for i, v in enumerate(order)}
-    parent = [-1] * len(pos)
-    letter: list = [None] * len(pos)
-    kids: list[int] = []
-    off = [0]
+def _link(order: Iterable, out: Callable) -> tuple[list[int], list, list[int]]:
+    """The parent, edge letter and first child of each node when the nodes
+    ``order``, a breadth-first walk in child order, are numbered by their
+    place in it; ``out(v)`` gives the ``(letter, child)`` pairs of ``v`` in
+    child order, so its children are numbered in turn."""
+    parent, letter, off = [-1], [None], []
     for i, v in enumerate(order):
-        for a, c in out(v):
-            j = pos[c]
-            parent[j] = i
-            letter[j] = a
-            kids.append(j)
-        off.append(len(kids))
-    return pos, parent, letter, off, kids
+        off.append(len(parent))
+        for a, _ in out(v):
+            parent.append(i)
+            letter.append(a)
+    off.append(len(parent))
+    return parent, letter, off
 
 
 class DiscTree:
@@ -92,14 +88,15 @@ class DiscTree:
         "_letter",
         "_label",
         "_level",
-        # The children of node i, in child order, are _kids[_off[i]:_off[i + 1]].
+        # The children of node i, in child order, are the numbers
+        # range(_off[i], _off[i + 1]); _off[n] == n.
         "_off",
-        "_kids",
         # Handles come from one of three places: the list ``_names``; for an
         # unfolded disc, the step on each node's edge (``_steps``); or the
         # nodes ``_src_ids`` of the unfolded disc ``_src``.  ``_names`` also
-        # caches the words of the other two.  ``_ids`` maps a handle to its
-        # number, or for a ``_src`` disc, a source number to its own.
+        # caches the words of the other two.  ``_ids``, built by ``_find``
+        # on first use, maps a handle to its number, or for a ``_src`` disc, a
+        # source number to its own.
         "_names",
         "_steps",
         "_src",
@@ -137,20 +134,19 @@ class DiscTree:
             raise ValueError("some labeled nodes are not reachable from the root")
         if level[order[-1]] > radius:
             raise ValueError("node level exceeds the declared radius")
-        ids, parent, letter, off, kids = _link(order, lambda v: children.get(v, ()))
+        parent, letter, off = _link(order, lambda v: children.get(v, ()))
         label = [labels[v] for v in order]
-        self._set(radius, root, alphabet, parent, letter, label, [level[v] for v in order], off, kids, names=order)
-        self._ids = ids
+        self._set(radius, root, alphabet, parent, letter, label, [level[v] for v in order], off, names=order)
 
     def _set(
-        self, radius, root, alphabet, parent, letter, label, level, off, kids,
+        self, radius, root, alphabet, parent, letter, label, level, off,
         *, names=None, steps=None, src=None, src_ids=None,
     ) -> None:
         self.radius = radius
         self.root = root
         self.alphabet = alphabet
         self._parent, self._letter, self._label, self._level = parent, letter, label, level
-        self._off, self._kids = off, kids
+        self._off = off
         self._names, self._steps, self._src, self._src_ids = names, steps, src, src_ids
         self._ids = self._labels = self._children = self._levels = self._parents = None
 
@@ -164,9 +160,9 @@ class DiscTree:
         """The disc on this disc's nodes ``order``, listed in its
         ``sorted_nodes`` order, with their handles and labels; ``out(u)``
         gives node ``u``'s ``(letter, child)`` pairs in child order."""
-        _, parent, letter, off, kids = _link(order, out)
+        parent, letter, off = _link(order, out)
         label = [self._label[u] for u in order]
-        args = (radius, root, self.alphabet, parent, letter, label, level, off, kids)
+        args = (radius, root, self.alphabet, parent, letter, label, level, off)
         if self._src is not None:
             return DiscTree._from_arrays(*args, src=self._src, src_ids=[self._src_ids[u] for u in order])
         if self._steps is not None:
@@ -176,7 +172,7 @@ class DiscTree:
     def _out(self, u: int) -> list[tuple[str, int]]:
         """``(letter, child)`` for each child of node ``u``, in child order."""
         letter = self._letter
-        return [(letter[c], c) for c in self._kids[self._off[u] : self._off[u + 1]]]
+        return [(letter[c], c) for c in range(self._off[u], self._off[u + 1])]
 
     def _handles(self) -> list[Node]:
         """Every node's handle, by number; words are built on first use."""
@@ -209,9 +205,9 @@ class DiscTree:
         if self._steps is not None:  # a word: walk down from the root
             i = 0
             if type(v) is tuple:
-                steps, kids, off = self._steps, self._kids, self._off
+                steps, off = self._steps, self._off
                 for s in v:
-                    i = next((c for c in kids[off[i] : off[i + 1]] if steps[c] == s), -1)
+                    i = next((c for c in range(off[i], off[i + 1]) if steps[c] == s), -1)
                     if i < 0:
                         break
                 else:
@@ -238,9 +234,9 @@ class DiscTree:
     @property
     def children(self) -> dict[Node, tuple[tuple[str, Node], ...]]:
         if self._children is None:
-            h, letter, kids, off = self._handles(), self._letter, self._kids, self._off
+            h, letter, off = self._handles(), self._letter, self._off
             self._children = {
-                h[i]: tuple((letter[c], h[c]) for c in kids[off[i] : off[i + 1]])
+                h[i]: tuple((letter[c], h[c]) for c in range(off[i], off[i + 1]))
                 for i in range(len(h))
                 if off[i] < off[i + 1]
             }
@@ -275,7 +271,7 @@ class DiscTree:
     def down_edges(self) -> Iterator[tuple[Node, str, Node]]:
         """One edge per involutive pair, oriented from parent to child."""
         h, parent, letter = self._handles(), self._parent, self._letter
-        for c in self._kids:
+        for c in range(1, len(parent)):
             yield (h[parent[c]], letter[c], h[c])
 
     def sorted_nodes(self) -> list[Node]:
@@ -320,7 +316,7 @@ def _unfold(
         if len(off) == end:  # every branch ended: a larger radius adds nothing
             break
         for v in range(len(off), end):
-            off.append(len(parent) - 1)  # child c sits at kids[c - 1]
+            off.append(len(parent))
             for step, a, q in moves(state[v]):
                 parent.append(v)
                 steps.append(step)
@@ -330,10 +326,9 @@ def _unfold(
                 raise MaterializationLimitError(f"unfolding would exceed {max_nodes} nodes")
         level += [depth] * (len(parent) - end)
     n = len(parent)
-    off += [n - 1] * (n + 1 - len(off))
-    kids = list(range(1, n))
+    off += [n] * (n + 1 - len(off))
     label = state if names is None else [names[q] for q in state]
-    return DiscTree._from_arrays(radius, (), alphabet, parent, letter, label, level, off, kids, steps=steps)
+    return DiscTree._from_arrays(radius, (), alphabet, parent, letter, label, level, off, steps=steps)
 
 
 def unfold_mnfa(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES) -> DiscTree:
@@ -386,11 +381,11 @@ def _canonical_forms(trees: list[DiscTree]) -> list[list[int]]:
     table: dict[tuple, int] = {}
     result = []
     for t in trees:
-        kids, off, letter = t._kids, t._off, t._letter
+        off, letter = t._off, t._letter
         forms = [0] * len(t)
         for v in reversed(range(len(forms))):
             a, b = off[v], off[v + 1]
-            key = tuple(sorted([(letter[c], forms[c]) for c in kids[a:b]])) if a < b else ()
+            key = tuple(sorted(zip(letter[a:b], forms[a:b]))) if a < b else ()
             forms[v] = table.setdefault(key, len(table))
         result.append(forms)
     return result
@@ -411,7 +406,7 @@ def _labeled_iso_exists(x: DiscTree, y: DiscTree, fx: list[int], fy: list[int]) 
     choices: list[tuple] = []
     work: tuple | None = (((0,), (0,)), None)
     j = 0
-    xk, xo, xa, yk, yo, ya = x._kids, x._off, x._letter, y._kids, y._off, y._letter
+    xo, xa, yo, ya = x._off, x._letter, y._off, y._letter
     while work is not None:
         (xs, ys), rest = work
         if j + 1 < len(ys):
@@ -426,9 +421,9 @@ def _labeled_iso_exists(x: DiscTree, y: DiscTree, fx: list[int], fy: list[int]) 
             if len(xs) > 1:
                 rest = ((xs[1:], ys[:j] + ys[j + 1 :]), rest)
             groups: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
-            for c in xk[xo[v] : xo[v + 1]]:
+            for c in range(xo[v], xo[v + 1]):
                 groups.setdefault((xa[c], fx[c]), ([], []))[0].append(c)
-            for c in yk[yo[w] : yo[w + 1]]:
+            for c in range(yo[w], yo[w + 1]):
                 groups[(ya[c], fy[c])][1].append(c)
             for item in groups.values():
                 rest = (item, rest)
@@ -472,7 +467,7 @@ def end_cone(t: DiscTree, v: Node) -> DiscTree:
     i = t._find(v)
     cone = [i]
     for u in cone:  # ``cone`` grows while it is read: a breadth-first walk
-        cone += t._kids[t._off[u] : t._off[u + 1]]
+        cone += range(t._off[u], t._off[u + 1])
     top = t._level[i]
     return t._derived(t.radius - top, v, cone, [t._level[u] - top for u in cone], t._out)
 
@@ -549,27 +544,25 @@ def export_dot(obj: DiscTree | MNfa | PDfa) -> str:
     """Render a disc or an automaton as DOT text.
 
     For trees, one edge is drawn per involutive pair (parent to child); for
-    automata every transition is drawn.  Output ordering is fully
-    deterministic, so repeated runs are byte-identical.
+    automata every transition is drawn, and a pDFA is drawn as its mNFA
+    view.  Output ordering is fully deterministic, so repeated runs are
+    byte-identical.
     """
+    if isinstance(obj, PDfa):
+        obj = pdfa_to_mnfa(obj)
     lines = ["digraph {"]
     if isinstance(obj, DiscTree):
         for i, (v, label) in enumerate(zip(obj._handles(), obj._label)):
             text = f"{_word_text(v)} : {label}"
             lines.append(f"  n{i} [label={_dot_quote(text)}];")
         parent, letter = obj._parent, obj._letter
-        for c in obj._kids:
+        for c in range(1, len(parent)):
             lines.append(f"  n{parent[c]} -> n{c} [label={_dot_quote(letter[c])}];")
     elif isinstance(obj, MNfa):
         for s in sorted(obj.states):
             lines.append(f"  {_dot_quote(s)};")
         for t in sorted(obj.transitions, key=lambda t: (t.src, t.label, t.dst, t.tid)):
             lines.append(f"  {_dot_quote(t.src)} -> {_dot_quote(t.dst)} [label={_dot_quote(t.label)}];")
-    elif isinstance(obj, PDfa):
-        for s in sorted(obj.states):
-            lines.append(f"  {_dot_quote(s)};")
-        for (p, a), q in _sorted_transitions(obj):
-            lines.append(f"  {_dot_quote(p)} -> {_dot_quote(q)} [label={_dot_quote(a)}];")
     else:
         raise TypeError(f"cannot export {type(obj).__name__} as DOT")
     lines.append("}")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cftree import AlphabetError, InvolutiveAlphabet, involutive_closure, merge_alphabets
+from cftree import AlphabetError, InvolutiveAlphabet, UnknownLetterError, involutive_closure, merge_alphabets
 
 base_letter = st.text(alphabet="abcxyz01", min_size=1, max_size=3)
 
@@ -12,6 +12,8 @@ def test_closure_single_letter():
     assert al.letters == {"a", "a^-1"}
     assert al.inv("a") == "a^-1"
     assert al.inv("a^-1") == "a"
+    with pytest.raises(UnknownLetterError, match="'b' is not in the alphabet"):
+        al.inv("b")
 
 
 def test_closure_binary_alphabet():
@@ -54,6 +56,10 @@ def test_alphabet_rejects_broken_involution():
         InvolutiveAlphabet({"a", "b"}, {"a": "b", "b": "b"})
     with pytest.raises(AlphabetError):
         InvolutiveAlphabet({"a"}, {})
+    with pytest.raises(AlphabetError, match="must not be empty"):
+        InvolutiveAlphabet(set(), {})
+    with pytest.raises(AlphabetError, match=r"mentions unknown letters: \['b'\]"):
+        InvolutiveAlphabet({"a"}, {"a": "a", "b": "b"})
 
 
 def test_merge_idempotent():

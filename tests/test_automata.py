@@ -64,10 +64,11 @@ def test_validate_dangling_and_duplicate():
     m = MNfa(
         {"p"},
         involutive_closure(["a"]),
-        [Transition(0, "p", "a", "ghost"), Transition(0, "p", "a", "p")],
+        [Transition(0, "p", "a", "ghost"), Transition(0, "p", "a", "p"), Transition(1, "ghost", "a", "p")],
     )
     report = validate_mnfa(m)
     assert {"DANGLING_STATE", "DUPLICATE_ID"} <= report.codes()
+    assert "transition 1 starts at unknown state 'ghost'" in [i.detail for i in report.issues]
 
 
 def test_as_pdfa_fails_on_parallel_loops():
@@ -232,6 +233,13 @@ def test_out_set():
     assert iso.out_set("lonely") == frozenset()
     with pytest.raises(UnknownStateError):
         d.out_set("ghost")
+
+
+def test_run_stops_where_the_word_dies():
+    d = samples.astar_bstar_pdfa()
+    assert d.run("p", ["a", "b", "b"]) == "q"
+    assert d.run("p", ["b", "a", "b"]) is None  # dies at the second letter
+    assert d.run("p", ["b", "a"]) is None
 
 
 def test_trim_identity_when_all_reachable():

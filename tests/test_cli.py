@@ -179,6 +179,13 @@ def test_invalid_inputs_exit_2(fig_files, tmp_path, capsys):
     assert run(["iso", str(fig_files["fig1"]), str(fig_files["fig1"])]) == 2  # not deterministic
     assert run(["reroot", str(fig_files["ray"]), "--word", "a^-1"]) == 2  # not in language
     capsys.readouterr()
+    missing = tmp_path / "missing.json"
+    assert run(["unfold", str(missing), "--radius", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error[BAD_DOCUMENT]: cannot read {missing}: ")
+    rootless = tmp_path / "rootless.json"
+    rootless.write_text(dumps(automaton_to_doc(samples.astar_bstar_pdfa())))
+    assert run(["unfold", str(rootless), "--radius", "1"]) == 2
+    assert capsys.readouterr().err == f"error[BAD_DOCUMENT]: {rootless} has no root and no --state was given\n"
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200000 + "]" * 200000)
     assert run(["validate", str(deep)]) == 2
@@ -644,6 +651,32 @@ def test_minimize_trim_without_a_root_is_rejected(tmp_path, capsys):
     assert (out, err) == ("", f"error[BAD_DOCUMENT]: {path} has no root and --trim needs one\n")
     assert run(["minimize", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["states"] == ["p", "q"]
+
+
+def test_documents_are_read_as_utf8_under_an_ascii_locale(tmp_path, capsys):
+    # A UTF-8 document reads the same whatever the locale's encoding, and a
+    # file that is not UTF-8 is an unreadable document.
+    doc = automaton_to_doc(PDfa({"\u00e9"}, samples.AL_A, {("\u00e9", "a"): "\u00e9"}), root="\u00e9")
+    text = json.dumps(doc, ensure_ascii=False)
+    utf8, latin1 = tmp_path / "u.json", tmp_path / "l.json"
+    utf8.write_bytes(text.encode("utf-8"))
+    latin1.write_bytes(text.encode("latin-1"))
+    assert run(["unfold", str(utf8), "--radius", "1"]) == 0
+    expected = capsys.readouterr().out
+    ascii_env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
+    procs = [
+        subprocess.run(
+            [sys.executable, "-m", "cftree.cli", "unfold", str(path), "--radius", "1"],
+            env=ascii_env,
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+        )
+        for path in (utf8, latin1)
+    ]
+    assert (procs[0].returncode, procs[0].stdout, procs[0].stderr) == (0, expected, "")
+    assert procs[1].returncode == 2 and procs[1].stdout == ""
+    assert procs[1].stderr.startswith(f"error[BAD_DOCUMENT]: cannot read {latin1}: 'utf-8' codec can't decode")
 
 
 def test_byte_identical_output(fig_files):

@@ -8,6 +8,7 @@ from cftree import (
     AlphabetError,
     Gap2Instance,
     MaterializationLimitError,
+    PDfa,
     TOP_LETTER,
     gap2_has_path,
     is_reduced,
@@ -29,6 +30,8 @@ def test_gap2_trivia():
 
 
 def test_gap2_rejects_bad_instances():
+    with pytest.raises(ValueError, match="need at least one node"):
+        Gap2Instance(0)
     with pytest.raises(ValueError):
         Gap2Instance(2, frozenset({(0, 5)}))
     with pytest.raises(ValueError):
@@ -110,6 +113,10 @@ def test_lift_output_shape():
     assert b2.delta[(q2, TOP_LETTER)] == "q"
     assert is_reduced(a2) and is_reduced(b2)
     assert reachable_states(a2, p2) == a2.states == d.states | {p2}
+    # The new root's name gets primes until it is fresh.
+    e = PDfa({"p", "p'"}, d.alphabet, {("p", "a"): "p'"})
+    a2, p2, _, _ = reduce_rooted_to_nonrooted(e, "p", e, "p")
+    assert p2 == "p''" and a2.delta[(p2, TOP_LETTER)] == "p"
 
 
 def test_lift_rejects_marker_collision():

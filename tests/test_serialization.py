@@ -77,6 +77,14 @@ def test_missing_fields_rejected():
         automaton_from_doc(doc)
 
 
+def test_duplicate_state_names_rejected():
+    doc = automaton_to_doc(samples.astar_bstar_pdfa())
+    doc["states"].append("p")
+    for strict in (True, False):
+        with pytest.raises(SchemaError, match="duplicate state names"):
+            automaton_from_doc(doc, strict=strict)
+
+
 def test_pdfa_kind_must_be_deterministic():
     doc = automaton_to_doc(samples.one_state_two_loops())
     doc["kind"] = "pdfa"
@@ -129,6 +137,10 @@ def test_tree_rejects_disconnected_and_cyclic():
     doc = tree_to_doc(t)
     doc["edges"].append(doc["edges"][0])
     with pytest.raises(SchemaError):
+        tree_from_doc(doc)
+    doc = tree_to_doc(t)
+    doc["radius"] = -1
+    with pytest.raises(SchemaError, match="radius must be non-negative"):
         tree_from_doc(doc)
 
 

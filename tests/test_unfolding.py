@@ -92,6 +92,9 @@ def test_unfold_pdfa_words_and_labels():
 def test_unfold_pdfa_ray_is_chain():
     t = unfold_pdfa(samples.ray(), "u", 3)
     assert sorted(t.nodes, key=len) == [(), w("a"), w("a a"), w("a a a")]
+    assert t.height() == t.radius == 3
+    leaf = unfold_pdfa(samples.ray_from_interior(), "z", 3)
+    assert leaf.height() == 0 and leaf.radius == 3
 
 
 def test_language_upto_examples():
@@ -348,6 +351,23 @@ def test_constructor_views_come_from_its_own_lists():
     assert t.level == {"r": 0, "c": 1}
 
 
+@pytest.mark.parametrize(
+    "radius, root, labels, children, message",
+    [
+        (-1, "r", {"r": "p"}, {}, "radius must be non-negative"),
+        (1, "x", {"r": "p"}, {}, "root must be a labeled node"),
+        (1, "r", {"r": "p", "c": "p"}, {"r": (("a", "c"), ("a^-1", "c"))}, "node 'c' has two parents"),
+        (1, "r", {"r": "p"}, {"r": (("a", "c"),)}, "child node 'c' is not labeled"),
+        (1, "r", {"r": "p", "c": "p"}, {}, "some labeled nodes are not reachable from the root"),
+        (0, "r", {"r": "p", "c": "p"}, {"r": (("a", "c"),)}, "node level exceeds the declared radius"),
+    ],
+    ids=["negative-radius", "unlabeled-root", "two-parents", "unlabeled-child", "unreachable", "too-deep"],
+)
+def test_constructor_rejects_what_is_no_disc(radius, root, labels, children, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DiscTree(radius, root, labels, children, samples.AL_A)
+
+
 def test_end_cone_of_root_is_whole_tree():
     t = unfold_pdfa(samples.astar_bstar_pdfa(), "p", 2)
     assert end_cone(t, t.root) == t
@@ -388,6 +408,10 @@ def test_reroot_disc_round_trip_truncates():
     once = reroot_disc(t, w("a"))
     back = reroot_disc(once, t.root)
     assert disc_equal_rooted(back, truncate(t, back.radius), use_labels=True)
+    with pytest.raises(RadiusMismatchError, match="cannot extend a disc of radius 3 to 4"):
+        truncate(t, 4)
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        truncate(t, -1)
 
 
 def test_materialization_cap():
@@ -424,6 +448,10 @@ def test_unfold_budget_and_unknown_states_alike_for_both_kinds():
         assert len(unfold(aut, "p", 1)) == 2
         with pytest.raises(UnknownStateError, match="'zz'"):
             unfold(aut, "p", 2)
+    # Two children of one mNFA node would share a run.
+    twice = MNfa({"p"}, samples.AL_A, [Transition(0, "p", "a", "p"), Transition(0, "p", "a^-1", "p")])
+    with pytest.raises(ValueError, match="transition id 0 is used twice from state 'p'"):
+        unfold_mnfa(twice, "p", 1)
 
 
 def test_export_dot_single_node():
@@ -431,6 +459,8 @@ def test_export_dot_single_node():
     dot = export_dot(t)
     assert dot.startswith("digraph {")
     assert dot.count("->") == 0
+    with pytest.raises(TypeError, match="cannot export dict as DOT"):
+        export_dot({})
 
 
 def test_export_dot_pdfa_counts():
