@@ -15,7 +15,13 @@ whichever form is held, so writers, ``pdfa_to_mnfa``, ``validate_pdfa`` and
 hashing decode nothing.  All checks live in separate functions so a caller
 can collect every problem at once instead of failing fast.  Reducedness is
 one fact about a pDFA: ``reducedness_violation`` decides it from the
-successor columns the first time it is asked and keeps the verdict.
+successor columns the first time it is asked and keeps the verdict.  Two
+more facts are kept next to the index on first use: its predecessor form
+(``_predecessors``: the ids in name order and each id's ``(letter,
+source)`` pairs), which state equivalence and the non-rooted search read,
+and the states reachable from the last root asked (``_reach``), which
+``trim``, re-rooting, ``reachable_states`` and both isomorphism tests read.
+An index over a larger merged alphabet keeps neither.
 """
 
 from __future__ import annotations
@@ -185,8 +191,10 @@ class PDfa:
     """Partial deterministic finite automaton (a deterministic letter-labeled graph)."""
 
     # ``_violation`` caches ``reducedness_violation``: None until it runs,
-    # then the pair it found, or ``()`` for a reduced automaton.
-    __slots__ = ("states", "alphabet", "_delta", "_index", "_violation")
+    # then the pair it found, or ``()`` for a reduced automaton.  ``_preds``
+    # caches ``_predecessors`` of the own index and ``_reached`` the last
+    # ``(root, _reach list)``; both stay None until first asked.
+    __slots__ = ("states", "alphabet", "_delta", "_index", "_violation", "_preds", "_reached")
 
     def __init__(
         self,
@@ -199,6 +207,8 @@ class PDfa:
         self._delta: dict[tuple[str, str], str] | None = dict(delta)
         self._index: _Index | None = None
         self._violation: tuple | None = None
+        self._preds: tuple[list[int], list[tuple[int, ...]]] | None = None
+        self._reached: tuple[str, list[int]] | None = None
 
     @classmethod
     def _from_index(cls, alphabet: InvolutiveAlphabet, index: _Index) -> PDfa:
@@ -210,6 +220,8 @@ class PDfa:
         d._delta = None
         d._index = index
         d._violation = None
+        d._preds = None
+        d._reached = None
         return d
 
     @property
@@ -252,12 +264,27 @@ class PDfa:
         return _widened(self._index, alphabet)
 
     def run(self, p: str, word: Iterable[str]) -> str | None:
-        """State reached from ``p`` by reading ``word``, or None if it dies."""
+        """State reached from ``p`` by reading ``word``, or None if it dies.
+
+        Reads the held map, or else steps through the index columns, so an
+        index-only automaton decodes nothing.
+        """
         cur: str | None = p
+        if self._delta is not None:
+            for a in word:
+                if cur is None:
+                    return None
+                cur = self._delta.get((cur, a))
+            return cur
+        ix = self._index
+        columns = dict(zip(ix.letters, ix.succ))
+        s = ix.ids.get(p, -1)
         for a in word:
-            if cur is None:
+            col = columns.get(a)
+            s = col[s] if col is not None and s >= 0 else -1
+            if s < 0:
                 return None
-            cur = self.delta.get((cur, a))
+            cur = ix.names[s]
         return cur
 
     def __eq__(self, other: object) -> bool:
@@ -416,21 +443,57 @@ def require_reduced(d: PDfa, what: str = "automaton") -> None:
         )
 
 
-def _reach(d: PDfa, root: str) -> list[int]:
-    """Index ids of the states reachable from ``root``, in the order of one
+def _build_predecessors(ix: _Index) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The predecessor form of ``ix``: its ids in name order, and for each
+    id one flat tuple ``(letter, source, letter, source, …)`` ascending by
+    letter, then by source name.  It costs one list entry per state and two
+    tuple entries per transition."""
+    names = ix.names
+    order = sorted(range(len(names)), key=names.__getitem__)
+    into: list[list[int]] = [[] for _ in names]
+    for i, col in enumerate(ix.succ):
+        for s in order:
+            if (t := col[s]) >= 0:
+                into[t] += (i, s)
+    return order, list(map(tuple, into))  # ``tuple([])`` is the one shared empty tuple
+
+
+def _predecessors(d: PDfa, ix: _Index) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The predecessor form of ``ix``, an index of ``d``: kept on ``d`` for
+    its own index, and built fresh and kept nowhere for an index over a
+    larger alphabet, whose letter ids may differ.  Callers only read it."""
+    if ix is not d._index:
+        return _build_predecessors(ix)
+    if d._preds is None:
+        d._preds = _build_predecessors(ix)
+    return d._preds
+
+
+def _walk(ix: _Index, start: int) -> list[int]:
+    """Ids reachable from ``start`` in ``ix``, in the order of one
     breadth-first worklist walk."""
-    ix = d._indexed()
-    todo = [ix.ids[root]]
-    seen = {todo[0], -1}  # -1, "no successor", is never queued
+    todo = [start]
+    seen = {start, -1}  # -1, "no successor", is never queued
     for p in todo:
         for col in ix.succ:
             q = col[p]
             if q not in seen:
                 seen.add(q)
                 todo.append(q)
-    if max(todo) >= len(d.states):  # ids past those are states only transitions name
-        raise UnknownStateError(f"state {ix.names[max(todo)]!r} is not in the automaton")
     return todo
+
+
+def _reach(d: PDfa, root: str) -> list[int]:
+    """Index ids of the states reachable from ``root``, as ``_walk`` lists
+    them.  The list for the last root asked is kept on ``d``, so callers
+    only read it."""
+    if d._reached is None or d._reached[0] != root:
+        ix = d._indexed()
+        todo = _walk(ix, ix.ids[root])
+        if max(todo) >= len(d.states):  # ids past those are states only transitions name
+            raise UnknownStateError(f"state {ix.names[max(todo)]!r} is not in the automaton")
+        d._reached = (root, todo)
+    return d._reached[1]
 
 
 def _require_pair(a: PDfa, p_root: str, b: PDfa, q_root: str) -> InvolutiveAlphabet:

@@ -256,6 +256,11 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Documents are UTF-8, so output is too, whatever the locale's encoding;
+    # ``run`` leaves the streams of in-process callers alone.
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     return run(argv)
 
 

@@ -44,7 +44,8 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     collapses into.  Every state's language is preserved, no two distinct
     result states are equivalent, and reducedness survives the quotient.
     Class names are the smallest member state name.  The quotient's index is
-    built from the blocks of ``_classes`` on the automaton's own index: a
+    built from the blocks of ``_classes`` on the automaton's own index, with
+    the heads taken in the cached name order of its predecessor form: a
     class reads what its smallest member reads, into the classes of that
     member's successors.
     """
@@ -52,10 +53,10 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     names = ix.names
     if len(names) > len(d.states):  # ids past those are states only transitions name
         raise UnknownStateError(f"state {names[len(d.states)]!r} is not in the automaton")
-    block = _classes([(range(len(names)), ix)])[3]
+    block, ((order, _),) = _classes([(d, ix, range(len(names)))])
     rank: dict[int, int] = {}
     heads: list[int] = []  # the smallest member of each class, by name
-    for s in sorted(range(len(names)), key=names.__getitem__):
+    for s in order:
         if block[s] not in rank:
             rank[block[s]] = len(heads)
             heads.append(s)

@@ -9,18 +9,21 @@ with a candidate node label of the second and an optional excluded branch;
 an accepting path names a node at which re-rooting the second tree makes the
 two rooted trees isomorphic.  Both searches and the state equivalence run on
 integer indexes of the two pDFAs over their merged alphabet, so letter ids,
-out-letter bit masks and successor columns agree between the sides.
+out-letter bit masks and successor columns agree between the sides.  The
+state equivalence (``_classes``) refines the indexes side by side, on the
+predecessor form and reach lists each pDFA keeps, so a decision repeated on
+the same automata copies and rebuilds nothing.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 
 from .alphabet import merge_alphabets
-from .automata import PDfa, _reach, _require_pair
+from .automata import PDfa, _predecessors, _reach, _require_pair
 from .errors import UnknownStateError
 from .rerooting import reroot_along_word
 from .unfolding import Word
@@ -47,47 +50,61 @@ class NonRootedWitness:
         return " ".join(self.word)
 
 
-def _classes(sides: list[tuple]) -> tuple[list[int], list[list[int]], list[list[tuple[int, int]]], list[int]]:
-    """Partition refinement on a disjoint union of index parts.
+def _classes(sides: list[tuple]) -> tuple[list[int], list[tuple[list[int], list[tuple[int, ...]]]]]:
+    """Partition refinement on indexes side by side, in place.
 
-    Each side is ``(order, index)``, the indexes over one alphabet; ``order``
-    lists the ids kept, successors included, and the union numbers them side
-    after side.  Returns the union's masks and columns, each state's ascending
-    ``(letter, source)`` predecessors, and its block in the coarsest partition
-    that separates out-masks and is stable under every letter (Hopcroft 1971;
-    Valmari and Lehtinen 2008 for partial functions).  Masks and columns may
-    be the index's own lists, so callers only read them.
+    Each side is ``(pdfa, index, keep)``: an index of ``pdfa``, all over one
+    alphabet, and the ids it keeps, a set closed under successors.  A side's
+    ids are shifted by the sizes of the indexes before it, and its masks and
+    predecessors are read from its own index and ``_predecessors`` form, so
+    nothing is copied.  Returns, for each shifted id, its block in the
+    coarsest partition of the kept states that separates out-masks and is
+    stable under every letter (Hopcroft 1971; Valmari and Lehtinen 2008 for
+    partial functions), or ``-1`` for an id not kept; and each side's
+    predecessor form.  The blocks of equal masks are already stable under
+    the whole kept set, so every block but the largest starts out pending
+    (Hopcroft's lemma).
     """
-    if len(sides) == 1 and sides[0][0] == range(len(sides[0][1].masks)):
-        # One whole index is already the union: refine its own lists.
-        masks, succ = sides[0][1].masks, sides[0][1].succ
-    else:
-        masks, succ = [], [[] for _ in sides[0][1].succ]
-        for order, ix in sides:
-            pos = {p: j for j, p in enumerate(order, len(masks))} | {-1: -1}  # -1: no successor
-            masks += map(ix.masks.__getitem__, order)
-            for column, col in zip(succ, ix.succ):
-                column += [pos[col[p]] for p in order]
-    preds: list[list[tuple[int, int]]] = [[] for _ in masks]
-    for i, col in enumerate(succ):
-        for s, t in enumerate(col):
-            if t >= 0:
-                preds[t].append((i, s))
+    forms, offsets, preds, shift = [], [], [], []  # shift[t]: the offset of t's side
+    for d, ix, _ in sides:
+        forms.append(_predecessors(d, ix))
+        offsets.append(len(preds))
+        shift += [len(preds)] * len(ix.masks)
+        preds += forms[-1][1]
+    block = [-1] * len(preds)
     by_mask: dict[int, int] = {}
-    block = [by_mask.setdefault(m, len(by_mask)) for m in masks]
+    for (_, ix, keep), off in zip(sides, offsets):
+        masks = ix.masks
+        for s in keep:
+            block[off + s] = by_mask.setdefault(masks[s], len(by_mask))
     members: list[set[int]] = [set() for _ in by_mask]
-    for s, b in enumerate(block):
-        members[b].add(s)
+    for (_, _, keep), off in zip(sides, offsets):
+        for s in keep:
+            members[block[off + s]].add(off + s)
     pending = set(range(len(members)))
+    pending.discard(max(pending, key=lambda b: len(members[b]), default=-1))
     while pending:
-        sources: dict[int, list[int]] = defaultdict(list)
+        # Plain dicts and ``next`` on one iterator cost less here than
+        # ``defaultdict`` and ``zip``.
+        sources: dict[int, list[int]] = {}
         for t in members[pending.pop()]:
-            for i, s in preds[t]:
-                sources[i].append(s)
+            o = shift[t]
+            pairs = iter(preds[t])
+            for i in pairs:
+                s = next(pairs) + o
+                if i in sources:
+                    sources[i].append(s)
+                else:
+                    sources[i] = [s]
         for hit_states in sources.values():
-            hit: dict[int, list[int]] = defaultdict(list)
+            hit: dict[int, list[int]] = {}
             for s in hit_states:
-                hit[block[s]].append(s)
+                b = block[s]
+                if b in hit:
+                    hit[b].append(s)
+                else:
+                    hit[b] = [s]
+            hit.pop(-1, None)  # sources that are not kept
             for b, part in hit.items():
                 if len(part) == len(members[b]):
                     continue
@@ -99,14 +116,14 @@ def _classes(sides: list[tuple]) -> tuple[list[int], list[list[int]], list[list[
                 # Hopcroft: a block not waiting to split others queues only
                 # its smaller half.
                 pending.add(b if b not in pending and len(members[b]) < len(part) else new)
-    return masks, succ, preds, block
+    return block, forms
 
 
 def language_classes(*automata: PDfa) -> list[dict[str, int]]:
     """Group the states of one or more pDFAs by the language they read.
 
-    One integer partition refinement (``_classes``) on the disjoint union of
-    the automata's indexes over their merged alphabet, starting from the
+    One integer partition refinement (``_classes``) on the automata's
+    indexes over their merged alphabet side by side, starting from the
     blocks of equal out-masks.  Returns one map per automaton from state
     to class id: two states get the same id exactly when they generate the
     same language.  A state that only transitions name raises
@@ -119,7 +136,7 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
     for d, ix in zip(automata, indexes):
         if len(ix.names) > len(d.states):  # ids past those are states only transitions name
             raise UnknownStateError(f"state {ix.names[len(d.states)]!r} is not in the automaton")
-    block = _classes([(range(len(ix.names)), ix) for ix in indexes])[3]
+    block = _classes([(d, ix, range(len(ix.names))) for d, ix in zip(automata, indexes)])[0]
     starts = accumulate((len(ix.names) for ix in indexes), initial=0)
     return [dict(zip(ix.names[: len(d.states)], block[i:])) for d, ix, i in zip(automata, indexes, starts)]
 
@@ -185,34 +202,38 @@ def iso_nonrooted(
     Steps guess a predecessor transition of q and climb toward the root;
     acceptance at the root closes the isomorphism.  The step letters along a
     shortest accepting path, reversed, spell the root-to-v word, returned as
-    a witness.  On the cached indexes, one ``_classes`` call refines the
-    reachable states, a configuration is one integer, its base set is the mask
-    of q less ``back``, and starts and predecessors go in state-name order.
+    a witness.  One ``_classes`` call refines the states the roots reach,
+    read from the pDFAs' cached indexes, predecessor forms and reach lists.
+    A configuration is one integer over the two indexes' own ids, its base
+    set is the mask of q less ``back``, and starts (the second root's
+    reachable states) and predecessors (from the second pDFA's predecessor
+    form) go in state-name order.
     """
     alphabet = _require_pair(a, p_root, b, q_root)
     ia, ib = a._indexed(alphabet), b._indexed(alphabet)
-    letters, inverse = ia.letters, ia.inverse
-    reach_a = sorted(_reach(a, p_root))
-    reach_b = sorted(_reach(b, q_root), key=ib.names.__getitem__)
-    masks, succ, preds, cls = _classes([(reach_a, ia), (reach_b, ib)])
-    # The union holds a's reachable states, then b's by name.  Configuration
-    # (p, q, back) is (p * n + q) * (k + 1) + back + 1, with back = -1 for
-    # none; its parent is the one it was reached from.
-    n, k1 = len(masks), len(letters) + 1
-    p0 = reach_a.index(ia.ids[p_root])
-    q0 = len(reach_a) + reach_b.index(ib.ids[q_root])
-    parent = {(p0 * n + q) * k1: -1 for q in range(len(reach_a), n)}
+    letters, inverse, mask_a, mask_b, succ_a = ia.letters, ia.inverse, ia.masks, ib.masks, ia.succ
+    reach_b = _reach(b, q_root)
+    block, (_, (_, preds)) = _classes([(a, ia, _reach(a, p_root)), (b, ib, reach_b)])  # preds: b's
+    na, nb = len(ia.names), len(ib.names)
+    cls_a, cls_b = block[:na], block[na:]  # cls_b[q] is -1 for q unreachable
+    columns = list(zip(succ_a, ib.succ))
+    # Configuration (p, q, back) is (p * nb + q) * (k + 1) + back + 1 on the
+    # two indexes' own ids, with back = -1 for none; its parent is the one
+    # it was reached from.
+    k1 = len(letters) + 1
+    p0, q0 = ia.ids[p_root], ib.ids[q_root]
+    parent = {(p0 * nb + q) * k1: -1 for q in sorted(reach_b, key=ib.names.__getitem__)}
     queue = deque(parent)
     while queue:
         code = queue.popleft()
         pq, back = divmod(code, k1)
-        p, q = divmod(pq, n)
-        base = masks[q] & ~(1 << back >> 1)  # back + 1 is 0 for none
-        extra = masks[p] & ~base
+        p, q = divmod(pq, nb)
+        base = mask_b[q] & ~(1 << back >> 1)  # back + 1 is 0 for none
+        extra = mask_a[p] & ~base
         # Accept at q_root with equal sets, or climb on one extra letter.
-        if base & ~masks[p] or extra & (extra - 1) or not (extra or q == q0):
+        if base & ~mask_a[p] or extra & (extra - 1) or not (extra or q == q0):
             continue
-        if any(cls[col[p]] != cls[col[q]] for i, col in enumerate(succ) if base >> i & 1):
+        if any(cls_a[x[p]] != cls_b[y[q]] for i, (x, y) in enumerate(columns) if base >> i & 1):
             continue
         if not extra:
             word: list[str] = []
@@ -222,9 +243,12 @@ def iso_nonrooted(
             return True, NonRootedWitness(tuple(word))
         i = extra.bit_length() - 1
         j = inverse[i]
-        for x, qhat in preds[q]:
-            nxt = (succ[i][p] * n + qhat) * k1 + j + 1
-            if x == j and nxt not in parent:
+        up = succ_a[i][p] * nb
+        pairs = iter(preds[q])
+        for x in pairs:
+            qhat = next(pairs)
+            # A predecessor q_root cannot reach never climbs back to it.
+            if x == j and cls_b[qhat] >= 0 and (nxt := (up + qhat) * k1 + j + 1) not in parent:
                 parent[nxt] = code
                 queue.append(nxt)
     return False, None

@@ -27,7 +27,10 @@ the ``delta`` map checks the ``trim`` that restricts the index, and
 re-rooting by copying the ``delta`` map checks the re-rooting that appends
 the path copies to the index.  The pdfa document and the DOT text written
 from ``sorted(dict(d.delta).items())`` check the ordered listing of a
-pDFA's transitions, which reads an index without decoding it.
+pDFA's transitions, which reads an index without decoding it.  The
+configuration search on a fresh union of the two reachable parts, refined
+from every mask block, checks the search that refines both cached indexes
+side by side.
 """
 
 import json
@@ -57,6 +60,7 @@ from cftree import (
     reroot_step,
     trim,
 )
+from cftree.automata import _reach, _require_pair
 from cftree.jsonio import _require_fields, alphabet_from_doc
 from cftree.jsonio import alphabet_to_doc
 from cftree.unfolding import DiscTree, Node, Word, _dot_quote, _word_text
@@ -513,6 +517,102 @@ def iso_nonrooted_by_names(
                 if nxt not in parent:
                     parent[nxt] = (cfg, bhat)
                     queue.append(nxt)
+    return False, None
+
+
+def _union_classes(sides: list[tuple]) -> tuple[list[int], list[list[int]], list[list[tuple[int, int]]], list[int]]:
+    """Partition refinement on a disjoint union of index parts.
+
+    Each side is ``(order, index)``, the indexes over one alphabet; ``order``
+    lists the ids kept, successors included, and the union numbers them side
+    after side.  Returns the union's masks and columns, each state's ascending
+    ``(letter, source)`` predecessors, and its block in the coarsest partition
+    that separates out-masks and is stable under every letter.  Every block
+    starts out pending.
+    """
+    masks, succ = [], [[] for _ in sides[0][1].succ]
+    for order, ix in sides:
+        pos = {p: j for j, p in enumerate(order, len(masks))} | {-1: -1}  # -1: no successor
+        masks += map(ix.masks.__getitem__, order)
+        for column, col in zip(succ, ix.succ):
+            column += [pos[col[p]] for p in order]
+    preds: list[list[tuple[int, int]]] = [[] for _ in masks]
+    for i, col in enumerate(succ):
+        for s, t in enumerate(col):
+            if t >= 0:
+                preds[t].append((i, s))
+    by_mask: dict[int, int] = {}
+    block = [by_mask.setdefault(m, len(by_mask)) for m in masks]
+    members: list[set[int]] = [set() for _ in by_mask]
+    for s, b in enumerate(block):
+        members[b].add(s)
+    pending = set(range(len(members)))
+    while pending:
+        sources: dict[int, list[int]] = defaultdict(list)
+        for t in members[pending.pop()]:
+            for i, s in preds[t]:
+                sources[i].append(s)
+        for hit_states in sources.values():
+            hit: dict[int, list[int]] = defaultdict(list)
+            for s in hit_states:
+                hit[block[s]].append(s)
+            for b, part in hit.items():
+                if len(part) == len(members[b]):
+                    continue
+                members[b].difference_update(part)
+                new = len(members)
+                members.append(set(part))
+                for s in part:
+                    block[s] = new
+                pending.add(b if b not in pending and len(members[b]) < len(part) else new)
+    return masks, succ, preds, block
+
+
+def iso_nonrooted_by_union(
+    a: PDfa, p_root: str, b: PDfa, q_root: str
+) -> tuple[bool, NonRootedWitness | None]:
+    """The configuration search of ``iso_nonrooted`` on a fresh union of the
+    two reachable parts: each call copies the parts reachable from the roots
+    into one numbering (``a``'s, then ``b``'s by name), rebuilds every
+    predecessor list and refines the union from every mask block, where the
+    library refines both cached indexes side by side.
+    """
+    alphabet = _require_pair(a, p_root, b, q_root)
+    ia, ib = a._indexed(alphabet), b._indexed(alphabet)
+    letters, inverse = ia.letters, ia.inverse
+    reach_a = sorted(_reach(a, p_root))
+    reach_b = sorted(_reach(b, q_root), key=ib.names.__getitem__)
+    masks, succ, preds, cls = _union_classes([(reach_a, ia), (reach_b, ib)])
+    # Configuration (p, q, back) is (p * n + q) * (k + 1) + back + 1, with
+    # back = -1 for none; its parent is the one it was reached from.
+    n, k1 = len(masks), len(letters) + 1
+    p0 = reach_a.index(ia.ids[p_root])
+    q0 = len(reach_a) + reach_b.index(ib.ids[q_root])
+    parent = {(p0 * n + q) * k1: -1 for q in range(len(reach_a), n)}
+    queue = deque(parent)
+    while queue:
+        code = queue.popleft()
+        pq, back = divmod(code, k1)
+        p, q = divmod(pq, n)
+        base = masks[q] & ~(1 << back >> 1)
+        extra = masks[p] & ~base
+        if base & ~masks[p] or extra & (extra - 1) or not (extra or q == q0):
+            continue
+        if any(cls[col[p]] != cls[col[q]] for i, col in enumerate(succ) if base >> i & 1):
+            continue
+        if not extra:
+            word: list[str] = []
+            while parent[code] != -1:
+                word.append(letters[code % k1 - 1])
+                code = parent[code]
+            return True, NonRootedWitness(tuple(word))
+        i = extra.bit_length() - 1
+        j = inverse[i]
+        for x, qhat in preds[q]:
+            nxt = (succ[i][p] * n + qhat) * k1 + j + 1
+            if x == j and nxt not in parent:
+                parent[nxt] = code
+                queue.append(nxt)
     return False, None
 
 

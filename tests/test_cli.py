@@ -655,28 +655,38 @@ def test_minimize_trim_without_a_root_is_rejected(tmp_path, capsys):
 
 def test_documents_are_read_as_utf8_under_an_ascii_locale(tmp_path, capsys):
     # A UTF-8 document reads the same whatever the locale's encoding, and a
-    # file that is not UTF-8 is an unreadable document.
+    # file that is not UTF-8 is an unreadable document.  Output that names a
+    # non-ASCII state, DOT text and validation issues, is written as UTF-8.
     doc = automaton_to_doc(PDfa({"\u00e9"}, samples.AL_A, {("\u00e9", "a"): "\u00e9"}), root="\u00e9")
     text = json.dumps(doc, ensure_ascii=False)
-    utf8, latin1 = tmp_path / "u.json", tmp_path / "l.json"
+    utf8, latin1, dangling = tmp_path / "u.json", tmp_path / "l.json", tmp_path / "d.json"
     utf8.write_bytes(text.encode("utf-8"))
     latin1.write_bytes(text.encode("latin-1"))
-    assert run(["unfold", str(utf8), "--radius", "1"]) == 0
-    expected = capsys.readouterr().out
+    doc = {**doc, "states": ["p"], "transitions": [{"id": 0, "from": "p", "label": "a", "to": "\u00e9"}], "root": "p"}
+    dangling.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    calls = [
+        ["unfold", str(utf8), "--radius", "1"],
+        ["unfold", str(latin1), "--radius", "1"],
+        ["unfold", str(utf8), "--radius", "1", "--dot"],
+        ["validate", str(dangling)],
+    ]
+    expected = []
+    for argv in calls:
+        code = run(argv)
+        expected.append((code, *capsys.readouterr()))
+    assert [e[0] for e in expected] == [0, 2, 0, 1]
+    assert "\u00e9" in expected[2][1] and "\u00e9" in expected[3][1]
     ascii_env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
-    procs = [
-        subprocess.run(
-            [sys.executable, "-m", "cftree.cli", "unfold", str(path), "--radius", "1"],
+    for argv, want in zip(calls, expected):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cftree.cli", *argv],
             env=ascii_env,
             capture_output=True,
             text=True,
             encoding="utf-8",
         )
-        for path in (utf8, latin1)
-    ]
-    assert (procs[0].returncode, procs[0].stdout, procs[0].stderr) == (0, expected, "")
-    assert procs[1].returncode == 2 and procs[1].stdout == ""
-    assert procs[1].stderr.startswith(f"error[BAD_DOCUMENT]: cannot read {latin1}: 'utf-8' codec can't decode")
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+    assert expected[1][2].startswith(f"error[BAD_DOCUMENT]: cannot read {latin1}: 'utf-8' codec can't decode")
 
 
 def test_byte_identical_output(fig_files):

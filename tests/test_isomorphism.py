@@ -7,6 +7,7 @@ import samples
 from cftree import (
     Gap2Instance,
     InvolutiveAlphabet,
+    NonRootedWitness,
     NotReducedError,
     PDfa,
     UnknownLetterError,
@@ -18,6 +19,8 @@ from cftree import (
     iso_rooted,
     isomorphism,
     language_classes,
+    quotient,
+    reachable_states,
     reduce_gap2_to_rooted_iso,
     reduce_rooted_to_nonrooted,
     reroot_along_word,
@@ -29,11 +32,13 @@ from oracles import (
     canonical_rooted_key,
     equivalent_pairs,
     iso_nonrooted_by_names,
+    iso_nonrooted_by_union,
     iso_rooted_reindexed,
     language_classes_by_names,
     language_upto,
     langs_equal_upto,
     nonrooted_witness_brute,
+    quotient_by_names,
 )
 from randgen import exhaustive_reduced_pdfa_pool, random_gap2, random_pdfa, random_reduced_pdfa
 
@@ -326,6 +331,67 @@ def test_iso_nonrooted_matches_by_names_oracle():
         assert kinds[kind, False] >= 10, kind
 
 
+def _with_ghost(rng, d: PDfa) -> PDfa:
+    """``d`` plus a transition into one of its states from a state it does
+    not list, on a letter that keeps it reduced; ``d`` if there is none."""
+    q = rng.choice(sorted(d.states))
+    free = [x for x in d.alphabet.sorted_letters() if (q, d.alphabet.inv(x)) not in d.delta]
+    return PDfa(d.states, d.alphabet, {**d.delta, ("ghost", rng.choice(free)): q}) if free else d
+
+
+def test_iso_nonrooted_matches_union_oracle():
+    # Verdicts and witness words equal those of the search on a fresh union;
+    # the same automata's classes and quotients match the name-based oracles.
+    rng = random.Random(71)
+    al_b = involutive_closure(["b"])
+    kinds = Counter()
+    for i in range(520):
+        kind = ("unreachable", "ghost", "b-vs-ab", "same-object", "alternating", "lifted", "rerooted", "independent")[i % 8]
+        if kind == "lifted":
+            a, ra, b, rb = _lifted_gap2(rng, i // 8 % 2 == 0)
+        else:
+            a, ra = random_reduced_pdfa(rng, rng.randint(1, 14), al_b if kind == "b-vs-ab" else None, extra_density=rng.random())
+            if kind in ("unreachable", "ghost", "alternating"):
+                ra = rng.choice(sorted(a.states))  # may leave part of a unreachable
+            if kind == "independent" or kind == "b-vs-ab" and i // 8 % 2:
+                b, rb = random_reduced_pdfa(rng, rng.randint(1, 14), a.alphabet, extra_density=rng.random())
+            else:
+                b, rb = _rerooted(rng, a, ra)
+            if kind == "b-vs-ab":
+                b = PDfa(b.states, samples.AL_AB, b.delta)
+            elif kind == "ghost":
+                a, b = _with_ghost(rng, a), _with_ghost(rng, b)
+            elif kind == "unreachable":  # and a copy of a that rb cannot reach
+                spare = {(f"u{p}", x): f"u{q}" for (p, x), q in a.delta.items()}
+                b = PDfa(b.states | {f"u{p}" for p in a.states}, b.alphabet, {**b.delta, **spare})
+        pairs = [(a, ra, b, rb), (b, rb, a, ra)]
+        if kind == "same-object":
+            pairs = [(a, ra, a, ra), (a, ra, a, rng.choice(sorted(a.states)))]
+        elif kind == "alternating":  # two roots in turn on one object
+            other = rng.choice(sorted(a.states))
+            pairs += [(a, other, b, rb), (a, ra, b, rb), (b, rb, a, other), (b, rb, a, ra)]
+        for x, rx, y, ry in pairs:
+            result = iso_nonrooted(x, rx, y, ry)
+            assert result == iso_nonrooted_by_union(x, rx, y, ry)
+            kinds[kind, result[0]] += 1
+            kinds["part unreachable"] += len(reachable_states(y, ry)) < len(y.states)
+        for d in (a, b):
+            if {p for p, _ in d.delta} <= d.states:
+                assert quotient(d) == quotient_by_names(d)
+                assert partition(language_classes(d)) == partition(language_classes_by_names(d))
+            else:
+                kinds["ghost", "source"] += 1
+                with pytest.raises(UnknownStateError, match="'ghost'"):
+                    quotient(d)
+        if kind != "ghost":
+            assert partition(language_classes(a, b)) == partition(language_classes_by_names(a, b))
+    for kind in ("unreachable", "ghost", "b-vs-ab", "same-object", "alternating", "lifted", "rerooted"):
+        assert kinds[kind, True] >= 10, kind
+    for kind in ("b-vs-ab", "same-object", "alternating", "lifted", "independent"):
+        assert kinds[kind, False] >= 10, kind
+    assert kinds["part unreachable"] >= 100 and kinds["ghost", "source"] >= 50
+
+
 def test_iso_nonrooted_builds_one_index_per_automaton(monkeypatch):
     # A re-rooted copy with a state left unreachable, as trim would drop.
     d, root = random_reduced_pdfa(random.Random(67), 60, samples.AL_AB)
@@ -357,6 +423,70 @@ def test_iso_nonrooted_builds_one_index_per_automaton(monkeypatch):
             assert iso_nonrooted(x, rx, y, ry)[0]
         assert builds == {id(a._delta): 1, id(b._delta): 1}
         assert not calls
+
+
+def _count(monkeypatch, *names):
+    """Count the calls of the named ``automata`` builders, which still run,
+    by the index each one was given."""
+    calls = Counter()
+    for name in names:
+        fn = getattr(automata, name)
+        monkeypatch.setattr(automata, name, lambda ix, *rest, fn=fn, name=name: calls.update([(name, id(ix))]) or fn(ix, *rest))
+    return calls
+
+
+def test_iso_nonrooted_keeps_predecessors_and_reach(monkeypatch):
+    # The first call builds each side's predecessor form and walks from each
+    # root; a second call on the pair, the state equivalence and the
+    # quotient of either side build and walk nothing more.
+    d, root = random_reduced_pdfa(random.Random(73), 60, samples.AL_AB)
+    e, re_ = _rerooted(random.Random(79), d, root)
+    d = PDfa(d.states, d.alphabet, d.delta)  # a fresh copy: re-rooting walked d
+    calls = _count(monkeypatch, "_build_predecessors", "_walk")
+    first = iso_nonrooted(d, root, e, re_)
+    assert first[0]
+    ids = {id(d._index), id(e._index)}
+    assert calls == {(name, i): 1 for name in ("_build_predecessors", "_walk") for i in ids}
+    calls.clear()
+    assert iso_nonrooted(d, root, e, re_) == first
+    language_classes(d, e)
+    quotient(d)
+    quotient(e)
+    assert not calls
+
+
+def test_merged_alphabet_side_keeps_no_predecessor_form(monkeypatch):
+    # Over {b}^±1 and {a, b}^±1 the letter ids differ, so the smaller side's
+    # form is built for each call, on either side, and kept nowhere.
+    a, ra = random_reduced_pdfa(random.Random(83), 30, involutive_closure(["b"]))
+    b = PDfa(a.states, samples.AL_AB, a.delta)
+    calls = _count(monkeypatch, "_build_predecessors")
+    # b's own form is built once; a's widened one on every call.
+    for x, y, builds in ((a, b, 2), (b, a, 1), (a, b, 1)):
+        calls.clear()
+        assert iso_nonrooted(x, ra, y, ra) == (True, NonRootedWitness(()))
+        assert sum(calls.values()) == builds
+    assert a._preds is None and b._preds is not None
+    calls.clear()
+    language_classes(a, b)
+    assert sum(calls.values()) == 1
+
+
+def test_cached_reach_is_only_read(monkeypatch):
+    # Every reader of the kept reach list leaves it as it was, and none of
+    # them walks the automaton again.
+    d, root = random_reduced_pdfa(random.Random(89), 40, samples.AL_AB)
+    d = PDfa(d.states | {"spare"}, d.alphabet, d.delta)
+    reach = automata._reach(d, root)
+    kept = list(reach)
+    calls = _count(monkeypatch, "_walk")
+    trim(d, root)
+    reroot_along_word(d, root, _walk(d, root, ["ab", "ba", "ab", "ba"]))
+    assert len(reachable_states(d, root)) == len(kept) < len(d.states)
+    iso_rooted(d, root, d, root)
+    iso_nonrooted(d, root, d, root)
+    assert d._reached == (root, kept) and d._reached[1] is reach
+    assert not calls[("_walk", id(d._index))]
 
 
 def test_witness_is_shortest_and_one_sided():
