@@ -447,9 +447,9 @@ def _build_predecessors(ix: _Index) -> tuple[list[int], list[tuple[int, ...]]]:
     """The predecessor form of ``ix``: its ids in name order, and for each
     id one flat tuple ``(letter, source, letter, source, …)`` ascending by
     letter, then by source name.  It costs one list entry per state and two
-    tuple entries per transition."""
+    tuple entries per transition: the ids are the index's own integers."""
     names = ix.names
-    order = sorted(range(len(names)), key=names.__getitem__)
+    order = sorted(ix.ids.values(), key=names.__getitem__)
     into: list[list[int]] = [[] for _ in names]
     for i, col in enumerate(ix.succ):
         for s in order:
