@@ -213,7 +213,8 @@ def iso_nonrooted(
     ia, ib = a._indexed(alphabet), b._indexed(alphabet)
     letters, inverse, mask_a, mask_b, succ_a = ia.letters, ia.inverse, ia.masks, ib.masks, ia.succ
     reach_b = _reach(b, q_root)
-    block, (_, (_, preds)) = _classes([(a, ia, _reach(a, p_root)), (b, ib, reach_b)])  # preds: b's
+    block, forms = _classes([(a, ia, _reach(a, p_root)), (b, ib, reach_b)])
+    preds = forms[1][1]  # b's predecessor tuples
     na, nb = len(ia.names), len(ib.names)
     cls_a, cls_b = block[:na], block[na:]  # cls_b[q] is -1 for q unreachable
     columns = list(zip(succ_a, ib.succ))

@@ -474,9 +474,10 @@ def test_merged_alphabet_side_keeps_no_predecessor_form(monkeypatch):
 
 def test_cached_reach_is_only_read(monkeypatch):
     # Every reader of the kept reach list leaves it as it was, and none of
-    # them walks the automaton again.
+    # them walks the automaton again.  A state only a transition names makes
+    # ``iso_rooted`` read it as well.
     d, root = random_reduced_pdfa(random.Random(89), 40, samples.AL_AB)
-    d = PDfa(d.states | {"spare"}, d.alphabet, d.delta)
+    d = PDfa(d.states | {"spare"}, d.alphabet, {**d.delta, ("ghost", "a"): "spare"})
     reach = automata._reach(d, root)
     kept = list(reach)
     calls = _count(monkeypatch, "_walk")
