@@ -248,7 +248,7 @@ def iso_nonrooted(
         pairs = iter(preds[q])
         for x in pairs:
             qhat = next(pairs)
-            # A predecessor q_root cannot reach never climbs back to it.
+            # A source that q_root does not reach cannot climb back to it.
             if x == j and cls_b[qhat] >= 0 and (nxt := (up + qhat) * k1 + j + 1) not in parent:
                 parent[nxt] = code
                 queue.append(nxt)
