@@ -266,17 +266,13 @@ class PDfa:
     def run(self, p: str, word: Iterable[str]) -> str | None:
         """State reached from ``p`` by reading ``word``, or None if it dies.
 
-        Reads the held map, or else steps through the index columns, so an
-        index-only automaton decodes nothing.
+        Steps through the index columns, so an index-only automaton decodes
+        nothing.  An unknown state or letter ends the run; the empty word
+        returns ``p`` as given.  A map that names a letter outside the
+        alphabet raises ``UnknownLetterError``, as every decision does.
         """
         cur: str | None = p
-        if self._delta is not None:
-            for a in word:
-                if cur is None:
-                    return None
-                cur = self._delta.get((cur, a))
-            return cur
-        ix = self._index
+        ix = self._indexed()
         columns = dict(zip(ix.letters, ix.succ))
         s = ix.ids.get(p, -1)
         for a in word:
@@ -453,8 +449,11 @@ def _build_predecessors(ix: _Index) -> tuple[list[int], list[tuple[int, ...]]]:
     into: list[list[int]] = [[] for _ in names]
     for i, col in enumerate(ix.succ):
         for s in order:
-            if (t := col[s]) >= 0:
-                into[t] += (i, s)
+            t = col[s]
+            if t >= 0:
+                pairs = into[t]
+                pairs.append(i)
+                pairs.append(s)
     return order, list(map(tuple, into))  # ``tuple([])`` is the one shared empty tuple
 
 

@@ -53,14 +53,14 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     names = ix.names
     if len(names) > len(d.states):  # ids past those are states only transitions name
         raise UnknownStateError(f"state {names[len(d.states)]!r} is not in the automaton")
-    block, ((order, _),) = _classes([(d, ix, range(len(names)))])
+    block, _, ((order, _),) = _classes([(d, ix, range(len(names)))])
     rank: dict[int, int] = {}
     heads: list[int] = []  # the smallest member of each class, by name
     for s in order:
         if block[s] not in rank:
             rank[block[s]] = len(heads)
             heads.append(s)
-    cls = [rank[b] for b in block] + [-1]  # cls[-1] == -1 keeps "no successor"
+    cls = [rank[b] for b in block[: len(names)]] + [-1]  # cls[-1] == -1 keeps "no successor"
     out = _restrict(ix, heads, cls)
     return PDfa._from_index(d.alphabet, out), dict(zip(names, map(out.names.__getitem__, cls)))
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
 
 from .alphabet import merge_alphabets
 from .automata import PDfa, _predecessors, _reach, _require_pair
@@ -50,37 +49,39 @@ class NonRootedWitness:
         return " ".join(self.word)
 
 
-def _classes(sides: list[tuple]) -> tuple[list[int], list[tuple[list[int], list[tuple[int, ...]]]]]:
+def _classes(sides: list[tuple]) -> tuple[list[int], int, list[tuple[list[int], list[tuple[int, ...]]]]]:
     """Partition refinement on indexes side by side, in place.
 
     Each side is ``(pdfa, index, keep)``: an index of ``pdfa``, all over one
-    alphabet, and the ids it keeps, a set closed under successors.  A side's
-    ids are shifted by the sizes of the indexes before it, and its masks and
-    predecessors are read from its own index and ``_predecessors`` form, so
-    nothing is copied.  Returns, for each shifted id, its block in the
-    coarsest partition of the kept states that separates out-masks and is
-    stable under every letter (Hopcroft 1971; Valmari and Lehtinen 2008 for
-    partial functions), or ``-1`` for an id not kept; and each side's
-    predecessor form.  The blocks of equal masks are already stable under
-    the whole kept set, so every block but the largest starts out pending
-    (Hopcroft's lemma).
+    alphabet, and the ids it keeps, a set closed under successors.  Side
+    ``j``'s id ``s`` is shifted to ``j * stride + s``, where ``stride`` is
+    the power of two above the largest index size, so a shifted id splits
+    into side and id with two bit operations.  Masks and predecessors are
+    read from each side's own index and ``_predecessors`` form, so nothing
+    is copied, and apart from one list of blocks, filled with ``-1`` in C,
+    the work follows the kept ids.  Returns the blocks, for each shifted id, of
+    the coarsest partition of the kept states that separates out-masks and
+    is stable under every letter (Hopcroft 1971; Valmari and Lehtinen 2008
+    for partial functions), with ``-1`` for an id not kept; ``stride``; and
+    each side's predecessor form.  The blocks of equal masks are already
+    stable under the whole kept set, so every block but the largest starts
+    out pending (Hopcroft's lemma).
     """
-    forms, offsets, preds, shift = [], [], [], []  # shift[t]: the offset of t's side
-    for d, ix, _ in sides:
-        forms.append(_predecessors(d, ix))
-        offsets.append(len(preds))
-        shift += [len(preds)] * len(ix.masks)
-        preds += forms[-1][1]
-    block = [-1] * len(preds)
+    forms = [_predecessors(d, ix) for d, ix, _ in sides]
+    preds = [form[1] for form in forms]
+    bits = max(len(ix.masks) for _, ix, _ in sides).bit_length()
+    stride, low = 1 << bits, (1 << bits) - 1
+    offsets = range(0, stride * len(sides), stride)
+    block = [-1] * (stride * len(sides))
     by_mask: dict[int, int] = {}
-    for (_, ix, keep), off in zip(sides, offsets):
+    for o, (_, ix, keep) in zip(offsets, sides):
         masks = ix.masks
         for s in keep:
-            block[off + s] = by_mask.setdefault(masks[s], len(by_mask))
+            block[o + s] = by_mask.setdefault(masks[s], len(by_mask))
     members: list[set[int]] = [set() for _ in by_mask]
-    for (_, _, keep), off in zip(sides, offsets):
+    for o, (_, _, keep) in zip(offsets, sides):
         for s in keep:
-            members[block[off + s]].add(off + s)
+            members[block[o + s]].add(o + s)
     pending = set(range(len(members)))
     pending.discard(max(pending, key=lambda b: len(members[b]), default=-1))
     while pending:
@@ -88,8 +89,9 @@ def _classes(sides: list[tuple]) -> tuple[list[int], list[tuple[list[int], list[
         # ``defaultdict`` and ``zip``.
         sources: dict[int, list[int]] = {}
         for t in members[pending.pop()]:
-            o = shift[t]
-            pairs = iter(preds[t])
+            q = t & low
+            o = t - q
+            pairs = iter(preds[t >> bits][q])
             for i in pairs:
                 s = next(pairs) + o
                 if i in sources:
@@ -116,7 +118,7 @@ def _classes(sides: list[tuple]) -> tuple[list[int], list[tuple[list[int], list[
                 # Hopcroft: a block not waiting to split others queues only
                 # its smaller half.
                 pending.add(b if b not in pending and len(members[b]) < len(part) else new)
-    return block, forms
+    return block, stride, forms
 
 
 def language_classes(*automata: PDfa) -> list[dict[str, int]]:
@@ -136,9 +138,8 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
     for d, ix in zip(automata, indexes):
         if len(ix.names) > len(d.states):  # ids past those are states only transitions name
             raise UnknownStateError(f"state {ix.names[len(d.states)]!r} is not in the automaton")
-    block = _classes([(d, ix, range(len(ix.names))) for d, ix in zip(automata, indexes)])[0]
-    starts = accumulate((len(ix.names) for ix in indexes), initial=0)
-    return [dict(zip(ix.names[: len(d.states)], block[i:])) for d, ix, i in zip(automata, indexes, starts)]
+    block, stride, _ = _classes([(d, ix, range(len(ix.names))) for d, ix in zip(automata, indexes)])
+    return [dict(zip(ix.names[: len(d.states)], block[j * stride :])) for j, (d, ix) in enumerate(zip(automata, indexes))]
 
 
 def iso_rooted(
@@ -213,10 +214,11 @@ def iso_nonrooted(
     ia, ib = a._indexed(alphabet), b._indexed(alphabet)
     letters, inverse, mask_a, mask_b, succ_a = ia.letters, ia.inverse, ia.masks, ib.masks, ia.succ
     reach_b = _reach(b, q_root)
-    block, forms = _classes([(a, ia, _reach(a, p_root)), (b, ib, reach_b)])
-    preds = forms[1][1]  # b's predecessor tuples
-    na, nb = len(ia.names), len(ib.names)
-    cls_a, cls_b = block[:na], block[na:]  # cls_b[q] is -1 for q unreachable
+    # b goes first, so block[q] is the block of b's q with no offset to
+    # add: the climb below reads it most.  It is -1 for q unreachable.
+    block, oa, forms = _classes([(b, ib, reach_b), (a, ia, _reach(a, p_root))])
+    preds = forms[0][1]  # b's predecessor tuples
+    nb = len(ib.names)
     columns = list(zip(succ_a, ib.succ))
     # Configuration (p, q, back) is (p * nb + q) * (k + 1) + back + 1 on the
     # two indexes' own ids, with back = -1 for none; its parent is the one
@@ -234,7 +236,7 @@ def iso_nonrooted(
         # Accept at q_root with equal sets, or climb on one extra letter.
         if base & ~mask_a[p] or extra & (extra - 1) or not (extra or q == q0):
             continue
-        if any(cls_a[x[p]] != cls_b[y[q]] for i, (x, y) in enumerate(columns) if base >> i & 1):
+        if any(block[oa + x[p]] != block[y[q]] for i, (x, y) in enumerate(columns) if base >> i & 1):
             continue
         if not extra:
             word: list[str] = []
@@ -249,7 +251,7 @@ def iso_nonrooted(
         for x in pairs:
             qhat = next(pairs)
             # A source that q_root does not reach cannot climb back to it.
-            if x == j and cls_b[qhat] >= 0 and (nxt := (up + qhat) * k1 + j + 1) not in parent:
+            if x == j and block[qhat] >= 0 and (nxt := (up + qhat) * k1 + j + 1) not in parent:
                 parent[nxt] = code
                 queue.append(nxt)
     return False, None

@@ -1051,13 +1051,18 @@ def trim_by_delta(d: PDfa, root: str) -> PDfa:
 
 
 def reroot_along_word_by_delta(d: PDfa, root: str, w) -> tuple[PDfa, str]:
-    """``reroot_along_word`` on the ``delta`` map: read ``w`` with
-    ``PDfa.run``, add the path copies to a copy of the map, named as the
-    library names them, and filter the result with ``trim_by_delta``."""
+    """``reroot_along_word`` on the ``delta`` map: read ``w`` on the map,
+    add the path copies to a copy of the map, named as the library names
+    them, and filter the result with ``trim_by_delta``."""
     require_reduced(d, "input")
     if root not in d.states:
         raise UnknownStateError(f"state {root!r} is not in the automaton")
-    if d.run(root, w) is None:
+    end = root
+    for x in w:
+        end = d.delta.get((end, x))
+        if end is None:
+            break
+    if end is None:
         raise WordNotInLanguageError(f"word {','.join(w) or 'eps'} is not readable from {root!r}")
     if not w:
         return trim_by_delta(d, root), root

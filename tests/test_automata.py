@@ -243,18 +243,28 @@ def test_run_stops_where_the_word_dies():
 
 
 def test_run_steps_through_the_index_without_decoding(monkeypatch):
-    # A pDFA that holds only its index, as ``trim`` makes it, reads words
-    # off its columns, with the answers the map gives: for an unknown state,
-    # an unknown letter and the empty word too.
+    # A pDFA that holds only its index, as ``trim`` makes it, and one that
+    # holds its map read words off the index columns, with the answers a
+    # walk of the map gives: for an unknown state, an unknown letter and
+    # the empty word too.
     held = samples.astar_bstar_pdfa()
     indexed = trim(held, "p")
     decodes = Counter()
     decode = automata._decode_delta
     monkeypatch.setattr(automata, "_decode_delta", lambda ix: decodes.update(["_decode_delta"]) or decode(ix))
+
+    def walk(p, w):
+        for x in w:
+            p = held.delta.get((p, x))
+            if p is None:
+                return None
+        return p
+
     words = [(), ("a",), ("a", "b", "b"), ("b", "a", "b"), ("b", "a"), ("a^-1",), ("a", "zz"), ("zz",)]
-    answers = [(p, w, held.run(p, w)) for p in ("p", "q", "nowhere") for w in words]
-    assert [(p, w, indexed.run(p, w)) for p, w, _ in answers] == answers
+    answers = [(p, w, walk(p, w)) for p in ("p", "q", "nowhere") for w in words]
     assert {x for *_, x in answers} == {"p", "q", "nowhere", None}
+    for d in (held, indexed):
+        assert [(p, w, d.run(p, w)) for p, w, _ in answers] == answers
     assert not decodes and indexed._delta is None
 
 

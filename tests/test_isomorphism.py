@@ -602,6 +602,7 @@ def test_table_semantics_names_existing_nodes():
 
 UNKNOWN_LETTER_CALLS = {
     "out_set": lambda bad, good: bad.out_set("p"),
+    "run": lambda bad, good: bad.run("p", ("a",)),
     "trim": lambda bad, good: trim(bad, "p"),
     "unfold_pdfa": lambda bad, good: unfold_pdfa(bad, "p", 2),
     "classes-bad": lambda bad, good: language_classes(bad),
