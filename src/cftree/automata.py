@@ -15,13 +15,15 @@ whichever form is held, so writers, ``pdfa_to_mnfa``, ``validate_pdfa`` and
 hashing decode nothing.  All checks live in separate functions so a caller
 can collect every problem at once instead of failing fast.  Reducedness is
 one fact about a pDFA: ``reducedness_violation`` decides it from the
-successor columns the first time it is asked and keeps the verdict.  Two
-more facts are kept next to the index on first use: its predecessor form
-(``_predecessors``: the ids in name order and each id's ``(letter,
-source)`` pairs), which state equivalence and the non-rooted search read,
-and the states reachable from the last root asked (``_reach``), which
-``trim``, re-rooting, ``reachable_states`` and both isomorphism tests read.
-An index over a larger merged alphabet keeps neither.
+successor columns the first time it is asked and keeps the verdict.  One
+more fact is kept next to the index, in one entry: the states reachable
+from the last root asked (``_reach``), which ``trim``, re-rooting,
+``reachable_states`` and both isomorphism tests read, and the predecessor
+form of exactly those states (``_predecessors``: the ids in name order and
+each id's ``(letter, source)`` pairs), built the first time state
+equivalence or the non-rooted search reads it.  ``quotient`` and
+``language_classes`` ask for every state, which a root that reaches them
+all also serves.  An index over a larger merged alphabet keeps no form.
 """
 
 from __future__ import annotations
@@ -191,10 +193,12 @@ class PDfa:
     """Partial deterministic finite automaton (a deterministic letter-labeled graph)."""
 
     # ``_violation`` caches ``reducedness_violation``: None until it runs,
-    # then the pair it found, or ``()`` for a reduced automaton.  ``_preds``
-    # caches ``_predecessors`` of the own index and ``_reached`` the last
-    # ``(root, _reach list)``; both stay None until first asked.
-    __slots__ = ("states", "alphabet", "_delta", "_index", "_violation", "_preds", "_reached")
+    # then the pair it found, or ``()`` for a reduced automaton.
+    # ``_reached`` is None until first asked, then ``(root, reach, form)``:
+    # the last root asked (None for every state), the ``_reach`` list of its
+    # ids, and ``_predecessors``' form of those ids on the own index, None
+    # until a refinement needs it.
+    __slots__ = ("states", "alphabet", "_delta", "_index", "_violation", "_reached")
 
     def __init__(
         self,
@@ -207,8 +211,7 @@ class PDfa:
         self._delta: dict[tuple[str, str], str] | None = dict(delta)
         self._index: _Index | None = None
         self._violation: tuple | None = None
-        self._preds: tuple[list[int], list[tuple[int, ...]]] | None = None
-        self._reached: tuple[str, list[int]] | None = None
+        self._reached: tuple | None = None
 
     @classmethod
     def _from_index(cls, alphabet: InvolutiveAlphabet, index: _Index) -> PDfa:
@@ -220,7 +223,6 @@ class PDfa:
         d._delta = None
         d._index = index
         d._violation = None
-        d._preds = None
         d._reached = None
         return d
 
@@ -289,7 +291,7 @@ class PDfa:
         return (
             self.states == other.states
             and self.alphabet == other.alphabet
-            and self.delta == other.delta
+            and _sorted_transitions(self) == _sorted_transitions(other)
         )
 
     def __hash__(self) -> int:
@@ -439,14 +441,17 @@ def require_reduced(d: PDfa, what: str = "automaton") -> None:
         )
 
 
-def _build_predecessors(ix: _Index) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The predecessor form of ``ix``: its ids in name order, and for each
-    id one flat tuple ``(letter, source, letter, source, …)`` ascending by
-    letter, then by source name.  It costs one list entry per state and two
-    tuple entries per transition: the ids are the index's own integers."""
-    names = ix.names
-    order = sorted(ix.ids.values(), key=names.__getitem__)
-    into: list[list[int]] = [[] for _ in names]
+def _build_predecessors(ix: _Index, keep: Iterable[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The predecessor form of the ids ``keep`` of ``ix``, a set closed
+    under successors: those ids in name order, and for each id of ``ix`` one
+    flat tuple ``(letter, source, letter, source, …)`` of its sources in
+    ``keep``, ascending by letter, then by source name.  An id not kept gets
+    the shared empty tuple, so the work follows the kept ids: one list entry
+    per kept state and two tuple entries per kept transition."""
+    order = sorted(keep, key=ix.names.__getitem__)
+    into: list = [()] * len(ix.names)
+    for s in order:
+        into[s] = []
     for i, col in enumerate(ix.succ):
         for s in order:
             t = col[s]
@@ -454,18 +459,32 @@ def _build_predecessors(ix: _Index) -> tuple[list[int], list[tuple[int, ...]]]:
                 pairs = into[t]
                 pairs.append(i)
                 pairs.append(s)
-    return order, list(map(tuple, into))  # ``tuple([])`` is the one shared empty tuple
+    for s in order:
+        into[s] = tuple(into[s])
+    return order, into
 
 
-def _predecessors(d: PDfa, ix: _Index) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The predecessor form of ``ix``, an index of ``d``: kept on ``d`` for
-    its own index, and built fresh and kept nowhere for an index over a
-    larger alphabet, whose letter ids may differ.  Callers only read it."""
+def _predecessors(d: PDfa, ix: _Index, root: str | None = None) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The predecessor form of the ids of ``ix``, an index of ``d``, that
+    ``root`` reaches, or of every id for None, which raises for a state that
+    only transitions name as ``_reach`` does for a reached one.  On ``d``'s
+    own index the form is kept in ``d._reached``, so another root replaces
+    it; a root entry that reaches every id also serves None.  An index over a
+    larger alphabet, whose letter ids may differ, gets a fresh form kept
+    nowhere.  Callers only read it."""
+    if root is not None:
+        keep = _reach(d, root)
+    elif len(ix.names) > len(d.states):  # ids past those are states only transitions name
+        raise UnknownStateError(f"state {ix.names[len(d.states)]!r} is not in the automaton")
+    else:
+        keep = range(len(ix.names))
+        if ix is d._index and (d._reached is None or len(d._reached[1]) < len(keep)):
+            d._reached = (None, keep, None)
     if ix is not d._index:
-        return _build_predecessors(ix)
-    if d._preds is None:
-        d._preds = _build_predecessors(ix)
-    return d._preds
+        return _build_predecessors(ix, keep)
+    if d._reached[2] is None:
+        d._reached = (*d._reached[:2], _build_predecessors(ix, d._reached[1]))
+    return d._reached[2]
 
 
 def _walk(ix: _Index, start: int) -> list[int]:
@@ -491,7 +510,7 @@ def _reach(d: PDfa, root: str) -> list[int]:
         todo = _walk(ix, ix.ids[root])
         if max(todo) >= len(d.states):  # ids past those are states only transitions name
             raise UnknownStateError(f"state {ix.names[max(todo)]!r} is not in the automaton")
-        d._reached = (root, todo)
+        d._reached = (root, todo, None)
     return d._reached[1]
 
 

@@ -7,8 +7,8 @@ subtrees yields the states of a pDFA whose unfolding reproduces the tree.
 
 from __future__ import annotations
 
-from .automata import PDfa, _restrict
-from .errors import NondeterministicTreeError, UnknownStateError
+from .automata import PDfa, _predecessors, _restrict
+from .errors import NondeterministicTreeError
 from .isomorphism import _classes
 from .unfolding import DiscTree, _canonical_forms, nondeterministic_vertex
 
@@ -44,16 +44,16 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     collapses into.  Every state's language is preserved, no two distinct
     result states are equivalent, and reducedness survives the quotient.
     Class names are the smallest member state name.  The quotient's index is
-    built from the blocks of ``_classes`` on the automaton's own index, with
-    the heads taken in the cached name order of its predecessor form: a
-    class reads what its smallest member reads, into the classes of that
-    member's successors.
+    built from the blocks of ``_classes`` on the automaton's own index and
+    the cached predecessor form of every state, with the heads taken in the
+    form's name order: a class reads what its smallest member reads, into
+    the classes of that member's successors.  A state that only transitions
+    name raises ``UnknownStateError``.
     """
     ix = d._indexed()
     names = ix.names
-    if len(names) > len(d.states):  # ids past those are states only transitions name
-        raise UnknownStateError(f"state {names[len(d.states)]!r} is not in the automaton")
-    block, _, ((order, _),) = _classes([(d, ix, range(len(names)))])
+    order, preds = _predecessors(d, ix)
+    block, _ = _classes([(ix.masks, order, preds)])
     rank: dict[int, int] = {}
     heads: list[int] = []  # the smallest member of each class, by name
     for s in order:

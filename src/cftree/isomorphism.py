@@ -10,9 +10,11 @@ an accepting path names a node at which re-rooting the second tree makes the
 two rooted trees isomorphic.  Both searches and the state equivalence run on
 integer indexes of the two pDFAs over their merged alphabet, so letter ids,
 out-letter bit masks and successor columns agree between the sides.  The
-state equivalence (``_classes``) refines the indexes side by side, on the
-predecessor form and reach lists each pDFA keeps, so a decision repeated on
-the same automata copies and rebuilds nothing.
+state equivalence (``_classes``) refines plain ``(masks, keep, preds)``
+sides: an index's out-masks and the predecessor form that each pDFA keeps
+for the states its root reaches, or for all of them.  So a decision
+repeated on the same automata and roots copies and rebuilds nothing, and
+the first one builds only what the roots reach.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from functools import reduce
 
 from .alphabet import merge_alphabets
 from .automata import PDfa, _predecessors, _reach, _require_pair
-from .errors import UnknownStateError
 from .rerooting import reroot_along_word
 from .unfolding import Word
 
@@ -49,37 +50,34 @@ class NonRootedWitness:
         return " ".join(self.word)
 
 
-def _classes(sides: list[tuple]) -> tuple[list[int], int, list[tuple[list[int], list[tuple[int, ...]]]]]:
+def _classes(sides: list[tuple]) -> tuple[list[int], int]:
     """Partition refinement on indexes side by side, in place.
 
-    Each side is ``(pdfa, index, keep)``: an index of ``pdfa``, all over one
-    alphabet, and the ids it keeps, a set closed under successors.  Side
-    ``j``'s id ``s`` is shifted to ``j * stride + s``, where ``stride`` is
-    the power of two above the largest index size, so a shifted id splits
-    into side and id with two bit operations.  Masks and predecessors are
-    read from each side's own index and ``_predecessors`` form, so nothing
-    is copied, and apart from one list of blocks, filled with ``-1`` in C,
-    the work follows the kept ids.  Returns the blocks, for each shifted id, of
-    the coarsest partition of the kept states that separates out-masks and
-    is stable under every letter (Hopcroft 1971; Valmari and Lehtinen 2008
-    for partial functions), with ``-1`` for an id not kept; ``stride``; and
-    each side's predecessor form.  The blocks of equal masks are already
-    stable under the whole kept set, so every block but the largest starts
-    out pending (Hopcroft's lemma).
+    Each side is ``(masks, keep, preds)``: an index's out-masks, the ids it
+    keeps, a set closed under successors, and a ``_predecessors`` form's
+    tuples for those ids, all over one alphabet.  Side ``j``'s id ``s`` is
+    shifted to ``j * stride + s``, where ``stride`` is the power of two
+    above the largest index size, so a shifted id splits into side and id
+    with two bit operations.  Nothing is copied, and apart from one list of
+    blocks, filled with ``-1`` in C, the work follows the kept ids.  Returns
+    the blocks, for each shifted id, of the coarsest partition of the kept
+    states that separates out-masks and is stable under every letter
+    (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
+    ``-1`` for an id not kept; and ``stride``.  The blocks of equal masks
+    are already stable under the whole kept set, so every block but the
+    largest starts out pending (Hopcroft's lemma).
     """
-    forms = [_predecessors(d, ix) for d, ix, _ in sides]
-    preds = [form[1] for form in forms]
-    bits = max(len(ix.masks) for _, ix, _ in sides).bit_length()
+    preds = [p for _, _, p in sides]
+    bits = max(len(masks) for masks, _, _ in sides).bit_length()
     stride, low = 1 << bits, (1 << bits) - 1
     offsets = range(0, stride * len(sides), stride)
     block = [-1] * (stride * len(sides))
     by_mask: dict[int, int] = {}
-    for o, (_, ix, keep) in zip(offsets, sides):
-        masks = ix.masks
+    for o, (masks, keep, _) in zip(offsets, sides):
         for s in keep:
             block[o + s] = by_mask.setdefault(masks[s], len(by_mask))
     members: list[set[int]] = [set() for _ in by_mask]
-    for o, (_, _, keep) in zip(offsets, sides):
+    for o, (_, keep, _) in zip(offsets, sides):
         for s in keep:
             members[block[o + s]].add(o + s)
     pending = set(range(len(members)))
@@ -106,7 +104,6 @@ def _classes(sides: list[tuple]) -> tuple[list[int], int, list[tuple[list[int], 
                     hit[b].append(s)
                 else:
                     hit[b] = [s]
-            hit.pop(-1, None)  # sources that are not kept
             for b, part in hit.items():
                 if len(part) == len(members[b]):
                     continue
@@ -118,7 +115,7 @@ def _classes(sides: list[tuple]) -> tuple[list[int], int, list[tuple[list[int], 
                 # Hopcroft: a block not waiting to split others queues only
                 # its smaller half.
                 pending.add(b if b not in pending and len(members[b]) < len(part) else new)
-    return block, stride, forms
+    return block, stride
 
 
 def language_classes(*automata: PDfa) -> list[dict[str, int]]:
@@ -126,20 +123,17 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
 
     One integer partition refinement (``_classes``) on the automata's
     indexes over their merged alphabet side by side, starting from the
-    blocks of equal out-masks.  Returns one map per automaton from state
-    to class id: two states get the same id exactly when they generate the
-    same language.  A state that only transitions name raises
-    ``UnknownStateError``, as in ``quotient``.
+    blocks of equal out-masks, on the predecessor form of every state.
+    Returns one map per automaton from state to class id: two states get
+    the same id exactly when they generate the same language.  A state that
+    only transitions name raises ``UnknownStateError``, as in ``quotient``.
     """
     if not automata:
         return []
     alphabet = reduce(merge_alphabets, (d.alphabet for d in automata))
     indexes = [d._indexed(alphabet) for d in automata]
-    for d, ix in zip(automata, indexes):
-        if len(ix.names) > len(d.states):  # ids past those are states only transitions name
-            raise UnknownStateError(f"state {ix.names[len(d.states)]!r} is not in the automaton")
-    block, stride, _ = _classes([(d, ix, range(len(ix.names))) for d, ix in zip(automata, indexes)])
-    return [dict(zip(ix.names[: len(d.states)], block[j * stride :])) for j, (d, ix) in enumerate(zip(automata, indexes))]
+    block, stride = _classes([(ix.masks, range(len(ix.names)), _predecessors(d, ix)[1]) for d, ix in zip(automata, indexes)])
+    return [dict(zip(ix.names, block[j * stride :])) for j, ix in enumerate(indexes)]
 
 
 def iso_rooted(
@@ -204,20 +198,19 @@ def iso_nonrooted(
     acceptance at the root closes the isomorphism.  The step letters along a
     shortest accepting path, reversed, spell the root-to-v word, returned as
     a witness.  One ``_classes`` call refines the states the roots reach,
-    read from the pDFAs' cached indexes, predecessor forms and reach lists.
-    A configuration is one integer over the two indexes' own ids, its base
-    set is the mask of q less ``back``, and starts (the second root's
-    reachable states) and predecessors (from the second pDFA's predecessor
-    form) go in state-name order.
+    read from the pDFAs' cached indexes and the predecessor forms of their
+    reaches.  A configuration is one integer over the two indexes' own ids,
+    and its base set is the mask of q less ``back``.  Starts (the second
+    root's reach, in its form's order) and predecessors (the sources that
+    root reaches, from its form) go in state-name order.
     """
     alphabet = _require_pair(a, p_root, b, q_root)
     ia, ib = a._indexed(alphabet), b._indexed(alphabet)
     letters, inverse, mask_a, mask_b, succ_a = ia.letters, ia.inverse, ia.masks, ib.masks, ia.succ
-    reach_b = _reach(b, q_root)
+    starts, preds = _predecessors(b, ib, q_root)
     # b goes first, so block[q] is the block of b's q with no offset to
-    # add: the climb below reads it most.  It is -1 for q unreachable.
-    block, oa, forms = _classes([(b, ib, reach_b), (a, ia, _reach(a, p_root))])
-    preds = forms[0][1]  # b's predecessor tuples
+    # add: the climb below reads it most.
+    block, oa = _classes([(mask_b, starts, preds), (mask_a, *_predecessors(a, ia, p_root))])
     nb = len(ib.names)
     columns = list(zip(succ_a, ib.succ))
     # Configuration (p, q, back) is (p * nb + q) * (k + 1) + back + 1 on the
@@ -225,7 +218,7 @@ def iso_nonrooted(
     # it was reached from.
     k1 = len(letters) + 1
     p0, q0 = ia.ids[p_root], ib.ids[q_root]
-    parent = {(p0 * nb + q) * k1: -1 for q in sorted(reach_b, key=ib.names.__getitem__)}
+    parent = {(p0 * nb + q) * k1: -1 for q in starts}
     queue = deque(parent)
     while queue:
         code = queue.popleft()
@@ -250,8 +243,7 @@ def iso_nonrooted(
         pairs = iter(preds[q])
         for x in pairs:
             qhat = next(pairs)
-            # A source that q_root does not reach cannot climb back to it.
-            if x == j and block[qhat] >= 0 and (nxt := (up + qhat) * k1 + j + 1) not in parent:
+            if x == j and (nxt := (up + qhat) * k1 + j + 1) not in parent:
                 parent[nxt] = code
                 queue.append(nxt)
     return False, None

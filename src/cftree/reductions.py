@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .alphabet import involutive_closure, merge_alphabets
-from .automata import PDfa, _require_pair
+from .automata import PDfa, _require_pair, _sorted_transitions
 from .errors import AlphabetError, MaterializationLimitError
 from .unfolding import DEFAULT_MAX_NODES
 
@@ -152,7 +152,7 @@ def reduce_rooted_to_nonrooted(
         new_root = root + "'"
         while new_root in d.states:
             new_root += "'"
-        delta = dict(d.delta)
+        delta = dict(_sorted_transitions(d))
         delta[(new_root, TOP_LETTER)] = root
         return PDfa(d.states | {new_root}, alphabet, delta), new_root
 

@@ -430,6 +430,28 @@ def test_listing_a_pdfa_held_as_an_index_decodes_nothing(monkeypatch):
         assert e._delta is None
 
 
+def test_equality_of_loaded_pdfas_decodes_nothing(monkeypatch):
+    # ``==`` compares the ordered transition listings, so two pDFAs that
+    # hold only their indexes stay that way, and every pair compares as the
+    # same two pDFAs holding maps do.
+    rng = random.Random(107)
+    held = []
+    for _ in range(8):
+        d, _ = random_reduced_pdfa(rng, rng.randint(1, 4), samples.AL_AB)
+        fewer = dict(sorted(d.delta.items())[1:])
+        held += [d, PDfa(d.states, d.alphabet, fewer), PDfa(d.states, involutive_closure(["a", "b", "c"]), d.delta)]
+    loaded = [automaton_from_doc(automaton_to_doc(d))[0] for d in held]
+    twice = [automaton_from_doc(automaton_to_doc(d))[0] for d in held]
+    decoded = []
+    decode = automata._decode_delta
+    monkeypatch.setattr(automata, "_decode_delta", lambda ix: decoded.append(ix) or decode(ix))
+    for x, dx in zip(loaded, held):
+        for y, dy in zip(twice, held):
+            assert (x == y) == (dx == dy) == (x == dy)
+    assert decoded == [] and not any(x._delta is not None for x in loaded + twice)
+    assert all(x == y for x, y in zip(loaded, twice))
+
+
 def test_delta_is_a_read_only_view():
     # A write through ``delta`` would leave the index and the reducedness
     # verdict describing other transitions than the map.

@@ -565,8 +565,8 @@ def test_written_documents_are_the_stdlib_writers_bytes(fig_files, tmp_path, cap
 
 def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatch, capsys):
     # A strict pdfa document loads into the integer index only; `iso`,
-    # `minimize` (also with `--trim`), `unfold` and `reroot` never decode it
-    # into a transition map, not even to name the pair of transitions that
+    # `minimize` (also with `--trim`), `unfold`, `reroot`, `lift-nonrooted`
+    # and `validate` never decode it into a transition map, not even to name the pair of transitions that
     # makes a document not reduced.  Every command gives the same output as
     # with the field-by-field reader, whose pDFAs hold a map from the start.
     rng = random.Random(47)
@@ -603,15 +603,13 @@ def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatc
         ["unfold", ab, "--radius", "3"],
         ["unfold", a, "--radius", "2", "--dot"],
         ["reroot", ab, "--word", first_letters["ab"]],
+        ["lift-nonrooted", ab, ab2, "--out-a", str(tmp_path / "lift-a.json"), "--out-b", str(tmp_path / "lift-b.json")],
+        ["validate", ab],
     ]
     rejected = [
         ["iso", bad, ab],
         ["iso", ab, bad, "--unrooted"],
         ["reroot", bad, "--word", "a"],
-    ]
-    decoding = [
-        ["lift-nonrooted", ab, ab2, "--out-a", str(tmp_path / "lift-a.json"), "--out-b", str(tmp_path / "lift-b.json")],
-        ["validate", ab],
     ]
     decodes = []
     decode = automata._decode_delta
@@ -625,10 +623,12 @@ def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatc
             results.append((code, *capsys.readouterr(), len(decodes)))
         return results
 
-    got = outputs(quiet + decoding)
-    assert [r[3] for r in got[: len(quiet)]] == [0] * len(quiet)
-    assert got[len(quiet)][3] >= 1  # the lift reads the map: the counter sees decodes
+    got = outputs(quiet)
+    assert [r[3] for r in got] == [0] * len(quiet)
     assert {r[0] for r in got} == {0, 1}
+    loaded = jsonio.automaton_from_doc(json.loads(paths["ab"].read_text()))[0]
+    decodes.clear()
+    assert loaded.delta and len(decodes) == 1  # reading the map decodes it: the counter sees decodes
     pair = "'s0' -b-> 's3' -b^-1-> 's1'\n"
     got_rejected = outputs(rejected)
     assert got_rejected == [
@@ -636,7 +636,7 @@ def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatc
         for what in ("first automaton", "second automaton", "input")
     ]
     monkeypatch.setattr(jsonio, "automaton_from_doc", automaton_from_doc_by_fields)
-    want = outputs(quiet + decoding)
+    want = outputs(quiet)
     assert [r[:3] for r in got] == [r[:3] for r in want]
     assert [r[:3] for r in got_rejected] == [r[:3] for r in outputs(rejected)]
 

@@ -466,7 +466,7 @@ def test_merged_alphabet_side_keeps_no_predecessor_form(monkeypatch):
         calls.clear()
         assert iso_nonrooted(x, ra, y, ra) == (True, NonRootedWitness(()))
         assert sum(calls.values()) == builds
-    assert a._preds is None and b._preds is not None
+    assert a._reached[2] is None and b._reached[2] is not None
     calls.clear()
     language_classes(a, b)
     assert sum(calls.values()) == 1
@@ -486,8 +486,45 @@ def test_cached_reach_is_only_read(monkeypatch):
     assert len(reachable_states(d, root)) == len(kept) < len(d.states)
     iso_rooted(d, root, d, root)
     iso_nonrooted(d, root, d, root)
-    assert d._reached == (root, kept) and d._reached[1] is reach
+    assert d._reached[:2] == (root, kept) and d._reached[1] is reach
     assert not calls[("_walk", id(d._index))]
+
+
+def test_small_reach_builds_the_form_of_the_reach_only(monkeypatch):
+    # Two pDFAs of over 2000 states whose roots reach about 50, with a
+    # state only a transition names in the part they do not reach.  The
+    # first call builds the predecessor form of each root's reach and of
+    # nothing more, a second call builds and walks nothing, and the whole
+    # automaton's quotient still names the unlisted state.
+    rng = random.Random(97)
+    small, root = random_reduced_pdfa(rng, 50, samples.AL_AB)
+    other, other_root = _rerooted(rng, small, root)
+
+    def padded(d, prefix):
+        pad, _ = random_reduced_pdfa(rng, 2000, samples.AL_AB)
+        delta = {(prefix + p, x): prefix + q for (p, x), q in pad.delta.items()}
+        delta.update(d.delta)
+        delta[("g0", "a")] = "ghost"
+        return PDfa(d.states | {prefix + p for p in pad.states} | {"g0"}, d.alphabet, delta)
+
+    a, b = padded(small, "u"), padded(other, "v")
+    built = []
+    build = automata._build_predecessors
+    monkeypatch.setattr(automata, "_build_predecessors", lambda ix, keep: built.append(sorted(keep)) or build(ix, keep))
+    walks = _count(monkeypatch, "_walk")
+    first = iso_nonrooted(a, root, b, other_root)
+    assert first[0]
+    assert built == [sorted(automata._reach(b, other_root)), sorted(automata._reach(a, root))]
+    assert len(built[1]) == 50 and len(built[0]) < 100 and min(len(a.states), len(b.states)) > 2000
+    built.clear()
+    walks.clear()
+    assert iso_nonrooted(a, root, b, other_root) == first
+    assert not built and not walks
+    assert first == iso_nonrooted_by_union(a, root, b, other_root)
+    for d, r in ((a, root), (b, other_root)):
+        assert trim(d, r).states == reachable_states(d, r)
+        with pytest.raises(UnknownStateError, match="'ghost'"):
+            quotient(d)
 
 
 def test_witness_is_shortest_and_one_sided():
