@@ -19,9 +19,10 @@ successor columns the first time it is asked and keeps the verdict.  One
 more fact is kept next to the index, in one entry: the states reachable
 from the last root asked (``_reach``), which ``trim``, re-rooting,
 ``reachable_states`` and both isomorphism tests read, and the predecessor
-form of exactly those states (``_predecessors``: the ids in name order and
-each id's ``(letter, source)`` pairs), built the first time state
-equivalence or the non-rooted search reads it.  ``quotient`` and
+form of exactly those states (``_predecessors``: the ids in name order, each
+id's ``(letter, source)`` pairs, and each id's one-round key, its out-mask
+with its successors' out-masks packed beside it), built the first time
+state equivalence or the non-rooted search reads it.  ``quotient`` and
 ``language_classes`` ask for every state, which a root that reaches them
 all also serves.  An index over a larger merged alphabet keeps no form.
 """
@@ -30,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter, or_
+from itertools import repeat
+from operator import itemgetter, lshift, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -441,13 +443,22 @@ def require_reduced(d: PDfa, what: str = "automaton") -> None:
         )
 
 
-def _build_predecessors(ix: _Index, keep: Iterable[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+def _build_predecessors(ix: _Index, keep: Iterable[int]) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
     """The predecessor form of the ids ``keep`` of ``ix``, a set closed
-    under successors: those ids in name order, and for each id of ``ix`` one
+    under successors: those ids in name order; for each id of ``ix`` one
     flat tuple ``(letter, source, letter, source, …)`` of its sources in
-    ``keep``, ascending by letter, then by source name.  An id not kept gets
-    the shared empty tuple, so the work follows the kept ids: one list entry
-    per kept state and two tuple entries per kept transition."""
+    ``keep``, ascending by letter, then by source name; and for each kept id,
+    in name order, its one-round key.  An id not kept gets the shared empty
+    tuple, so the work follows the kept ids: one list entry per kept state,
+    two tuple entries per kept transition, and the keys from ``map`` passes
+    over the kept part of each column.
+
+    A key packs the id's out-mask and, in the ``k``-bit field ``i + 1``
+    (``k`` letters), the out-mask of its successor on letter ``i``, or 0
+    for none.  Two ids over one alphabet get equal keys exactly when they
+    read the same letters into states that read the same letters: one round
+    of Moore's refinement.
+    """
     order = sorted(keep, key=ix.names.__getitem__)
     into: list = [()] * len(ix.names)
     for s in order:
@@ -461,10 +472,17 @@ def _build_predecessors(ix: _Index, keep: Iterable[int]) -> tuple[list[int], lis
                 pairs.append(s)
     for s in order:
         into[s] = tuple(into[s])
-    return order, into
+    masks = ix.masks
+    reads = masks + [0]  # reads[-1]: "no successor" reads nothing
+    keys = list(map(masks.__getitem__, order))
+    k = len(ix.letters)
+    for shift, col in enumerate(ix.succ, 1):
+        fields = map(lshift, map(reads.__getitem__, map(col.__getitem__, order)), repeat(k * shift))
+        keys = list(map(or_, keys, fields))
+    return order, into, keys
 
 
-def _predecessors(d: PDfa, ix: _Index, root: str | None = None) -> tuple[list[int], list[tuple[int, ...]]]:
+def _predecessors(d: PDfa, ix: _Index, root: str | None = None) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
     """The predecessor form of the ids of ``ix``, an index of ``d``, that
     ``root`` reaches, or of every id for None, which raises for a state that
     only transitions name as ``_reach`` does for a reached one.  On ``d``'s

@@ -45,15 +45,15 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     result states are equivalent, and reducedness survives the quotient.
     Class names are the smallest member state name.  The quotient's index is
     built from the blocks of ``_classes`` on the automaton's own index and
-    the cached predecessor form of every state, with the heads taken in the
-    form's name order: a class reads what its smallest member reads, into
-    the classes of that member's successors.  A state that only transitions
-    name raises ``UnknownStateError``.
+    the cached predecessor form and one-round keys of every state, with the
+    heads taken in the form's name order: a class reads what its smallest
+    member reads, into the classes of that member's successors.  A state
+    that only transitions name raises ``UnknownStateError``.
     """
     ix = d._indexed()
     names = ix.names
-    order, preds = _predecessors(d, ix)
-    block, _ = _classes([(ix.masks, order, preds)])
+    order, preds, keys = _predecessors(d, ix)
+    block, _ = _classes([(ix.masks, order, preds, keys)])
     rank: dict[int, int] = {}
     heads: list[int] = []  # the smallest member of each class, by name
     for s in order:

@@ -30,7 +30,8 @@ from ``sorted(dict(d.delta).items())`` check the ordered listing of a
 pDFA's transitions, which reads an index without decoding it.  The
 configuration search on a fresh union of the two reachable parts, refined
 from every mask block, checks the search that refines both cached indexes
-side by side.
+side by side.  The refinement started from the blocks of equal out-masks
+checks the one started from the blocks of equal one-round keys.
 """
 
 import json
@@ -566,6 +567,76 @@ def _union_classes(sides: list[tuple]) -> tuple[list[int], list[list[int]], list
                     block[s] = new
                 pending.add(b if b not in pending and len(members[b]) < len(part) else new)
     return masks, succ, preds, block
+
+
+def classes_from_masks(sides: list[tuple]) -> tuple[list[int], int]:
+    """The refinement that ``_classes`` seeds with one-round keys, started
+    from the blocks of equal out-masks instead.
+
+    Each side is ``(masks, keep, preds, keys)``, as for ``_classes``, whose
+    keys this routine does not read: an index's out-masks, the ids it keeps,
+    a set closed under successors, and a ``_predecessors`` form's tuples for
+    those ids, all over one alphabet.  Side ``j``'s id ``s`` is
+    shifted to ``j * stride + s``, where ``stride`` is the power of two
+    above the largest index size, so a shifted id splits into side and id
+    with two bit operations.  Nothing is copied, and apart from one list of
+    blocks, filled with ``-1`` in C, the work follows the kept ids.  Returns
+    the blocks, for each shifted id, of the coarsest partition of the kept
+    states that separates out-masks and is stable under every letter
+    (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
+    ``-1`` for an id not kept; and ``stride``.  The blocks of equal masks
+    are already stable under the whole kept set, so every block but the
+    largest starts out pending (Hopcroft's lemma).
+    """
+    preds = [p for _, _, p, _ in sides]
+    bits = max(len(masks) for masks, *_ in sides).bit_length()
+    stride, low = 1 << bits, (1 << bits) - 1
+    offsets = range(0, stride * len(sides), stride)
+    block = [-1] * (stride * len(sides))
+    by_mask: dict[int, int] = {}
+    for o, (masks, keep, _, _) in zip(offsets, sides):
+        for s in keep:
+            block[o + s] = by_mask.setdefault(masks[s], len(by_mask))
+    members: list[set[int]] = [set() for _ in by_mask]
+    for o, (_, keep, _, _) in zip(offsets, sides):
+        for s in keep:
+            members[block[o + s]].add(o + s)
+    pending = set(range(len(members)))
+    pending.discard(max(pending, key=lambda b: len(members[b]), default=-1))
+    while pending:
+        # Plain dicts and ``next`` on one iterator cost less here than
+        # ``defaultdict`` and ``zip``.
+        sources: dict[int, list[int]] = {}
+        for t in members[pending.pop()]:
+            q = t & low
+            o = t - q
+            pairs = iter(preds[t >> bits][q])
+            for i in pairs:
+                s = next(pairs) + o
+                if i in sources:
+                    sources[i].append(s)
+                else:
+                    sources[i] = [s]
+        for hit_states in sources.values():
+            hit: dict[int, list[int]] = {}
+            for s in hit_states:
+                b = block[s]
+                if b in hit:
+                    hit[b].append(s)
+                else:
+                    hit[b] = [s]
+            for b, part in hit.items():
+                if len(part) == len(members[b]):
+                    continue
+                members[b].difference_update(part)
+                new = len(members)
+                members.append(set(part))
+                for s in part:
+                    block[s] = new
+                # Hopcroft: a block not waiting to split others queues only
+                # its smaller half.
+                pending.add(b if b not in pending and len(members[b]) < len(part) else new)
+    return block, stride
 
 
 def iso_nonrooted_by_union(

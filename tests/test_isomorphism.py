@@ -13,12 +13,14 @@ from cftree import (
     UnknownLetterError,
     UnknownStateError,
     automata,
+    compression,
     gap2_has_path,
     involutive_closure,
     iso_nonrooted,
     iso_rooted,
     isomorphism,
     language_classes,
+    merge_alphabets,
     quotient,
     reachable_states,
     reduce_gap2_to_rooted_iso,
@@ -30,6 +32,7 @@ from cftree import (
 )
 from oracles import (
     canonical_rooted_key,
+    classes_from_masks,
     equivalent_pairs,
     iso_nonrooted_by_names,
     iso_nonrooted_by_union,
@@ -494,8 +497,8 @@ def test_small_reach_builds_the_form_of_the_reach_only(monkeypatch):
     # Two pDFAs of over 2000 states whose roots reach about 50, with a
     # state only a transition names in the part they do not reach.  The
     # first call builds the predecessor form of each root's reach and of
-    # nothing more, a second call builds and walks nothing, and the whole
-    # automaton's quotient still names the unlisted state.
+    # nothing more, keys included, a second call builds and walks nothing,
+    # and the whole automaton's quotient still names the unlisted state.
     rng = random.Random(97)
     small, root = random_reduced_pdfa(rng, 50, samples.AL_AB)
     other, other_root = _rerooted(rng, small, root)
@@ -516,15 +519,124 @@ def test_small_reach_builds_the_form_of_the_reach_only(monkeypatch):
     assert first[0]
     assert built == [sorted(automata._reach(b, other_root)), sorted(automata._reach(a, root))]
     assert len(built[1]) == 50 and len(built[0]) < 100 and min(len(a.states), len(b.states)) > 2000
+    forms = [a._reached[2], b._reached[2]]
+    for d, (order, _, keys) in zip((a, b), forms):
+        ix = d._indexed()
+        reads = ix.masks + [0]
+        k = len(ix.letters)
+        assert order == sorted(automata._reach(d, d._reached[0]), key=ix.names.__getitem__)
+        assert keys == [sum(reads[col[s]] << k * i for i, col in enumerate(ix.succ, 1)) | ix.masks[s] for s in order]
     built.clear()
     walks.clear()
     assert iso_nonrooted(a, root, b, other_root) == first
     assert not built and not walks
+    assert a._reached[2] is forms[0] and b._reached[2] is forms[1]
     assert first == iso_nonrooted_by_union(a, root, b, other_root)
     for d, r in ((a, root), (b, other_root)):
         assert trim(d, r).states == reachable_states(d, r)
         with pytest.raises(UnknownStateError, match="'ghost'"):
             quotient(d)
+
+
+def _same_blocks(x: list[int], y: list[int]) -> bool:
+    """Whether two block lists name the same partition, with ``-1`` for an
+    id in no block on both."""
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    return [first.setdefault(b, len(first)) if b >= 0 else -1 for b in x] == [
+        second.setdefault(b, len(second)) if b >= 0 else -1 for b in y
+    ]
+
+
+def _lasso(n: int, loop: int, name: str) -> tuple[PDfa, str]:
+    """The a-path of ``n`` states into an a-cycle of ``loop`` states, or a
+    path ending in a leaf for ``loop`` 0; rooted at its first state."""
+    states = [f"{name}{i}" for i in range(n + loop)]
+    delta = {(states[i], "a"): states[i + 1] for i in range(n + loop - 1)}
+    if loop:
+        delta[(states[-1], "a")] = states[n]
+    return PDfa(states, samples.AL_A, delta), states[0]
+
+
+def _check_against_mask_seeded(monkeypatch, a: PDfa, ra: str, b: PDfa, rb: str) -> None:
+    """The key-seeded refinement gives the mask-seeded oracle's partition
+    on the sides of ``iso_nonrooted``, ``language_classes`` and
+    ``quotient``, and so the same verdicts, witnesses, classes and
+    quotients."""
+    alphabet = merge_alphabets(a.alphabet, b.alphabet)
+    for roots in ((ra, rb), (None, None)):
+        sides = []
+        for d, root in zip((a, b), roots):
+            ix = d._indexed(alphabet)
+            sides.append((ix.masks, *automata._predecessors(d, ix, root)))
+        for chosen in (sides, sides[:1], sides[1:]):
+            block, stride = isomorphism._classes(chosen)
+            expected, expected_stride = classes_from_masks(chosen)
+            assert stride == expected_stride and _same_blocks(block, expected)
+    results = []
+    for refine in (isomorphism._classes, classes_from_masks):
+        with monkeypatch.context() as m:
+            m.setattr(isomorphism, "_classes", refine)
+            m.setattr(compression, "_classes", refine)
+            results.append((
+                iso_nonrooted(a, ra, b, rb),
+                iso_nonrooted(b, rb, a, ra),
+                partition(language_classes(a, b)),
+                partition(language_classes(a)),
+                quotient(a),
+                quotient(b),
+            ))
+    assert results[0] == results[1]
+
+
+def test_key_seeded_refinement_matches_mask_seeded_oracle(monkeypatch):
+    rng = random.Random(103)
+    al_b = involutive_closure(["b"])
+    kinds = Counter()
+    for i in range(240):
+        kind = ("renamed", "rerooted", "lifted", "lasso", "b-vs-ab", "alone")[i % 6]
+        if kind == "lifted":
+            a, ra, b, rb = _lifted_gap2(rng, i // 6 % 2 == 0)
+        elif kind == "lasso":  # one Moore round splits off at most the leaf's parent
+            a, ra = _lasso(rng.randint(1, 300), rng.choice([0, 1, rng.randint(2, 40)]), "s")
+            b, rb = (_rerooted if i // 6 % 2 else _renamed)(rng, a, ra)
+        else:
+            alphabet = al_b if kind == "b-vs-ab" else None
+            a, ra = random_reduced_pdfa(rng, rng.randint(1, 60), alphabet, extra_density=rng.random())
+            if i % 4 == 0:
+                ra = rng.choice(sorted(a.states))  # may leave part of a unreachable
+            if kind == "alone":
+                b, rb = a, rng.choice(sorted(a.states)) if i // 6 % 2 else ra
+            elif kind == "renamed":
+                b, rb = _renamed(rng, a, ra)
+            else:
+                b, rb = _rerooted(rng, a, ra)
+            if kind == "b-vs-ab":  # the merged-alphabet path on one side
+                b = PDfa(b.states, samples.AL_AB, b.delta)
+        _check_against_mask_seeded(monkeypatch, a, ra, b, rb)
+        kinds[kind, iso_nonrooted(a, ra, b, rb)[0]] += 1
+    for kind in ("renamed", "rerooted", "lifted", "lasso", "b-vs-ab", "alone"):
+        assert kinds[kind, True] >= 10, kind
+    assert kinds["lifted", False] >= 10 and kinds["alone", False] >= 5
+
+
+def test_keys_of_a_wide_alphabet_never_alias(monkeypatch):
+    # Six generators: twelve letters, so a key has thirteen 12-bit fields.
+    # Equal keys mean equal out-masks and equal successor out-masks, and
+    # nothing else, and the refinement still matches the oracle.
+    rng = random.Random(107)
+    wide = involutive_closure([f"g{i}" for i in range(6)])
+    for _ in range(30):
+        a, ra = random_reduced_pdfa(rng, rng.randint(1, 80), wide, extra_density=rng.random())
+        b, rb = _rerooted(rng, a, ra)
+        for d in (a, b):
+            ix = d._indexed()
+            order, _, keys = automata._predecessors(d, ix)
+            reads = ix.masks + [0]
+            signatures = [(ix.masks[s], *(reads[col[s]] for col in ix.succ)) for s in order]
+            assert len(keys) == len(order) and max(keys) < 1 << 12 * 13
+            assert len(set(zip(keys, signatures))) == len(set(keys)) == len(set(signatures))
+        _check_against_mask_seeded(monkeypatch, a, ra, b, rb)
 
 
 def test_witness_is_shortest_and_one_sided():
