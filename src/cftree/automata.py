@@ -20,11 +20,11 @@ more fact is kept next to the index, in one entry: the states reachable
 from the last root asked (``_reach``), which ``trim``, re-rooting,
 ``reachable_states`` and both isomorphism tests read, and the predecessor
 form of exactly those states (``_predecessors``: the ids in name order, each
-id's ``(letter, source)`` pairs, and each id's one-round key, its out-mask
-with its successors' out-masks packed beside it), built the first time
-state equivalence or the non-rooted search reads it.  ``quotient`` and
-``language_classes`` ask for every state, which a root that reaches them
-all also serves.  An index over a larger merged alphabet keeps no form.
+id's ``(letter, source)`` pairs, and each id's two-round key, its out-mask
+and its successors' out-masks packed beside the same for each successor),
+built the first time state equivalence or the non-rooted search reads it.
+``quotient`` and ``language_classes`` ask for every state, which a root
+that reaches them all also serves.  An index over a larger merged alphabet keeps no form.
 """
 
 from __future__ import annotations
@@ -448,16 +448,19 @@ def _build_predecessors(ix: _Index, keep: Iterable[int]) -> tuple[list[int], lis
     under successors: those ids in name order; for each id of ``ix`` one
     flat tuple ``(letter, source, letter, source, …)`` of its sources in
     ``keep``, ascending by letter, then by source name; and for each kept id,
-    in name order, its one-round key.  An id not kept gets the shared empty
+    in name order, its two-round key.  An id not kept gets the shared empty
     tuple, so the work follows the kept ids: one list entry per kept state,
-    two tuple entries per kept transition, and the keys from ``map`` passes
-    over the kept part of each column.
+    two tuple entries per kept transition, and the keys from two ``map``
+    passes over the kept part of each column.
 
-    A key packs the id's out-mask and, in the ``k``-bit field ``i + 1``
-    (``k`` letters), the out-mask of its successor on letter ``i``, or 0
-    for none.  Two ids over one alphabet get equal keys exactly when they
-    read the same letters into states that read the same letters: one round
-    of Moore's refinement.
+    With ``k`` letters, an id's one-round key packs its out-mask and, in the
+    ``k``-bit field ``i + 1``, the out-mask of its successor on letter
+    ``i``: ``w = k(k + 1)`` bits.  Its two-round key keeps the one-round key
+    in its low ``w`` bits and puts the one-round key of its successor on
+    letter ``i`` in the ``w``-bit field ``i + 1``.  A missing successor
+    reads 0.  Two ids over one alphabet get equal keys exactly when two
+    rounds of Moore's refinement do not separate them, and equal one-round
+    keys, ``key & ((1 << w) - 1)``, exactly when the first does not.
     """
     order = sorted(keep, key=ix.names.__getitem__)
     into: list = [()] * len(ix.names)
@@ -472,13 +475,16 @@ def _build_predecessors(ix: _Index, keep: Iterable[int]) -> tuple[list[int], lis
                 pairs.append(s)
     for s in order:
         into[s] = tuple(into[s])
-    masks = ix.masks
-    reads = masks + [0]  # reads[-1]: "no successor" reads nothing
-    keys = list(map(masks.__getitem__, order))
     k = len(ix.letters)
-    for shift, col in enumerate(ix.succ, 1):
-        fields = map(lshift, map(reads.__getitem__, map(col.__getitem__, order)), repeat(k * shift))
-        keys = list(map(or_, keys, fields))
+    reads = ix.masks + [0]  # what each id reads; reads[-1]: "no successor" reads nothing
+    keys = list(map(reads.__getitem__, order))
+    for width in (k, k * (k + 1)):  # Moore's first round, then its second
+        for shift, col in enumerate(ix.succ, 1):
+            fields = map(lshift, map(reads.__getitem__, map(col.__getitem__, order)), repeat(width * shift))
+            keys = list(map(or_, keys, fields))
+        if width == k:  # a kept id's successors are kept: each now reads its one-round key
+            for s, key in zip(order, keys):
+                reads[s] = key
     return order, into, keys
 
 

@@ -3,6 +3,9 @@
 A finite deterministic involutive tree (a Munn tree, say) is a degenerate
 generated tree; grouping its nodes by rooted isomorphism of their descendant
 subtrees yields the states of a pDFA whose unfolding reproduces the tree.
+A state quotient is one state-equivalence refinement (``_classes``) on the
+pDFA's index and the predecessor form it keeps, started from the blocks of
+states that two rounds of Moore's algorithm do not separate.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     result states are equivalent, and reducedness survives the quotient.
     Class names are the smallest member state name.  The quotient's index is
     built from the blocks of ``_classes`` on the automaton's own index and
-    the cached predecessor form and one-round keys of every state, with the
+    the cached predecessor form and two-round keys of every state, with the
     heads taken in the form's name order: a class reads what its smallest
     member reads, into the classes of that member's successors.  A state
     that only transitions name raises ``UnknownStateError``.
@@ -53,7 +56,7 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     ix = d._indexed()
     names = ix.names
     order, preds, keys = _predecessors(d, ix)
-    block, _ = _classes([(ix.masks, order, preds, keys)])
+    block, _ = _classes([(ix, order, preds, keys)])
     rank: dict[int, int] = {}
     heads: list[int] = []  # the smallest member of each class, by name
     for s in order:

@@ -10,12 +10,13 @@ an accepting path names a node at which re-rooting the second tree makes the
 two rooted trees isomorphic.  Both searches and the state equivalence run on
 integer indexes of the two pDFAs over their merged alphabet, so letter ids,
 out-letter bit masks and successor columns agree between the sides.  The
-state equivalence (``_classes``) refines plain ``(masks, keep, preds,
-keys)`` sides: an index's out-masks and the predecessor form that each
-pDFA keeps for the states its root reaches, or for all of them, with each
-kept state's one-round key (its out-mask and its successors' out-masks,
-packed in one integer).  Refinement starts from the blocks of equal keys,
-Moore's first round, rather than from the coarser blocks of equal masks.
+state equivalence (``_classes``) refines plain ``(ix, keep, preds, keys)``
+sides: an index and the predecessor form that each pDFA keeps for the
+states its root reaches, or for all of them, with each kept state's
+two-round key (its out-mask and its successors' out-masks, and the same
+for each successor, packed in one integer).  Refinement starts from the
+blocks of equal keys, Moore's second round, rather than from the coarser
+blocks of equal masks.
 So a decision repeated on the same automata and roots copies and rebuilds
 nothing, and the first one builds only what the roots reach.
 """
@@ -56,10 +57,10 @@ class NonRootedWitness:
 def _classes(sides: list[tuple]) -> tuple[list[int], int]:
     """Partition refinement on indexes side by side, in place.
 
-    Each side is ``(masks, keep, preds, keys)``: an index's out-masks and a
-    ``_predecessors`` form, all over one alphabet.  The form gives the ids
-    kept, a set closed under successors, their predecessor tuples and, in
-    ``keep``'s order, their one-round keys.  Side ``j``'s id ``s`` is
+    Each side is ``(ix, keep, preds, keys)``: an index and a
+    ``_predecessors`` form of it, all over one alphabet.  The form gives the
+    ids kept, a set closed under successors, their predecessor tuples and,
+    in ``keep``'s order, their two-round keys.  Side ``j``'s id ``s`` is
     shifted to ``j * stride + s``, where ``stride`` is the power of two
     above the largest index size, so a shifted id splits into side and id
     with two bit operations.  Nothing is copied, and apart from one list of
@@ -68,13 +69,16 @@ def _classes(sides: list[tuple]) -> tuple[list[int], int]:
     states that separates out-masks and is stable under every letter
     (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
     ``-1`` for an id not kept; and ``stride``.  Refinement starts from the
-    blocks of equal keys, Moore's first round.  That partition is stable
-    under each block of equal masks, so within each such block every key
-    block but the largest starts out pending (Hopcroft's lemma, applied to
-    each mask block as a compound splitter, as Paige and Tarjan do).
+    blocks of equal keys, Moore's second round.  That partition is stable
+    under each block of equal one-round keys, the key's low ``k(k + 1)``
+    bits for ``k`` letters, so within each such block every key block but
+    the largest starts out pending (Hopcroft's lemma, applied to each
+    one-round block as a compound splitter, as Paige and Tarjan do).
     """
     preds = [p for _, _, p, _ in sides]
-    bits = max(len(masks) for masks, *_ in sides).bit_length()
+    k = len(sides[0][0].letters)
+    one_round = (1 << k * (k + 1)) - 1
+    bits = max(len(ix.names) for ix, *_ in sides).bit_length()
     stride, low = 1 << bits, (1 << bits) - 1
     offsets = range(0, stride * len(sides), stride)
     block = [-1] * (stride * len(sides))
@@ -86,12 +90,11 @@ def _classes(sides: list[tuple]) -> tuple[list[int], int]:
     for o, (_, keep, _, _) in zip(offsets, sides):
         for s in keep:
             members[block[o + s]].add(o + s)
-    largest: dict[int, int] = {}  # mask -> its largest key block
-    for b, part in enumerate(members):
-        t = next(iter(part))
-        m = sides[t >> bits][0][t & low]
-        if len(part) > len(members[largest.setdefault(m, b)]):
-            largest[m] = b
+    largest: dict[int, int] = {}  # one-round key -> its largest key block
+    for key, b in by_key.items():
+        first = key & one_round
+        if len(members[b]) > len(members[largest.setdefault(first, b)]):
+            largest[first] = b
     pending = set(range(len(members))).difference(largest.values())
     while pending:
         # Plain dicts and ``next`` on one iterator cost less here than
@@ -134,7 +137,7 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
 
     One integer partition refinement (``_classes``) on the automata's
     indexes over their merged alphabet side by side, on the predecessor
-    form and one-round keys of every state, starting from the blocks of
+    form and two-round keys of every state, starting from the blocks of
     equal keys.  Returns one map per automaton from state to class id: two
     states get the same id exactly when they generate the same language.
     Class ids are labels: only their equality is promised, and their
@@ -145,7 +148,7 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
         return []
     alphabet = reduce(merge_alphabets, (d.alphabet for d in automata))
     indexes = [d._indexed(alphabet) for d in automata]
-    block, stride = _classes([(ix.masks, *_predecessors(d, ix)) for d, ix in zip(automata, indexes)])
+    block, stride = _classes([(ix, *_predecessors(d, ix)) for d, ix in zip(automata, indexes)])
     return [dict(zip(ix.names, block[j * stride :])) for j, ix in enumerate(indexes)]
 
 
@@ -212,7 +215,7 @@ def iso_nonrooted(
     shortest accepting path, reversed, spell the root-to-v word, returned as
     a witness.  One ``_classes`` call refines the states the roots reach,
     read from the pDFAs' cached indexes and the predecessor forms and
-    one-round keys of their reaches.  A configuration is one integer over
+    two-round keys of their reaches.  A configuration is one integer over
     the two indexes' own ids, and its base set is the mask of q less
     ``back``.  Starts (the second root's reach, in its form's order) and
     predecessors (the sources that root reaches, from its form) go in
@@ -224,7 +227,7 @@ def iso_nonrooted(
     starts, preds, keys = _predecessors(b, ib, q_root)
     # b goes first, so block[q] is the block of b's q with no offset to
     # add: the climb below reads it most.
-    block, oa = _classes([(mask_b, starts, preds, keys), (mask_a, *_predecessors(a, ia, p_root))])
+    block, oa = _classes([(ib, starts, preds, keys), (ia, *_predecessors(a, ia, p_root))])
     nb = len(ib.names)
     columns = list(zip(succ_a, ib.succ))
     # Configuration (p, q, back) is (p * nb + q) * (k + 1) + back + 1 on the

@@ -30,8 +30,9 @@ from ``sorted(dict(d.delta).items())`` check the ordered listing of a
 pDFA's transitions, which reads an index without decoding it.  The
 configuration search on a fresh union of the two reachable parts, refined
 from every mask block, checks the search that refines both cached indexes
-side by side.  The refinement started from the blocks of equal out-masks
-checks the one started from the blocks of equal one-round keys.
+side by side.  The refinements started from the blocks of equal out-masks
+and from the blocks of equal one-round keys check the one started from the
+blocks of equal two-round keys.
 """
 
 import json
@@ -569,40 +570,10 @@ def _union_classes(sides: list[tuple]) -> tuple[list[int], list[list[int]], list
     return masks, succ, preds, block
 
 
-def classes_from_masks(sides: list[tuple]) -> tuple[list[int], int]:
-    """The refinement that ``_classes`` seeds with one-round keys, started
-    from the blocks of equal out-masks instead.
-
-    Each side is ``(masks, keep, preds, keys)``, as for ``_classes``, whose
-    keys this routine does not read: an index's out-masks, the ids it keeps,
-    a set closed under successors, and a ``_predecessors`` form's tuples for
-    those ids, all over one alphabet.  Side ``j``'s id ``s`` is
-    shifted to ``j * stride + s``, where ``stride`` is the power of two
-    above the largest index size, so a shifted id splits into side and id
-    with two bit operations.  Nothing is copied, and apart from one list of
-    blocks, filled with ``-1`` in C, the work follows the kept ids.  Returns
-    the blocks, for each shifted id, of the coarsest partition of the kept
-    states that separates out-masks and is stable under every letter
-    (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
-    ``-1`` for an id not kept; and ``stride``.  The blocks of equal masks
-    are already stable under the whole kept set, so every block but the
-    largest starts out pending (Hopcroft's lemma).
-    """
-    preds = [p for _, _, p, _ in sides]
-    bits = max(len(masks) for masks, *_ in sides).bit_length()
-    stride, low = 1 << bits, (1 << bits) - 1
-    offsets = range(0, stride * len(sides), stride)
-    block = [-1] * (stride * len(sides))
-    by_mask: dict[int, int] = {}
-    for o, (masks, keep, _, _) in zip(offsets, sides):
-        for s in keep:
-            block[o + s] = by_mask.setdefault(masks[s], len(by_mask))
-    members: list[set[int]] = [set() for _ in by_mask]
-    for o, (_, keep, _, _) in zip(offsets, sides):
-        for s in keep:
-            members[block[o + s]].add(o + s)
-    pending = set(range(len(members)))
-    pending.discard(max(pending, key=lambda b: len(members[b]), default=-1))
+def _refine(preds: list, bits: int, block: list[int], members: list[set[int]], pending: set[int]) -> None:
+    """The loop of ``_classes``: split ``block`` and ``members`` in place
+    until no block is ``pending``.  Ids are shifted as there."""
+    low = (1 << bits) - 1
     while pending:
         # Plain dicts and ``next`` on one iterator cost less here than
         # ``defaultdict`` and ``zip``.
@@ -636,6 +607,80 @@ def classes_from_masks(sides: list[tuple]) -> tuple[list[int], int]:
                 # Hopcroft: a block not waiting to split others queues only
                 # its smaller half.
                 pending.add(b if b not in pending and len(members[b]) < len(part) else new)
+
+
+def classes_from_masks(sides: list[tuple]) -> tuple[list[int], int]:
+    """The refinement that ``_classes`` seeds with two-round keys, started
+    from the blocks of equal out-masks instead.
+
+    Each side is ``(ix, keep, preds, keys)``, as for ``_classes``, whose
+    keys this routine does not read: an index, the ids it keeps, a set
+    closed under successors, and a ``_predecessors`` form's tuples for those
+    ids, all over one alphabet.  Side ``j``'s id ``s`` is
+    shifted to ``j * stride + s``, where ``stride`` is the power of two
+    above the largest index size, so a shifted id splits into side and id
+    with two bit operations.  Nothing is copied, and apart from one list of
+    blocks, filled with ``-1`` in C, the work follows the kept ids.  Returns
+    the blocks, for each shifted id, of the coarsest partition of the kept
+    states that separates out-masks and is stable under every letter
+    (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
+    ``-1`` for an id not kept; and ``stride``.  The blocks of equal masks
+    are already stable under the whole kept set, so every block but the
+    largest starts out pending (Hopcroft's lemma).
+    """
+    preds = [p for _, _, p, _ in sides]
+    bits = max(len(ix.names) for ix, *_ in sides).bit_length()
+    stride = 1 << bits
+    offsets = range(0, stride * len(sides), stride)
+    block = [-1] * (stride * len(sides))
+    by_mask: dict[int, int] = {}
+    for o, (ix, keep, _, _) in zip(offsets, sides):
+        for s in keep:
+            block[o + s] = by_mask.setdefault(ix.masks[s], len(by_mask))
+    members: list[set[int]] = [set() for _ in by_mask]
+    for o, (_, keep, _, _) in zip(offsets, sides):
+        for s in keep:
+            members[block[o + s]].add(o + s)
+    pending = set(range(len(members)))
+    pending.discard(max(pending, key=lambda b: len(members[b]), default=-1))
+    _refine(preds, bits, block, members, pending)
+    return block, stride
+
+
+def classes_from_one_round_keys(sides: list[tuple]) -> tuple[list[int], int]:
+    """The refinement that ``_classes`` seeds with two-round keys, started
+    from the blocks of equal one-round keys instead: Moore's first round.
+
+    Sides are as for ``_classes``.  A key's one-round part is its low
+    ``k(k + 1)`` bits for ``k`` letters: the out-mask and, in the ``k``-bit
+    field ``i + 1``, the out-mask of the successor on letter ``i``.  That
+    partition is stable under each block of equal masks, so within each
+    such block every one-round block but the largest starts out pending
+    (Hopcroft's lemma, applied to each mask block as a compound splitter).
+    Returns the blocks and the stride, as ``_classes`` does.
+    """
+    preds = [p for _, _, p, _ in sides]
+    k = len(sides[0][0].letters)
+    one_round = (1 << k * (k + 1)) - 1
+    bits = max(len(ix.names) for ix, *_ in sides).bit_length()
+    stride = 1 << bits
+    offsets = range(0, stride * len(sides), stride)
+    block = [-1] * (stride * len(sides))
+    by_key: dict[int, int] = {}
+    for o, (_, keep, _, keys) in zip(offsets, sides):
+        for s, key in zip(keep, keys):
+            block[o + s] = by_key.setdefault(key & one_round, len(by_key))
+    members: list[set[int]] = [set() for _ in by_key]
+    for o, (_, keep, _, _) in zip(offsets, sides):
+        for s in keep:
+            members[block[o + s]].add(o + s)
+    largest: dict[int, int] = {}  # mask, a key's low k bits -> its largest one-round block
+    for key, b in by_key.items():
+        m = key & (1 << k) - 1
+        if len(members[b]) > len(members[largest.setdefault(m, b)]):
+            largest[m] = b
+    pending = set(range(len(members))).difference(largest.values())
+    _refine(preds, bits, block, members, pending)
     return block, stride
 
 

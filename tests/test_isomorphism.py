@@ -33,6 +33,7 @@ from cftree import (
 from oracles import (
     canonical_rooted_key,
     classes_from_masks,
+    classes_from_one_round_keys,
     equivalent_pairs,
     iso_nonrooted_by_names,
     iso_nonrooted_by_union,
@@ -497,8 +498,11 @@ def test_small_reach_builds_the_form_of_the_reach_only(monkeypatch):
     # Two pDFAs of over 2000 states whose roots reach about 50, with a
     # state only a transition names in the part they do not reach.  The
     # first call builds the predecessor form of each root's reach and of
-    # nothing more, keys included, a second call builds and walks nothing,
-    # and the whole automaton's quotient still names the unlisted state.
+    # nothing more: the keys are those of the reached ids, the build reads
+    # the columns at reached ids only, and the kept entry holds no list as
+    # long as the index but the tuples.  A second call builds and walks
+    # nothing, and the whole automaton's quotient still names the unlisted
+    # state.
     rng = random.Random(97)
     small, root = random_reduced_pdfa(rng, 50, samples.AL_AB)
     other, other_root = _rerooted(rng, small, root)
@@ -510,6 +514,13 @@ def test_small_reach_builds_the_form_of_the_reach_only(monkeypatch):
         delta[("g0", "a")] = "ghost"
         return PDfa(d.states | {prefix + p for p in pad.states} | {"g0"}, d.alphabet, delta)
 
+    class Column(list):
+        """A successor column that records the ids read from it."""
+
+        def __getitem__(self, s):
+            read.add(s)
+            return super().__getitem__(s)
+
     a, b = padded(small, "u"), padded(other, "v")
     built = []
     build = automata._build_predecessors
@@ -520,12 +531,20 @@ def test_small_reach_builds_the_form_of_the_reach_only(monkeypatch):
     assert built == [sorted(automata._reach(b, other_root)), sorted(automata._reach(a, root))]
     assert len(built[1]) == 50 and len(built[0]) < 100 and min(len(a.states), len(b.states)) > 2000
     forms = [a._reached[2], b._reached[2]]
-    for d, (order, _, keys) in zip((a, b), forms):
+    for d, (order, into, keys) in zip((a, b), forms):
         ix = d._indexed()
         reads = ix.masks + [0]
         k = len(ix.letters)
         assert order == sorted(automata._reach(d, d._reached[0]), key=ix.names.__getitem__)
-        assert keys == [sum(reads[col[s]] << k * i for i, col in enumerate(ix.succ, 1)) | ix.masks[s] for s in order]
+        firsts = [sum(reads[col[s]] << k * i for i, col in enumerate(ix.succ, 1)) | ix.masks[s] for s in order]
+        ones = dict(zip(order, firsts)) | {-1: 0}
+        assert keys == [sum(ones[col[s]] << k * (k + 1) * i for i, col in enumerate(ix.succ, 1)) | ones[s] for s in order]
+        long = [x for x in (*d._reached[:2], *d._reached[2]) if isinstance(x, list) and len(x) >= len(ix.names)]
+        assert len(long) == 1 and long[0] is into
+        read: set[int] = set()
+        columns = ix._replace(succ=[Column(col) for col in ix.succ])
+        assert build(columns, order) == (order, into, keys)
+        assert read == set(order)
     built.clear()
     walks.clear()
     assert iso_nonrooted(a, root, b, other_root) == first
@@ -558,23 +577,25 @@ def _lasso(n: int, loop: int, name: str) -> tuple[PDfa, str]:
     return PDfa(states, samples.AL_A, delta), states[0]
 
 
-def _check_against_mask_seeded(monkeypatch, a: PDfa, ra: str, b: PDfa, rb: str) -> None:
-    """The key-seeded refinement gives the mask-seeded oracle's partition
-    on the sides of ``iso_nonrooted``, ``language_classes`` and
-    ``quotient``, and so the same verdicts, witnesses, classes and
-    quotients."""
+def _check_against_oracles(monkeypatch, a: PDfa, ra: str, b: PDfa, rb: str) -> None:
+    """The refinement seeded with two-round keys gives the partition of
+    both oracles, seeded with masks and with one-round keys, on the sides of
+    ``iso_nonrooted``, ``language_classes`` and ``quotient``, and so the
+    same verdicts, witnesses, classes and quotients."""
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
+    oracles = (classes_from_masks, classes_from_one_round_keys)
     for roots in ((ra, rb), (None, None)):
         sides = []
         for d, root in zip((a, b), roots):
             ix = d._indexed(alphabet)
-            sides.append((ix.masks, *automata._predecessors(d, ix, root)))
+            sides.append((ix, *automata._predecessors(d, ix, root)))
         for chosen in (sides, sides[:1], sides[1:]):
             block, stride = isomorphism._classes(chosen)
-            expected, expected_stride = classes_from_masks(chosen)
-            assert stride == expected_stride and _same_blocks(block, expected)
+            for oracle in oracles:
+                expected, expected_stride = oracle(chosen)
+                assert stride == expected_stride and _same_blocks(block, expected), oracle.__name__
     results = []
-    for refine in (isomorphism._classes, classes_from_masks):
+    for refine in (isomorphism._classes, *oracles):
         with monkeypatch.context() as m:
             m.setattr(isomorphism, "_classes", refine)
             m.setattr(compression, "_classes", refine)
@@ -586,7 +607,7 @@ def _check_against_mask_seeded(monkeypatch, a: PDfa, ra: str, b: PDfa, rb: str) 
                 quotient(a),
                 quotient(b),
             ))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 def test_key_seeded_refinement_matches_mask_seeded_oracle(monkeypatch):
@@ -597,7 +618,7 @@ def test_key_seeded_refinement_matches_mask_seeded_oracle(monkeypatch):
         kind = ("renamed", "rerooted", "lifted", "lasso", "b-vs-ab", "alone")[i % 6]
         if kind == "lifted":
             a, ra, b, rb = _lifted_gap2(rng, i // 6 % 2 == 0)
-        elif kind == "lasso":  # one Moore round splits off at most the leaf's parent
+        elif kind == "lasso":  # two Moore rounds split off at most the leaf's parent and grandparent
             a, ra = _lasso(rng.randint(1, 300), rng.choice([0, 1, rng.randint(2, 40)]), "s")
             b, rb = (_rerooted if i // 6 % 2 else _renamed)(rng, a, ra)
         else:
@@ -613,7 +634,7 @@ def test_key_seeded_refinement_matches_mask_seeded_oracle(monkeypatch):
                 b, rb = _rerooted(rng, a, ra)
             if kind == "b-vs-ab":  # the merged-alphabet path on one side
                 b = PDfa(b.states, samples.AL_AB, b.delta)
-        _check_against_mask_seeded(monkeypatch, a, ra, b, rb)
+        _check_against_oracles(monkeypatch, a, ra, b, rb)
         kinds[kind, iso_nonrooted(a, ra, b, rb)[0]] += 1
     for kind in ("renamed", "rerooted", "lifted", "lasso", "b-vs-ab", "alone"):
         assert kinds[kind, True] >= 10, kind
@@ -621,9 +642,11 @@ def test_key_seeded_refinement_matches_mask_seeded_oracle(monkeypatch):
 
 
 def test_keys_of_a_wide_alphabet_never_alias(monkeypatch):
-    # Six generators: twelve letters, so a key has thirteen 12-bit fields.
-    # Equal keys mean equal out-masks and equal successor out-masks, and
-    # nothing else, and the refinement still matches the oracle.
+    # Six generators: twelve letters, so a one-round key has thirteen 12-bit
+    # fields and a two-round key thirteen fields of one-round-key width.
+    # Equal keys mean equal out-masks, successor out-masks and out-masks of
+    # the successors' successors, and nothing else; equal low parts mean the
+    # first two; and the refinement still matches both oracles.
     rng = random.Random(107)
     wide = involutive_closure([f"g{i}" for i in range(6)])
     for _ in range(30):
@@ -633,10 +656,17 @@ def test_keys_of_a_wide_alphabet_never_alias(monkeypatch):
             ix = d._indexed()
             order, _, keys = automata._predecessors(d, ix)
             reads = ix.masks + [0]
-            signatures = [(ix.masks[s], *(reads[col[s]] for col in ix.succ)) for s in order]
-            assert len(keys) == len(order) and max(keys) < 1 << 12 * 13
-            assert len(set(zip(keys, signatures))) == len(set(keys)) == len(set(signatures))
-        _check_against_mask_seeded(monkeypatch, a, ra, b, rb)
+
+            def successors(s):
+                return [col[s] if s >= 0 else -1 for col in ix.succ]
+
+            firsts = [(reads[s], *map(reads.__getitem__, successors(s))) for s in order]
+            seconds = [(*first, *(reads[u] for t in successors(s) for u in successors(t))) for s, first in zip(order, firsts)]
+            lows = [key & (1 << 12 * 13) - 1 for key in keys]
+            assert len(keys) == len(order) and max(keys) < 1 << 12 * 13 * 13
+            assert len(set(zip(keys, seconds))) == len(set(keys)) == len(set(seconds))
+            assert len(set(zip(lows, firsts))) == len(set(lows)) == len(set(firsts))
+        _check_against_oracles(monkeypatch, a, ra, b, rb)
 
 
 def test_witness_is_shortest_and_one_sided():
