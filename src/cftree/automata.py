@@ -13,18 +13,20 @@ immutable after construction, so the index and the verdicts kept from it
 stay true.  ``_sorted_transitions`` lists the transitions in order from
 whichever form is held, so writers, ``pdfa_to_mnfa``, ``validate_pdfa`` and
 hashing decode nothing.  All checks live in separate functions so a caller
-can collect every problem at once instead of failing fast.  Reducedness is
-one fact about a pDFA: ``reducedness_violation`` decides it from the
-successor columns the first time it is asked and keeps the verdict.  One
-more fact is kept next to the index, in one entry: the states reachable
-from the last root asked (``_reach``), which ``trim``, re-rooting,
-``reachable_states`` and both isomorphism tests read, and the predecessor
-form of exactly those states (``_predecessors``: the ids in name order, each
-id's ``(letter, source)`` pairs, and each id's two-round key, its out-mask
-and its successors' out-masks packed beside the same for each successor),
-built the first time state equivalence or the non-rooted search reads it.
-``quotient`` and ``language_classes`` ask for every state, which a root
-that reaches them all also serves.  An index over a larger merged alphabet keeps no form.
+can collect every problem at once instead of failing fast.  Two more
+things are kept next to the index.  Reducedness is one fact about a pDFA:
+``reducedness_violation`` decides it from the successor columns the first
+time it is asked and keeps the verdict.  And for the last root a refinement
+asked, a pDFA keeps the ``_classes`` side of the states that root reaches
+(``_predecessors``: the index, those ids in name order, each id's
+``(letter, source)`` pairs, and each id's two-round key, its out-mask and
+its successors' out-masks packed beside the same for each successor), built
+the first time a refinement asks for it.  ``_reach`` walks and keeps
+nothing, so ``trim``, re-rooting, ``reachable_states`` and ``iso_rooted``
+leave the side as it was.  ``quotient`` and ``language_classes`` ask for
+every state, which a root that reaches them all also serves.  An index over
+a larger merged alphabet gets a side kept nowhere.  The state equivalence
+(``_classes``) is here too, so one module packs the keys and reads them.
 """
 
 from __future__ import annotations
@@ -196,11 +198,10 @@ class PDfa:
 
     # ``_violation`` caches ``reducedness_violation``: None until it runs,
     # then the pair it found, or ``()`` for a reduced automaton.
-    # ``_reached`` is None until first asked, then ``(root, reach, form)``:
-    # the last root asked (None for every state), the ``_reach`` list of its
-    # ids, and ``_predecessors``' form of those ids on the own index, None
-    # until a refinement needs it.
-    __slots__ = ("states", "alphabet", "_delta", "_index", "_violation", "_reached")
+    # ``_form`` is None until a refinement first asks, then ``(root, side)``:
+    # the last root asked (None for every state) and ``_predecessors``' side
+    # of the ids it reaches on the own index.
+    __slots__ = ("states", "alphabet", "_delta", "_index", "_violation", "_form")
 
     def __init__(
         self,
@@ -213,7 +214,7 @@ class PDfa:
         self._delta: dict[tuple[str, str], str] | None = dict(delta)
         self._index: _Index | None = None
         self._violation: tuple | None = None
-        self._reached: tuple | None = None
+        self._form: tuple | None = None
 
     @classmethod
     def _from_index(cls, alphabet: InvolutiveAlphabet, index: _Index) -> PDfa:
@@ -225,7 +226,7 @@ class PDfa:
         d._delta = None
         d._index = index
         d._violation = None
-        d._reached = None
+        d._form = None
         return d
 
     @property
@@ -443,15 +444,19 @@ def require_reduced(d: PDfa, what: str = "automaton") -> None:
         )
 
 
-def _build_predecessors(ix: _Index, keep: Iterable[int]) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
-    """The predecessor form of the ids ``keep`` of ``ix``, a set closed
-    under successors: those ids in name order; for each id of ``ix`` one
-    flat tuple ``(letter, source, letter, source, …)`` of its sources in
-    ``keep``, ascending by letter, then by source name; and for each kept id,
-    in name order, its two-round key.  An id not kept gets the shared empty
-    tuple, so the work follows the kept ids: one list entry per kept state,
-    two tuple entries per kept transition, and the keys from two ``map``
-    passes over the kept part of each column.
+# What ``_build_predecessors`` returns and ``_classes`` reads.
+_Side = tuple[_Index, list[int], list[tuple[int, ...]], list[int]]
+
+
+def _build_predecessors(ix: _Index, keep: Iterable[int]) -> _Side:
+    """The ``_classes`` side of the ids ``keep`` of ``ix``, a set closed
+    under successors: ``ix``; those ids in name order; for each id of
+    ``ix`` one flat tuple ``(letter, source, letter, source, …)`` of its
+    sources in ``keep``, ascending by letter, then by source name; and for
+    each kept id, in name order, its two-round key.  An id not kept gets the
+    shared empty tuple, so the work follows the kept ids: one list entry per
+    kept state, two tuple entries per kept transition, and the keys from two
+    ``map`` passes over the kept part of each column.
 
     With ``k`` letters, an id's one-round key packs its out-mask and, in the
     ``k``-bit field ``i + 1``, the out-mask of its successor on letter
@@ -485,30 +490,109 @@ def _build_predecessors(ix: _Index, keep: Iterable[int]) -> tuple[list[int], lis
         if width == k:  # a kept id's successors are kept: each now reads its one-round key
             for s, key in zip(order, keys):
                 reads[s] = key
-    return order, into, keys
+    return ix, order, into, keys
 
 
-def _predecessors(d: PDfa, ix: _Index, root: str | None = None) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
-    """The predecessor form of the ids of ``ix``, an index of ``d``, that
+def _classes(sides: list[_Side]) -> tuple[list[int], int]:
+    """Partition refinement on indexes side by side, in place.
+
+    Each side is ``(ix, order, into, keys)``, as ``_predecessors`` returns
+    it, all over one alphabet: an index, the ids kept, a set closed under
+    successors, in name order, each id's predecessor tuple and, in
+    ``order``, the kept ids' two-round keys.  Side ``j``'s id ``s`` is
+    shifted to ``j * stride + s``, where ``stride`` is the power of two
+    above the largest index size, so a shifted id splits into side and id
+    with two bit operations.  Nothing is copied, and apart from one list of
+    blocks, filled with ``-1`` in C, the work follows the kept ids.  Returns
+    the blocks, for each shifted id, of the coarsest partition of the kept
+    states that separates out-masks and is stable under every letter
+    (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
+    ``-1`` for an id not kept; and ``stride``.  Refinement starts from the
+    blocks of equal keys, Moore's second round.  That partition is stable
+    under each block of equal one-round keys, the key's low ``k(k + 1)``
+    bits for ``k`` letters, so within each such block every key block but
+    the largest starts out pending (Hopcroft's lemma, applied to each
+    one-round block as a compound splitter, as Paige and Tarjan do).
+    """
+    preds = [into for _, _, into, _ in sides]
+    k = len(sides[0][0].letters)
+    one_round = (1 << k * (k + 1)) - 1
+    bits = max(len(ix.names) for ix, *_ in sides).bit_length()
+    stride, low = 1 << bits, (1 << bits) - 1
+    offsets = range(0, stride * len(sides), stride)
+    block = [-1] * (stride * len(sides))
+    by_key: dict[int, int] = {}
+    for o, (_, order, _, keys) in zip(offsets, sides):
+        for s, key in zip(order, keys):
+            block[o + s] = by_key.setdefault(key, len(by_key))
+    members: list[set[int]] = [set() for _ in by_key]
+    for o, (_, order, _, _) in zip(offsets, sides):
+        for s in order:
+            members[block[o + s]].add(o + s)
+    largest: dict[int, int] = {}  # one-round key -> its largest key block
+    for key, b in by_key.items():
+        first = key & one_round
+        if len(members[b]) > len(members[largest.setdefault(first, b)]):
+            largest[first] = b
+    pending = set(range(len(members))).difference(largest.values())
+    while pending:
+        # Plain dicts and ``next`` on one iterator cost less here than
+        # ``defaultdict`` and ``zip``.
+        sources: dict[int, list[int]] = {}
+        for t in members[pending.pop()]:
+            q = t & low
+            o = t - q
+            pairs = iter(preds[t >> bits][q])
+            for i in pairs:
+                s = next(pairs) + o
+                if i in sources:
+                    sources[i].append(s)
+                else:
+                    sources[i] = [s]
+        for hit_states in sources.values():
+            hit: dict[int, list[int]] = {}
+            for s in hit_states:
+                b = block[s]
+                if b in hit:
+                    hit[b].append(s)
+                else:
+                    hit[b] = [s]
+            for b, part in hit.items():
+                if len(part) == len(members[b]):
+                    continue
+                members[b].difference_update(part)
+                new = len(members)
+                members.append(set(part))
+                for s in part:
+                    block[s] = new
+                # Hopcroft: a block not waiting to split others queues only
+                # its smaller half.
+                pending.add(b if b not in pending and len(members[b]) < len(part) else new)
+    return block, stride
+
+
+def _predecessors(d: PDfa, ix: _Index, root: str | None = None) -> _Side:
+    """The ``_classes`` side of the ids of ``ix``, an index of ``d``, that
     ``root`` reaches, or of every id for None, which raises for a state that
     only transitions name as ``_reach`` does for a reached one.  On ``d``'s
-    own index the form is kept in ``d._reached``, so another root replaces
-    it; a root entry that reaches every id also serves None.  An index over a
-    larger alphabet, whose letter ids may differ, gets a fresh form kept
+    own index the side is kept in ``d._form``, so another root replaces it;
+    a side whose root reaches every id also serves None.  An index over a
+    larger alphabet, whose letter ids may differ, gets a fresh side kept
     nowhere.  Callers only read it."""
+    if ix is d._index and d._form is not None:
+        kept, side = d._form
+        if kept == root or root is None and len(side[1]) == len(ix.names):
+            return side
     if root is not None:
         keep = _reach(d, root)
     elif len(ix.names) > len(d.states):  # ids past those are states only transitions name
         raise UnknownStateError(f"state {ix.names[len(d.states)]!r} is not in the automaton")
     else:
         keep = range(len(ix.names))
-        if ix is d._index and (d._reached is None or len(d._reached[1]) < len(keep)):
-            d._reached = (None, keep, None)
-    if ix is not d._index:
-        return _build_predecessors(ix, keep)
-    if d._reached[2] is None:
-        d._reached = (*d._reached[:2], _build_predecessors(ix, d._reached[1]))
-    return d._reached[2]
+    side = _build_predecessors(ix, keep)
+    if ix is d._index:
+        d._form = (root, side)
+    return side
 
 
 def _walk(ix: _Index, start: int) -> list[int]:
@@ -527,15 +611,12 @@ def _walk(ix: _Index, start: int) -> list[int]:
 
 def _reach(d: PDfa, root: str) -> list[int]:
     """Index ids of the states reachable from ``root``, as ``_walk`` lists
-    them.  The list for the last root asked is kept on ``d``, so callers
-    only read it."""
-    if d._reached is None or d._reached[0] != root:
-        ix = d._indexed()
-        todo = _walk(ix, ix.ids[root])
-        if max(todo) >= len(d.states):  # ids past those are states only transitions name
-            raise UnknownStateError(f"state {ix.names[max(todo)]!r} is not in the automaton")
-        d._reached = (root, todo, None)
-    return d._reached[1]
+    them; a reached state that only transitions name raises."""
+    ix = d._indexed()
+    todo = _walk(ix, ix.ids[root])
+    if max(todo) >= len(d.states):  # ids past those are states only transitions name
+        raise UnknownStateError(f"state {ix.names[max(todo)]!r} is not in the automaton")
+    return todo
 
 
 def _require_pair(a: PDfa, p_root: str, b: PDfa, q_root: str) -> InvolutiveAlphabet:

@@ -4,15 +4,14 @@ A finite deterministic involutive tree (a Munn tree, say) is a degenerate
 generated tree; grouping its nodes by rooted isomorphism of their descendant
 subtrees yields the states of a pDFA whose unfolding reproduces the tree.
 A state quotient is one state-equivalence refinement (``_classes``) on the
-pDFA's index and the predecessor form it keeps, started from the blocks of
-states that two rounds of Moore's algorithm do not separate.
+side the pDFA keeps for all its states: its index, their predecessor form
+and two-round keys, as ``_predecessors`` returns it.
 """
 
 from __future__ import annotations
 
-from .automata import PDfa, _predecessors, _restrict
+from .automata import PDfa, _classes, _predecessors, _restrict
 from .errors import NondeterministicTreeError
-from .isomorphism import _classes
 from .unfolding import DiscTree, _canonical_forms, nondeterministic_vertex
 
 
@@ -47,25 +46,23 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     collapses into.  Every state's language is preserved, no two distinct
     result states are equivalent, and reducedness survives the quotient.
     Class names are the smallest member state name.  The quotient's index is
-    built from the blocks of ``_classes`` on the automaton's own index and
-    the cached predecessor form and two-round keys of every state, with the
-    heads taken in the form's name order: a class reads what its smallest
-    member reads, into the classes of that member's successors.  A state
-    that only transitions name raises ``UnknownStateError``.
+    built from the blocks of ``_classes`` on the side that ``_predecessors``
+    keeps for every state of the automaton's own index, with the heads taken
+    in the side's name order: a class reads what its smallest member reads,
+    into the classes of that member's successors.  A state that only
+    transitions name raises ``UnknownStateError``.
     """
-    ix = d._indexed()
-    names = ix.names
-    order, preds, keys = _predecessors(d, ix)
-    block, _ = _classes([(ix, order, preds, keys)])
+    ix, order, _, _ = side = _predecessors(d, d._indexed())
+    block, _ = _classes([side])
     rank: dict[int, int] = {}
     heads: list[int] = []  # the smallest member of each class, by name
     for s in order:
         if block[s] not in rank:
             rank[block[s]] = len(heads)
             heads.append(s)
-    cls = [rank[b] for b in block[: len(names)]] + [-1]  # cls[-1] == -1 keeps "no successor"
+    cls = [rank[b] for b in block[: len(ix.names)]] + [-1]  # cls[-1] == -1 keeps "no successor"
     out = _restrict(ix, heads, cls)
-    return PDfa._from_index(d.alphabet, out), dict(zip(names, map(out.names.__getitem__, cls)))
+    return PDfa._from_index(d.alphabet, out), dict(zip(ix.names, map(out.names.__getitem__, cls)))
 
 
 def minimize(d: PDfa) -> PDfa:

@@ -10,14 +10,10 @@ an accepting path names a node at which re-rooting the second tree makes the
 two rooted trees isomorphic.  Both searches and the state equivalence run on
 integer indexes of the two pDFAs over their merged alphabet, so letter ids,
 out-letter bit masks and successor columns agree between the sides.  The
-state equivalence (``_classes``) refines plain ``(ix, keep, preds, keys)``
-sides: an index and the predecessor form that each pDFA keeps for the
-states its root reaches, or for all of them, with each kept state's
-two-round key (its out-mask and its successors' out-masks, and the same
-for each successor, packed in one integer).  Refinement starts from the
-blocks of equal keys, Moore's second round, rather than from the coarser
-blocks of equal masks.
-So a decision repeated on the same automata and roots copies and rebuilds
+state equivalence is ``automata._classes``, on the sides that each pDFA
+keeps for the states its root reaches, or for all of them: its index, the
+predecessor form of those states and each one's two-round key.  So a
+decision repeated on the same automata and roots copies and rebuilds
 nothing, and the first one builds only what the roots reach.
 """
 
@@ -28,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .alphabet import merge_alphabets
-from .automata import PDfa, _predecessors, _reach, _require_pair
+from .automata import PDfa, _classes, _predecessors, _reach, _require_pair
 from .rerooting import reroot_along_word
 from .unfolding import Word
 
@@ -54,91 +50,12 @@ class NonRootedWitness:
         return " ".join(self.word)
 
 
-def _classes(sides: list[tuple]) -> tuple[list[int], int]:
-    """Partition refinement on indexes side by side, in place.
-
-    Each side is ``(ix, keep, preds, keys)``: an index and a
-    ``_predecessors`` form of it, all over one alphabet.  The form gives the
-    ids kept, a set closed under successors, their predecessor tuples and,
-    in ``keep``'s order, their two-round keys.  Side ``j``'s id ``s`` is
-    shifted to ``j * stride + s``, where ``stride`` is the power of two
-    above the largest index size, so a shifted id splits into side and id
-    with two bit operations.  Nothing is copied, and apart from one list of
-    blocks, filled with ``-1`` in C, the work follows the kept ids.  Returns
-    the blocks, for each shifted id, of the coarsest partition of the kept
-    states that separates out-masks and is stable under every letter
-    (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
-    ``-1`` for an id not kept; and ``stride``.  Refinement starts from the
-    blocks of equal keys, Moore's second round.  That partition is stable
-    under each block of equal one-round keys, the key's low ``k(k + 1)``
-    bits for ``k`` letters, so within each such block every key block but
-    the largest starts out pending (Hopcroft's lemma, applied to each
-    one-round block as a compound splitter, as Paige and Tarjan do).
-    """
-    preds = [p for _, _, p, _ in sides]
-    k = len(sides[0][0].letters)
-    one_round = (1 << k * (k + 1)) - 1
-    bits = max(len(ix.names) for ix, *_ in sides).bit_length()
-    stride, low = 1 << bits, (1 << bits) - 1
-    offsets = range(0, stride * len(sides), stride)
-    block = [-1] * (stride * len(sides))
-    by_key: dict[int, int] = {}
-    for o, (_, keep, _, keys) in zip(offsets, sides):
-        for s, key in zip(keep, keys):
-            block[o + s] = by_key.setdefault(key, len(by_key))
-    members: list[set[int]] = [set() for _ in by_key]
-    for o, (_, keep, _, _) in zip(offsets, sides):
-        for s in keep:
-            members[block[o + s]].add(o + s)
-    largest: dict[int, int] = {}  # one-round key -> its largest key block
-    for key, b in by_key.items():
-        first = key & one_round
-        if len(members[b]) > len(members[largest.setdefault(first, b)]):
-            largest[first] = b
-    pending = set(range(len(members))).difference(largest.values())
-    while pending:
-        # Plain dicts and ``next`` on one iterator cost less here than
-        # ``defaultdict`` and ``zip``.
-        sources: dict[int, list[int]] = {}
-        for t in members[pending.pop()]:
-            q = t & low
-            o = t - q
-            pairs = iter(preds[t >> bits][q])
-            for i in pairs:
-                s = next(pairs) + o
-                if i in sources:
-                    sources[i].append(s)
-                else:
-                    sources[i] = [s]
-        for hit_states in sources.values():
-            hit: dict[int, list[int]] = {}
-            for s in hit_states:
-                b = block[s]
-                if b in hit:
-                    hit[b].append(s)
-                else:
-                    hit[b] = [s]
-            for b, part in hit.items():
-                if len(part) == len(members[b]):
-                    continue
-                members[b].difference_update(part)
-                new = len(members)
-                members.append(set(part))
-                for s in part:
-                    block[s] = new
-                # Hopcroft: a block not waiting to split others queues only
-                # its smaller half.
-                pending.add(b if b not in pending and len(members[b]) < len(part) else new)
-    return block, stride
-
-
 def language_classes(*automata: PDfa) -> list[dict[str, int]]:
     """Group the states of one or more pDFAs by the language they read.
 
     One integer partition refinement (``_classes``) on the automata's
-    indexes over their merged alphabet side by side, on the predecessor
-    form and two-round keys of every state, starting from the blocks of
-    equal keys.  Returns one map per automaton from state to class id: two
+    indexes over their merged alphabet side by side, on the sides that
+    ``_predecessors`` gives for every state, passed on as they are.  Returns one map per automaton from state to class id: two
     states get the same id exactly when they generate the same language.
     Class ids are labels: only their equality is promised, and their
     numbers follow the refinement's blocks.  A state that only transitions
@@ -148,7 +65,7 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
         return []
     alphabet = reduce(merge_alphabets, (d.alphabet for d in automata))
     indexes = [d._indexed(alphabet) for d in automata]
-    block, stride = _classes([(ix, *_predecessors(d, ix)) for d, ix in zip(automata, indexes)])
+    block, stride = _classes([_predecessors(d, ix) for d, ix in zip(automata, indexes)])
     return [dict(zip(ix.names, block[j * stride :])) for j, ix in enumerate(indexes)]
 
 
@@ -214,20 +131,20 @@ def iso_nonrooted(
     acceptance at the root closes the isomorphism.  The step letters along a
     shortest accepting path, reversed, spell the root-to-v word, returned as
     a witness.  One ``_classes`` call refines the states the roots reach,
-    read from the pDFAs' cached indexes and the predecessor forms and
-    two-round keys of their reaches.  A configuration is one integer over
+    on the two sides that the pDFAs keep for their roots, passed on as
+    ``_predecessors`` returns them.  A configuration is one integer over
     the two indexes' own ids, and its base set is the mask of q less
-    ``back``.  Starts (the second root's reach, in its form's order) and
-    predecessors (the sources that root reaches, from its form) go in
+    ``back``.  Starts (the second root's reach, in its side's order) and
+    predecessors (the sources that root reaches, from its side) go in
     state-name order.
     """
     alphabet = _require_pair(a, p_root, b, q_root)
     ia, ib = a._indexed(alphabet), b._indexed(alphabet)
     letters, inverse, mask_a, mask_b, succ_a = ia.letters, ia.inverse, ia.masks, ib.masks, ia.succ
-    starts, preds, keys = _predecessors(b, ib, q_root)
+    _, starts, preds, _ = side_b = _predecessors(b, ib, q_root)
     # b goes first, so block[q] is the block of b's q with no offset to
     # add: the climb below reads it most.
-    block, oa = _classes([(ib, starts, preds, keys), (ia, *_predecessors(a, ia, p_root))])
+    block, oa = _classes([side_b, _predecessors(a, ia, p_root)])
     nb = len(ib.names)
     columns = list(zip(succ_a, ib.succ))
     # Configuration (p, q, back) is (p * nb + q) * (k + 1) + back + 1 on the

@@ -3,12 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from form_bytes import GENERATORS, form_bytes
+from form_bytes import GENERATORS, form_bytes, kept_bytes
 
 HERE = Path(__file__).resolve().parent
 
-# Bytes per reached state of the predecessor form, 25% or more above what
-# CPython 3.11 measures (114.5 and 348.2 in the form, 176.5 and 633.5 at the
+# Bytes per reached state of the predecessor form, 18% or more above what
+# CPython 3.11 measures (116.5 and 371.7 in the form, 178.5 and 656.9 at the
 # peak, at 4 and 12 letters).  A two-round key grows as the cube of the
 # letter count, so a wider key shows here first.
 BOUNDS = {4: (145, 225), 12: (440, 800)}
@@ -19,6 +19,14 @@ def test_form_bytes_per_reached_state_stay_bounded():
         letters, held, peak = form_bytes(generators)
         assert held <= BOUNDS[letters][0] and peak <= BOUNDS[letters][1], (letters, held, peak)
         assert 0 < held < peak
+
+
+def test_kept_entry_is_the_form_alone():
+    # A root's kept entry is its ``_classes`` side: the form, and no reach
+    # list or other per-state list beside it.
+    for generators in GENERATORS:
+        _, held, _ = form_bytes(generators)
+        assert kept_bytes(generators) <= held + 1
 
 
 def test_prints_one_line_per_alphabet():

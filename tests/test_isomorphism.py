@@ -470,39 +470,68 @@ def test_merged_alphabet_side_keeps_no_predecessor_form(monkeypatch):
         calls.clear()
         assert iso_nonrooted(x, ra, y, ra) == (True, NonRootedWitness(()))
         assert sum(calls.values()) == builds
-    assert a._reached[2] is None and b._reached[2] is not None
+    assert a._form is None and b._form[1][0] is b._index
     calls.clear()
     language_classes(a, b)
     assert sum(calls.values()) == 1
 
 
 def test_cached_reach_is_only_read(monkeypatch):
-    # Every reader of the kept reach list leaves it as it was, and none of
-    # them walks the automaton again.  A state only a transition names makes
-    # ``iso_rooted`` read it as well.
+    # Every reader of the reach walks it and leaves the side kept for it
+    # as it was, and a repeated refinement reads that side without walking
+    # again.  A state only a transition names makes ``iso_rooted`` walk
+    # the reach as well.
     d, root = random_reduced_pdfa(random.Random(89), 40, samples.AL_AB)
     d = PDfa(d.states | {"spare"}, d.alphabet, {**d.delta, ("ghost", "a"): "spare"})
-    reach = automata._reach(d, root)
-    kept = list(reach)
+    iso_nonrooted(d, root, d, root)
+    form = d._form
     calls = _count(monkeypatch, "_walk")
     trim(d, root)
     reroot_along_word(d, root, _walk(d, root, ["ab", "ba", "ab", "ba"]))
-    assert len(reachable_states(d, root)) == len(kept) < len(d.states)
+    assert len(reachable_states(d, root)) == len(form[1][1]) < len(d.states)
     iso_rooted(d, root, d, root)
+    assert d._form is form and form[0] == root
+    calls.clear()
     iso_nonrooted(d, root, d, root)
-    assert d._reached[:2] == (root, kept) and d._reached[1] is reach
+    assert d._form is form
     assert not calls[("_walk", id(d._index))]
+
+
+def test_walkers_from_another_root_keep_the_form(monkeypatch):
+    # Walks from another root of d leave the side kept for the first root:
+    # trim, reachable_states and re-rooting, iso_rooted's walk past a state
+    # only a transition names, and an iso_nonrooted that widens d's index to
+    # a larger merged alphabet.  Repeating the first call then builds and
+    # walks nothing.
+    d, root = random_reduced_pdfa(random.Random(109), 60, samples.AL_AB)
+    e, re_ = _rerooted(random.Random(113), d, root)
+    d = PDfa(d.states | {"spare"}, d.alphabet, {**d.delta, ("ghost", "a"): "spare"})
+    first = iso_nonrooted(d, root, e, re_)
+    assert first[0]
+    form = d._form
+    other = min(d.states - {root, "spare"})
+    wide = PDfa(e.states, involutive_closure(["a", "b", "c"]), e.delta)
+    calls = _count(monkeypatch, "_build_predecessors", "_walk")
+    trim(d, other)
+    reachable_states(d, other)
+    reroot_along_word(d, other, _walk(d, other, ["ab", "ba", "ab"]))
+    iso_rooted(d, other, e, re_)
+    iso_nonrooted(d, other, wide, re_)
+    assert d._form is form and not calls[("_build_predecessors", id(d._index))]
+    calls.clear()
+    assert iso_nonrooted(d, root, e, re_) == first
+    assert not calls and d._form is form
 
 
 def test_small_reach_builds_the_form_of_the_reach_only(monkeypatch):
     # Two pDFAs of over 2000 states whose roots reach about 50, with a
     # state only a transition names in the part they do not reach.  The
-    # first call builds the predecessor form of each root's reach and of
-    # nothing more: the keys are those of the reached ids, the build reads
-    # the columns at reached ids only, and the kept entry holds no list as
-    # long as the index but the tuples.  A second call builds and walks
-    # nothing, and the whole automaton's quotient still names the unlisted
-    # state.
+    # first call builds the side of each root's reach and of nothing more:
+    # the keys are those of the reached ids, the build reads the columns at
+    # reached ids only, and the kept entry holds the own index and no other
+    # list as long as the index but the tuples.  A second call builds and
+    # walks nothing, and the whole automaton's quotient still names the
+    # unlisted state.
     rng = random.Random(97)
     small, root = random_reduced_pdfa(rng, 50, samples.AL_AB)
     other, other_root = _rerooted(rng, small, root)
@@ -530,26 +559,27 @@ def test_small_reach_builds_the_form_of_the_reach_only(monkeypatch):
     assert first[0]
     assert built == [sorted(automata._reach(b, other_root)), sorted(automata._reach(a, root))]
     assert len(built[1]) == 50 and len(built[0]) < 100 and min(len(a.states), len(b.states)) > 2000
-    forms = [a._reached[2], b._reached[2]]
-    for d, (order, into, keys) in zip((a, b), forms):
+    forms = [a._form[1], b._form[1]]
+    for d, (own, order, into, keys) in zip((a, b), forms):
         ix = d._indexed()
         reads = ix.masks + [0]
         k = len(ix.letters)
-        assert order == sorted(automata._reach(d, d._reached[0]), key=ix.names.__getitem__)
+        assert own is ix
+        assert order == sorted(automata._reach(d, d._form[0]), key=ix.names.__getitem__)
         firsts = [sum(reads[col[s]] << k * i for i, col in enumerate(ix.succ, 1)) | ix.masks[s] for s in order]
         ones = dict(zip(order, firsts)) | {-1: 0}
         assert keys == [sum(ones[col[s]] << k * (k + 1) * i for i, col in enumerate(ix.succ, 1)) | ones[s] for s in order]
-        long = [x for x in (*d._reached[:2], *d._reached[2]) if isinstance(x, list) and len(x) >= len(ix.names)]
+        long = [x for x in (d._form[0], *d._form[1][1:]) if isinstance(x, list) and len(x) >= len(ix.names)]
         assert len(long) == 1 and long[0] is into
         read: set[int] = set()
         columns = ix._replace(succ=[Column(col) for col in ix.succ])
-        assert build(columns, order) == (order, into, keys)
+        assert build(columns, order) == (columns, order, into, keys)
         assert read == set(order)
     built.clear()
     walks.clear()
     assert iso_nonrooted(a, root, b, other_root) == first
     assert not built and not walks
-    assert a._reached[2] is forms[0] and b._reached[2] is forms[1]
+    assert a._form[1] is forms[0] and b._form[1] is forms[1]
     assert first == iso_nonrooted_by_union(a, root, b, other_root)
     for d, r in ((a, root), (b, other_root)):
         assert trim(d, r).states == reachable_states(d, r)
@@ -588,14 +618,14 @@ def _check_against_oracles(monkeypatch, a: PDfa, ra: str, b: PDfa, rb: str) -> N
         sides = []
         for d, root in zip((a, b), roots):
             ix = d._indexed(alphabet)
-            sides.append((ix, *automata._predecessors(d, ix, root)))
+            sides.append(automata._predecessors(d, ix, root))
         for chosen in (sides, sides[:1], sides[1:]):
-            block, stride = isomorphism._classes(chosen)
+            block, stride = automata._classes(chosen)
             for oracle in oracles:
                 expected, expected_stride = oracle(chosen)
                 assert stride == expected_stride and _same_blocks(block, expected), oracle.__name__
     results = []
-    for refine in (isomorphism._classes, *oracles):
+    for refine in (automata._classes, *oracles):
         with monkeypatch.context() as m:
             m.setattr(isomorphism, "_classes", refine)
             m.setattr(compression, "_classes", refine)
@@ -654,7 +684,7 @@ def test_keys_of_a_wide_alphabet_never_alias(monkeypatch):
         b, rb = _rerooted(rng, a, ra)
         for d in (a, b):
             ix = d._indexed()
-            order, _, keys = automata._predecessors(d, ix)
+            _, order, _, keys = automata._predecessors(d, ix)
             reads = ix.masks + [0]
 
             def successors(s):
