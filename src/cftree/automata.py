@@ -493,7 +493,7 @@ def _build_predecessors(ix: _Index, keep: Iterable[int]) -> _Side:
     return ix, order, into, keys
 
 
-def _classes(sides: list[_Side]) -> tuple[list[int], int]:
+def _classes(sides: list[_Side]) -> tuple[list[int], int, list[set[int]]]:
     """Partition refinement on indexes side by side, in place.
 
     Each side is ``(ix, order, into, keys)``, as ``_predecessors`` returns
@@ -507,12 +507,13 @@ def _classes(sides: list[_Side]) -> tuple[list[int], int]:
     the blocks, for each shifted id, of the coarsest partition of the kept
     states that separates out-masks and is stable under every letter
     (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
-    ``-1`` for an id not kept; and ``stride``.  Refinement starts from the
-    blocks of equal keys, Moore's second round.  That partition is stable
-    under each block of equal one-round keys, the key's low ``k(k + 1)``
-    bits for ``k`` letters, so within each such block every key block but
-    the largest starts out pending (Hopcroft's lemma, applied to each
-    one-round block as a compound splitter, as Paige and Tarjan do).
+    ``-1`` for an id not kept; ``stride``; and the members of each block,
+    as sets of shifted ids.  Refinement starts from the blocks of equal
+    keys, Moore's second round.  That partition is stable under each block
+    of equal one-round keys, the key's low ``k(k + 1)`` bits for ``k``
+    letters, so within each such block every key block but the largest
+    starts out pending (Hopcroft's lemma, applied to each one-round block as
+    a compound splitter, as Paige and Tarjan do).
     """
     preds = [into for _, _, into, _ in sides]
     k = len(sides[0][0].letters)
@@ -568,7 +569,7 @@ def _classes(sides: list[_Side]) -> tuple[list[int], int]:
                 # Hopcroft: a block not waiting to split others queues only
                 # its smaller half.
                 pending.add(b if b not in pending and len(members[b]) < len(part) else new)
-    return block, stride
+    return block, stride, members
 
 
 def _predecessors(d: PDfa, ix: _Index, root: str | None = None) -> _Side:

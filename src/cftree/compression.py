@@ -53,7 +53,7 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     transitions name raises ``UnknownStateError``.
     """
     ix, order, _, _ = side = _predecessors(d, d._indexed())
-    block, _ = _classes([side])
+    block, _, _ = _classes([side])
     rank: dict[int, int] = {}
     heads: list[int] = []  # the smallest member of each class, by name
     for s in order:

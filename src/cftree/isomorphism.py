@@ -4,12 +4,17 @@ Inputs are reduced pDFAs with designated states.  Rooted isomorphism is
 language equality of the designated states, decided by breadth-first search
 over the product of the two automata; a failure comes with a shortest word
 readable from exactly one side.  Non-rooted isomorphism searches a finite
-configuration graph whose configurations pair a state of the first automaton
-with a candidate node label of the second and an optional excluded branch;
-an accepting path names a node at which re-rooting the second tree makes the
-two rooted trees isomorphic.  Both searches and the state equivalence run on
-integer indexes of the two pDFAs over their merged alphabet, so letter ids,
-out-letter bit masks and successor columns agree between the sides.  The
+configuration graph whose configurations pair a language class of the first
+automaton's states with a class of candidate node labels of the second and
+an optional excluded branch; an accepting path names a node at which
+re-rooting the second tree makes the two rooted trees isomorphic.  Searching
+on classes rather than states gives the same verdicts and witness lengths,
+and it queues configurations per pair of classes, not per pair of states,
+which matters on inputs with many equivalent states.  Both searches and the
+state equivalence run on integer indexes of the two pDFAs over their merged
+alphabet, so letter ids, out-letter bit masks and successor columns agree
+between the sides; each search reads, per out-mask it meets, the columns of
+that mask's letters, listed when first met.  The
 state equivalence is ``automata._classes``, on the sides that each pDFA
 keeps for the states its root reaches, or for all of them: its index, the
 predecessor form of those states and each one's two-round key.  So a
@@ -19,9 +24,9 @@ nothing, and the first one builds only what the roots reach.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 
 from .alphabet import merge_alphabets
 from .automata import PDfa, _classes, _predecessors, _reach, _require_pair
@@ -65,7 +70,7 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
         return []
     alphabet = reduce(merge_alphabets, (d.alphabet for d in automata))
     indexes = [d._indexed(alphabet) for d in automata]
-    block, stride = _classes([_predecessors(d, ix) for d, ix in zip(automata, indexes)])
+    block, stride, _ = _classes([_predecessors(d, ix) for d, ix in zip(automata, indexes)])
     return [dict(zip(ix.names, block[j * stride :])) for j, ix in enumerate(indexes)]
 
 
@@ -85,14 +90,16 @@ def iso_rooted(
     for d, ix, root in ((a, ia, p_root), (b, ib, q_root)):
         if len(ix.names) > len(d.states):  # ids past those are states only transitions name
             _reach(d, root)
-    letters, mask_a, succ_a, mask_b, succ_b = ia.letters, ia.masks, ia.succ, ib.masks, ib.succ
+    letters, mask_a, mask_b = ia.letters, ia.masks, ib.masks
     k, nb = len(letters), len(ib.names)
+    columns = list(zip(range(k), ia.succ, ib.succ))
     start = ia.ids[p_root] * nb + ib.ids[q_root]
     # A pair's code is p * nb + q; its parent link is code * k + letter.
+    # The queue grows as it is read.
     parent: dict[int, int] = {start: -1}
-    queue = deque([start])
-    while queue:
-        code = queue.popleft()
+    queue = [start]
+    reads: dict[int, tuple] = {}  # a mask -> its letters, each with its two columns
+    for code in queue:
         pa, qb = divmod(code, nb)
         ma, mb = mask_a[pa], mask_b[qb]
         if ma != mb:
@@ -107,11 +114,11 @@ def iso_rooted(
                 link = parent[code]
             path.reverse()
             return False, Witness(tuple(path), side)
-        bits = ma
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            nxt = succ_a[i][pa] * nb + succ_b[i][qb]
+        edges = reads.get(ma)
+        if edges is None:
+            edges = reads[ma] = tuple(c for c in columns if ma >> c[0] & 1)
+        for i, x, y in edges:
+            nxt = x[pa] * nb + y[qb]
             if nxt not in parent:
                 parent[nxt] = code * k + i
                 queue.append(nxt)
@@ -132,55 +139,105 @@ def iso_nonrooted(
     shortest accepting path, reversed, spell the root-to-v word, returned as
     a witness.  One ``_classes`` call refines the states the roots reach,
     on the two sides that the pDFAs keep for their roots, passed on as
-    ``_predecessors`` returns them.  A configuration is one integer over
-    the two indexes' own ids, and its base set is the mask of q less
-    ``back``.  Starts (the second root's reach, in its side's order) and
-    predecessors (the sources that root reaches, from its side) go in
-    state-name order.
+    ``_predecessors`` returns them.  Whether a configuration passes, and
+    where it climbs, depends on p and q only through their classes, so the
+    search runs on the joint classes: a configuration is keyed by the
+    blocks of p and q and ``back``, and carries one member state of each.
+    There is one start per class of the second root's reach, its first
+    state in name order, queued only if the class's out-mask can pass: the
+    first root's mask less one letter, or all of it in the second root's
+    class.  A class climbs along the ``(letter, source)`` pairs of its
+    members, one per letter and source class, ascending by letter, then by
+    source name; a class with one member of the second side reads that
+    member's tuple as it is.  So the search queues at most one
+    configuration per pair of classes and excluded branch, and each climbs
+    along its class's distinct predecessors.
     """
     alphabet = _require_pair(a, p_root, b, q_root)
     ia, ib = a._indexed(alphabet), b._indexed(alphabet)
     letters, inverse, mask_a, mask_b, succ_a = ia.letters, ia.inverse, ia.masks, ib.masks, ia.succ
-    _, starts, preds, _ = side_b = _predecessors(b, ib, q_root)
+    _, order, preds, _ = side_b = _predecessors(b, ib, q_root)
     # b goes first, so block[q] is the block of b's q with no offset to
     # add: the climb below reads it most.
-    block, oa = _classes([side_b, _predecessors(a, ia, p_root)])
-    nb = len(ib.names)
+    block, oa, members = _classes([side_b, _predecessors(a, ia, p_root)])
+    k = len(letters)
     columns = list(zip(succ_a, ib.succ))
-    # Configuration (p, q, back) is (p * nb + q) * (k + 1) + back + 1 on the
-    # two indexes' own ids, with back = -1 for none; its parent is the one
-    # it was reached from.
-    k1 = len(letters) + 1
     p0, q0 = ia.ids[p_root], ib.ids[q_root]
-    parent = {(p0 * nb + q) * k1: -1 for q in starts}
-    queue = deque(parent)
-    while queue:
-        code = queue.popleft()
-        pq, back = divmod(code, k1)
-        p, q = divmod(pq, nb)
-        base = mask_b[q] & ~(1 << back >> 1)  # back + 1 is 0 for none
+    m0, b0 = mask_a[p0], block[q0]
+    # A start (p0, q, none) passes only if q reads p0's letters less at
+    # most one, and all of them only in q0's class.
+    near = {m0 ^ 1 << i for i in range(k) if m0 >> i & 1} | {m0}
+    firsts: dict[int, int] = {}
+    for q in compress(order, map(near.__contains__, map(mask_b.__getitem__, order))):
+        c = block[q]
+        if c not in firsts and (mask_b[q] != m0 or c == b0):
+            firsts[c] = q
+    # Configuration (p, q, back) is (block of p * n + block of q) * (k + 1)
+    # + back + 1, with back = -1 for none; its parent is the one it was
+    # reached from.  The queue grows as it is read.
+    n, k1 = len(members), k + 1
+    head = block[oa + p0] * n
+    parent = {(head + c) * k1: -1 for c in firsts}
+    queue = [(code, p0, q) for code, q in zip(parent, firsts.values())]
+    reads: dict[int, tuple] = {}  # a mask -> the column pairs of its letters
+    climbs: dict[int, tuple[int, ...]] = {}  # a block climbed from -> its predecessor pairs
+    for code, p, q in queue:
+        base = mask_b[q] & ~(1 << code % k1 >> 1)  # back + 1 is 0 for none
         extra = mask_a[p] & ~base
-        # Accept at q_root with equal sets, or climb on one extra letter.
-        if base & ~mask_a[p] or extra & (extra - 1) or not (extra or q == q0):
+        # Accept at q0's class with equal sets, or climb on one extra letter.
+        if base & ~mask_a[p] or extra & (extra - 1) or not (extra or block[q] == b0):
             continue
-        if any(block[oa + x[p]] != block[y[q]] for i, (x, y) in enumerate(columns) if base >> i & 1):
-            continue
-        if not extra:
-            word: list[str] = []
-            while parent[code] != -1:
-                word.append(letters[code % k1 - 1])
-                code = parent[code]
-            return True, NonRootedWitness(tuple(word))
-        i = extra.bit_length() - 1
-        j = inverse[i]
-        up = succ_a[i][p] * nb
-        pairs = iter(preds[q])
-        for x in pairs:
-            qhat = next(pairs)
-            if x == j and (nxt := (up + qhat) * k1 + j + 1) not in parent:
-                parent[nxt] = code
-                queue.append(nxt)
+        cols = reads.get(base)
+        if cols is None:
+            cols = reads[base] = tuple(c for i, c in enumerate(columns) if base >> i & 1)
+        for x, y in cols:
+            if block[oa + x[p]] != block[y[q]]:
+                break
+        else:
+            if not extra:
+                word: list[str] = []
+                while parent[code] != -1:
+                    word.append(letters[code % k1 - 1])
+                    code = parent[code]
+                return True, NonRootedWitness(tuple(word))
+            i = extra.bit_length() - 1
+            j = inverse[i]
+            up = succ_a[i][p]
+            head = block[oa + up] * n
+            c = block[q]
+            into = climbs.get(c)
+            if into is None:
+                into = climbs[c] = _class_predecessors(q, members[c], oa, preds, block, ib.names)
+            pairs = iter(into)
+            for x in pairs:
+                qhat = next(pairs)
+                if x == j and (nxt := (head + block[qhat]) * k1 + j + 1) not in parent:
+                    parent[nxt] = code
+                    queue.append((nxt, up, qhat))
     return False, None
+
+
+def _class_predecessors(
+    q: int, members: set[int], stride: int, preds: list[tuple[int, ...]], block: list[int], names: list[str]
+) -> tuple[int, ...]:
+    """The flat ``(letter, source, …)`` tuple of the class of ``q``, whose
+    shifted ids are ``members``, on the side below ``stride``: ``preds[q]``
+    if ``q`` is its only member there, and otherwise its members' pairs, one
+    per letter and source block, the one of the smallest source name,
+    ascending by letter, then by source name."""
+    own = [t for t in members if t < stride]
+    if len(own) == 1:
+        return preds[q]
+    first: dict[tuple[int, int], int] = {}
+    for t in own:
+        pairs = iter(preds[t])
+        for x in pairs:
+            s = next(pairs)
+            key = (x, block[s])
+            if key not in first or names[s] < names[first[key]]:
+                first[key] = s
+    ranked = sorted(((x, names[s], s) for (x, _), s in first.items()))
+    return tuple(v for x, _, s in ranked for v in (x, s))
 
 
 def verify_nonrooted_witness(

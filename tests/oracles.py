@@ -32,7 +32,8 @@ configuration search on a fresh union of the two reachable parts, refined
 from every mask block, checks the search that refines both cached indexes
 side by side.  The refinements started from the blocks of equal out-masks
 and from the blocks of equal one-round keys check the one started from the
-blocks of equal two-round keys.
+blocks of equal two-round keys.  The configuration search over pairs of
+states checks the one over pairs of language classes.
 """
 
 import json
@@ -62,7 +63,7 @@ from cftree import (
     reroot_step,
     trim,
 )
-from cftree.automata import _reach, _require_pair
+from cftree.automata import _classes, _predecessors, _reach, _require_pair
 from cftree.jsonio import _require_fields, alphabet_from_doc
 from cftree.jsonio import alphabet_to_doc
 from cftree.unfolding import DiscTree, Node, Word, _dot_quote, _word_text
@@ -609,7 +610,7 @@ def _refine(preds: list, bits: int, block: list[int], members: list[set[int]], p
                 pending.add(b if b not in pending and len(members[b]) < len(part) else new)
 
 
-def classes_from_masks(sides: list[tuple]) -> tuple[list[int], int]:
+def classes_from_masks(sides: list[tuple]) -> tuple[list[int], int, list[set[int]]]:
     """The refinement that ``_classes`` seeds with two-round keys, started
     from the blocks of equal out-masks instead.
 
@@ -624,7 +625,8 @@ def classes_from_masks(sides: list[tuple]) -> tuple[list[int], int]:
     the blocks, for each shifted id, of the coarsest partition of the kept
     states that separates out-masks and is stable under every letter
     (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
-    ``-1`` for an id not kept; and ``stride``.  The blocks of equal masks
+    ``-1`` for an id not kept; ``stride``; and each block's members.  The
+    blocks of equal masks
     are already stable under the whole kept set, so every block but the
     largest starts out pending (Hopcroft's lemma).
     """
@@ -644,10 +646,10 @@ def classes_from_masks(sides: list[tuple]) -> tuple[list[int], int]:
     pending = set(range(len(members)))
     pending.discard(max(pending, key=lambda b: len(members[b]), default=-1))
     _refine(preds, bits, block, members, pending)
-    return block, stride
+    return block, stride, members
 
 
-def classes_from_one_round_keys(sides: list[tuple]) -> tuple[list[int], int]:
+def classes_from_one_round_keys(sides: list[tuple]) -> tuple[list[int], int, list[set[int]]]:
     """The refinement that ``_classes`` seeds with two-round keys, started
     from the blocks of equal one-round keys instead: Moore's first round.
 
@@ -657,7 +659,7 @@ def classes_from_one_round_keys(sides: list[tuple]) -> tuple[list[int], int]:
     partition is stable under each block of equal masks, so within each
     such block every one-round block but the largest starts out pending
     (Hopcroft's lemma, applied to each mask block as a compound splitter).
-    Returns the blocks and the stride, as ``_classes`` does.
+    Returns the blocks, the stride and the members, as ``_classes`` does.
     """
     preds = [p for _, _, p, _ in sides]
     k = len(sides[0][0].letters)
@@ -681,7 +683,7 @@ def classes_from_one_round_keys(sides: list[tuple]) -> tuple[list[int], int]:
             largest[m] = b
     pending = set(range(len(members))).difference(largest.values())
     _refine(preds, bits, block, members, pending)
-    return block, stride
+    return block, stride, members
 
 
 def iso_nonrooted_by_union(
@@ -727,6 +729,63 @@ def iso_nonrooted_by_union(
         for x, qhat in preds[q]:
             nxt = (succ[i][p] * n + qhat) * k1 + j + 1
             if x == j and nxt not in parent:
+                parent[nxt] = code
+                queue.append(nxt)
+    return False, None
+
+
+def iso_nonrooted_by_states(
+    a: PDfa, p_root: str, b: PDfa, q_root: str
+) -> tuple[bool, NonRootedWitness | None]:
+    """The configuration search of ``iso_nonrooted`` over pairs of states,
+    where the library's runs over pairs of language classes.
+
+    A configuration ``(p, q, back)`` is one integer over the two indexes'
+    own ids.  Every state of the second root's reach is a start, in name
+    order, and a climb reads the predecessors of q itself, in its side's
+    order.  The classes come from the same ``_classes`` call on the sides
+    that the pDFAs keep.  On the two-tooth lines of ``randgen`` this
+    queues a number of configurations that grows with the product of the
+    two reaches.
+    """
+    alphabet = _require_pair(a, p_root, b, q_root)
+    ia, ib = a._indexed(alphabet), b._indexed(alphabet)
+    letters, inverse, mask_a, mask_b, succ_a = ia.letters, ia.inverse, ia.masks, ib.masks, ia.succ
+    _, starts, preds, _ = side_b = _predecessors(b, ib, q_root)
+    block, oa, _ = _classes([side_b, _predecessors(a, ia, p_root)])
+    nb = len(ib.names)
+    columns = list(zip(succ_a, ib.succ))
+    # Configuration (p, q, back) is (p * nb + q) * (k + 1) + back + 1 on the
+    # two indexes' own ids, with back = -1 for none; its parent is the one
+    # it was reached from.
+    k1 = len(letters) + 1
+    p0, q0 = ia.ids[p_root], ib.ids[q_root]
+    parent = {(p0 * nb + q) * k1: -1 for q in starts}
+    queue = deque(parent)
+    while queue:
+        code = queue.popleft()
+        pq, back = divmod(code, k1)
+        p, q = divmod(pq, nb)
+        base = mask_b[q] & ~(1 << back >> 1)  # back + 1 is 0 for none
+        extra = mask_a[p] & ~base
+        # Accept at q_root with equal sets, or climb on one extra letter.
+        if base & ~mask_a[p] or extra & (extra - 1) or not (extra or q == q0):
+            continue
+        if any(block[oa + x[p]] != block[y[q]] for i, (x, y) in enumerate(columns) if base >> i & 1):
+            continue
+        if not extra:
+            word: list[str] = []
+            while parent[code] != -1:
+                word.append(letters[code % k1 - 1])
+                code = parent[code]
+            return True, NonRootedWitness(tuple(word))
+        i = extra.bit_length() - 1
+        j = inverse[i]
+        up = succ_a[i][p] * nb
+        pairs = iter(preds[q])
+        for x in pairs:
+            qhat = next(pairs)
+            if x == j and (nxt := (up + qhat) * k1 + j + 1) not in parent:
                 parent[nxt] = code
                 queue.append(nxt)
     return False, None

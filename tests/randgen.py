@@ -115,6 +115,67 @@ def random_pdfa(
     return d, states[0]
 
 
+def two_tooth_lines(n: int) -> tuple[PDfa, str, PDfa, str]:
+    """Two pDFAs over {a, b}^±1 whose trees are not non-rooted isomorphic,
+    and their roots, on which a search over pairs of states queues a number
+    of configurations quadratic in ``n``.
+
+    The first has a root ``r`` with ``r -a-> R1`` and ``r -a^-1-> L1``,
+    lines ``Ri -a-> Ri+1`` and ``Li -a^-1-> Li+1`` up to ``M = 2n + 4``
+    that end in loops ``RM -a-> RM`` and ``LM -a^-1-> LM``, and teeth
+    ``Ri -b-> ti`` at ``i = n`` and ``2n``: ``4n + 11`` states.  The second
+    is the same with teeth at ``n`` and ``2n + 1``.  Every ``Li`` reads the
+    same language, so configurations pairing any state with any ``Li`` pass
+    the local checks.
+    """
+    m = 2 * n + 4
+    alphabet = involutive_closure(["a", "b"])
+
+    def lines(teeth: tuple[int, int]) -> PDfa:
+        delta = {("r", "a"): "R1", ("r", "a^-1"): "L1", (f"R{m}", "a"): f"R{m}", (f"L{m}", "a^-1"): f"L{m}"}
+        for i in range(1, m):
+            delta[(f"R{i}", "a")] = f"R{i + 1}"
+            delta[(f"L{i}", "a^-1")] = f"L{i + 1}"
+        for i in teeth:
+            delta[(f"R{i}", "b")] = f"t{i}"
+        return PDfa({p for p, _ in delta} | set(delta.values()), alphabet, delta)
+
+    return lines((n, 2 * n)), "r", lines((n, 2 * n + 1)), "r"
+
+
+def hub_lines(n: int) -> tuple[PDfa, str, PDfa, str]:
+    """Two minimal pDFAs over {x, y}^±1 whose trees are not non-rooted
+    isomorphic, and their roots, on which the configuration search queues a
+    number of configurations quadratic in ``n``, over pairs of classes as
+    over pairs of states.
+
+    The first has a root ``p`` with ``p -y^-1-> C``, ``C -y^-1-> C``, x-leaves
+    at ``p`` and ``C``, and ``p -y-> A1``, then ``At -y-> At+1`` up to ``An``,
+    each ``At`` with an x-leaf.  The second has a hub ``B`` with
+    ``B -y^-1-> B`` and an x-leaf, and ``n`` more y^-1-predecessors
+    ``Hm -y^-1-> B``, told apart by ``Hm -x-> Lm`` on a line
+    ``Lm -x-> Lm+1`` that ends in ``Ln -y-> E``; its root ``G1`` reaches
+    them along ``Gm -x-> Gm+1`` and ``Gm -y^-1-> Hm``.  One chain of passing
+    configurations pairs each ``At`` with ``B``, and each step queues all
+    ``n + 1`` predecessors of ``B``, of which only ``B`` itself passes.
+    """
+    alphabet = involutive_closure(["x", "y"])
+    da = {("p", "y^-1"): "C", ("p", "x"): "e", ("p", "y"): "A1", ("C", "y^-1"): "C", ("C", "x"): "e"}
+    db = {("B", "y^-1"): "B", ("B", "x"): "E", (f"L{n}", "y"): "E"}
+    for t in range(1, n + 1):
+        da[(f"A{t}", "x")] = "e"
+        db[(f"G{t}", "y^-1")] = f"H{t}"
+        db[(f"H{t}", "y^-1")] = "B"
+        db[(f"H{t}", "x")] = f"L{t}"
+        if t < n:
+            da[(f"A{t}", "y")] = f"A{t + 1}"
+            db[(f"G{t}", "x")] = f"G{t + 1}"
+            db[(f"L{t}", "x")] = f"L{t + 1}"
+    a = PDfa({p for p, _ in da} | set(da.values()), alphabet, da)
+    b = PDfa({p for p, _ in db} | set(db.values()), alphabet, db)
+    return a, "p", b, "G1"
+
+
 def random_gap2(rng: random.Random, max_n: int = 32) -> Gap2Instance:
     n = rng.randint(2, max_n)
     edges = set()

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -36,6 +38,7 @@ from oracles import (
     classes_from_one_round_keys,
     equivalent_pairs,
     iso_nonrooted_by_names,
+    iso_nonrooted_by_states,
     iso_nonrooted_by_union,
     iso_rooted_reindexed,
     language_classes_by_names,
@@ -44,7 +47,14 @@ from oracles import (
     nonrooted_witness_brute,
     quotient_by_names,
 )
-from randgen import exhaustive_reduced_pdfa_pool, random_gap2, random_pdfa, random_reduced_pdfa
+from randgen import (
+    exhaustive_reduced_pdfa_pool,
+    hub_lines,
+    random_gap2,
+    random_pdfa,
+    random_reduced_pdfa,
+    two_tooth_lines,
+)
 
 
 def class_pairs(a: PDfa, b: PDfa) -> set[tuple[str, str]]:
@@ -396,6 +406,98 @@ def test_iso_nonrooted_matches_union_oracle():
     assert kinds["part unreachable"] >= 100 and kinds["ghost", "source"] >= 50
 
 
+def _split(rng, d: PDfa, root: str) -> tuple[PDfa, str]:
+    """``d`` with each state doubled into ``p#0`` and ``p#1``, each copy's
+    transitions going to a random copy of the target: every copy reads its
+    original's language, so each class has two or more members."""
+    delta = {(f"{p}#{c}", x): f"{q}#{rng.randrange(2)}" for (p, x), q in d.delta.items() for c in range(2)}
+    return PDfa({f"{p}#{c}" for p in d.states for c in range(2)}, d.alphabet, delta), f"{root}#{rng.randrange(2)}"
+
+
+def test_class_search_matches_state_search():
+    # The search over pairs of classes gives the verdict and the witness
+    # length of the search over pairs of states, and each witness verifies.
+    rng = random.Random(113)
+    kinds = Counter()
+    for i in range(360):
+        kind = ("renamed", "rerooted", "independent", "split", "split-rerooted", "lifted", "two-tooth", "one-tooth", "hub")[i % 9]
+        if kind == "lifted":
+            a, ra, b, rb = _lifted_gap2(rng, i // 9 % 2 == 0)
+        elif kind == "two-tooth":
+            a, ra, b, rb = two_tooth_lines(rng.randint(1, 8))
+        elif kind == "hub":
+            a, ra, b, rb = hub_lines(rng.randint(1, 8))
+        elif kind == "one-tooth":  # the same lines on both sides, one re-rooted and split
+            a, ra, _, _ = two_tooth_lines(rng.randint(1, 8))
+            b, rb = _split(rng, *_rerooted(rng, a, ra))
+        else:
+            a, ra = random_reduced_pdfa(rng, rng.randint(1, 16), extra_density=rng.random())
+            if i % 3 == 0:
+                ra = rng.choice(sorted(a.states))  # may leave part of a unreachable
+            if kind == "independent":
+                b, rb = random_reduced_pdfa(rng, rng.randint(1, 16), a.alphabet, extra_density=rng.random())
+            elif kind == "renamed":
+                b, rb = _renamed(rng, a, ra)
+            else:
+                b, rb = _rerooted(rng, a, ra)
+            if kind.startswith("split"):
+                a, ra = _split(rng, a, ra)
+                b, rb = _split(rng, b, rb) if i // 9 % 2 else (b, rb)
+        for x, rx, y, ry in ((a, ra, b, rb), (b, rb, a, ra)):
+            ok, witness = iso_nonrooted(x, rx, y, ry)
+            expected, by_states = iso_nonrooted_by_states(x, rx, y, ry)
+            assert ok == expected and (witness is None) == (by_states is None), kind
+            if ok:
+                assert len(witness.word) == len(by_states.word), kind
+                assert verify_nonrooted_witness(x, rx, y, ry, witness.word), kind
+            kinds[kind, ok] += 1
+    for kind in ("renamed", "rerooted", "split", "split-rerooted", "lifted", "one-tooth"):
+        assert kinds[kind, True] >= 10, kind
+    for kind in ("independent", "lifted", "two-tooth", "hub"):
+        assert kinds[kind, False] >= 10, kind
+
+
+def test_two_tooth_lines_search_far_inside_the_state_search():
+    # All the left-line states of the two-tooth lines read one language, so
+    # the search over pairs of states queues about n^2 configurations.  Over
+    # pairs of classes it queues O(n): at n = 400 about 100 times faster on
+    # a 2-vCPU machine.  The bound asks for 8 times, which the state search
+    # misses by 8 times.
+    a, ra, b, rb = two_tooth_lines(400)
+    assert iso_nonrooted(a, ra, b, rb) == (False, None)  # builds both forms
+    fast = []
+    for _ in range(3):
+        start = time.perf_counter()
+        iso_nonrooted(a, ra, b, rb)
+        fast.append(time.perf_counter() - start)
+    start = time.perf_counter()
+    assert iso_nonrooted_by_states(a, ra, b, rb) == (False, None)
+    slow = time.perf_counter() - start
+    assert 8 * min(fast) < slow, (min(fast), slow)
+
+
+def test_wide_alphabet_builds_no_table_per_mask():
+    # 64 letters: a list over every mask could not even be sized, and each
+    # search keeps only the masks it meets.  The calls hold about 31 KB at
+    # their peak, the keys built beforehand; the bound is 256 KB.
+    rng = random.Random(127)
+    wide = involutive_closure([f"g{i}" for i in range(32)])
+    for _ in range(4):
+        a, ra = random_reduced_pdfa(rng, 10, wide, extra_density=0.5)
+        b, rb = _rerooted(rng, a, ra)
+        for d in (a, b):  # the keys alone are 34 KB each at 64 letters
+            automata._predecessors(d, d._indexed(), ra if d is a else rb)
+        tracemalloc.start()
+        try:
+            assert iso_nonrooted(a, ra, b, rb)[0] and iso_nonrooted(b, rb, a, ra)[0]
+            assert iso_rooted(a, ra, a, ra) == (True, None)
+            assert iso_rooted(a, ra, b, rb)[0] == iso_rooted(b, rb, a, ra)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18, peak
+
+
 def test_iso_nonrooted_builds_one_index_per_automaton(monkeypatch):
     # A re-rooted copy with a state left unreachable, as trim would drop.
     d, root = random_reduced_pdfa(random.Random(67), 60, samples.AL_AB)
@@ -620,9 +722,9 @@ def _check_against_oracles(monkeypatch, a: PDfa, ra: str, b: PDfa, rb: str) -> N
             ix = d._indexed(alphabet)
             sides.append(automata._predecessors(d, ix, root))
         for chosen in (sides, sides[:1], sides[1:]):
-            block, stride = automata._classes(chosen)
+            block, stride, _ = automata._classes(chosen)
             for oracle in oracles:
-                expected, expected_stride = oracle(chosen)
+                expected, expected_stride, _ = oracle(chosen)
                 assert stride == expected_stride and _same_blocks(block, expected), oracle.__name__
     results = []
     for refine in (automata._classes, *oracles):
