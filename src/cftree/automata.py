@@ -19,14 +19,15 @@ things are kept next to the index.  Reducedness is one fact about a pDFA:
 time it is asked and keeps the verdict.  And for the last root a refinement
 asked, a pDFA keeps the ``_classes`` side of the states that root reaches
 (``_predecessors``: the index, those ids in name order, each id's
-``(letter, source)`` pairs, and each id's two-round key, its out-mask and
-its successors' out-masks packed beside the same for each successor), built
-the first time a refinement asks for it.  ``_reach`` walks and keeps
-nothing, so ``trim``, re-rooting, ``reachable_states`` and ``iso_rooted``
-leave the side as it was.  ``quotient`` and ``language_classes`` ask for
-every state, which a root that reaches them all also serves.  An index over
-a larger merged alphabet gets a side kept nowhere.  The state equivalence
-(``_classes``) is here too, so one module packs the keys and reads them.
+``(letter, source)`` pairs, and each id's three-round key: the out-masks
+of the tree it generates, down to depth 3, depth by depth and only for the
+letters read), built the first time a refinement asks for it.  ``_reach``
+walks and keeps nothing, so ``trim``, re-rooting, ``reachable_states`` and
+``iso_rooted`` leave the side as it was.  ``quotient`` and
+``language_classes`` ask for every state, which a root that reaches them
+all also serves.  An index over a larger merged alphabet gets a side kept
+nowhere.  The state equivalence (``_classes``) is here too, so one module
+lays out the keys and reads them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from operator import itemgetter, lshift, or_
+from operator import add, itemgetter, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -453,21 +454,27 @@ def _build_predecessors(ix: _Index, keep: Iterable[int]) -> _Side:
     under successors: ``ix``; those ids in name order; for each id of
     ``ix`` one flat tuple ``(letter, source, letter, source, …)`` of its
     sources in ``keep``, ascending by letter, then by source name; and for
-    each kept id, in name order, its two-round key.  An id not kept gets the
-    shared empty tuple, so the work follows the kept ids: one list entry per
-    kept state, two tuple entries per kept transition, and the keys from two
-    ``map`` passes over the kept part of each column.
+    each kept id, in name order, its three-round key.  An id not kept gets
+    the shared empty tuple, so the work follows the kept ids: one list entry
+    per kept state, two tuple entries per kept transition, and for each of
+    Moore's three rounds one ``bytes.join`` per kept state.
 
-    With ``k`` letters, an id's one-round key packs its out-mask and, in the
-    ``k``-bit field ``i + 1``, the out-mask of its successor on letter
-    ``i``: ``w = k(k + 1)`` bits.  Its two-round key keeps the one-round key
-    in its low ``w`` bits and puts the one-round key of its successor on
-    letter ``i`` in the ``w``-bit field ``i + 1``.  A missing successor
-    reads 0.  Two ids over one alphabet get equal keys exactly when two
-    rounds of Moore's refinement do not separate them, and equal one-round
-    keys, ``key & ((1 << w) - 1)``, exactly when the first does not.
+    A key is the little-endian integer of a byte string that lists
+    out-masks, ``ceil(k / 8)`` bytes each for ``k`` letters, depth by depth
+    down the tree the id generates: its own mask, then its successors'
+    masks, then theirs, then theirs, each depth in letter order and only
+    for the letters read.  The masks of one depth say how many the next
+    one holds, so a key delimits itself.  Depth 3 comes first, after a
+    header of ``_header(k)`` bytes that holds the byte offset of depth 0,
+    and depths 0 to 2 come last, so ``key >> 8 * (key & (1 << 8 *
+    _header(k)) - 1)`` is the two-round part.  Two ids over one alphabet get
+    equal keys exactly when three rounds of Moore's refinement do not
+    separate them, and equal two-round parts exactly when two rounds do
+    not.  With ``d`` letters read per state, a key holds about ``1 + d + d²
+    + d³`` masks.
     """
     order = sorted(keep, key=ix.names.__getitem__)
+    keys = _moore_keys(ix, order)  # first: its tables are gone before the tuples are built
     into: list = [()] * len(ix.names)
     for s in order:
         into[s] = []
@@ -480,17 +487,39 @@ def _build_predecessors(ix: _Index, keep: Iterable[int]) -> _Side:
                 pairs.append(s)
     for s in order:
         into[s] = tuple(into[s])
-    k = len(ix.letters)
-    reads = ix.masks + [0]  # what each id reads; reads[-1]: "no successor" reads nothing
-    keys = list(map(reads.__getitem__, order))
-    for width in (k, k * (k + 1)):  # Moore's first round, then its second
-        for shift, col in enumerate(ix.succ, 1):
-            fields = map(lshift, map(reads.__getitem__, map(col.__getitem__, order)), repeat(width * shift))
-            keys = list(map(or_, keys, fields))
-        if width == k:  # a kept id's successors are kept: each now reads its one-round key
-            for s, key in zip(order, keys):
-                reads[s] = key
     return ix, order, into, keys
+
+
+def _header(k: int) -> int:
+    """The bytes of the header of a three-round key over ``k`` letters,
+    which holds the byte offset of the key's depth 0: past the header
+    itself and depth 3, at most ``k**3`` masks."""
+    head = 1
+    while 256**head <= head + k**3 * (k + 7 >> 3):
+        head += 1
+    return head
+
+
+def _moore_keys(ix: _Index, order: list[int]) -> list[int]:
+    """The three-round keys of ``_build_predecessors``, for ``order``.
+    Depth ``d`` of an id is the concatenation, in letter order, of depth
+    ``d - 1`` of its successors, so each round is one join per id over a
+    table of the depth before; ``table[-1]``, "no successor", adds nothing."""
+    width, head = len(ix.letters) + 7 >> 3, _header(len(ix.letters))
+    masks = ix.masks
+    as_bytes = {m: m.to_bytes(width, "little") for m in set(map(masks.__getitem__, order))}
+    depth = upper = list(map(as_bytes.__getitem__, map(masks.__getitem__, order)))
+    table = [b""] * (len(ix.names) + 1)
+    for r in range(3):
+        for s, x in zip(order, depth):
+            table[s] = x
+        depth = list(map(b"".join, zip(*[map(table.__getitem__, map(col.__getitem__, order)) for col in ix.succ])))
+        if r < 2:  # ``upper`` gathers depths 0 to 2
+            upper = list(map(add, upper, depth))
+    del table  # depth 2, no longer read, goes before the keys are joined
+    offsets = {n: (head + n).to_bytes(head, "little") for n in set(map(len, depth))}
+    heads = map(offsets.__getitem__, map(len, depth))
+    return list(map(int.from_bytes, map(b"".join, zip(heads, depth, upper)), repeat("little")))
 
 
 def _classes(sides: list[_Side]) -> tuple[list[int], int, list[set[int]]]:
@@ -499,7 +528,7 @@ def _classes(sides: list[_Side]) -> tuple[list[int], int, list[set[int]]]:
     Each side is ``(ix, order, into, keys)``, as ``_predecessors`` returns
     it, all over one alphabet: an index, the ids kept, a set closed under
     successors, in name order, each id's predecessor tuple and, in
-    ``order``, the kept ids' two-round keys.  Side ``j``'s id ``s`` is
+    ``order``, the kept ids' three-round keys.  Side ``j``'s id ``s`` is
     shifted to ``j * stride + s``, where ``stride`` is the power of two
     above the largest index size, so a shifted id splits into side and id
     with two bit operations.  Nothing is copied, and apart from one list of
@@ -509,15 +538,14 @@ def _classes(sides: list[_Side]) -> tuple[list[int], int, list[set[int]]]:
     (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
     ``-1`` for an id not kept; ``stride``; and the members of each block,
     as sets of shifted ids.  Refinement starts from the blocks of equal
-    keys, Moore's second round.  That partition is stable under each block
-    of equal one-round keys, the key's low ``k(k + 1)`` bits for ``k``
-    letters, so within each such block every key block but the largest
-    starts out pending (Hopcroft's lemma, applied to each one-round block as
-    a compound splitter, as Paige and Tarjan do).
+    keys, Moore's third round.  That partition is stable under each block
+    of equal two-round parts, which a key's header locates, so within each
+    such block every key block but the largest starts out pending
+    (Hopcroft's lemma, applied to each two-round block as a compound
+    splitter, as Paige and Tarjan do).
     """
     preds = [into for _, _, into, _ in sides]
-    k = len(sides[0][0].letters)
-    one_round = (1 << k * (k + 1)) - 1
+    header = (1 << 8 * _header(len(sides[0][0].letters))) - 1  # a key's header bits
     bits = max(len(ix.names) for ix, *_ in sides).bit_length()
     stride, low = 1 << bits, (1 << bits) - 1
     offsets = range(0, stride * len(sides), stride)
@@ -530,9 +558,9 @@ def _classes(sides: list[_Side]) -> tuple[list[int], int, list[set[int]]]:
     for o, (_, order, _, _) in zip(offsets, sides):
         for s in order:
             members[block[o + s]].add(o + s)
-    largest: dict[int, int] = {}  # one-round key -> its largest key block
+    largest: dict[int, int] = {}  # two-round part -> its largest key block
     for key, b in by_key.items():
-        first = key & one_round
+        first = key >> 8 * (key & header)
         if len(members[b]) > len(members[largest.setdefault(first, b)]):
             largest[first] = b
     pending = set(range(len(members))).difference(largest.values())

@@ -5,7 +5,7 @@ generated tree; grouping its nodes by rooted isomorphism of their descendant
 subtrees yields the states of a pDFA whose unfolding reproduces the tree.
 A state quotient is one state-equivalence refinement (``_classes``) on the
 side the pDFA keeps for all its states: its index, their predecessor form
-and two-round keys, as ``_predecessors`` returns it.
+and three-round keys, as ``_predecessors`` returns it.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ between the sides; each search reads, per out-mask it meets, the columns of
 that mask's letters, listed when first met.  The
 state equivalence is ``automata._classes``, on the sides that each pDFA
 keeps for the states its root reaches, or for all of them: its index, the
-predecessor form of those states and each one's two-round key.  So a
-decision repeated on the same automata and roots copies and rebuilds
-nothing, and the first one builds only what the roots reach.
+predecessor form of those states and each one's three-round key, from
+whose blocks the refinement starts.  So a decision repeated on the same
+automata and roots copies and rebuilds nothing, and the first one builds
+only what the roots reach.
 """
 
 from __future__ import annotations

@@ -30,10 +30,11 @@ from ``sorted(dict(d.delta).items())`` check the ordered listing of a
 pDFA's transitions, which reads an index without decoding it.  The
 configuration search on a fresh union of the two reachable parts, refined
 from every mask block, checks the search that refines both cached indexes
-side by side.  The refinements started from the blocks of equal out-masks
-and from the blocks of equal one-round keys check the one started from the
-blocks of equal two-round keys.  The configuration search over pairs of
-states checks the one over pairs of language classes.
+side by side.  The refinements started from the blocks of equal out-masks,
+and from the blocks of equal one-round and two-round keys packed in fixed
+fields, which they compute from the masks and columns, check the one
+started from the library's three-round keys.  The configuration search
+over pairs of states checks the one over pairs of language classes.
 """
 
 import json
@@ -610,80 +611,82 @@ def _refine(preds: list, bits: int, block: list[int], members: list[set[int]], p
                 pending.add(b if b not in pending and len(members[b]) < len(part) else new)
 
 
-def classes_from_masks(sides: list[tuple]) -> tuple[list[int], int, list[set[int]]]:
-    """The refinement that ``_classes`` seeds with two-round keys, started
-    from the blocks of equal out-masks instead.
+def _packed_keys(ix, keep, rounds: int) -> dict[int, int]:
+    """Each kept id's key after ``rounds`` rounds of Moore's refinement, in
+    fixed fields, computed from the masks and columns alone.  Round 0 is
+    the out-mask, ``k`` bits for ``k`` letters.  Round ``r`` keeps the id's
+    round ``r - 1`` key in field 0 and puts that of its successor on letter
+    ``i`` in field ``i + 1``, 0 for no successor, each field as wide as a
+    round ``r - 1`` key: ``k(k + 1)^r`` bits in all."""
+    key = {s: ix.masks[s] for s in keep}
+    width = len(ix.letters)
+    for _ in range(rounds):
+        key = {s: key[s] | sum(key.get(col[s], 0) << width * i for i, col in enumerate(ix.succ, 1)) for s in keep}
+        width *= len(ix.letters) + 1
+    return key
+
+
+def _classes_from_packed_keys(sides: list[tuple], rounds: int) -> tuple[list[int], int, list[set[int]]]:
+    """The refinement of ``_classes``, started from the blocks of equal
+    ``_packed_keys`` after ``rounds`` rounds instead of three.
 
     Each side is ``(ix, keep, preds, keys)``, as for ``_classes``, whose
     keys this routine does not read: an index, the ids it keeps, a set
     closed under successors, and a ``_predecessors`` form's tuples for those
-    ids, all over one alphabet.  Side ``j``'s id ``s`` is
-    shifted to ``j * stride + s``, where ``stride`` is the power of two
-    above the largest index size, so a shifted id splits into side and id
-    with two bit operations.  Nothing is copied, and apart from one list of
-    blocks, filled with ``-1`` in C, the work follows the kept ids.  Returns
-    the blocks, for each shifted id, of the coarsest partition of the kept
-    states that separates out-masks and is stable under every letter
-    (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
-    ``-1`` for an id not kept; ``stride``; and each block's members.  The
-    blocks of equal masks
-    are already stable under the whole kept set, so every block but the
-    largest starts out pending (Hopcroft's lemma).
+    ids, all over one alphabet.  Side ``j``'s id ``s`` is shifted to
+    ``j * stride + s``, where ``stride`` is the power of two above the
+    largest index size.  Returns the blocks, for each shifted id, of the
+    coarsest partition of the kept states that separates out-masks and is
+    stable under every letter, with ``-1`` for an id not kept; ``stride``;
+    and each block's members.  The blocks of equal keys are stable under
+    each block of equal keys one round earlier (under the whole kept set
+    for round 0), so within each such block every key block but the
+    largest starts out pending (Hopcroft's lemma, applied to each block of
+    the round before as a compound splitter).
     """
     preds = [p for _, _, p, _ in sides]
-    bits = max(len(ix.names) for ix, *_ in sides).bit_length()
-    stride = 1 << bits
-    offsets = range(0, stride * len(sides), stride)
-    block = [-1] * (stride * len(sides))
-    by_mask: dict[int, int] = {}
-    for o, (ix, keep, _, _) in zip(offsets, sides):
-        for s in keep:
-            block[o + s] = by_mask.setdefault(ix.masks[s], len(by_mask))
-    members: list[set[int]] = [set() for _ in by_mask]
-    for o, (_, keep, _, _) in zip(offsets, sides):
-        for s in keep:
-            members[block[o + s]].add(o + s)
-    pending = set(range(len(members)))
-    pending.discard(max(pending, key=lambda b: len(members[b]), default=-1))
-    _refine(preds, bits, block, members, pending)
-    return block, stride, members
-
-
-def classes_from_one_round_keys(sides: list[tuple]) -> tuple[list[int], int, list[set[int]]]:
-    """The refinement that ``_classes`` seeds with two-round keys, started
-    from the blocks of equal one-round keys instead: Moore's first round.
-
-    Sides are as for ``_classes``.  A key's one-round part is its low
-    ``k(k + 1)`` bits for ``k`` letters: the out-mask and, in the ``k``-bit
-    field ``i + 1``, the out-mask of the successor on letter ``i``.  That
-    partition is stable under each block of equal masks, so within each
-    such block every one-round block but the largest starts out pending
-    (Hopcroft's lemma, applied to each mask block as a compound splitter).
-    Returns the blocks, the stride and the members, as ``_classes`` does.
-    """
-    preds = [p for _, _, p, _ in sides]
-    k = len(sides[0][0].letters)
-    one_round = (1 << k * (k + 1)) - 1
     bits = max(len(ix.names) for ix, *_ in sides).bit_length()
     stride = 1 << bits
     offsets = range(0, stride * len(sides), stride)
     block = [-1] * (stride * len(sides))
     by_key: dict[int, int] = {}
-    for o, (_, keep, _, keys) in zip(offsets, sides):
-        for s, key in zip(keep, keys):
-            block[o + s] = by_key.setdefault(key & one_round, len(by_key))
+    earlier: dict[int, int] = {}  # key block -> its key one round earlier
+    for o, (ix, keep, _, _) in zip(offsets, sides):
+        keys = _packed_keys(ix, keep, rounds)
+        before = _packed_keys(ix, keep, rounds - 1) if rounds else dict.fromkeys(keep, 0)
+        for s in keep:
+            b = block[o + s] = by_key.setdefault(keys[s], len(by_key))
+            earlier[b] = before[s]
     members: list[set[int]] = [set() for _ in by_key]
     for o, (_, keep, _, _) in zip(offsets, sides):
         for s in keep:
             members[block[o + s]].add(o + s)
-    largest: dict[int, int] = {}  # mask, a key's low k bits -> its largest one-round block
-    for key, b in by_key.items():
-        m = key & (1 << k) - 1
-        if len(members[b]) > len(members[largest.setdefault(m, b)]):
-            largest[m] = b
+    largest: dict[int, int] = {}  # key one round earlier -> its largest key block
+    for b, first in earlier.items():
+        if len(members[b]) > len(members[largest.setdefault(first, b)]):
+            largest[first] = b
     pending = set(range(len(members))).difference(largest.values())
     _refine(preds, bits, block, members, pending)
     return block, stride, members
+
+
+def classes_from_masks(sides: list[tuple]) -> tuple[list[int], int, list[set[int]]]:
+    """The refinement of ``_classes``, started from the blocks of equal
+    out-masks; sides and result as for ``_classes_from_packed_keys``."""
+    return _classes_from_packed_keys(sides, 0)
+
+
+def classes_from_one_round_keys(sides: list[tuple]) -> tuple[list[int], int, list[set[int]]]:
+    """The refinement of ``_classes``, started from the blocks of equal
+    one-round keys: Moore's first round."""
+    return _classes_from_packed_keys(sides, 1)
+
+
+def classes_from_two_round_keys(sides: list[tuple]) -> tuple[list[int], int, list[set[int]]]:
+    """The refinement of ``_classes``, started from the blocks of equal
+    two-round keys packed in fixed fields, ``k(k + 1)^2`` bits for ``k``
+    letters: Moore's second round."""
+    return _classes_from_packed_keys(sides, 2)
 
 
 def iso_nonrooted_by_union(

@@ -7,10 +7,11 @@ from form_bytes import GENERATORS, form_bytes, kept_bytes
 
 HERE = Path(__file__).resolve().parent
 
-# Bytes per reached state of the predecessor form, 18% or more above what
-# CPython 3.11 measures (116.5 and 371.7 in the form, 178.5 and 656.9 at the
-# peak, at 4 and 12 letters).  A two-round key grows as the cube of the
-# letter count, so a wider key shows here first.
+# Bytes per reached state of the predecessor form, 20% or more above what
+# CPython 3.11 measures (120.1 and 297.3 in the form, 155.9 and 439.3 at the
+# peak, at 4 and 12 letters).  A three-round key holds about 1 + d + d² + d³
+# masks for d letters read per state, so denser transitions show here
+# first.
 BOUNDS = {4: (145, 225), 12: (440, 800)}
 
 

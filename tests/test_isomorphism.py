@@ -36,6 +36,7 @@ from oracles import (
     canonical_rooted_key,
     classes_from_masks,
     classes_from_one_round_keys,
+    classes_from_two_round_keys,
     equivalent_pairs,
     iso_nonrooted_by_names,
     iso_nonrooted_by_states,
@@ -478,14 +479,15 @@ def test_two_tooth_lines_search_far_inside_the_state_search():
 
 def test_wide_alphabet_builds_no_table_per_mask():
     # 64 letters: a list over every mask could not even be sized, and each
-    # search keeps only the masks it meets.  The calls hold about 31 KB at
-    # their peak, the keys built beforehand; the bound is 256 KB.
+    # search keeps only the masks it meets.  The calls hold 80-96 KB at
+    # their peak, the keys built beforehand, most of it the two-round parts
+    # that the refinement groups key blocks by; the bound is 256 KB.
     rng = random.Random(127)
     wide = involutive_closure([f"g{i}" for i in range(32)])
     for _ in range(4):
         a, ra = random_reduced_pdfa(rng, 10, wide, extra_density=0.5)
         b, rb = _rerooted(rng, a, ra)
-        for d in (a, b):  # the keys alone are 34 KB each at 64 letters
+        for d in (a, b):  # with 18-19 letters read per state, the keys alone are 49-58 KB each
             automata._predecessors(d, d._indexed(), ra if d is a else rb)
         tracemalloc.start()
         try:
@@ -664,13 +666,9 @@ def test_small_reach_builds_the_form_of_the_reach_only(monkeypatch):
     forms = [a._form[1], b._form[1]]
     for d, (own, order, into, keys) in zip((a, b), forms):
         ix = d._indexed()
-        reads = ix.masks + [0]
-        k = len(ix.letters)
         assert own is ix
         assert order == sorted(automata._reach(d, d._form[0]), key=ix.names.__getitem__)
-        firsts = [sum(reads[col[s]] << k * i for i, col in enumerate(ix.succ, 1)) | ix.masks[s] for s in order]
-        ones = dict(zip(order, firsts)) | {-1: 0}
-        assert keys == [sum(ones[col[s]] << k * (k + 1) * i for i, col in enumerate(ix.succ, 1)) | ones[s] for s in order]
+        assert keys == [_three_round_key(ix, s) for s in order]
         long = [x for x in (d._form[0], *d._form[1][1:]) if isinstance(x, list) and len(x) >= len(ix.names)]
         assert len(long) == 1 and long[0] is into
         read: set[int] = set()
@@ -710,12 +708,13 @@ def _lasso(n: int, loop: int, name: str) -> tuple[PDfa, str]:
 
 
 def _check_against_oracles(monkeypatch, a: PDfa, ra: str, b: PDfa, rb: str) -> None:
-    """The refinement seeded with two-round keys gives the partition of
-    both oracles, seeded with masks and with one-round keys, on the sides of
-    ``iso_nonrooted``, ``language_classes`` and ``quotient``, and so the
-    same verdicts, witnesses, classes and quotients."""
+    """The refinement seeded with three-round keys gives the partition of
+    the three oracles, seeded with masks and with one-round and two-round
+    keys, on the sides of ``iso_nonrooted``, ``language_classes`` and
+    ``quotient``, and so the same verdicts, witnesses, classes and
+    quotients."""
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
-    oracles = (classes_from_masks, classes_from_one_round_keys)
+    oracles = (classes_from_masks, classes_from_one_round_keys, classes_from_two_round_keys)
     for roots in ((ra, rb), (None, None)):
         sides = []
         for d, root in zip((a, b), roots):
@@ -739,7 +738,7 @@ def _check_against_oracles(monkeypatch, a: PDfa, ra: str, b: PDfa, rb: str) -> N
                 quotient(a),
                 quotient(b),
             ))
-    assert results[0] == results[1] == results[2]
+    assert all(result == results[0] for result in results[1:])
 
 
 def test_key_seeded_refinement_matches_mask_seeded_oracle(monkeypatch):
@@ -750,7 +749,7 @@ def test_key_seeded_refinement_matches_mask_seeded_oracle(monkeypatch):
         kind = ("renamed", "rerooted", "lifted", "lasso", "b-vs-ab", "alone")[i % 6]
         if kind == "lifted":
             a, ra, b, rb = _lifted_gap2(rng, i // 6 % 2 == 0)
-        elif kind == "lasso":  # two Moore rounds split off at most the leaf's parent and grandparent
+        elif kind == "lasso":  # three Moore rounds split off at most the leaf's three nearest ancestors
             a, ra = _lasso(rng.randint(1, 300), rng.choice([0, 1, rng.randint(2, 40)]), "s")
             b, rb = (_rerooted if i // 6 % 2 else _renamed)(rng, a, ra)
         else:
@@ -773,14 +772,30 @@ def test_key_seeded_refinement_matches_mask_seeded_oracle(monkeypatch):
     assert kinds["lifted", False] >= 10 and kinds["alone", False] >= 5
 
 
+def _three_round_key(ix, s: int) -> int:
+    """The key ``_build_predecessors`` documents for id ``s`` of ``ix``,
+    spelled out: the ids at depths 0 to 3 below ``s``, each depth in letter
+    order; their masks in whole bytes, depth 3 after a header that holds the
+    byte offset of depth 0, then depths 0 to 2."""
+    width, head = (len(ix.letters) + 7) // 8, automata._header(len(ix.letters))
+    depths = [[s]]
+    for _ in range(3):
+        depths.append([col[t] for t in depths[-1] for col in ix.succ if col[t] >= 0])
+    lowest, *upper = (b"".join(ix.masks[t].to_bytes(width, "little") for t in depth) for depth in depths[::-1])
+    header = (head + len(lowest)).to_bytes(head, "little")
+    return int.from_bytes(header + lowest + b"".join(upper[::-1]), "little")
+
+
 def test_keys_of_a_wide_alphabet_never_alias(monkeypatch):
-    # Six generators: twelve letters, so a one-round key has thirteen 12-bit
-    # fields and a two-round key thirteen fields of one-round-key width.
-    # Equal keys mean equal out-masks, successor out-masks and out-masks of
-    # the successors' successors, and nothing else; equal low parts mean the
-    # first two; and the refinement still matches both oracles.
+    # Six generators: twelve letters, so a mask takes two bytes and a key
+    # at most 2 + 2 * (1 + 12 + 12**2 + 12**3) bytes.  Equal keys mean
+    # equal out-masks of the id, its successors, theirs and theirs, and
+    # nothing else; equal two-round parts, the key shifted past its header
+    # and depth 3, mean the first three; and the refinement still matches
+    # the three oracles.
     rng = random.Random(107)
     wide = involutive_closure([f"g{i}" for i in range(6)])
+    header = (1 << 8 * automata._header(12)) - 1
     for _ in range(30):
         a, ra = random_reduced_pdfa(rng, rng.randint(1, 80), wide, extra_density=rng.random())
         b, rb = _rerooted(rng, a, ra)
@@ -792,12 +807,16 @@ def test_keys_of_a_wide_alphabet_never_alias(monkeypatch):
             def successors(s):
                 return [col[s] if s >= 0 else -1 for col in ix.succ]
 
-            firsts = [(reads[s], *map(reads.__getitem__, successors(s))) for s in order]
-            seconds = [(*first, *(reads[u] for t in successors(s) for u in successors(t))) for s, first in zip(order, firsts)]
-            lows = [key & (1 << 12 * 13) - 1 for key in keys]
-            assert len(keys) == len(order) and max(keys) < 1 << 12 * 13 * 13
-            assert len(set(zip(keys, seconds))) == len(set(keys)) == len(set(seconds))
-            assert len(set(zip(lows, firsts))) == len(set(lows)) == len(set(firsts))
+            def below(states):
+                return [t for s in states for t in successors(s)]
+
+            seconds = [(reads[s], *map(reads.__getitem__, below([s])), *map(reads.__getitem__, below(below([s])))) for s in order]
+            thirds = [(*second, *map(reads.__getitem__, below(below(below([s]))))) for s, second in zip(order, seconds)]
+            parts = [key >> 8 * (key & header) for key in keys]
+            assert keys == [_three_round_key(ix, s) for s in order]
+            assert len(keys) == len(order) and max(keys) < 1 << 8 * (2 + 2 * (1 + 12 + 12**2 + 12**3))
+            assert len(set(zip(keys, thirds))) == len(set(keys)) == len(set(thirds))
+            assert len(set(zip(parts, seconds))) == len(set(parts)) == len(set(seconds))
         _check_against_oracles(monkeypatch, a, ra, b, rb)
 
 
