@@ -21,9 +21,9 @@ asked, a pDFA keeps the ``_classes`` side of the states that root reaches
 (``_predecessors``: the index, those ids in name order, each id's
 ``(letter, source)`` pairs, and each id's three-round key: the out-masks
 of the tree it generates, down to depth 3, depth by depth and only for the
-letters read), built the first time a refinement asks for it.  ``_reach``
-walks and keeps nothing, so ``trim``, re-rooting, ``reachable_states`` and
-``iso_rooted`` leave the side as it was.  ``quotient`` and
+letters read), built the first time a refinement asks for it.  ``_walk``
+and ``_reach`` keep nothing, so ``trim``, re-rooting, ``reachable_states``
+and ``iso_rooted`` leave the side as it was.  ``quotient`` and
 ``language_classes`` ask for every state, which a root that reaches them
 all also serves.  An index over a larger merged alphabet gets a side kept
 nowhere.  The state equivalence (``_classes``) is here too, so one module
@@ -37,7 +37,7 @@ from functools import reduce
 from itertools import repeat
 from operator import add, itemgetter, or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .alphabet import InvolutiveAlphabet, merge_alphabets
 from .errors import NotDeterministicError, NotReducedError, UnknownLetterError, UnknownStateError
@@ -172,16 +172,20 @@ def _widened(ix: _Index, alphabet: InvolutiveAlphabet) -> _Index:
     return _Index(ix.names, ix.ids, letters, inverse, succ, masks)
 
 
-def _restrict(ix: _Index, keep: list[int], to: list[int] | None = None) -> _Index:
-    """``ix`` on the states ``keep``, in that order, with each successor ``t``
-    renamed ``to[t]``: by default its place in ``keep``.  A given ``to``
-    ends in ``-1``, so that ``to[-1]`` keeps "no successor"."""
+def _restrict(ix: _Index, keep: list[int], to: list[int] | None = None, copies: Sequence[str] = ()) -> _Index:
+    """``ix`` on the states ``keep``, one row each in that order, with each
+    successor ``t`` renamed ``to[t]``: by default its place in ``keep``
+    before the last ``len(copies)`` rows.  Those rows copy the rows of
+    their states under the names ``copies``.  A given ``to`` ends in
+    ``-1``, so that ``to[-1]`` keeps "no successor".  Costs one
+    O(|ix|) list fill for the default ``to``, then O(|Σ|) per row."""
+    own = keep[: len(keep) - len(copies)]
     if to is None:
         to = [-1] * (len(ix.names) + 1)
-        for i, s in enumerate(keep):
+        for i, s in enumerate(own):
             to[s] = i
     succ = [[to[col[s]] for s in keep] for col in ix.succ]
-    names = [ix.names[s] for s in keep]
+    names = [*map(ix.names.__getitem__, own), *copies]
     return _Index(names, dict(zip(names, range(len(keep)))), ix.letters, ix.inverse, succ, [ix.masks[s] for s in keep])
 
 
@@ -624,11 +628,13 @@ def _predecessors(d: PDfa, ix: _Index, root: str | None = None) -> _Side:
     return side
 
 
-def _walk(ix: _Index, start: int) -> list[int]:
-    """Ids reachable from ``start`` in ``ix``, in the order of one
-    breadth-first worklist walk."""
-    todo = [start]
-    seen = {start, -1}  # -1, "no successor", is never queued
+def _walk(ix: _Index, *starts: int) -> list[int]:
+    """Ids reachable from the ids ``starts`` in ``ix``, in the order of one
+    breadth-first worklist walk from the distinct starts in ascending
+    order; a start ``-1``, "no successor", is skipped.  Costs O(|Σ|) per
+    id reached."""
+    seen = {-1, *starts}  # -1 is never queued
+    todo = sorted(seen)[1:]
     for p in todo:
         for col in ix.succ:
             q = col[p]

@@ -150,7 +150,7 @@ def reduce_rooted_to_nonrooted(
 
     def lift(d: PDfa, root: str) -> tuple[PDfa, str]:
         new_root = root + "'"
-        while new_root in d.states:
+        while new_root in d._indexed().ids:  # every state named, listed or not
             new_root += "'"
         delta = dict(_sorted_transitions(d))
         delta[(new_root, TOP_LETTER)] = root

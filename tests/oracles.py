@@ -24,10 +24,12 @@ tuples and handed to the ``DiscTree`` constructor, with the document writer,
 DOT writer, compression and determinism scan read off their dict views,
 check the discs that unfold, write and compress on node numbers; a filter over
 the ``delta`` map checks the ``trim`` that restricts the index, and
-re-rooting by copying the ``delta`` map checks the re-rooting that appends
-the path copies to the index.  The pdfa document and the DOT text written
-from ``sorted(dict(d.delta).items())`` check the ordered listing of a
-pDFA's transitions, which reads an index without decoding it.  The
+re-rooting by copying the ``delta`` map, and by appending the path copies
+to the restriction of the index to the root's reach and trimming that,
+check the re-rooting that builds the copies in one restriction.  The pdfa
+document and the DOT text written from ``sorted(dict(d.delta).items())``
+check the ordered listing of a pDFA's transitions, which reads an index
+without decoding it.  The
 configuration search on a fresh union of the two reachable parts, refined
 from every mask block, checks the search that refines both cached indexes
 side by side.  The refinements started from the blocks of equal out-masks,
@@ -64,7 +66,7 @@ from cftree import (
     reroot_step,
     trim,
 )
-from cftree.automata import _classes, _predecessors, _reach, _require_pair
+from cftree.automata import _classes, _predecessors, _reach, _require_pair, _restrict
 from cftree.jsonio import _require_fields, alphabet_from_doc
 from cftree.jsonio import alphabet_to_doc
 from cftree.unfolding import DiscTree, Node, Word, _dot_quote, _word_text
@@ -1266,3 +1268,47 @@ def reroot_along_word_by_delta(d: PDfa, root: str, w) -> tuple[PDfa, str]:
     delta.update(((here, x), t) for x, t in edges[s])
     delta[(here, d.alphabet.inv(w[-1]))] = prev
     return trim_by_delta(PDfa(taken, d.alphabet, delta), here), here
+
+
+def reroot_along_word_by_trim(d: PDfa, root: str, w) -> tuple[PDfa, str]:
+    """``reroot_along_word`` in two passes on the index: restrict it to the
+    states ``root`` reaches, append one copy per path node to the columns,
+    masks, names and ids of the restriction, and trim the result from the
+    new root, which walks and restricts those states again."""
+    require_reduced(d, "input")
+    if root not in d.states:
+        raise UnknownStateError(f"state {root!r} is not in the automaton")
+    ix = d._indexed()
+    taken = set(d.states)
+
+    def fresh(name: str) -> str:
+        name = _fresh(name, taken)
+        taken.add(name)
+        return name
+
+    path, copies, here = [ix.ids[root]], [], root
+    for i, a in enumerate(w):
+        s = ix.succ[ix.letters.index(a)][path[-1]] if a in ix.letters else -1
+        if s < 0:
+            raise WordNotInLanguageError(f"word {','.join(w) or 'eps'} is not readable from {root!r}")
+        path.append(s)
+        copies.append(fresh(f"{here}@p{i}"))
+        here = fresh(f"{ix.names[s]}@q{i}")
+    if not w:
+        return trim(d, root), root
+    copies.append(here)
+    r = _restrict(ix, sorted(_reach(d, root)))
+    m = len(r.names)
+    path = [r.ids[ix.names[s]] for s in path]
+    for col in r.succ:
+        col += [col[s] for s in path]
+    r.masks.extend(r.masks[s] for s in path)
+    for i, a in enumerate(map(ix.letters.index, w), m):
+        b = ix.inverse[a]
+        r.succ[a][i] = -1
+        r.masks[i] ^= 1 << a
+        r.succ[b][i + 1] = i
+        r.masks[i + 1] |= 1 << b
+    r.names.extend(copies)
+    r.ids.update(zip(copies, range(m, len(r.names))))
+    return trim(PDfa._from_index(d.alphabet, r), here), here

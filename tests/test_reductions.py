@@ -11,6 +11,7 @@ from cftree import (
     PDfa,
     TOP_LETTER,
     gap2_has_path,
+    involutive_closure,
     is_reduced,
     iso_nonrooted,
     iso_rooted,
@@ -117,6 +118,15 @@ def test_lift_output_shape():
     e = PDfa({"p", "p'"}, d.alphabet, {("p", "a"): "p'"})
     a2, p2, _, _ = reduce_rooted_to_nonrooted(e, "p", e, "p")
     assert p2 == "p''" and a2.delta[(p2, TOP_LETTER)] == "p"
+    # Also past a state that only a transition names, which would otherwise
+    # lend the new root its a^-1 edge.
+    al = involutive_closure(["a"])
+    f = PDfa({"p", "z"}, al, {("p", "a"): "p", ("p'", "a^-1"): "z"})
+    g = PDfa({"p"}, al, {("p", "a"): "p"})
+    a2, p2, b2, q2 = reduce_rooted_to_nonrooted(f, "p", g, "p")
+    assert (p2, q2) == ("p''", "p'") and a2.delta[("p'", "a^-1")] == "z"
+    assert sorted(a2.out_set(p2)) == [TOP_LETTER]
+    assert iso_rooted(f, "p", g, "p")[0] and iso_nonrooted(a2, p2, b2, q2)[0]
 
 
 def test_lift_rejects_marker_collision():

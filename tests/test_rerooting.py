@@ -8,6 +8,7 @@ from cftree import (
     InvolutiveAlphabet,
     MNfa,
     PDfa,
+    Transition,
     UnknownStateError,
     WordNotInLanguageError,
     as_pdfa,
@@ -28,7 +29,7 @@ from cftree.automata import _build_index
 from cftree.cli import run
 from cftree.compression import quotient
 from cftree.jsonio import automaton_from_doc, automaton_to_doc, dumps
-from oracles import language_upto, reroot_along_word_by_delta, reroot_by_steps
+from oracles import language_upto, reroot_along_word_by_delta, reroot_along_word_by_trim, reroot_by_steps
 from randgen import random_reduced_pdfa
 
 
@@ -75,6 +76,16 @@ def test_reroot_step_requires_root_transition():
         reroot_step(m, "p", m.max_tid() + 1)
     with pytest.raises(UnknownStateError):
         reroot_step(m, "nowhere", 0)
+
+
+def test_reroot_step_names_copies_past_unlisted_states():
+    # A transition from a state that only transitions name does not become
+    # an edge of the copy that would otherwise take its name.
+    m = MNfa({"p"}, samples.AL_AB, [Transition(0, "p", "a", "p"), Transition(1, "p@p0", "b", "p")])
+    out, q_new = reroot_step(m, "p", 0)
+    assert out.states == {"p", "p@p0+", "p@q0"} and q_new == "p@q0"
+    assert out.transitions_from("p@p0+") == ()
+    assert [t.triple() for t in out.transitions_from(q_new)] == [("p@q0", "a^-1", "p@p0+"), ("p@q0", "a", "p")]
 
 
 def test_reroot_step_disc_agrees_with_disc_rerooting():
@@ -225,12 +236,59 @@ def test_reroot_along_word_matches_step_oracle():
     assert longest == 25
 
 
+def _padded(rng, d, root):
+    """``d`` beside a 200-state pDFA that ``root`` does not reach, in which a
+    listed state reads a letter to a state that only that transition names."""
+    pad, _ = random_reduced_pdfa(rng, 200, d.alphabet)
+    delta = {("u" + p, x): "u" + q for (p, x), q in pad.delta.items()}
+    delta.update(d.delta)
+    delta[("g0", d.alphabet.sorted_letters()[0])] = f"{root}@p0"  # also the first copy's name
+    return PDfa(d.states | {"u" + p for p in pad.states} | {"g0"}, d.alphabet, delta)
+
+
+def _total_reduced_pdfa(rng, n):
+    """A reduced pDFA of ``n`` states over {a, b}^±1 in which every state
+    reads a letter, so that words of any length are readable: silent states
+    get a loop that keeps it reduced.  Its root reaches every state."""
+    while True:
+        d, root = random_reduced_pdfa(rng, n, samples.AL_AB, extra_density=0.9)
+        delta = dict(d.delta)
+        for p in sorted(d.states - {p for p, _ in delta}):
+            into = {x for (_, x), q in delta.items() if q == p}
+            for x in samples.AL_AB.sorted_letters():
+                if samples.AL_AB.inv(x) not in into:
+                    delta[(p, x)] = p
+                    break
+        if len({p for p, _ in delta}) == len(d.states):
+            return PDfa(d.states, d.alphabet, delta), root
+
+
+def _cycle_word(rng, d, root, length):
+    """A readable word of ``length`` letters: a random walk from ``root``
+    until a state repeats, then round the cycle it closed."""
+    word, seen, cur = [], {root: 0}, root
+    while len(word) == len(seen) - 1:
+        word.append(rng.choice(sorted(d.out_set(cur))))
+        cur = d.delta[(cur, word[-1])]
+        seen.setdefault(cur, len(word))
+    loop = word[seen[cur]:]
+    while len(word) < length:
+        word += loop
+    return tuple(word[:length])
+
+
 def test_reroot_along_word_matches_map_oracle(tmp_path, capsys):
-    # The copies are appended to the index and trimmed there; the oracle adds
-    # them to a copy of the ``delta`` map.  Same root, states, map and output
-    # bytes, and the index equals one built fresh from the oracle's map, so
-    # every column and mask bit is checked.  Half the inputs are loaded from
-    # documents and hold only an index, as on the CLI path.
+    # The oracles add the copies to a copy of the ``delta`` map, and append
+    # them to the index restricted to the root's reach, then trim.  Same
+    # root, states, map and output bytes as the first, and the same index as
+    # the second, so the rows come in the same order.  The index also
+    # equals one built fresh from the map oracle's map, so every column and
+    # mask bit is checked.  Half the random inputs are loaded from documents
+    # and hold only an index, as on the CLI path.  So are half of the
+    # 100-400-letter cycle words on 40-state pDFAs, as the benchmark's
+    # ``reroot`` documents are.  The padded inputs hold a state that only a
+    # transition names, which the root does not reach, named as the first
+    # copy is.
     rng = random.Random(12)
     with_c = InvolutiveAlphabet({"a", "A", "c"}, {"a": "A", "A": "a", "c": "c"})  # c is its own inverse
     cases = []
@@ -241,17 +299,29 @@ def test_reroot_along_word_matches_map_oracle(tmp_path, capsys):
         if i % 2:
             d = automaton_from_doc(automaton_to_doc(d))[0]
         cases.append((d, root, w))
+    for i in range(20):
+        d, root = random_reduced_pdfa(rng, rng.randint(1, 12), samples.AL_AB if i % 2 else with_c)
+        cases.append((_padded(rng, d, root), root, _random_walk(rng, d, root, rng.randint(0, 25))))
+    for i, k in enumerate((100, 200, 400) * 4):
+        d, root = _total_reduced_pdfa(rng, 40)
+        w = _cycle_word(rng, d, root, k)
+        if i % 2:
+            d = automaton_from_doc(automaton_to_doc(d))[0]
+        cases.append((d, root, w))
     cases.append((samples.ray(), "u", ("a",) * 2000))
-    longest = 0
     for d, root, w in cases:
         out, state = reroot_along_word(d, root, w)
         want, want_state = reroot_along_word_by_delta(d, root, w)
+        old, old_state = reroot_along_word_by_trim(d, root, w)
         assert out._delta is None
         assert dumps(automaton_to_doc(out, root=state)) == dumps(automaton_to_doc(want, root=want_state))
-        assert out._index == _build_index(out._index.names, out.alphabet, want.delta)
+        assert dumps(automaton_to_doc(out, root=state)) == dumps(automaton_to_doc(old, root=old_state))
+        assert out._index == old._index == _build_index(out._index.names, out.alphabet, want.delta)
         assert (state, out.states, out.delta) == (want_state, want.states, want.delta)
-        longest = max(longest, len(w))
-    assert longest == 2000 and max(len(w) for _, _, w in cases[:-1]) == 25
+        assert (state, out.states) == (old_state, old.states)
+    assert max(len(w) for _, _, w in cases[:220]) == 25
+    assert sorted({len(w) for _, _, w in cases[220:]}) == [100, 200, 400, 2000]
+    assert all(len(d._indexed().names) > len(d.states) > 200 for d, _, _ in cases[200:220])
     # ``cftree reroot`` writes the oracle's bytes along the radius-2000 ray.
     ray_doc = tmp_path / "ray.json"
     ray_doc.write_text(dumps(automaton_to_doc(samples.ray(), root="u")))
@@ -269,6 +339,9 @@ def test_reroot_along_long_word_on_ray():
 
 
 def test_reroot_along_word_is_one_pass(monkeypatch):
+    # One walk from the ends of the copies' out-edges and one restriction
+    # of the index build the result: no trim, no other walk and no mNFA
+    # or single step on the way.
     calls = Counter()
 
     def counted(name, f):
@@ -279,12 +352,12 @@ def test_reroot_along_word_is_one_pass(monkeypatch):
         return wrapper
 
     for mod in (automata, rerooting):
-        for name in ("pdfa_to_mnfa", "as_pdfa", "reroot_step", "trim"):
+        for name in ("pdfa_to_mnfa", "as_pdfa", "reroot_step", "trim", "_walk", "_restrict"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     monkeypatch.setattr(MNfa, "__init__", counted("MNfa", MNfa.__init__))
     reroot_along_word(samples.astar_bstar_pdfa(), "p", ("a", "a", "b"))
-    assert calls == {"trim": 1}
+    assert calls == {"_walk": 1, "_restrict": 1}
     # On a pDFA that holds only its index, as ``quotient`` makes it, the
     # map is never decoded and nothing is indexed again.
     d = quotient(samples.astar_bstar_pdfa())[0]
@@ -292,4 +365,4 @@ def test_reroot_along_word_is_one_pass(monkeypatch):
         monkeypatch.setattr(automata, name, counted(name, getattr(automata, name)))
     calls.clear()
     reroot_along_word(d, "p", ("a", "a", "b"))
-    assert calls == {"trim": 1}
+    assert calls == {"_walk": 1, "_restrict": 1}
