@@ -542,11 +542,13 @@ def _classes(sides: list[_Side]) -> tuple[list[int], int, list[set[int]]]:
     (Hopcroft 1971; Valmari and Lehtinen 2008 for partial functions), with
     ``-1`` for an id not kept; ``stride``; and the members of each block,
     as sets of shifted ids.  Refinement starts from the blocks of equal
-    keys, Moore's third round.  That partition is stable under each block
-    of equal two-round parts, which a key's header locates, so within each
-    such block every key block but the largest starts out pending
-    (Hopcroft's lemma, applied to each two-round block as a compound
-    splitter, as Paige and Tarjan do).
+    keys, Moore's third round, which one pass over the kept ids numbers in
+    order of first key, filling each id's block and its block's members as
+    it goes.  That partition is stable under each block of equal two-round
+    parts, which a key's header locates, so within each such block every
+    key block but the largest starts out pending (Hopcroft's lemma, applied
+    to each two-round block as a compound splitter, as Paige and Tarjan
+    do).
     """
     preds = [into for _, _, into, _ in sides]
     header = (1 << 8 * _header(len(sides[0][0].letters))) - 1  # a key's header bits
@@ -554,14 +556,18 @@ def _classes(sides: list[_Side]) -> tuple[list[int], int, list[set[int]]]:
     stride, low = 1 << bits, (1 << bits) - 1
     offsets = range(0, stride * len(sides), stride)
     block = [-1] * (stride * len(sides))
-    by_key: dict[int, int] = {}
+    by_key: dict[int, int] = {}  # a key -> its block
+    members: list[set[int]] = []
     for o, (_, order, _, keys) in zip(offsets, sides):
         for s, key in zip(order, keys):
-            block[o + s] = by_key.setdefault(key, len(by_key))
-    members: list[set[int]] = [set() for _ in by_key]
-    for o, (_, order, _, _) in zip(offsets, sides):
-        for s in order:
-            members[block[o + s]].add(o + s)
+            s += o
+            b = by_key.get(key)
+            if b is None:
+                block[s] = by_key[key] = len(members)
+                members.append({s})
+            else:
+                block[s] = b
+                members[b].add(s)
     largest: dict[int, int] = {}  # two-round part -> its largest key block
     for key, b in by_key.items():
         first = key >> 8 * (key & header)

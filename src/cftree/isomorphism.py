@@ -10,17 +10,20 @@ an optional excluded branch; an accepting path names a node at which
 re-rooting the second tree makes the two rooted trees isomorphic.  Searching
 on classes rather than states gives the same verdicts and witness lengths,
 and it queues configurations per pair of classes, not per pair of states,
-which matters on inputs with many equivalent states.  Both searches and the
+which matters on inputs with many equivalent states.  When the first root
+reads two letters or more, the starts are looked up from the predecessors
+of the second side's states in two of the first root's successor classes,
+not found by a scan of the second root's reach.  Both searches and the
 state equivalence run on integer indexes of the two pDFAs over their merged
 alphabet, so letter ids, out-letter bit masks and successor columns agree
 between the sides; each search reads, per out-mask it meets, the columns of
-that mask's letters, listed when first met.  The
-state equivalence is ``automata._classes``, on the sides that each pDFA
-keeps for the states its root reaches, or for all of them: its index, the
-predecessor form of those states and each one's three-round key, from
-whose blocks the refinement starts.  So a decision repeated on the same
-automata and roots copies and rebuilds nothing, and the first one builds
-only what the roots reach.
+that mask's letters, listed when first met.  The state equivalence is
+``automata._classes``, on the sides that each pDFA keeps for the states its
+root reaches, or for all of them: its index, the predecessor form of those
+states and each one's three-round key.  The refinement starts from the
+blocks of equal keys, numbered in one pass over those states.  So a
+decision repeated on the same automata and roots copies and rebuilds
+nothing, and the first one builds only what the roots reach.
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
 
     One integer partition refinement (``_classes``) on the automata's
     indexes over their merged alphabet side by side, on the sides that
-    ``_predecessors`` gives for every state, passed on as they are.  Returns one map per automaton from state to class id: two
-    states get the same id exactly when they generate the same language.
+    ``_predecessors`` gives for every state, passed on as they are.
+    Returns one map per automaton from state to class id: two states get
+    the same id exactly when they generate the same language.
     Class ids are labels: only their equality is promised, and their
     numbers follow the refinement's blocks.  A state that only transitions
     name raises ``UnknownStateError``, as in ``quotient``.
@@ -144,10 +148,17 @@ def iso_nonrooted(
     where it climbs, depends on p and q only through their classes, so the
     search runs on the joint classes: a configuration is keyed by the
     blocks of p and q and ``back``, and carries one member state of each.
-    There is one start per class of the second root's reach, its first
-    state in name order, queued only if the class's out-mask can pass: the
-    first root's mask less one letter, or all of it in the second root's
-    class.  A class climbs along the ``(letter, source)`` pairs of its
+    Starts are queued one per class of the second root's reach, at its
+    first state in name order among the states looked at, in that order,
+    and only if the class's out-mask can pass: the first root's mask less
+    one letter, or all of it in the second root's class.  A passing start
+    also reads each of its letters into the block the first root reads it
+    into.  So when the first root reads two letters or more, the states
+    looked at are the sources on the first two of them of the second side's
+    members of those two blocks, from their predecessor tuples: a passing
+    class has all its members among them, so the passing starts are queued
+    as a scan of the reach would queue them.  Otherwise, as a start that
+    reads nothing may pass, the whole reach is looked at.  A class climbs along the ``(letter, source)`` pairs of its
     members, one per letter and source class, ascending by letter, then by
     source name; a class with one member of the second side reads that
     member's tuple as it is.  So the search queues at most one
@@ -166,10 +177,25 @@ def iso_nonrooted(
     p0, q0 = ia.ids[p_root], ib.ids[q_root]
     m0, b0 = mask_a[p0], block[q0]
     # A start (p0, q, none) passes only if q reads p0's letters less at
-    # most one, and all of them only in q0's class.
-    near = {m0 ^ 1 << i for i in range(k) if m0 >> i & 1} | {m0}
+    # most one, and all of them only in q0's class, each into p0's block
+    # for it.  So when p0 reads two letters or more, q is a source on the
+    # first or the second of them of a b-member of p0's block for it.
+    own = [i for i in range(k) if m0 >> i & 1]
+    near = {m0 ^ 1 << i for i in own} | {m0}
+    starts = order  # with one letter or none, a q that reads none can pass
+    if len(own) > 1:
+        found = set()
+        for i in own[:2]:
+            for t in members[block[oa + succ_a[i][p0]]]:
+                if t < oa:
+                    pairs = iter(preds[t])
+                    for x in pairs:
+                        s = next(pairs)
+                        if x == i:
+                            found.add(s)
+        starts = sorted(found, key=ib.names.__getitem__)
     firsts: dict[int, int] = {}
-    for q in compress(order, map(near.__contains__, map(mask_b.__getitem__, order))):
+    for q in compress(starts, map(near.__contains__, map(mask_b.__getitem__, starts))):
         c = block[q]
         if c not in firsts and (mask_b[q] != m0 or c == b0):
             firsts[c] = q

@@ -176,8 +176,10 @@ def hub_lines(n: int) -> tuple[PDfa, str, PDfa, str]:
     return a, "p", b, "G1"
 
 
-def random_gap2(rng: random.Random, max_n: int = 32) -> Gap2Instance:
-    n = rng.randint(2, max_n)
+def random_gap2(rng: random.Random, max_n: int = 32, n: int | None = None) -> Gap2Instance:
+    """A directed graph of out-degree at most 2 on ``n`` nodes, by default
+    a random number from 2 to ``max_n``."""
+    n = rng.randint(2, max_n) if n is None else n
     edges = set()
     out = {i: 0 for i in range(n)}
     for _ in range(rng.randint(0, 2 * n)):

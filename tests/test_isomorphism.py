@@ -344,6 +344,13 @@ def test_iso_nonrooted_matches_by_names_oracle():
         assert kinds[kind, True] >= 10, kind
     for kind in ("independent", "b-vs-ab", "self-inverse", "gap2-path"):
         assert kinds[kind, False] >= 10, kind
+    kinds = Counter()
+    for a, ra, b, rb in _start_cases(random.Random(62), 320):
+        for x, rx, y, ry in ((a, ra, b, rb), (b, rb, a, ra)):
+            result = iso_nonrooted(x, rx, y, ry)
+            assert result == iso_nonrooted_by_names(x, rx, y, ry)
+            _count_start_case(kinds, x, rx, y, ry, result[0])
+    _check_start_counts(kinds)
 
 
 def _with_ghost(rng, d: PDfa) -> PDfa:
@@ -405,6 +412,13 @@ def test_iso_nonrooted_matches_union_oracle():
     for kind in ("b-vs-ab", "same-object", "alternating", "lifted", "independent"):
         assert kinds[kind, False] >= 10, kind
     assert kinds["part unreachable"] >= 100 and kinds["ghost", "source"] >= 50
+    kinds = Counter()
+    for a, ra, b, rb in _start_cases(random.Random(72), 320):
+        for x, rx, y, ry in ((a, ra, b, rb), (b, rb, a, ra)):
+            result = iso_nonrooted(x, rx, y, ry)
+            assert result == iso_nonrooted_by_union(x, rx, y, ry)
+            _count_start_case(kinds, x, rx, y, ry, result[0])
+    _check_start_counts(kinds)
 
 
 def _split(rng, d: PDfa, root: str) -> tuple[PDfa, str]:
@@ -413,6 +427,60 @@ def _split(rng, d: PDfa, root: str) -> tuple[PDfa, str]:
     original's language, so each class has two or more members."""
     delta = {(f"{p}#{c}", x): f"{q}#{rng.randrange(2)}" for (p, x), q in d.delta.items() for c in range(2)}
     return PDfa({f"{p}#{c}" for p in d.states for c in range(2)}, d.alphabet, delta), f"{root}#{rng.randrange(2)}"
+
+
+def _start_cases(rng, count: int, split_lines: bool = False):
+    """``count`` pairs ``(a, ra, b, rb)`` for the start lookup of
+    ``iso_nonrooted``.  The first root reads 0, 1, 2, then 3 or more
+    letters, in turn.  b's tree is a's re-rooted, or a's from its first
+    state when ``ra`` reads nothing; half the time it is split and renamed,
+    so that its classes have several members whose order by name is not
+    their order by id.  In every third block of eight ``rb`` moves to a
+    state whose out-set is ``ra``'s, while in the next one b is random.
+    Every eighth pair is two periodic lines, on which two starts pass; with
+    ``split_lines`` the second one is split, and then a search over pairs
+    of states may find another witness of the same length."""
+    alphabets = [involutive_closure(["a"]), samples.AL_AB, involutive_closure(["a", "b", "c"])]
+    for i in range(count):
+        if i % 8 == 7:
+            period = rng.choice([2, 3, 4, 6])
+            a, ra = _periodic_line(rng, period, rng.randrange(period))
+            b, rb = _periodic_line(rng, period, 0)
+            yield (a, ra, *_renamed(rng, *_split(rng, b, rb))) if split_lines else (a, ra, b, rb)
+            continue
+        reads = i % 4
+        alphabet = rng.choice(alphabets[reads > 1 :])
+        a, first = random_reduced_pdfa(rng, rng.randint(1, 14), alphabet, extra_density=2 * rng.random())
+        ra = rng.choice([p for p in sorted(a.states) if min(len(a.out_set(p)), 3) == reads] or [first])
+        if i // 8 % 3 == 2:
+            b, rb = random_reduced_pdfa(rng, rng.randint(1, 14), alphabet, extra_density=2 * rng.random())
+        else:
+            b, rb = _rerooted(rng, a, ra) if reads else _renamed(rng, a, first)
+        if i // 4 % 2:
+            b, rb = _renamed(rng, *_split(rng, b, rb))
+        if i // 8 % 3 == 1:
+            rb = rng.choice([q for q in sorted(b.states) if b.out_set(q) == a.out_set(ra)] or [rb])
+        yield a, ra, b, rb
+
+
+def _count_start_case(kinds: Counter, x: PDfa, rx: str, y: PDfa, ry: str, ok: bool) -> None:
+    """Count what ``_start_cases`` asks for: how many letters ``rx`` reads,
+    whether ``ry``'s out-set is ``rx``'s, and whether a class of ``y`` has
+    several members, the first by name not the one of the smallest id."""
+    kinds["reads", min(len(x.out_set(rx)), 3), ok] += 1
+    kinds["q0 start", ok] += x.out_set(rx) == y.out_set(ry)
+    groups: dict[int, list[str]] = {}
+    for q, c in language_classes(y)[0].items():
+        groups.setdefault(c, []).append(q)
+    ids = y._indexed().ids
+    kinds["name order is not id order"] += any(min(g) != min(g, key=ids.__getitem__) for g in groups.values())
+
+
+def _check_start_counts(kinds: Counter) -> None:
+    for reads in range(4):
+        assert kinds["reads", reads, True] >= 10 and kinds["reads", reads, False] >= 10, reads
+    assert kinds["q0 start", True] >= 10 and kinds["q0 start", False] >= 10
+    assert kinds["name order is not id order"] >= 50
 
 
 def test_class_search_matches_state_search():
@@ -456,6 +524,43 @@ def test_class_search_matches_state_search():
         assert kinds[kind, True] >= 10, kind
     for kind in ("independent", "lifted", "two-tooth", "hub"):
         assert kinds[kind, False] >= 10, kind
+    kinds = Counter()
+    for a, ra, b, rb in _start_cases(random.Random(114), 320, split_lines=True):
+        for x, rx, y, ry in ((a, ra, b, rb), (b, rb, a, ra)):
+            ok, witness = iso_nonrooted(x, rx, y, ry)
+            expected, by_states = iso_nonrooted_by_states(x, rx, y, ry)
+            assert ok == expected and (witness is None) == (by_states is None)
+            if ok:
+                assert len(witness.word) == len(by_states.word)
+                assert verify_nonrooted_witness(x, rx, y, ry, witness.word)
+            _count_start_case(kinds, x, rx, y, ry, ok)
+    _check_start_counts(kinds)
+
+
+def test_starts_are_looked_up_from_two_blocks(monkeypatch):
+    # When the first root reads two letters or more, the starts looked at
+    # are the sources on its first two letters of the second automaton's
+    # states in the classes it reads those letters into, in name order: a
+    # handful of a 4000-state reach.  Counted where the mask filter reads
+    # them.
+    rng = random.Random(156)
+    a, ra = random_reduced_pdfa(rng, 4000, samples.AL_AB)
+    b, rb = _rerooted(rng, a, ra)
+    assert len(reachable_states(b, rb)) == len(b.states) >= 3900
+    looked = []
+    compress = isomorphism.compress
+    monkeypatch.setattr(isomorphism, "compress", lambda data, flags: looked.append(data) or compress(data, flags))
+    ok, witness = iso_nonrooted(a, ra, b, rb)
+    assert ok and verify_nonrooted_witness(a, ra, b, rb, witness.word)
+    ca, cb = language_classes(a, b)
+    first, second = (
+        {s for (s, x), t in b.delta.items() if x == y and cb[t] == ca[a.delta[ra, y]]}
+        for y in sorted(a.out_set(ra))[:2]
+    )
+    assert first - second and second - first  # both letters find starts
+    names = b._indexed().names
+    assert [[names[q] for q in data] for data in looked] == [sorted(first | second)]
+    assert len(first | second) < 10
 
 
 def test_two_tooth_lines_search_far_inside_the_state_search():
