@@ -99,8 +99,12 @@ def merge_alphabets(x: InvolutiveAlphabet, y: InvolutiveAlphabet) -> InvolutiveA
     """Union of two involutive alphabets.
 
     Shared letters must carry the same inverse in both; automata over either
-    input are automata over the result.
+    input are automata over the result.  Two equal alphabets, one object or
+    two, merge to ``x`` itself, so a pair of automata over one alphabet
+    builds and checks no third one.
     """
+    if x is y or x == y:
+        return x
     merged = x.inverse_map()
     for a, b in y.inverse_map().items():
         if a in merged and merged[a] != b:

@@ -546,9 +546,12 @@ def _classes(sides: list[_Side]) -> tuple[list[int], int, list[set[int]]]:
     order of first key, filling each id's block and its block's members as
     it goes.  That partition is stable under each block of equal two-round
     parts, which a key's header locates, so within each such block every
-    key block but the largest starts out pending (Hopcroft's lemma, applied
-    to each two-round block as a compound splitter, as Paige and Tarjan
-    do).
+    key block but the largest, the first one on ties, starts out pending
+    (Hopcroft's lemma, applied to each two-round block as a compound
+    splitter, as Paige and Tarjan do).  One more pass over the key blocks
+    picks them: one shift and one ``setdefault`` per key block, and a size
+    comparison only for a key block whose two-round part another one
+    already holds.
     """
     preds = [into for _, _, into, _ in sides]
     header = (1 << 8 * _header(len(sides[0][0].letters))) - 1  # a key's header bits
@@ -568,12 +571,15 @@ def _classes(sides: list[_Side]) -> tuple[list[int], int, list[set[int]]]:
             else:
                 block[s] = b
                 members[b].add(s)
-    largest: dict[int, int] = {}  # two-round part -> its largest key block
+    largest: dict[int, int] = {}  # two-round part -> its largest key block so far
+    pending: set[int] = set()
     for key, b in by_key.items():
         first = key >> 8 * (key & header)
-        if len(members[b]) > len(members[largest.setdefault(first, b)]):
-            largest[first] = b
-    pending = set(range(len(members))).difference(largest.values())
+        c = largest.setdefault(first, b)
+        if c != b:  # a second key block of this part: the smaller one waits
+            if len(members[b]) > len(members[c]):
+                largest[first], b = b, c
+            pending.add(b)
     while pending:
         # Plain dicts and ``next`` on one iterator cost less here than
         # ``defaultdict`` and ``zip``.
@@ -662,7 +668,7 @@ def _reach(d: PDfa, root: str) -> list[int]:
 
 def _require_pair(a: PDfa, p_root: str, b: PDfa, q_root: str) -> InvolutiveAlphabet:
     """Check that two pDFAs are reduced and hold their designated states;
-    return their merged alphabet."""
+    return their merged alphabet, ``a``'s own when the two are equal."""
     require_reduced(a, "first automaton")
     require_reduced(b, "second automaton")
     if p_root not in a.states:

@@ -15,9 +15,10 @@ reads two letters or more, the starts are looked up from the predecessors
 of the second side's states in two of the first root's successor classes,
 not found by a scan of the second root's reach.  Both searches and the
 state equivalence run on integer indexes of the two pDFAs over their merged
-alphabet, so letter ids, out-letter bit masks and successor columns agree
-between the sides; each search reads, per out-mask it meets, the columns of
-that mask's letters, listed when first met.  The state equivalence is
+alphabet, which is the first one itself when the two are equal, so letter
+ids, out-letter bit masks and successor columns agree between the sides;
+each search reads, per out-mask it meets, the columns of that mask's
+letters, listed when first met.  The state equivalence is
 ``automata._classes``, on the sides that each pDFA keeps for the states its
 root reaches, or for all of them: its index, the predecessor form of those
 states and each one's three-round key.  The refinement starts from the
@@ -158,12 +159,14 @@ def iso_nonrooted(
     members of those two blocks, from their predecessor tuples: a passing
     class has all its members among them, so the passing starts are queued
     as a scan of the reach would queue them.  Otherwise, as a start that
-    reads nothing may pass, the whole reach is looked at.  A class climbs along the ``(letter, source)`` pairs of its
-    members, one per letter and source class, ascending by letter, then by
-    source name; a class with one member of the second side reads that
-    member's tuple as it is.  So the search queues at most one
-    configuration per pair of classes and excluded branch, and each climbs
-    along its class's distinct predecessors.
+    reads nothing may pass, the whole reach is looked at.  A class climbs
+    along the ``(letter, source)`` pairs of its members, one per letter and
+    source class, ascending by letter, then by source name; a class with
+    one member of the second side reads that member's tuple as it is, and
+    one whose only member, of either side, is q reads it with no lookup,
+    as most classes of a minimal second automaton do.  So the search
+    queues at most one configuration per pair of classes and excluded
+    branch, and each climbs along its class's distinct predecessors.
     """
     alphabet = _require_pair(a, p_root, b, q_root)
     ia, ib = a._indexed(alphabet), b._indexed(alphabet)
@@ -232,7 +235,7 @@ def iso_nonrooted(
             up = succ_a[i][p]
             head = block[oa + up] * n
             c = block[q]
-            into = climbs.get(c)
+            into = preds[q] if len(members[c]) == 1 else climbs.get(c)
             if into is None:
                 into = climbs[c] = _class_predecessors(q, members[c], oa, preds, block, ib.names)
             pairs = iter(into)

@@ -23,17 +23,25 @@ TOP_LETTER = "TOP"
 
 @dataclass(frozen=True)
 class Gap2Instance:
-    """Directed graph on nodes 0..n-1 with out-degree at most two."""
+    """Directed graph on nodes 0..n-1 with out-degree at most two.
+
+    ``n`` and every endpoint must be of type ``int``; anything else, a
+    ``bool`` or a ``float`` included, raises ``ValueError``.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
+        if type(self.n) is not int:
+            raise ValueError(f"node count {self.n!r} is not an int")
         if self.n < 1:
             raise ValueError("need at least one node")
         out: dict[int, int] = {}
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) names a node that is not an int")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) leaves the node range")
             out[u] = out.get(u, 0) + 1

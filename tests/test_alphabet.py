@@ -64,7 +64,10 @@ def test_alphabet_rejects_broken_involution():
 
 def test_merge_idempotent():
     x = involutive_closure(["a"])
-    assert merge_alphabets(x, x) == x
+    assert merge_alphabets(x, x) is x
+    # Two equal alphabets built apart merge to the first one itself.
+    y = involutive_closure(["a"])
+    assert y is not x and merge_alphabets(x, y) is x and merge_alphabets(y, x) is y
 
 
 def test_merge_disjoint_union():
@@ -73,6 +76,12 @@ def test_merge_disjoint_union():
     merged = merge_alphabets(x, y)
     assert merged.letters == {"a", "a^-1", "b", "b^-1"}
     assert merged.inv("b") == "b^-1"
+    # A larger alphabet and one of its parts merge to a new alphabet equal
+    # to the larger one.
+    for big, part in ((merged, x), (merged, y)):
+        for first, second in ((big, part), (part, big)):
+            union = merge_alphabets(first, second)
+            assert union == big and union is not big and union is not part
 
 
 def test_merge_conflict_detected():

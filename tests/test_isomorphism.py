@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import nonrooted_sweep
 import samples
 from cftree import (
     Gap2Instance,
@@ -252,8 +253,25 @@ def test_iso_rooted_matches_reindexing_oracle():
         result = iso_rooted(a, ra, b, rb)
         assert result == iso_rooted_reindexed(a, ra, b, rb)
         kinds[result[0], a.alphabet == b.alphabet] += 1
+        twin = _alphabet_twin(a, b)
+        if twin is not None:
+            assert iso_rooted(a, ra, twin, rb) == result
+            assert iso_rooted(twin, rb, a, ra) == iso_rooted(b, rb, a, ra)
     assert kinds[True, True] >= 10 and kinds[False, True] >= 10
     assert kinds[True, False] >= 10 and kinds[False, False] >= 10
+
+
+def _alphabet_twin(x: PDfa, y: PDfa) -> PDfa | None:
+    """``y`` over a copy of ``x``'s alphabet if the two are one object,
+    over ``x``'s own if they are equal objects, and None if they differ:
+    a pair decides the same over one alphabet object and over two equal
+    ones."""
+    if x.alphabet != y.alphabet:
+        return None
+    alphabet = x.alphabet
+    if alphabet is y.alphabet:
+        alphabet = InvolutiveAlphabet(alphabet.letters, alphabet.inverse_map())
+    return PDfa(y.states, alphabet, y.delta)
 
 
 def _renamed(rng, d: PDfa, root: str) -> tuple[PDfa, str]:
@@ -397,6 +415,10 @@ def test_iso_nonrooted_matches_union_oracle():
             assert result == iso_nonrooted_by_union(x, rx, y, ry)
             kinds[kind, result[0]] += 1
             kinds["part unreachable"] += len(reachable_states(y, ry)) < len(y.states)
+            twin = _alphabet_twin(x, y)
+            if twin is not None:
+                assert iso_nonrooted(x, rx, twin, ry) == result
+                kinds["twin"] += 1
         for d in (a, b):
             if {p for p, _ in d.delta} <= d.states:
                 assert quotient(d) == quotient_by_names(d)
@@ -407,6 +429,10 @@ def test_iso_nonrooted_matches_union_oracle():
                     quotient(d)
         if kind != "ghost":
             assert partition(language_classes(a, b)) == partition(language_classes_by_names(a, b))
+            twin = _alphabet_twin(a, b)
+            if twin is not None:
+                assert partition(language_classes(a, twin)) == partition(language_classes(a, b))
+    assert kinds["twin"] >= 100
     for kind in ("unreachable", "ghost", "b-vs-ab", "same-object", "alternating", "lifted", "rerooted"):
         assert kinds[kind, True] >= 10, kind
     for kind in ("b-vs-ab", "same-object", "alternating", "lifted", "independent"):
@@ -1012,6 +1038,14 @@ def test_iso_nonrooted_agrees_with_node_enumeration():
         assert ok == (brute is not None)
         if ok:
             assert len(witness.word) == len(brute)
+
+
+def test_iso_nonrooted_agrees_with_node_enumeration_on_small_trees(capsys):
+    # Every 25th of the 198² ordered pairs of distinct trees of one or two
+    # states, 1569 pairs; CI runs them all.  25 and 198 are coprime, so
+    # every tree is met on both sides.
+    assert nonrooted_sweep.main(["25"]) == 0
+    assert capsys.readouterr().out == "1569 pairs agree\n"
 
 
 def test_canonical_key_matches_iso_rooted():

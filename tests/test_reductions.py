@@ -37,6 +37,14 @@ def test_gap2_rejects_bad_instances():
         Gap2Instance(2, frozenset({(0, 5)}))
     with pytest.raises(ValueError):
         Gap2Instance(4, frozenset({(0, 1), (0, 2), (0, 3)}))
+    # A float or a bool is refused up front, not left to the reduction's
+    # ``bit_length`` or list indexing.
+    for n in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match="node count .* is not an int"):
+            Gap2Instance(n, frozenset({(0, 1)}))
+    for edge in ((0, 1.0), (0.0, 1), (True, 1), (0, False)):
+        with pytest.raises(ValueError, match="names a node that is not an int"):
+            Gap2Instance(2, frozenset({edge}))
 
 
 def test_reduce_gap2_refuses_instances_past_the_node_budget():
