@@ -3,7 +3,11 @@
 Inputs are reduced pDFAs with designated states.  Rooted isomorphism is
 language equality of the designated states, decided by breadth-first search
 over the product of the two automata; a failure comes with a shortest word
-readable from exactly one side.  Non-rooted isomorphism searches a finite
+readable from exactly one side.  The search keeps, per state of the first
+automaton, the first state of the second met with it, in a list, and a set
+of only the pairs met after that one; it keeps no parent links, and rebuilds
+a failure's word by scanning the earlier levels of its queue backwards for
+the pair that queued each one.  Non-rooted isomorphism searches a finite
 configuration graph whose configurations pair a language class of the first
 automaton's states with a class of candidate node labels of the second and
 an optional excluded branch; an accepting path names a node at which
@@ -11,10 +15,10 @@ re-rooting the second tree makes the two rooted trees isomorphic.  Searching
 on classes rather than states gives the same verdicts and witness lengths,
 and it queues configurations per pair of classes, not per pair of states,
 which matters on inputs with many equivalent states.  When the first root
-reads two letters or more, the starts are looked up from the predecessors
-of the second side's states in two of the first root's successor classes,
-not found by a scan of the second root's reach.  Both searches and the
-state equivalence run on integer indexes of the two pDFAs over their merged
+reads two letters or more, the starts are looked up from the predecessors of
+the second side's states in two of the first root's successor classes, not
+found by a scan of the second root's reach.  Both searches and the state
+equivalence run on integer indexes of the two pDFAs over their merged
 alphabet, which is the first one itself when the two are equal, so letter
 ids, out-letter bit masks and successor columns agree between the sides;
 each search reads, per out-mask it meets, the columns of that mask's
@@ -22,16 +26,16 @@ letters, listed when first met.  The state equivalence is
 ``automata._classes``, on the sides that each pDFA keeps for the states its
 root reaches, or for all of them: its index, the predecessor form of those
 states and each one's three-round key.  The refinement starts from the
-blocks of equal keys, numbered in one pass over those states.  So a
-decision repeated on the same automata and roots copies and rebuilds
-nothing, and the first one builds only what the roots reach.
+blocks of equal keys, numbered in one pass over those states.  So a decision
+repeated on the same automata and roots copies and rebuilds nothing, and the
+first one builds only what the roots reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import compress, islice
 
 from .alphabet import merge_alphabets
 from .automata import PDfa, _classes, _predecessors, _reach, _require_pair
@@ -87,8 +91,14 @@ def iso_rooted(
 
     Equivalent to language equality of the designated states.  On failure
     returns a shortest separating word, found by BFS over reachable state
-    pairs: the first pair with different out-sets, extended by a letter
-    readable on one side only.  A state that only transitions name raises
+    pairs, level by level: the first pair with different out-sets, extended
+    by the lowest letter readable on one side only.  A pair is new unless
+    its first state's first partner, kept in a list, is its second state,
+    or it is in the set of the pairs met after another partner of their
+    first state; no parent links are kept.  The word is rebuilt backwards
+    from the failing pair: on each earlier level, the first pair in queue
+    order, then ascending letter, that steps into the current one, which
+    is the pair that queued it.  A state that only transitions name raises
     ``UnknownStateError`` when it is reachable from the root, as in ``trim``.
     """
     alphabet = _require_pair(a, p_root, b, q_root)
@@ -97,37 +107,53 @@ def iso_rooted(
         if len(ix.names) > len(d.states):  # ids past those are states only transitions name
             _reach(d, root)
     letters, mask_a, mask_b = ia.letters, ia.masks, ib.masks
-    k, nb = len(letters), len(ib.names)
-    columns = list(zip(range(k), ia.succ, ib.succ))
-    start = ia.ids[p_root] * nb + ib.ids[q_root]
-    # A pair's code is p * nb + q; its parent link is code * k + letter.
-    # The queue grows as it is read.
-    parent: dict[int, int] = {start: -1}
-    queue = [start]
-    reads: dict[int, tuple] = {}  # a mask -> its letters, each with its two columns
-    for code in queue:
-        pa, qb = divmod(code, nb)
-        ma, mb = mask_a[pa], mask_b[qb]
-        if ma != mb:
-            sym = ma ^ mb
-            i = (sym & -sym).bit_length() - 1
-            side = "left" if (ma >> i) & 1 else "right"
-            path: list[str] = [letters[i]]
-            link = parent[code]
-            while link != -1:
-                code, j = divmod(link, k)
-                path.append(letters[j])
-                link = parent[code]
-            path.reverse()
-            return False, Witness(tuple(path), side)
-        edges = reads.get(ma)
-        if edges is None:
-            edges = reads[ma] = tuple(c for c in columns if ma >> c[0] & 1)
-        for i, x, y in edges:
-            nxt = x[pa] * nb + y[qb]
-            if nxt not in parent:
-                parent[nxt] = code * k + i
-                queue.append(nxt)
+    nb = len(ib.names)
+    columns = list(zip(ia.succ, ib.succ))
+    p0, q0 = ia.ids[p_root], ib.ids[q_root]
+    partner = [-1] * len(ia.names)  # partner[p]: the first q met with p
+    partner[p0] = q0
+    others: set[int] = set()  # p * nb + q of the pairs met after another partner of p
+    # The queue is ps and qs side by side; starts[l] is where level l begins.
+    ps, qs = [p0], [q0]
+    starts = [0]
+    pairs = zip(ps, qs)  # reads the queue as it grows
+    reads: dict[int, tuple] = {}  # a mask -> the column pairs of its letters
+    while (end := len(ps)) > starts[-1]:
+        for p, q in islice(pairs, end - starts[-1]):
+            ma, mb = mask_a[p], mask_b[q]
+            if ma != mb:
+                sym = ma ^ mb
+                i = (sym & -sym).bit_length() - 1
+                side = "left" if (ma >> i) & 1 else "right"
+                path: list[str] = [letters[i]]
+                for lo, hi in zip(starts[-2::-1], starts[:0:-1]):
+                    for s, t in zip(ps[lo:hi], qs[lo:hi]):
+                        for i, (x, y) in enumerate(columns):
+                            if x[s] == p and y[t] == q:
+                                break
+                        else:
+                            continue
+                        break
+                    path.append(letters[i])
+                    p, q = s, t
+                path.reverse()
+                return False, Witness(tuple(path), side)
+            edges = reads.get(ma)
+            if edges is None:
+                edges = reads[ma] = tuple(c for i, c in enumerate(columns) if ma >> i & 1)
+            for x, y in edges:
+                s, t = x[p], y[q]
+                r = partner[s]
+                if r != t:
+                    if r < 0:
+                        partner[s] = t
+                    elif (code := s * nb + t) in others:
+                        continue
+                    else:
+                        others.add(code)
+                    ps.append(s)
+                    qs.append(t)
+        starts.append(end)
     return True, None
 
 

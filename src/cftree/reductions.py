@@ -10,8 +10,9 @@ trivially checkable property of the input.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .alphabet import involutive_closure, merge_alphabets
 from .automata import PDfa, _require_pair, _sorted_transitions
@@ -25,27 +26,33 @@ TOP_LETTER = "TOP"
 class Gap2Instance:
     """Directed graph on nodes 0..n-1 with out-degree at most two.
 
-    ``n`` and every endpoint must be of type ``int``; anything else, a
-    ``bool`` or a ``float`` included, raises ``ValueError``.
+    ``n`` and every endpoint must be of type ``int``, and every edge a pair;
+    anything else, a ``bool`` or a ``float`` included, raises ``ValueError``.
     """
 
     n: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
         if type(self.n) is not int:
             raise ValueError(f"node count {self.n!r} is not an int")
         if self.n < 1:
             raise ValueError("need at least one node")
-        out: dict[int, int] = {}
-        for u, v in self.edges:
+        pairs = []
+        for e in self.edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair of nodes") from None
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge ({u!r}, {v!r}) names a node that is not an int")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) leaves the node range")
-            out[u] = out.get(u, 0) + 1
-            if out[u] > 2:
+            pairs.append(e if type(e) is tuple else (u, v))
+        edges = frozenset(pairs)
+        object.__setattr__(self, "edges", edges)
+        for u, count in Counter(map(itemgetter(0), edges)).items():
+            if count > 2:
                 raise ValueError(f"node {u} has more than two outgoing edges")
 
 
@@ -94,12 +101,20 @@ def reduce_gap2_to_rooted_iso(g: Gap2Instance) -> tuple[PDfa, str, PDfa, str]:
         raise MaterializationLimitError(f"reduction would exceed {DEFAULT_MAX_NODES} states")
     pad = size - g.n
     target = size - 1
-    # Node i > 0 becomes i + pad; renumbering keeps the order, so each
-    # successor list comes out sorted.
-    succ: list[list[int]] = [[] for _ in range(size)]
-    for u, v in sorted(g.edges):
+    # Node i > 0 becomes i + pad, which keeps the order.  lo[u] and hi[u]
+    # are u's smaller and larger successor, one and the same for one edge,
+    # and -1 for none: with at most two edges per node, no sort is needed.
+    lo, hi = [-1] * size, [-1] * size
+    for u, v in g.edges:
         if v != 0 and u != g.n - 1:
-            succ[u + pad if u else 0].append(v + pad)
+            u = u + pad if u else 0
+            v += pad
+            if lo[u] < 0:
+                lo[u] = hi[u] = v
+            elif v < lo[u]:
+                lo[u] = v
+            else:
+                hi[u] = v
 
     # levels[k] names the 2^k prefixes of length k in order, so
     # levels[ell][i] is node i's padded binary name; each name is made once.
@@ -109,14 +124,14 @@ def reduce_gap2_to_rooted_iso(g: Gap2Instance) -> tuple[PDfa, str, PDfa, str]:
     names = levels[ell]
     alphabet = involutive_closure(["0", "1"])
     delta: dict[tuple[str, str], str] = {}
-    for i, (name, outs) in enumerate(zip(names, succ)):
-        if not outs:
+    for i, (name, x, y) in enumerate(zip(names, lo, hi)):
+        if x < 0:
             if i != target:
                 delta[(name, "0")] = name
                 delta[(name, "1")] = name
         else:
-            delta[(name, "0")] = names[outs[0]]
-            delta[(name, "1")] = names[outs[-1]]
+            delta[(name, "0")] = names[x]
+            delta[(name, "1")] = names[y]
     states = set(names)
     for k in range(ell):
         below = levels[k + 1]

@@ -12,9 +12,11 @@ and re-rooting iterates the paper's single mNFA step, independent of the
 library's one-pass re-rooting.  The reducedness scan, the rooted product
 search, the 2GAP reduction, the state partition refinement and the
 non-rooted configuration search work on state names, independent of the
-library's cached integer index.  The labeled disc oracle enumerates every
-rooted isomorphism outright; the recursive matcher it replaced is kept for
-pDFA discs, where it is complete.  The document readers that check each
+library's cached integer index.  The product search with a parent link
+per queued pair checks the one that keeps a first partner per state and
+rebuilds the witness by scanning its levels.  The labeled disc oracle
+enumerates every rooted isomorphism outright; the recursive matcher it
+replaced is kept for pDFA discs, where it is complete.  The document readers that check each
 row with ``_require_fields``, and the standard library's indenting encoder,
 check the one-pass readers and the column writer of ``cftree.jsonio``.  The
 quotient that renames classes through string dicts checks the one built
@@ -363,6 +365,48 @@ def iso_rooted_reindexed(a: PDfa, p_root: str, b: PDfa, q_root: str):
             nxt = succ_a[pa][i] * nb + succ_b[qb][i]
             if nxt not in parent:
                 parent[nxt] = (code, i)
+                queue.append(nxt)
+    return True, None
+
+
+def iso_rooted_by_links(a: PDfa, p_root: str, b: PDfa, q_root: str):
+    """Rooted isomorphism by BFS over the product of the two cached indexes,
+    with a parent link per queued pair code, ``code * k + letter``, that the
+    witness is read back along."""
+    alphabet = _require_pair(a, p_root, b, q_root)
+    ia, ib = a._indexed(alphabet), b._indexed(alphabet)
+    for d, ix, root in ((a, ia, p_root), (b, ib, q_root)):
+        if len(ix.names) > len(d.states):  # ids past those are states only transitions name
+            _reach(d, root)
+    letters, mask_a, mask_b = ia.letters, ia.masks, ib.masks
+    k, nb = len(letters), len(ib.names)
+    columns = list(zip(range(k), ia.succ, ib.succ))
+    start = ia.ids[p_root] * nb + ib.ids[q_root]
+    parent: dict[int, int] = {start: -1}
+    queue = [start]
+    reads: dict[int, tuple] = {}
+    for code in queue:
+        pa, qb = divmod(code, nb)
+        ma, mb = mask_a[pa], mask_b[qb]
+        if ma != mb:
+            sym = ma ^ mb
+            i = (sym & -sym).bit_length() - 1
+            side = "left" if (ma >> i) & 1 else "right"
+            path: list[str] = [letters[i]]
+            link = parent[code]
+            while link != -1:
+                code, j = divmod(link, k)
+                path.append(letters[j])
+                link = parent[code]
+            path.reverse()
+            return False, Witness(tuple(path), side)
+        edges = reads.get(ma)
+        if edges is None:
+            edges = reads[ma] = tuple(c for c in columns if ma >> c[0] & 1)
+        for i, x, y in edges:
+            nxt = x[pa] * nb + y[qb]
+            if nxt not in parent:
+                parent[nxt] = code * k + i
                 queue.append(nxt)
     return True, None
 

@@ -231,13 +231,15 @@ def random_involutive_tree(
     return DiscTree(radius, 0, labels, kids, alphabet)
 
 
-def exhaustive_reduced_pdfa_pool(max_states: int = 2):
-    """Every reduced pDFA with at most ``max_states`` states over {a, b}^{+-1}.
+def exhaustive_reduced_pdfa_pool(max_states: int = 2, alphabet: InvolutiveAlphabet | None = None):
+    """Every reduced pDFA with at most ``max_states`` states over
+    ``alphabet``, by default {a, b}^{+-1}.
 
     States are named s0.. and transitions range over all partial functions;
     non-reduced assignments are filtered out.
     """
-    alphabet = involutive_closure(["a", "b"])
+    if alphabet is None:
+        alphabet = involutive_closure(["a", "b"])
     letters = alphabet.sorted_letters()
     pool = []
     for n in range(1, max_states + 1):

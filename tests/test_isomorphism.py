@@ -42,6 +42,7 @@ from oracles import (
     iso_nonrooted_by_names,
     iso_nonrooted_by_states,
     iso_nonrooted_by_union,
+    iso_rooted_by_links,
     iso_rooted_reindexed,
     language_classes_by_names,
     language_upto,
@@ -259,6 +260,105 @@ def test_iso_rooted_matches_reindexing_oracle():
             assert iso_rooted(twin, rb, a, ra) == iso_rooted(b, rb, a, ra)
     assert kinds[True, True] >= 10 and kinds[False, True] >= 10
     assert kinds[True, False] >= 10 and kinds[False, False] >= 10
+
+
+def _doubled(rng, d: PDfa, drop: bool = False) -> PDfa:
+    """``d`` with a primed twin of every state, each transition of either
+    copy going to a random copy of its target: every state and its twin
+    read the same language, and the result is reduced if ``d`` is.  With
+    ``drop``, one random transition is then left out."""
+    delta = {}
+    for (p, x), q in d.delta.items():
+        for s in (p, p + "'"):
+            delta[(s, x)] = q + rng.choice(("", "'"))
+    if drop and delta:
+        del delta[rng.choice(sorted(delta))]
+    return PDfa(d.states | {p + "'" for p in d.states}, d.alphabet, delta)
+
+
+def _most_partners(a: PDfa, ra: str, b: PDfa, rb: str) -> int:
+    """The most second states met with one first state by a walk of the
+    product from the roots that stops at pairs with different out-sets."""
+    seen = {(ra, rb)}
+    todo = [(ra, rb)]
+    for p, q in todo:
+        if a.out_set(p) == b.out_set(q):
+            for x in a.out_set(p):
+                pair = (a.delta[(p, x)], b.delta[(q, x)])
+                if pair not in seen:
+                    seen.add(pair)
+                    todo.append(pair)
+    return max(Counter(p for p, _ in seen).values())
+
+
+def _planted_gap2(rng, n: int, cut: bool) -> Gap2Instance:
+    """A 2GAP instance on ``n`` nodes with a path 0 -> ... -> n-1 through
+    about half the nodes, less its last edge when ``cut``, and random edges
+    between the other nodes up to out-degree two, so that n-1 is reachable
+    exactly when not ``cut``."""
+    path = [0, *rng.sample(range(1, n - 1), (n - 2) // 2), n - 1]
+    edges = set(zip(path, path[1:]))
+    if cut:
+        edges.discard((path[-2], n - 1))
+    out = Counter(u for u, _ in edges)
+    for u in range(n):
+        for v in (rng.randrange(1, n - 1), rng.randrange(1, n - 1)):
+            if out[u] < 2 and (u, v) not in edges:
+                edges.add((u, v))
+                out[u] += 1
+    return Gap2Instance(n, frozenset(edges))
+
+
+def test_iso_rooted_matches_parent_link_oracle():
+    # The search keeps one partner per first state in a list and the rest
+    # in a set, and rebuilds the witness without parent links; the search
+    # with a parent link per pair must give the same verdict, word and side.
+    rng = random.Random(83)
+    alphabets = [samples.AL_A, samples.AL_AB, involutive_closure(["a", "b", "c"])]
+    self_inverse = InvolutiveAlphabet({"a", "a^-1", "c"}, {"a": "a^-1", "a^-1": "a", "c": "c"})
+    cases = []
+    for _ in range(150):  # equivalent states: several partners per first state
+        d, r = random_reduced_pdfa(rng, rng.randint(1, 12), rng.choice(alphabets), extra_density=rng.random())
+        two, cut = _doubled(rng, d), _doubled(rng, d, drop=True)
+        twin = r + rng.choice(("", "'"))
+        cases += [
+            (d, r, two, twin),
+            (two, twin, d, r),
+            (two, rng.choice(sorted(two.states)), two, rng.choice(sorted(two.states))),
+            (d, r, cut, twin),
+            (cut, twin, two, r),
+        ]
+    for _ in range(100):  # one automaton at two of its states
+        d, _ = random_reduced_pdfa(rng, rng.randint(1, 20), rng.choice([*alphabets, self_inverse]))
+        cases.append((d, rng.choice(sorted(d.states)), d, rng.choice(sorted(d.states))))
+    for i in range(40):  # 2GAP reductions, planted and cut
+        cases.append(reduce_gap2_to_rooted_iso(_planted_gap2(rng, rng.randint(4, 200), cut=i % 2 == 1)))
+    for i in range(80):  # different alphabets: the index of one side is widened
+        small, large = [(involutive_closure(["b"]), samples.AL_AB), (InvolutiveAlphabet({"c"}, {"c": "c"}), self_inverse)][i % 2]
+        d, r = random_reduced_pdfa(rng, rng.randint(1, 12), small, extra_density=rng.random())
+        e = _doubled(rng, PDfa(d.states, large, d.delta), drop=i % 4 > 1)
+        cases += [(d, r, e, r + "'"), (e, r, d, r)]
+    kinds = Counter()
+    for a, ra, b, rb in cases:
+        result = iso_rooted(a, ra, b, rb)
+        assert result == iso_rooted_by_links(a, ra, b, rb)
+        kinds[result[0], "several partners"] += _most_partners(a, ra, b, rb) > 1
+        kinds[result[0], "widened"] += a.alphabet != b.alphabet
+        if not result[0]:
+            kinds["long word"] += len(result[1].word) > 3
+    assert kinds[True, "several partners"] >= 100 and kinds[False, "several partners"] >= 100
+    assert kinds[True, "widened"] >= 100 and kinds[False, "widened"] >= 30
+    assert kinds["long word"] >= 50
+    # A reached state that only transitions name raises, as before.
+    al = involutive_closure(["a"])
+    ghost = PDfa({"p"}, al, {("p", "a"): "g"})
+    full = PDfa({"p", "q"}, al, {("p", "a"): "q"})
+    for args in ((ghost, "p", full, "p"), (full, "p", ghost, "p")):
+        with pytest.raises(UnknownStateError) as new:
+            iso_rooted(*args)
+        with pytest.raises(UnknownStateError) as old:
+            iso_rooted_by_links(*args)
+        assert str(new.value) == str(old.value) == "state 'g' is not in the automaton"
 
 
 def _alphabet_twin(x: PDfa, y: PDfa) -> PDfa | None:
@@ -1041,11 +1141,17 @@ def test_iso_nonrooted_agrees_with_node_enumeration():
 
 
 def test_iso_nonrooted_agrees_with_node_enumeration_on_small_trees(capsys):
-    # Every 25th of the 198² ordered pairs of distinct trees of one or two
-    # states, 1569 pairs; CI runs them all.  25 and 198 are coprime, so
-    # every tree is met on both sides.
+    # Every 25th ordered pair of each pool; CI runs them all.  On {a, b}^±1
+    # these are 1569 of the 198² pairs of distinct trees of one or two
+    # states; on {a}^±1 and {c}, of the 777² and 37² pairs of pDFAs of one
+    # to three states, at each of their states.  25 is coprime to 198, 777
+    # and 37, so every tree or rooted pDFA is met on both sides.
     assert nonrooted_sweep.main(["25"]) == 0
-    assert capsys.readouterr().out == "1569 pairs agree\n"
+    assert capsys.readouterr().out == (
+        "{a, b}^±1, 2 states: 1569 pairs agree\n"
+        "{a}^±1, 3 states: 24150 pairs agree\n"
+        "{c}, 3 states: 55 pairs agree\n"
+    )
 
 
 def test_canonical_key_matches_iso_rooted():
@@ -1055,6 +1161,23 @@ def test_canonical_key_matches_iso_rooted():
         b, rb = random_reduced_pdfa(rng, rng.randint(1, 3))
         ok, _ = iso_rooted(a, ra, b, rb)
         assert ok == (canonical_rooted_key(a, ra) == canonical_rooted_key(b, rb))
+    # Every reduced pDFA of one to three states over {a}^±1 and over {c},
+    # at each of its states, against the first of each rooted tree, both
+    # ways: every ordered pair of distinct trees, and every way the pools
+    # write a tree, some with equivalent states.
+    for _, _, alphabet, _ in nonrooted_sweep.POOLS[1:]:
+        rooted = nonrooted_sweep.rooted(3, alphabet, every=True)
+        firsts = {}
+        for d, r, key in rooted:
+            firsts.setdefault(key, (d, r))
+        for d, r, key in rooted:
+            for other, (e, s) in firsts.items():
+                for x, rx, y, ry in ((d, r, e, s), (e, s, d, r)):
+                    ok, witness = iso_rooted(x, rx, y, ry)
+                    assert ok == (key == other)
+                    if not ok:
+                        reads = x.run(rx, witness.word) is not None, y.run(ry, witness.word) is not None
+                        assert reads == (witness.side == "left", witness.side == "right")
 
 
 def test_table_semantics_names_existing_nodes():

@@ -45,6 +45,16 @@ def test_gap2_rejects_bad_instances():
     for edge in ((0, 1.0), (0.0, 1), (True, 1), (0, False)):
         with pytest.raises(ValueError, match="names a node that is not an int"):
             Gap2Instance(2, frozenset({edge}))
+    # An edge that is not a pair is named, whether it is no sequence at all
+    # or one of the wrong length, and whether the edges come as a set or a
+    # list.
+    for edge, text in ((0, "0"), (None, "None"), ((1,), r"\(1,\)"), ((1, 2, 0), r"\(1, 2, 0\)"), ((), r"\(\)")):
+        for edges in (frozenset({(0, 1), edge}), [(0, 1), edge]):
+            with pytest.raises(ValueError, match=rf"^edge {text} is not a pair of nodes$"):
+                Gap2Instance(3, edges)
+    # A list may repeat an edge, as a list or an iterator too; the
+    # out-degree counts it once.
+    assert Gap2Instance(3, [(0, 1), (0, 1), (0, 2), [0, 2], iter((0, 2))]).edges == {(0, 1), (0, 2)}
 
 
 def test_reduce_gap2_refuses_instances_past_the_node_budget():
