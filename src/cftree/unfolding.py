@@ -13,6 +13,16 @@ the parent, the letter on the edge from the parent, the label, the level and
 the number of the first child; no list of children is kept.  Every operation
 here works on those numbers.
 
+The constructor, ``end_cone`` and ``reroot_disc`` build their discs with
+one walk each, ``_walk``, which numbers a node and fills its entries of
+those lists as it meets it; what sets them apart is only which children
+each node is given.  ``truncate`` keeps the first nodes, with their
+numbers, so it cuts the lists instead.  The unfoldings and
+``jsonio.tree_from_doc`` keep loops of their own, which run faster than the
+walk with its call per node: an unfolding does not expand its last level
+and checks its node budget as it goes, and the document reader sorts and
+filters each node's neighbours in its loop.
+
 A node's *handle* is the name a caller uses for it.  In a pDFA unfolding it
 is the word (tuple of letters) read from the root; in an mNFA unfolding, the
 run prefix (tuple of transition ids).  Discs made from an unfolded one by
@@ -51,19 +61,27 @@ Word = tuple[str, ...]
 DEFAULT_MAX_NODES = 2**20
 
 
-def _link(order: Iterable, out: Callable) -> tuple[list[int], list, list[int]]:
-    """The parent, edge letter and first child of each node when the nodes
-    ``order``, a breadth-first walk in child order, are numbered by their
-    place in it; ``out(v)`` gives the ``(letter, child)`` pairs of ``v`` in
-    child order, so its children are numbered in turn."""
-    parent, letter, off = [-1], [None], []
-    for i, v in enumerate(order):
-        off.append(len(parent))
-        for a, _ in out(v):
+def _walk(start, out: Callable) -> tuple[list, list[int], list, list[int], list[int]]:
+    """One breadth-first walk from ``start`` that lists each node's children
+    in child order.  ``out(v, k)`` gives the ``(letter, child)`` pairs of
+    node ``v``, which lies ``k`` steps from ``start``, in child order.
+
+    Returns the nodes in walk order and, for each by its place in that
+    order, its parent's place (-1 at the start), the letter on the edge
+    from its parent (None at the start), its level and its first child's
+    place; the last list has one more entry, the number of nodes.
+    """
+    order, parent, letter, level, off = [start], [-1], [None], [0], []
+    for i, v in enumerate(order):  # ``order`` grows while it is read
+        off.append(len(order))
+        k = level[i]
+        for a, c in out(v, k):
+            order.append(c)
             parent.append(i)
             letter.append(a)
-    off.append(len(parent))
-    return parent, letter, off
+            level.append(k + 1)
+    off.append(len(order))
+    return order, parent, letter, level, off
 
 
 class DiscTree:
@@ -73,9 +91,13 @@ class DiscTree:
     closure are derived on demand.  ``radius`` is the validity bound of the
     disc and may exceed the actual height.  The constructor takes the
     ``labels`` and ``children`` dicts keyed by node handles, and each
-    ``children`` tuple gives that node's child order.  It reads them once:
-    its views are built from its own lists, as for every other disc, so a
-    leaf listed with ``()`` and one left out give equal discs.
+    ``children`` tuple gives that node's child order.  It reads them once,
+    in one breadth-first walk from the root: its views are built from its
+    own lists, as for every other disc, so a leaf listed with ``()`` and
+    one left out give equal discs.  It raises ``ValueError`` for a letter
+    outside ``alphabet``, a node with two parents, a child or a ``children``
+    key that is not labeled, a labeled node the walk does not reach, and a
+    node deeper than ``radius``.
     """
 
     __slots__ = (
@@ -120,23 +142,29 @@ class DiscTree:
             raise ValueError("radius must be non-negative")
         if root not in labels:
             raise ValueError("root must be a labeled node")
-        level: dict[Node, int] = {root: 0}
-        order = [root]
-        for v in order:  # ``order`` grows while it is read: a breadth-first walk
-            for a, c in children.get(v, ()):
-                if c in level:
+        letters, seen = alphabet.letters, {root}
+
+        def out(v: Node, _) -> tuple[tuple[str, Node], ...]:
+            kids = children.get(v, ())
+            for a, c in kids:
+                if a not in letters:
+                    raise ValueError(f"letter {a!r} is not in the alphabet")
+                if c in seen:
                     raise ValueError(f"node {c!r} has two parents")
                 if c not in labels:
                     raise ValueError(f"child node {c!r} is not labeled")
-                level[c] = level[v] + 1
-                order.append(c)
-        if len(level) != len(labels):
+                seen.add(c)
+            return kids
+
+        order, parent, letter, level, off = _walk(root, out)
+        if not children.keys() <= labels.keys():
+            v = next(v for v in children if v not in labels)
+            raise ValueError(f"parent node {v!r} is not labeled")
+        if len(order) != len(labels):
             raise ValueError("some labeled nodes are not reachable from the root")
-        if level[order[-1]] > radius:
+        if level[-1] > radius:
             raise ValueError("node level exceeds the declared radius")
-        parent, letter, off = _link(order, lambda v: children.get(v, ()))
-        label = [labels[v] for v in order]
-        self._set(radius, root, alphabet, parent, letter, label, [level[v] for v in order], off, names=order)
+        self._set(radius, root, alphabet, parent, letter, [labels[v] for v in order], level, off, names=order)
 
     def _set(
         self, radius, root, alphabet, parent, letter, label, level, off,
@@ -156,17 +184,18 @@ class DiscTree:
         t._set(*args, **handles)
         return t
 
-    def _derived(self, radius: int, root: Node, order: Iterable[int], level: list[int], out: Callable) -> DiscTree:
-        """The disc on this disc's nodes ``order``, listed in its
-        ``sorted_nodes`` order, with their handles and labels; ``out(u)``
-        gives node ``u``'s ``(letter, child)`` pairs in child order."""
-        parent, letter, off = _link(order, out)
-        label = [self._label[u] for u in order]
-        args = (radius, root, self.alphabet, parent, letter, label, level, off)
+    def _derived(self, radius: int, root: Node, start: int, out: Callable) -> DiscTree:
+        """The disc that one breadth-first walk over this disc's nodes builds
+        from node ``start``, whose handle is ``root``; ``out(u, k)`` gives
+        the ``(letter, child)`` pairs of node ``u``, which lies ``k`` steps
+        from ``start``, in child order.  The nodes keep their handles and
+        labels."""
+        order, parent, letter, level, off = _walk(start, out)
+        args = (radius, root, self.alphabet, parent, letter, [self._label[u] for u in order], level, off)
         if self._src is not None:
             return DiscTree._from_arrays(*args, src=self._src, src_ids=[self._src_ids[u] for u in order])
         if self._steps is not None:
-            return DiscTree._from_arrays(*args, src=self, src_ids=list(order))
+            return DiscTree._from_arrays(*args, src=self, src_ids=order)
         return DiscTree._from_arrays(*args, names=[self._names[u] for u in order])
 
     def _out(self, u: int) -> list[tuple[str, int]]:
@@ -462,14 +491,11 @@ def end_cone(t: DiscTree, v: Node) -> DiscTree:
     """The descendant subtree of ``v``, re-rooted at ``v``.
 
     Its radius is what remains of the disc below ``v``; in a tree, ``v`` is
-    the unique frontier point of its end-cone.
+    the unique frontier point of its end-cone.  One walk down from ``v``
+    builds it.
     """
     i = t._find(v)
-    cone = [i]
-    for u in cone:  # ``cone`` grows while it is read: a breadth-first walk
-        cone += range(t._off[u], t._off[u + 1])
-    top = t._level[i]
-    return t._derived(t.radius - top, v, cone, [t._level[u] - top for u in cone], t._out)
+    return t._derived(t.radius - t._level[i], v, i, lambda u, _: t._out(u))
 
 
 def reroot_disc(t: DiscTree, v: Node) -> DiscTree:
@@ -478,38 +504,45 @@ def reroot_disc(t: DiscTree, v: Node) -> DiscTree:
     A disc of radius ``r`` only determines the re-rooted tree out to distance
     ``r - level(v)`` from ``v``, so the result is truncated to that radius.
     A node's children are its old parent, when that is farther from ``v``,
-    then its old children.
+    then its old children that are.  One walk out from ``v`` builds it.
     """
     i = t._find(v)
-    new_radius = t.radius - t._level[i]
-    parent, letter = t._parent, t._letter
-    dist = [-1] * len(t)
-    dist[i] = 0
-    order = [i]
-    out: dict[int, list[tuple[str, int]]] = {}
-    for u in order:  # ``order`` grows while it is read: a breadth-first walk
-        if dist[u] == new_radius:
-            continue
-        kids: list[tuple[str, int]] = []
-        if parent[u] >= 0 and dist[parent[u]] < 0:
-            kids.append((t.alphabet.inv(letter[u]), parent[u]))
-        kids += [(a, c) for a, c in t._out(u) if dist[c] < 0]
-        for _, c in kids:
-            dist[c] = dist[u] + 1
-            order.append(c)
-        out[u] = kids
-    return t._derived(new_radius, v, order, [dist[u] for u in order], lambda u: out.get(u, ()))
+    top = t._level[i]
+    parent, letter, level, inv = t._parent, t._letter, t._level, t.alphabet.inv
+    below = -1  # the node of v's path to the old root that the walk expanded last
+
+    def out(u: int, k: int) -> list[tuple[str, int]]:
+        nonlocal below
+        if k == t.radius - top:
+            return []
+        # u lies k steps from v, so it lies on v's path to the old root just
+        # when it is k levels above v; otherwise the walk came from its old
+        # parent.  On the path, the walk came from the node it expanded last.
+        if level[u] + k > top:
+            return t._out(u)
+        up = [(inv(letter[u]), parent[u])] if u else []  # node 0 is the old root
+        kids, below = up + [(a, c) for a, c in t._out(u) if c != below], u
+        return kids
+
+    return t._derived(t.radius - top, v, i, out)
 
 
 def truncate(t: DiscTree, radius: int) -> DiscTree:
-    """Restriction of the disc to the nodes of level at most ``radius``."""
+    """Restriction of the disc to the nodes of level at most ``radius``.
+
+    Those are the first nodes in number order, and they keep their numbers,
+    so it walks nothing: it cuts every list by node number to its head, the
+    handles' too, and closes the first-child list at the new node count.
+    """
     if radius > t.radius:
         raise RadiusMismatchError(f"cannot extend a disc of radius {t.radius} to {radius}")
     if radius < 0:
         raise ValueError("radius must be non-negative")
     inner = bisect_right(t._level, radius - 1)  # the nodes that keep their children
-    n = bisect_right(t._level, radius)
-    return t._derived(radius, t.root, range(n), t._level[:n], lambda u: t._out(u) if u < inner else ())
+    n = t._off[inner]  # the nodes of level at most ``radius``
+    lists = (t._parent[:n], t._letter[:n], t._label[:n], t._level[:n], t._off[:inner] + [n] * (n + 1 - inner))
+    handles = {k: h[:n] for k, h in (("names", t._names), ("steps", t._steps), ("src_ids", t._src_ids)) if h is not None}
+    return DiscTree._from_arrays(radius, t.root, t.alphabet, *lists, src=t._src, **handles)
 
 
 def nondeterministic_vertex(t: DiscTree) -> Node | None:

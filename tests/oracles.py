@@ -24,7 +24,10 @@ straight from the refinement's blocks, and a breadth-first walk over the
 dict views checks the node numbering of every disc.  Discs unfolded as word
 tuples and handed to the ``DiscTree`` constructor, with the document writer,
 DOT writer, compression and determinism scan read off their dict views,
-check the discs that unfold, write and compress on node numbers; a filter over
+check the discs that unfold, write and compress on node numbers, and discs
+built from the views of a source disc, walked level by level and handed to
+the constructor, check its end-cones, re-rooted discs and truncations,
+which walk its node numbers; a filter over
 the ``delta`` map checks the ``trim`` that restricts the index, and
 re-rooting by copying the ``delta`` map, and by appending the path copies
 to the restriction of the index to the root's reach and trimming that,
@@ -1203,6 +1206,57 @@ def tree_to_doc_by_views(t: DiscTree, order: list[Node]) -> dict:
             for a, c in t.children.get(v, ())
         ],
     }
+
+
+def _disc_by_views(t: DiscTree, root: Node, radius: int, edges) -> DiscTree:
+    """The disc of the nodes of ``t`` within ``radius`` steps of ``root``,
+    found level by level, handed to the constructor; ``edges(u)`` lists the
+    ``(letter, node)`` edges out of ``u`` in child order, and a node's
+    children are its edges to nodes not met before."""
+    labels = {root: t.labels[root]}
+    children: dict[Node, tuple[tuple[str, Node], ...]] = {}
+    frontier = [root]
+    for _ in range(radius):
+        below = []
+        for u in frontier:
+            kids = tuple((a, c) for a, c in edges(u) if c not in labels)
+            for _, c in kids:
+                labels[c] = t.labels[c]
+                below.append(c)
+            if kids:
+                children[u] = kids
+        frontier = below
+    return DiscTree(radius, root, labels, children, t.alphabet)
+
+
+def _depth(t: DiscTree, v: Node) -> int:
+    """The number of steps from ``v`` up to the root in the ``parent`` view."""
+    depth = 0
+    while v in t.parent:
+        v, _ = t.parent[v]
+        depth += 1
+    return depth
+
+
+def end_cone_by_views(t: DiscTree, v: Node) -> DiscTree:
+    """``end_cone`` as the nodes below ``v`` in the ``children`` view."""
+    return _disc_by_views(t, v, t.radius - _depth(t, v), lambda u: t.children.get(u, ()))
+
+
+def reroot_disc_by_views(t: DiscTree, v: Node) -> DiscTree:
+    """``reroot_disc`` as the nodes near ``v`` through the ``parent`` and
+    ``children`` views, each node's old parent before its old children."""
+
+    def edges(u: Node) -> list[tuple[str, Node]]:
+        up = [(t.alphabet.inv(t.parent[u][1]), t.parent[u][0])] if u in t.parent else []
+        return up + list(t.children.get(u, ()))
+
+    return _disc_by_views(t, v, t.radius - _depth(t, v), edges)
+
+
+def truncate_by_views(t: DiscTree, radius: int) -> DiscTree:
+    """``truncate`` as the nodes near the root in the ``children`` view."""
+    return _disc_by_views(t, t.root, radius, lambda u: t.children.get(u, ()))
 
 
 def pdfa_doc_by_delta(d: PDfa, root: str | None = None) -> dict:

@@ -10,6 +10,7 @@ from cftree import (
     PDfa,
     involutive_closure,
     is_reduced,
+    reroot_along_word,
     trim,
 )
 
@@ -91,6 +92,49 @@ def random_reduced_pdfa(
     d = PDfa(states, alphabet, delta)
     assert is_reduced(d)
     return d, states[0]
+
+
+def renamed_pdfa(rng: random.Random, d: PDfa, root: str) -> tuple[PDfa, str]:
+    """``d`` with its states renamed r0.. in random order, and the new name
+    of ``root``."""
+    new = [f"r{i}" for i in range(len(d.states))]
+    rng.shuffle(new)
+    name = dict(zip(sorted(d.states), new))
+    return PDfa(new, d.alphabet, {(name[p], x): name[q] for (p, x), q in d.delta.items()}), name[root]
+
+
+def readable_word(rng: random.Random, d: PDfa, root: str, length: int) -> tuple[str, ...]:
+    """A random word of at most ``length`` letters readable from ``root``;
+    it stops early where nothing can be read."""
+    word, state = [], root
+    for _ in range(length):
+        letters = sorted(d.out_set(state))
+        if not letters:
+            break
+        word.append(rng.choice(letters))
+        state = d.run(state, word[-1:])
+    return tuple(word)
+
+
+def nonrooted_families(rng: random.Random, sizes: tuple[int, ...]) -> list[tuple[int, PDfa, str]]:
+    """``(family, pDFA, root)`` for four members of one family per size.
+
+    A family's base is a random reduced pDFA over {a, b}^±1 of about that
+    many states.  Its members are two renamed copies of it, whose rooted
+    trees are equal, and two copies re-rooted along random readable words
+    of up to 32 letters and then renamed.  Members of a family
+    generate one non-rooted tree; bases of different sizes, in practice,
+    do not.
+    """
+    out = []
+    for family, n in enumerate(sizes):
+        base, root = random_reduced_pdfa(rng, n, involutive_closure(["a", "b"]))
+        for k in range(4):
+            d, r = base, root
+            if k >= 2:
+                d, r = reroot_along_word(d, r, readable_word(rng, d, r, rng.randint(1, 32)))
+            out.append((family, *renamed_pdfa(rng, d, r)))
+    return out
 
 
 def random_pdfa(

@@ -53,9 +53,11 @@ from oracles import (
 from randgen import (
     exhaustive_reduced_pdfa_pool,
     hub_lines,
+    nonrooted_families,
     random_gap2,
     random_pdfa,
     random_reduced_pdfa,
+    renamed_pdfa,
     two_tooth_lines,
 )
 
@@ -374,13 +376,6 @@ def _alphabet_twin(x: PDfa, y: PDfa) -> PDfa | None:
     return PDfa(y.states, alphabet, y.delta)
 
 
-def _renamed(rng, d: PDfa, root: str) -> tuple[PDfa, str]:
-    new = [f"r{i}" for i in range(len(d.states))]
-    rng.shuffle(new)
-    name = dict(zip(sorted(d.states), new))
-    return PDfa(new, d.alphabet, {(name[p], x): name[q] for (p, x), q in d.delta.items()}), name[root]
-
-
 def _walk(d: PDfa, root: str, choices) -> tuple[str, ...]:
     """The word that takes, at each step, the first of ``choices`` readable there."""
     word, state = [], root
@@ -396,7 +391,7 @@ def _walk(d: PDfa, root: str, choices) -> tuple[str, ...]:
 def _rerooted(rng, d: PDfa, root: str) -> tuple[PDfa, str]:
     letters = d.alphabet.sorted_letters()
     word = _walk(d, root, [rng.sample(letters, len(letters)) for _ in range(12)])
-    return _renamed(rng, *reroot_along_word(d, root, word))
+    return renamed_pdfa(rng, *reroot_along_word(d, root, word))
 
 
 def _lifted_gap2(rng, planted: bool):
@@ -421,7 +416,7 @@ def _periodic_line(rng, period: int, j: int) -> tuple[PDfa, str]:
         delta[(f"B{k}", "a^-1")] = f"B{(k - 1) % period}"
     for p in ("F0", "B0", "R") if j == 0 else ("F0", "B0"):
         delta[(p, "b")] = "L"
-    return _renamed(rng, PDfa({p for p, _ in delta} | set(delta.values()), samples.AL_AB, delta), "R")
+    return renamed_pdfa(rng, PDfa({p for p, _ in delta} | set(delta.values()), samples.AL_AB, delta), "R")
 
 
 def test_iso_nonrooted_matches_by_names_oracle():
@@ -446,7 +441,7 @@ def test_iso_nonrooted_matches_by_names_oracle():
             # A root other than the first state leaves states unreachable.
             ra = rng.choice(sorted(a.states)) if i % 3 == 0 else ra
             if kind == "renamed":
-                b, rb = _renamed(rng, a, ra)
+                b, rb = renamed_pdfa(rng, a, ra)
             elif kind == "independent" or kind != "rerooted" and i // 8 % 2:
                 b, rb = random_reduced_pdfa(rng, rng.randint(1, 14), a.alphabet)
             else:
@@ -572,7 +567,7 @@ def _start_cases(rng, count: int, split_lines: bool = False):
             period = rng.choice([2, 3, 4, 6])
             a, ra = _periodic_line(rng, period, rng.randrange(period))
             b, rb = _periodic_line(rng, period, 0)
-            yield (a, ra, *_renamed(rng, *_split(rng, b, rb))) if split_lines else (a, ra, b, rb)
+            yield (a, ra, *renamed_pdfa(rng, *_split(rng, b, rb))) if split_lines else (a, ra, b, rb)
             continue
         reads = i % 4
         alphabet = rng.choice(alphabets[reads > 1 :])
@@ -581,9 +576,9 @@ def _start_cases(rng, count: int, split_lines: bool = False):
         if i // 8 % 3 == 2:
             b, rb = random_reduced_pdfa(rng, rng.randint(1, 14), alphabet, extra_density=2 * rng.random())
         else:
-            b, rb = _rerooted(rng, a, ra) if reads else _renamed(rng, a, first)
+            b, rb = _rerooted(rng, a, ra) if reads else renamed_pdfa(rng, a, first)
         if i // 4 % 2:
-            b, rb = _renamed(rng, *_split(rng, b, rb))
+            b, rb = renamed_pdfa(rng, *_split(rng, b, rb))
         if i // 8 % 3 == 1:
             rb = rng.choice([q for q in sorted(b.states) if b.out_set(q) == a.out_set(ra)] or [rb])
         yield a, ra, b, rb
@@ -632,7 +627,7 @@ def test_class_search_matches_state_search():
             if kind == "independent":
                 b, rb = random_reduced_pdfa(rng, rng.randint(1, 16), a.alphabet, extra_density=rng.random())
             elif kind == "renamed":
-                b, rb = _renamed(rng, a, ra)
+                b, rb = renamed_pdfa(rng, a, ra)
             else:
                 b, rb = _rerooted(rng, a, ra)
             if kind.startswith("split"):
@@ -982,7 +977,7 @@ def test_key_seeded_refinement_matches_mask_seeded_oracle(monkeypatch):
             a, ra, b, rb = _lifted_gap2(rng, i // 6 % 2 == 0)
         elif kind == "lasso":  # three Moore rounds split off at most the leaf's three nearest ancestors
             a, ra = _lasso(rng.randint(1, 300), rng.choice([0, 1, rng.randint(2, 40)]), "s")
-            b, rb = (_rerooted if i // 6 % 2 else _renamed)(rng, a, ra)
+            b, rb = (_rerooted if i // 6 % 2 else renamed_pdfa)(rng, a, ra)
         else:
             alphabet = al_b if kind == "b-vs-ab" else None
             a, ra = random_reduced_pdfa(rng, rng.randint(1, 60), alphabet, extra_density=rng.random())
@@ -991,7 +986,7 @@ def test_key_seeded_refinement_matches_mask_seeded_oracle(monkeypatch):
             if kind == "alone":
                 b, rb = a, rng.choice(sorted(a.states)) if i // 6 % 2 else ra
             elif kind == "renamed":
-                b, rb = _renamed(rng, a, ra)
+                b, rb = renamed_pdfa(rng, a, ra)
             else:
                 b, rb = _rerooted(rng, a, ra)
             if kind == "b-vs-ab":  # the merged-alphabet path on one side
@@ -1152,6 +1147,16 @@ def test_iso_nonrooted_agrees_with_node_enumeration_on_small_trees(capsys):
         "{a}^±1, 3 states: 24150 pairs agree\n"
         "{c}, 3 states: 55 pairs agree\n"
     )
+
+
+def test_nonrooted_verdicts_keep_their_algebra_at_scale():
+    # Four members for each of three random reduced bases of about 1000,
+    # 1100 and 1200 states: 144 ordered pairs, 24 lifts and 12 quotients,
+    # with no oracle.  Most bases have classes of several states, so the
+    # quotients shrink.  CI checks families of 10^4 states.
+    members = nonrooted_families(random.Random(1), (1000, 1100, 1200))
+    assert all(len(quotient(d)[0].states) < len(d.states) for _, d, _ in members)
+    assert nonrooted_sweep.family_disagreement(members) is None
 
 
 def test_canonical_key_matches_iso_rooted():

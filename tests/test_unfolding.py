@@ -31,15 +31,18 @@ from cftree.jsonio import alphabet_to_doc, automaton_to_doc, dumps, tree_from_do
 from oracles import (
     canonical_forms_by_handle,
     compress_finite_tree_by_views,
+    end_cone_by_views,
     export_dot_by_views,
     labeled_iso_brute,
     labeled_iso_recursive,
     language_upto,
     nondeterministic_vertex_by_walk,
     nondeterministic_vertex_sorted,
+    reroot_disc_by_views,
     sorted_nodes_by_walk,
     tree_from_doc_by_fields,
     tree_to_doc_by_views,
+    truncate_by_views,
     unfold_mnfa_by_words,
     unfold_pdfa_by_words,
 )
@@ -360,8 +363,19 @@ def test_constructor_views_come_from_its_own_lists():
         (1, "r", {"r": "p"}, {"r": (("a", "c"),)}, "child node 'c' is not labeled"),
         (1, "r", {"r": "p", "c": "p"}, {}, "some labeled nodes are not reachable from the root"),
         (0, "r", {"r": "p", "c": "p"}, {"r": (("a", "c"),)}, "node level exceeds the declared radius"),
+        (1, "r", {"r": "x", "c": "y"}, {"r": (("zz", "c"),)}, "letter 'zz' is not in the alphabet"),
+        (1, "r", {"r": "x"}, {"ghost": (("a", "r"),)}, "parent node 'ghost' is not labeled"),
     ],
-    ids=["negative-radius", "unlabeled-root", "two-parents", "unlabeled-child", "unreachable", "too-deep"],
+    ids=[
+        "negative-radius",
+        "unlabeled-root",
+        "two-parents",
+        "unlabeled-child",
+        "unreachable",
+        "too-deep",
+        "unknown-letter",
+        "unlabeled-parent",
+    ],
 )
 def test_constructor_rejects_what_is_no_disc(radius, root, labels, children, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -590,7 +604,8 @@ def test_disc_operations_match_word_oracles():
     # pDFA and mNFA discs unfolded on node numbers against word-tuple discs
     # built through the constructor, loaded trees against the field-by-field
     # reader, and the end-cones, re-rooted discs and truncations of both,
-    # byte for byte.
+    # byte for byte; those of the new discs also against the ones built
+    # from the old discs' views.
     rng = random.Random(71)
     discs = []
     for i in range(120):
@@ -611,9 +626,11 @@ def test_disc_operations_match_word_oracles():
         cut = rng.randint(0, new.radius)
         derived = [(end_cone(new, v), end_cone(old, v)), (reroot_disc(new, v), reroot_disc(old, v))]
         derived.append((truncate(new, cut), truncate(old, cut)))
+        by_views = [end_cone_by_views(old, v), reroot_disc_by_views(old, v), truncate_by_views(old, cut)]
         counts[kind, _check_against_views(new, old, sorted_nodes_by_walk(old))] += 1
-        for x, y in derived:
+        for (x, y), z in zip(derived, by_views):
             _check_against_views(x, y, sorted_nodes_by_walk(y))
+            assert x == z and x.sorted_nodes() == z.sorted_nodes()
     assert min(counts.values()) >= 20 and len(counts) == 6, counts
 
     verdicts = Counter()
