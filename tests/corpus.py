@@ -44,6 +44,7 @@ from randgen import (
     random_labeled_disc,
     random_pdfa,
     random_reduced_pdfa,
+    readable_word,
 )
 
 DIGEST_FILE = Path(__file__).resolve().parent / "data" / "cli_digest.txt"
@@ -70,22 +71,11 @@ def _pdfa_doc(rng: random.Random, d: PDfa, root: str | None, kind: str = "pdfa")
 
 
 def _renamed(rng: random.Random, d: PDfa, root: str) -> tuple[PDfa, str]:
+    # Not randgen.renamed_pdfa: the sampled r numbers are pinned by the committed digest.
     names = sorted(d.states)
     fresh = [f"r{i}" for i in rng.sample(range(10 * len(names)), len(names))]
     m = dict(zip(names, fresh))
     return PDfa(fresh, d.alphabet, {(m[p], a): m[q] for (p, a), q in d.delta.items()}), m[root]
-
-
-def _walk(rng: random.Random, d: PDfa, root: str, length: int) -> list[str]:
-    word, s = [], root
-    for _ in range(length):
-        out = sorted(a for (p, a) in d.delta if p == s)
-        if not out:
-            break
-        a = rng.choice(out)
-        word.append(a)
-        s = d.delta[(s, a)]
-    return word
 
 
 def _mnfa_doc(rng: random.Random, d: PDfa, root: str | None, parallel: int) -> dict:
@@ -158,7 +148,7 @@ def write_corpus(directory: Path, seed: int = 2024) -> list[list[str]]:
         cmds.append(["unfold", f, "--radius", str(rng.randint(0, 4))])
         cmds.append(["unfold", f, "--radius", str(rng.randint(0, 3)), "--dot"])
         cmds.append(["minimize", f, *(["--trim"] if k % 2 else [])])
-        word = _walk(rng, d, root, rng.randint(0, 6))
+        word = readable_word(rng, d, root, rng.randint(0, 6))
         cmds.append(["reroot", f, "--word", ",".join(word) if k % 2 else " ".join(word)])
         cmds.append(["reroot", f, "--word", " ".join([*word, "b^-1", "b"])])
 
@@ -166,7 +156,7 @@ def write_corpus(directory: Path, seed: int = 2024) -> list[list[str]]:
         # walk (isomorphic without roots), each in its own document.
         r, rroot = _renamed(rng, d, root)
         g = write("renamed", _pdfa_doc(rng, r, rroot))
-        moved, mroot = reroot_along_word(d, root, _walk(rng, d, root, rng.randint(1, 5)))
+        moved, mroot = reroot_along_word(d, root, readable_word(rng, d, root, rng.randint(1, 5)))
         h = write("moved", _pdfa_doc(rng, moved, mroot))
         other_f = reduced[rng.randrange(len(reduced))]
         for a, b in ((f, g), (f, h), (h, f), (f, other_f)):
@@ -198,7 +188,7 @@ def write_corpus(directory: Path, seed: int = 2024) -> list[list[str]]:
         cmds.append(["unfold", f, *state, "--radius", "3"])
         cmds.append(["minimize", f, *(["--trim"] if k % 2 else [])])
         cmds.append(["iso", f, f, *(state * 2), "--unrooted", "--witness"])
-        cmds.append(["reroot", f, *state, "--word", " ".join(_walk(rng, d, root, 3))])
+        cmds.append(["reroot", f, *state, "--word", " ".join(readable_word(rng, d, root, 3))])
         cmds.append(["lift-nonrooted", f, f, "--state-a", root, "--state-b", root, *out_args()])
         m = write("mnfa", _mnfa_doc(rng, d, root, parallel=k % 2))
         cmds.append(["iso", m, f, *(state * 2), "--rooted", "--witness"])
