@@ -1,4 +1,4 @@
-from costs import GENERATORS, WARM_KINDS, cold_block, form_block, form_bytes, kept_bytes, warm_block
+from costs import GENERATORS, form_bytes, kept_bytes
 
 # Bytes per reached state of the predecessor form, 20% or more above what
 # CPython 3.11 measures (120.1 and 297.3 in the form, 155.9 and 439.3 at the
@@ -22,16 +22,3 @@ def test_kept_entry_is_the_form_alone():
         _, held, _ = form_bytes(generators)
         assert kept_bytes(generators) <= held + 1
 
-
-def test_blocks_give_one_line_per_alphabet_kind_and_size():
-    # The two-tooth and hub block takes seconds, so only the script's CI
-    # step runs it; test_two_tooth_lines_search_far_inside_the_state_search
-    # guards that search here.
-    for block in (form_block, cold_block):
-        assert [line.split()[:2] for line in block()] == [["4", "letters"], ["12", "letters"]]
-    warm = list(warm_block())
-    assert [line.split()[:4] for line in warm] == [[kind, "n", "=", str(n)] for kind, sizes in WARM_KINDS for n in sizes]
-    for line in warm:
-        words = line.split()
-        assert words[4::3] == ["iso_nonrooted", "_classes"] and words[6::3] == ["ms", "ms"]
-        assert float(words[5]) > 0 and float(words[8]) > 0
