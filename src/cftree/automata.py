@@ -6,9 +6,10 @@ with identical endpoints and label are distinguished by an integer id.  A
 determinism holds by representation.  It is held as a map, as an integer
 index (one successor column per letter), or both, and each form is derived
 from the other on first use: a pDFA built from a map indexes it when a
-decision first runs, and one loaded from a document or made by a quotient,
-``trim`` or a re-rooting (all three through ``_restrict``) holds only its
-index until ``delta``, a read-only view of the map, is read.  Both kinds are
+decision first runs, and one loaded from a document, compressed from a
+finite tree, or made by a quotient, ``trim`` or a re-rooting (the last three
+through ``_restrict``) holds only its index until ``delta``, a read-only
+view of the map, is read.  Both kinds are
 immutable after construction, so the index and the verdicts kept from it
 stay true.  ``_sorted_transitions`` lists the transitions in order from
 whichever form is held, so writers, ``pdfa_to_mnfa``, ``validate_pdfa`` and

@@ -36,9 +36,9 @@ def _read_doc(path: str):
     return jsonio.loads(text)
 
 
-def _write_doc(path: str, doc: dict) -> None:
+def _write_doc(path: str, text: str) -> None:
     try:
-        Path(path).write_text(jsonio.dumps(doc), encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as e:
         raise SchemaError(f"cannot write {path}: {e}") from e
 
@@ -79,7 +79,7 @@ def _cmd_unfold(args) -> int:
     if args.dot:
         sys.stdout.write(export_dot(tree))
     else:
-        sys.stdout.write(jsonio.dumps(jsonio.tree_to_doc(tree)))
+        sys.stdout.write(jsonio.tree_to_json(tree))
     return EXIT_OK
 
 
@@ -123,7 +123,7 @@ def _cmd_reroot(args) -> int:
     d = _as_pdfa_input(aut, args.file)
     word = _parse_word(args.word)
     out, new_root = reroot_along_word(d, state, word)
-    sys.stdout.write(jsonio.dumps(jsonio.automaton_to_doc(out, root=new_root)))
+    sys.stdout.write(jsonio.automaton_to_json(out, root=new_root))
     return EXIT_OK
 
 
@@ -133,8 +133,8 @@ def _cmd_reduce_2gap(args) -> int:
         a, root_a, b, root_b = reduce_gap2_to_rooted_iso(g)
     except ValueError as e:
         raise SchemaError(str(e)) from e
-    _write_doc(args.out_a, jsonio.automaton_to_doc(a, root=root_a))
-    _write_doc(args.out_b, jsonio.automaton_to_doc(b, root=root_b))
+    _write_doc(args.out_a, jsonio.automaton_to_json(a, root=root_a))
+    _write_doc(args.out_b, jsonio.automaton_to_json(b, root=root_b))
     print(f"wrote {args.out_a} and {args.out_b}", file=sys.stderr)
     return EXIT_OK
 
@@ -147,8 +147,8 @@ def _cmd_lift_nonrooted(args) -> int:
     a = _as_pdfa_input(aut_a, args.file_a)
     b = _as_pdfa_input(aut_b, args.file_b)
     a2, p2, b2, q2 = reduce_rooted_to_nonrooted(a, state_a, b, state_b)
-    _write_doc(args.out_a, jsonio.automaton_to_doc(a2, root=p2))
-    _write_doc(args.out_b, jsonio.automaton_to_doc(b2, root=q2))
+    _write_doc(args.out_a, jsonio.automaton_to_json(a2, root=p2))
+    _write_doc(args.out_b, jsonio.automaton_to_json(b2, root=q2))
     print(f"wrote {args.out_a} and {args.out_b}", file=sys.stderr)
     return EXIT_OK
 
@@ -156,7 +156,7 @@ def _cmd_lift_nonrooted(args) -> int:
 def _cmd_compress(args) -> int:
     tree = jsonio.tree_from_doc(_read_doc(args.treefile))
     d, root = compression.compress_finite_tree(tree)
-    sys.stdout.write(jsonio.dumps(jsonio.automaton_to_doc(d, root=root)))
+    sys.stdout.write(jsonio.automaton_to_json(d, root=root))
     return EXIT_OK
 
 
@@ -169,7 +169,7 @@ def _cmd_minimize(args) -> int:
     new_root = rep[root] if root is not None else None
     if args.trim:
         out = trim(out, new_root)
-    sys.stdout.write(jsonio.dumps(jsonio.automaton_to_doc(out, root=new_root)))
+    sys.stdout.write(jsonio.automaton_to_json(out, root=new_root))
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ and three-round keys, as ``_predecessors`` returns it.
 
 from __future__ import annotations
 
-from .automata import PDfa, _classes, _predecessors, _restrict
+from .automata import PDfa, _blank_index, _classes, _predecessors, _restrict
 from .errors import NondeterministicTreeError
 from .unfolding import DiscTree, _canonical_forms, nondeterministic_vertex
 
@@ -22,7 +22,8 @@ def compress_finite_tree(t: DiscTree) -> tuple[PDfa, str]:
     class contributes one transition per outgoing letter of its first
     representative in breadth-first order.  The caller asserts that the tree
     is complete: a truncated disc would misclassify its boundary nodes as
-    leaves.  The result is reduced and has no two equivalent states.
+    leaves.  The result is reduced and has no two equivalent states, and it
+    holds only its index, filled straight from the disc's lists.
     """
     bad = nondeterministic_vertex(t)
     if bad is not None:
@@ -30,13 +31,19 @@ def compress_finite_tree(t: DiscTree) -> tuple[PDfa, str]:
             f"involutive closure is not deterministic at node {bad!r}"
         )
     (forms,) = _canonical_forms([t])
-    # Node numbers run in ``sorted_nodes`` order: name each form by its first
-    # appearance, and take its first node as its representative.
-    state = {f: f"c{i}" for i, f in enumerate(dict.fromkeys(forms))}
-    rep = dict(zip(reversed(forms), range(len(forms) - 1, -1, -1)))
-    off, letter = t._off, t._letter
-    delta = {(state[f], letter[c]): state[forms[c]] for f, v in rep.items() for c in range(off[v], off[v + 1])}
-    return PDfa(state.values(), t.alphabet, delta), state[forms[0]]
+    # Node numbers run in ``sorted_nodes`` order: state ``c<i>`` is the
+    # i-th form to appear, and its row is read off that form's first node.
+    state = {f: i for i, f in enumerate(dict.fromkeys(forms))}
+    first = dict(zip(reversed(forms), range(len(forms) - 1, -1, -1)))
+    ix, by_letter = _blank_index([f"c{i}" for i in range(len(state))], t.alphabet)
+    off, letter, masks = t._off, t._letter, ix.masks
+    for f, s in state.items():
+        v = first[f]
+        for c in range(off[v], off[v + 1]):
+            column, bit = by_letter[letter[c]]
+            column[s] = state[forms[c]]
+            masks[s] |= bit
+    return PDfa._from_index(t.alphabet, ix), "c0"
 
 
 def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:

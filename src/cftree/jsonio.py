@@ -21,13 +21,16 @@ reachability instance::
     { "n": int, "edges": [[u, v], ...] }
 
 Writers emit a fixed field order and sorted collections, so output is
-byte-identical across runs.  The CLI's JSON output is, byte for byte, the
-standard library's ``json.dumps(doc, indent=2)`` plus a newline; ``dumps``
-writes that form without the standard library's pure-Python indenting
-encoder.  Readers check each row in one pass and build an error message
-only for a row that fails.  A strict "pdfa" document is read straight into
-the automaton's integer index, so the pDFA holds no ``delta`` map until one
-is read.
+byte-identical across runs.  ``automaton_to_doc`` and ``tree_to_doc`` give
+a document as dicts.  ``automaton_to_json`` and ``tree_to_json`` give, byte
+for byte, the standard library's ``json.dumps(doc, indent=2)`` of the same
+document plus a newline, which is every document the CLI writes: each row
+is one f-string filled straight from the transitions or the disc's lists,
+with no dict per row and no pass of the standard library's pure-Python
+indenting encoder.  Readers check each row in one pass and build an error
+message only for a row that fails.  A strict "pdfa" document is read
+straight into the automaton's integer index, so the pDFA holds no
+``delta`` map until one is read.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import json
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, Iterable
+from typing import Any
 
 from .alphabet import InvolutiveAlphabet, involutive_closure
 from .automata import MNfa, PDfa, Transition, _blank_index, _Index, _sorted_transitions
@@ -107,15 +110,15 @@ def automaton_from_doc(doc: Any, *, strict: bool = True) -> tuple[MNfa | PDfa, s
     if kind not in ("mnfa", "pdfa"):
         raise SchemaError(f'kind must be "mnfa" or "pdfa", not {kind!r}')
     states = _string_list(doc["states"], "states")
+    root = doc.get("root")
+    if kind == "pdfa" and strict and isinstance(doc["transitions"], list):
+        index = _pdfa_index(states, alphabet, doc["transitions"], root)
+        if index is not None:
+            return PDfa._from_index(alphabet, index), root
     if len(set(states)) != len(states):
         raise SchemaError("duplicate state names")
     if not isinstance(doc["transitions"], list):
         raise SchemaError("transitions must be a list")
-    root = doc.get("root")
-    if kind == "pdfa" and strict:
-        index = _pdfa_index(states, alphabet, doc["transitions"], root)
-        if index is not None:
-            return PDfa._from_index(alphabet, index), root
     rows: list[tuple[int, str, str, str]] = []
     for td in doc["transitions"]:
         if not isinstance(td, dict) or td.keys() != _TRANSITION_FIELDS:
@@ -158,14 +161,17 @@ def automaton_from_doc(doc: Any, *, strict: bool = True) -> tuple[MNfa | PDfa, s
 def _pdfa_index(states: list[str], alphabet: InvolutiveAlphabet, rows: list, root: Any) -> _Index | None:
     """The index of a strict "pdfa" document, filled in one pass over its rows.
 
-    None when the document is not accepted as it stands: a row is not an
-    object with exactly the four fields or its id is no ``int``, a state or
-    letter lookup fails, a column cell is already taken (a clash), an id
-    repeats, or the root is not a state.  The caller then runs the checks in
-    their documented order to name the problem.
+    None when the document is not accepted as it stands: a state name
+    repeats (the index numbers fewer names than the list holds), a row is
+    not an object with exactly the four fields or its id is no ``int``, a
+    state or letter lookup fails, a column cell is already taken (a clash),
+    an id repeats, or the root is not a state.  The caller then runs the
+    checks in their documented order to name the problem.
     """
     ix, by_letter = _blank_index(list(states), alphabet)  # the document keeps its own list
     ids, masks = ix.ids, ix.masks
+    if len(ids) != len(states):
+        return None
     try:
         for td in rows:
             # Four entries and four successful lookups: exactly the four fields.
@@ -199,6 +205,66 @@ def automaton_to_doc(aut: MNfa | PDfa, root: str | None = None) -> dict:
     if root is not None:
         doc["root"] = root
     return doc
+
+
+_encode = json.encoder.encode_basestring_ascii
+
+
+class _Codes(dict):
+    """Each string's JSON text, encoded the first time it is asked for."""
+
+    def __missing__(self, s: str) -> str:
+        code = self[s] = _encode(s)
+        return code
+
+
+def _block(items: list[str], nl: str, brackets: str = "[]") -> str:
+    """The JSON texts ``items`` as an array, or with ``brackets="{}"`` the
+    ``key: value`` texts ``items`` as an object, indented as
+    ``json.dumps(…, indent=2)`` indents them where ``nl`` is a newline and
+    the indent of the brackets."""
+    if not items:
+        return brackets
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
+
+def _alphabet_json(alphabet: InvolutiveAlphabet, code: _Codes) -> str:
+    """``alphabet_to_doc(alphabet)`` as a document's second-level field."""
+    letters, inv = alphabet.sorted_letters(), alphabet.inverse_map()
+    fields = [
+        '"letters": ' + _block([code[a] for a in letters], "\n    "),
+        '"inverse": ' + _block([code[a] + ": " + code[inv[a]] for a in letters], "\n    ", "{}"),
+    ]
+    return _block(fields, "\n  ", "{}")
+
+
+def automaton_to_json(aut: MNfa | PDfa, root: str | None = None) -> str:
+    """The text of ``automaton_to_doc(aut, root)`` as
+    ``json.dumps(doc, indent=2)`` writes it, and a newline.
+
+    Each transition is one f-string, its fields taken from the mNFA's
+    transitions or from the pDFA's ``_sorted_transitions``, and each state
+    name and letter is encoded once.
+    """
+    code = _Codes()
+    if isinstance(aut, MNfa):
+        kind, listing = "mnfa", aut.transitions
+    else:
+        kind, listing = "pdfa", ((i, p, a, q) for i, ((p, a), q) in enumerate(_sorted_transitions(aut)))
+    rows = [
+        f'{{\n      "id": {i},\n      "from": {code[p]},\n      "label": {code[a]},\n      "to": {code[q]}\n    }}'
+        for i, p, a, q in listing
+    ]
+    fields = [
+        '"alphabet": ' + _alphabet_json(aut.alphabet, code),
+        f'"kind": "{kind}"',
+        '"states": ' + _block([code[s] for s in sorted(aut.states)], "\n  "),
+        '"transitions": ' + _block(rows, "\n  "),
+    ]
+    if root is not None:
+        fields.append('"root": ' + code[root])
+    return _block(fields, "\n", "{}") + "\n"
 
 
 def _string_columns(rows: list, fields: tuple[str, ...]) -> list[list[str]] | None:
@@ -346,6 +412,31 @@ def tree_to_doc(t: DiscTree) -> dict:
     }
 
 
+def tree_to_json(t: DiscTree) -> str:
+    """The text of ``tree_to_doc(t)`` as ``json.dumps(doc, indent=2)``
+    writes it, and a newline.
+
+    Each node and edge is one f-string, its fields taken from the disc's
+    parent, letter and label lists; node ids ``v0…`` need no encoding, and
+    each label and letter is encoded once.
+    """
+    code = _Codes()
+    n, parent, letter = len(t), t._parent, t._letter
+    nodes = [f'{{\n      "id": "v{v}",\n      "label": {code[x]}\n    }}' for v, x in enumerate(t._label)]
+    edges = [
+        f'{{\n      "from": "v{parent[c]}",\n      "label": {code[letter[c]]},\n      "to": "v{c}"\n    }}'
+        for c in range(1, n)
+    ]
+    fields = [
+        f'"radius": {t.radius}',
+        '"root": "v0"',
+        '"alphabet": ' + _alphabet_json(t.alphabet, code),
+        '"nodes": ' + _block(nodes, "\n  "),
+        '"edges": ' + _block(edges, "\n  "),
+    ]
+    return _block(fields, "\n", "{}") + "\n"
+
+
 def gap2_from_doc(doc: Any) -> Gap2Instance:
     _require_fields(doc, {"n", "edges"}, set(), "reachability instance")
     if not _is_int(doc["n"]):
@@ -365,68 +456,6 @@ def gap2_from_doc(doc: Any) -> Gap2Instance:
 
 def gap2_to_doc(g: Gap2Instance) -> dict:
     return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
-
-
-def dumps(doc: Any) -> str:
-    """``json.dumps(doc, indent=2)`` and a newline, byte for byte.
-
-    The standard library formats indented JSON in pure Python, one value at
-    a time.  Here strings and integers are encoded a list at a time, and a
-    list of records that share one key order is formatted column by column
-    into one ``%`` template per record.  Values of any other type (floats,
-    tuples, subclasses, dicts with non-string keys) go to the standard
-    library.
-    """
-    return _format(doc, "\n") + "\n"
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _format(value: Any, nl: str) -> str:
-    """``value`` as indented JSON, where ``nl`` is a newline and its indent."""
-    t = type(value)
-    if t is str:
-        return _encode_str(value)
-    if t is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    inner = nl + "  "
-    if t is list:
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_format_all(value, inner)) + nl + "]"
-    if t is dict and set(map(type, value)) <= {str}:
-        if not value:
-            return "{}"
-        items = [_encode_str(k) + ": " + _format(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    return json.dumps(value, indent=2).replace("\n", nl)
-
-
-def _format_all(values: list, nl: str) -> Iterable[str]:
-    """Each of ``values`` as indented JSON, all at the indent of ``nl``."""
-    types = set(map(type, values))
-    if types == {str}:
-        return map(_encode_str, values)
-    if types == {int}:
-        return map(int.__repr__, values)
-    if types == {dict}:
-        shapes = set(map(tuple, values))
-        if len(shapes) == 1:
-            (keys,) = shapes
-            if keys and set(map(type, keys)) == {str}:
-                inner = nl + "  "
-                fields = [inner + _encode_str(k).replace("%", "%%") + ": %s" for k in keys]
-                template = "{" + ",".join(fields) + nl + "}"
-                columns = [_format_all(list(map(itemgetter(k), values)), inner) for k in keys]
-                return map(template.__mod__, zip(*columns))
-    return [_format(v, nl) for v in values]
 
 
 def loads(text: str) -> Any:

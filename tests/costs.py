@@ -133,8 +133,8 @@ def _isomorphic(*pair: object) -> None:
     assert iso_nonrooted(*pair)[0]
 
 
-def cold_ms(generators: int, n: int) -> tuple[float, float, float, float]:
-    """The best ms of 7 cold ``quotient``, ``iso_nonrooted`` and
+def cold_ms(generators: int, n: int, repeats: int = 7) -> tuple[float, float, float, float]:
+    """The best ms of ``repeats`` cold ``quotient``, ``iso_nonrooted`` and
     ``reroot_along_word`` calls, and the mean bits of a key of the first
     pDFA's form, for every state."""
     rng = random.Random(1)
@@ -142,7 +142,7 @@ def cold_ms(generators: int, n: int) -> tuple[float, float, float, float]:
     word = readable_word(rng, a, ra, 12)
     b, rb = reroot_along_word(a, ra, word)
     quotients, searches, reroots = [], [], []
-    for _ in range(7):
+    for _ in range(repeats):
         quotients.append(_ms(quotient, _fresh(a)))
         searches.append(_ms(_isomorphic, _fresh(a), ra, _fresh(b), rb))
         reroots.append(_ms(reroot_along_word, _fresh(a), ra, word))
@@ -150,14 +150,14 @@ def cold_ms(generators: int, n: int) -> tuple[float, float, float, float]:
     return min(quotients), min(searches), min(reroots), sum(map(int.bit_length, keys)) / len(keys)
 
 
-def cold_block() -> Iterator[str]:
-    """One line per alphabet: at each size, the ms of cold calls and the
-    mean bits of a key."""
+def cold_block(sizes: tuple[int, ...] = COLD_SIZES, repeats: int = 7) -> Iterator[str]:
+    """One line per alphabet: at each of ``sizes``, the best ms of
+    ``repeats`` cold calls and the mean bits of a key."""
     for generators in GENERATORS:
-        figures = [cold_ms(generators, n) for n in COLD_SIZES]
+        figures = [cold_ms(generators, n, repeats) for n in sizes]
         quotients, searches, reroots, bits = (" / ".join(f"{x:7.2f}" for x in column) for column in zip(*figures))
         yield (
-            f"{2 * generators:3d} letters  at n = {' / '.join(map(str, COLD_SIZES))}:  quotient {quotients} ms  "
+            f"{2 * generators:3d} letters  at n = {' / '.join(map(str, sizes))}:  quotient {quotients} ms  "
             f"iso_nonrooted {searches} ms  reroot {reroots} ms  key {bits} bits"
         )
 
@@ -172,26 +172,27 @@ def warm_pair(kind: str, n: int, rng: random.Random) -> tuple[PDfa, str, PDfa, s
     return a, ra, *renamed_pdfa(rng, a, ra)
 
 
-def warm_ms(a: PDfa, ra: str, b: PDfa, rb: str) -> tuple[float, float]:
-    """The best ms of 40 warm ``iso_nonrooted`` calls on the pair, and of as
-    many ``_classes`` calls on the sides that it refines."""
+def warm_ms(a: PDfa, ra: str, b: PDfa, rb: str, repeats: int = 40) -> tuple[float, float]:
+    """The best ms of ``repeats`` warm ``iso_nonrooted`` calls on the pair,
+    and of as many ``_classes`` calls on the sides that it refines."""
     iso_nonrooted(a, ra, b, rb)
     sides = [_predecessors(b, b._indexed(), rb), _predecessors(a, a._indexed(), ra)]
     searches, refinements = [], []
-    for _ in range(40):
+    for _ in range(repeats):
         searches.append(_ms(iso_nonrooted, a, ra, b, rb))
         refinements.append(_ms(_classes, sides))
     return min(searches), min(refinements)
 
 
-def warm_block() -> Iterator[str]:
-    """One line per kind and size: the ms of warm ``iso_nonrooted`` and
-    ``_classes`` calls."""
+def warm_block(kinds: tuple = WARM_KINDS, repeats: int = 40, pairs: int = 3) -> Iterator[str]:
+    """One line per kind and size of ``kinds``: the best ms of ``repeats``
+    warm ``iso_nonrooted`` and ``_classes`` calls, averaged over ``pairs``
+    pairs."""
     rng = random.Random(1)
-    for kind, sizes in WARM_KINDS:
+    for kind, sizes in kinds:
         for n in sizes:
-            figures = [warm_ms(*warm_pair(kind, n, rng)) for _ in range(3)]
-            search, refinement = (sum(column) / 3 for column in zip(*figures))
+            figures = [warm_ms(*warm_pair(kind, n, rng), repeats) for _ in range(pairs)]
+            search, refinement = (sum(column) / pairs for column in zip(*figures))
             yield f"{kind:8s}  n = {n:3d}  iso_nonrooted {search:6.3f} ms  _classes {refinement:6.3f} ms"
 
 

@@ -17,8 +17,11 @@ per queued pair checks the one that keeps a first partner per state and
 rebuilds the witness by scanning its levels.  The labeled disc oracle
 enumerates every rooted isomorphism outright; the recursive matcher it
 replaced is kept for pDFA discs, where it is complete.  The document readers that check each
-row with ``_require_fields``, and the standard library's indenting encoder,
-check the one-pass readers and the column writer of ``cftree.jsonio``.  The
+row with ``_require_fields``, and the standard library's indenting encoder
+and a generic writer that formats any document column by column, check the
+one-pass readers and the template writers of ``cftree.jsonio``.  The
+compression that builds a string ``delta`` map checks the one that fills
+its index straight from the disc.  The
 quotient that renames classes through string dicts checks the one built
 straight from the refinement's blocks, and a breadth-first walk over the
 dict views checks the node numbering of every disc.  Discs unfolded as word
@@ -47,7 +50,8 @@ over pairs of states checks the one over pairs of language classes.
 import json
 from collections import defaultdict, deque
 from functools import reduce
-from typing import Any
+from operator import itemgetter
+from typing import Any, Iterable
 
 from cftree import (
     DEFAULT_MAX_NODES,
@@ -74,7 +78,7 @@ from cftree import (
 from cftree.automata import _classes, _predecessors, _reach, _require_pair, _restrict
 from cftree.jsonio import _require_fields, alphabet_from_doc
 from cftree.jsonio import alphabet_to_doc
-from cftree.unfolding import DiscTree, Node, Word, _dot_quote, _word_text
+from cftree.unfolding import DiscTree, Node, Word, _canonical_forms, _dot_quote, _word_text, nondeterministic_vertex
 
 ENUMERATION_CUTOFF = 8
 
@@ -1097,6 +1101,65 @@ def dumps_stdlib(doc: Any) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def dumps_by_columns(doc: Any) -> str:
+    """``json.dumps(doc, indent=2)`` and a newline, byte for byte, for any
+    document: strings and integers are encoded a list at a time, and a list
+    of records that share one key order is formatted column by column into
+    one ``%`` template per record.  Values of any other type (floats,
+    tuples, subclasses, dicts with non-string keys) go to the standard
+    library."""
+    return _format(doc, "\n") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _format(value: Any, nl: str) -> str:
+    """``value`` as indented JSON, where ``nl`` is a newline and its indent."""
+    t = type(value)
+    if t is str:
+        return _encode_str(value)
+    if t is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = nl + "  "
+    if t is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_format_all(value, inner)) + nl + "]"
+    if t is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        items = [_encode_str(k) + ": " + _format(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(value, indent=2).replace("\n", nl)
+
+
+def _format_all(values: list, nl: str) -> Iterable[str]:
+    """Each of ``values`` as indented JSON, all at the indent of ``nl``."""
+    types = set(map(type, values))
+    if types == {str}:
+        return map(_encode_str, values)
+    if types == {int}:
+        return map(int.__repr__, values)
+    if types == {dict}:
+        shapes = set(map(tuple, values))
+        if len(shapes) == 1:
+            (keys,) = shapes
+            if keys and set(map(type, keys)) == {str}:
+                inner = nl + "  "
+                fields = [inner + _encode_str(k).replace("%", "%%") + ": %s" for k in keys]
+                template = "{" + ",".join(fields) + nl + "}"
+                columns = [_format_all(list(map(itemgetter(k), values)), inner) for k in keys]
+                return map(template.__mod__, zip(*columns))
+    return [_format(v, nl) for v in values]
+
+
 def sorted_nodes_by_walk(t: DiscTree) -> list[Node]:
     """The nodes in the order of a breadth-first walk over the ``children``
     view, each node's children in the order the view lists them."""
@@ -1311,6 +1374,21 @@ def compress_finite_tree_by_views(t: DiscTree) -> tuple[PDfa, str]:
         for a, c in t.children.get(rep, ())
     }
     return PDfa(state_of_form.values(), t.alphabet, delta), state_of_form[forms[t.root]]
+
+
+def compress_finite_tree_by_delta(t: DiscTree) -> tuple[PDfa, str]:
+    """``compress_finite_tree`` as a string ``delta`` map over the disc's
+    node numbers, each form named by its first appearance and its
+    transitions taken from its first node."""
+    bad = nondeterministic_vertex(t)
+    if bad is not None:
+        raise NondeterministicTreeError(f"involutive closure is not deterministic at node {bad!r}")
+    (forms,) = _canonical_forms([t])
+    state = {f: f"c{i}" for i, f in enumerate(dict.fromkeys(forms))}
+    rep = dict(zip(reversed(forms), range(len(forms) - 1, -1, -1)))
+    off, letter = t._off, t._letter
+    delta = {(state[f], letter[c]): state[forms[c]] for f, v in rep.items() for c in range(off[v], off[v + 1])}
+    return PDfa(state.values(), t.alphabet, delta), state[forms[0]]
 
 
 def trim_by_delta(d: PDfa, root: str) -> PDfa:

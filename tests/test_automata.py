@@ -33,7 +33,7 @@ from cftree import (
 )
 from cftree import automata
 from cftree.automata import _build_index, _sorted_transitions
-from cftree.jsonio import automaton_from_doc, automaton_to_doc, dumps
+from cftree.jsonio import automaton_from_doc, automaton_to_doc, automaton_to_json
 from oracles import (
     dumps_stdlib,
     export_dot_pdfa_by_delta,
@@ -395,7 +395,7 @@ def test_sorted_transitions_match_the_sorted_map():
         index_only = form not in ("map", "ghosts")
         assert (d._delta is None) == index_only
         got = _sorted_transitions(d)
-        doc, dot, view = dumps(automaton_to_doc(d, root)), export_dot(d), pdfa_to_mnfa(d)
+        doc, dot, view = automaton_to_json(d, root), export_dot(d), pdfa_to_mnfa(d)
         report, key = validate_pdfa(d), hash(d)
         assert (d._delta is None) == index_only
         want = sorted(dict(d.delta).items())

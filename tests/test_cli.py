@@ -19,21 +19,21 @@ from cftree import automata, compression, involutive_closure, jsonio
 from oracles import automaton_from_doc_by_fields, dumps_stdlib
 from randgen import random_reduced_pdfa
 from cftree.cli import run
-from cftree.jsonio import automaton_to_doc, dumps, tree_to_doc
-from cftree import PDfa, unfold_pdfa
+from cftree.jsonio import automaton_to_doc, automaton_to_json, tree_to_doc, tree_to_json
+from cftree import PDfa, pdfa_to_mnfa, unfold_pdfa
 
 
 @pytest.fixture
 def fig_files(tmp_path):
     files = {}
     files["fig1"] = tmp_path / "fig1.json"
-    files["fig1"].write_text(dumps(automaton_to_doc(samples.one_state_two_loops(), root="p")))
+    files["fig1"].write_text(automaton_to_json(samples.one_state_two_loops(), root="p"))
     files["fig2"] = tmp_path / "fig2.json"
-    files["fig2"].write_text(dumps(automaton_to_doc(samples.astar_bstar_pdfa(), root="p")))
+    files["fig2"].write_text(automaton_to_json(samples.astar_bstar_pdfa(), root="p"))
     files["ray"] = tmp_path / "ray.json"
-    files["ray"].write_text(dumps(automaton_to_doc(samples.ray(), root="u")))
+    files["ray"].write_text(automaton_to_json(samples.ray(), root="u"))
     files["interior"] = tmp_path / "interior.json"
-    files["interior"].write_text(dumps(automaton_to_doc(samples.ray_from_interior(), root="r")))
+    files["interior"].write_text(automaton_to_json(samples.ray_from_interior(), root="r"))
     return files
 
 
@@ -151,7 +151,7 @@ def test_compress_output_depends_only_on_the_tree(tmp_path, capsys):
         rng.shuffle(edge_rows)
         doc = {"radius": max(map(len, nodes)), "root": ids[()], "nodes": node_rows, "edges": edge_rows}
         tree_file = tmp_path / f"tree{k}.json"
-        tree_file.write_text(dumps(doc))
+        tree_file.write_text(json.dumps(doc))
         assert run(["compress", str(tree_file)]) == 0
         outputs.add(capsys.readouterr().out)
     assert len(outputs) == 1
@@ -164,7 +164,7 @@ def test_validate_ok_and_exit_codes(fig_files, tmp_path, capsys):
     bad = automaton_to_doc(samples.one_state_two_loops())
     bad["transitions"][0]["label"] = "zz"
     bad_file = tmp_path / "bad.json"
-    bad_file.write_text(dumps(bad))
+    bad_file.write_text(json.dumps(bad))
     assert run(["validate", str(bad_file)]) == 1
     captured = capsys.readouterr()
     assert "UNKNOWN_LABEL" in captured.out
@@ -183,7 +183,7 @@ def test_invalid_inputs_exit_2(fig_files, tmp_path, capsys):
     assert run(["unfold", str(missing), "--radius", "1"]) == 2
     assert capsys.readouterr().err.startswith(f"error[BAD_DOCUMENT]: cannot read {missing}: ")
     rootless = tmp_path / "rootless.json"
-    rootless.write_text(dumps(automaton_to_doc(samples.astar_bstar_pdfa())))
+    rootless.write_text(automaton_to_json(samples.astar_bstar_pdfa()))
     assert run(["unfold", str(rootless), "--radius", "1"]) == 2
     assert capsys.readouterr().err == f"error[BAD_DOCUMENT]: {rootless} has no root and no --state was given\n"
     deep = tmp_path / "deep.json"
@@ -512,7 +512,7 @@ def test_help_still_exits_0(capsys):
 
 def test_unfold_stops_once_every_branch_ends(tmp_path, capsys):
     point = tmp_path / "point.json"
-    point.write_text(dumps(automaton_to_doc(PDfa({"p"}, samples.AL_A, {}), root="p")))
+    point.write_text(automaton_to_json(PDfa({"p"}, samples.AL_A, {}), root="p"))
     outputs = {}
     for radius in (0, 10**8):
         for fmt in ("--dot", "--json"):
@@ -531,7 +531,7 @@ def test_written_documents_are_the_stdlib_writers_bytes(fig_files, tmp_path, cap
     # json.dumps(doc, indent=2) plus a newline makes of the same document.
     d, root = random_reduced_pdfa(random.Random(43), 40, samples.AL_AB)
     big = tmp_path / "big.json"
-    big.write_text(dumps(automaton_to_doc(d, root=root)))
+    big.write_text(automaton_to_json(d, root=root))
     gap = tmp_path / "gap.json"
     gap.write_text(json.dumps({"n": 5, "edges": [[0, 1], [1, 4], [2, 3]]}))
     tree = tmp_path / "tree.json"
@@ -550,7 +550,7 @@ def test_written_documents_are_the_stdlib_writers_bytes(fig_files, tmp_path, cap
         ["reduce-2gap", str(gap), *outs],
         ["lift-nonrooted", fig2, big, *outs],
     ]
-    tree.write_text(dumps(tree_to_doc(unfold_pdfa(d, root, 4))))
+    tree.write_text(tree_to_json(unfold_pdfa(d, root, 4)))
     for args in commands:
         for written in outs[1::2]:
             Path(written).unlink(missing_ok=True)
@@ -561,6 +561,58 @@ def test_written_documents_are_the_stdlib_writers_bytes(fig_files, tmp_path, cap
             texts = [Path(written).read_text() for written in outs[1::2]]
         for text in texts:
             assert text == dumps_stdlib(json.loads(text)), args
+
+
+def test_written_documents_build_no_dict_document(tmp_path, monkeypatch, capsys):
+    # Every command that writes a document writes it straight from the
+    # index, the map or the disc: it builds no dict document and decodes no
+    # transition map, and gives the bytes of the dict route.
+    rng = random.Random(53)
+    paths = {}
+    for name in ("a", "b"):
+        d, root = random_reduced_pdfa(rng, 40, samples.AL_AB)
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(automaton_to_json(d, root=root))
+    word = min(d.out_set(root))
+    paths["tree"] = tmp_path / "tree.json"
+    paths["tree"].write_text(tree_to_json(unfold_pdfa(d, root, 4)))
+    paths["gap"] = tmp_path / "gap.json"
+    paths["gap"].write_text(json.dumps({"n": 6, "edges": [[0, 1], [1, 5], [2, 3]]}))
+    paths["mnfa"] = tmp_path / "mnfa.json"
+    paths["mnfa"].write_text(automaton_to_json(pdfa_to_mnfa(d), root=root))
+    a, b, tree, gap, mnfa = (str(paths[k]) for k in ("a", "b", "tree", "gap", "mnfa"))
+    outs = ["--out-a", str(tmp_path / "out-a.json"), "--out-b", str(tmp_path / "out-b.json")]
+    commands = [
+        ["compress", tree],
+        ["minimize", a],
+        ["minimize", a, "--trim"],
+        ["minimize", mnfa],
+        ["reroot", b, "--word", word],
+        ["unfold", a, "--radius", "3"],
+        ["unfold", mnfa, "--radius", "2"],
+        ["reduce-2gap", gap, *outs],
+        ["lift-nonrooted", a, b, *outs],
+    ]
+    calls = []
+    for module, name in ((jsonio, "automaton_to_doc"), (jsonio, "tree_to_doc"), (automata, "_decode_delta")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name, **kw: calls.append(_name) or _real(*args, **kw))
+
+    def outputs():
+        texts = []
+        for args in commands:
+            assert run(args) == 0, args
+            texts.append(capsys.readouterr().out)
+            if "--out-a" in args:
+                texts += [Path(written).read_text() for written in outs[1::2]]
+        return texts
+
+    got = outputs()
+    assert calls == []
+    monkeypatch.setattr(jsonio, "automaton_to_json", lambda aut, root=None: dumps_stdlib(jsonio.automaton_to_doc(aut, root)))
+    monkeypatch.setattr(jsonio, "tree_to_json", lambda t: dumps_stdlib(jsonio.tree_to_doc(t)))
+    assert outputs() == got
+    assert sorted(set(calls)) == ["automaton_to_doc", "tree_to_doc"]  # the counters see the dict route
 
 
 def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatch, capsys):
@@ -576,18 +628,18 @@ def test_iso_and_minimize_on_pdfa_documents_decode_no_delta(tmp_path, monkeypatc
     for name, alphabet, n in (("ab", samples.AL_AB, 60), ("ab2", samples.AL_AB, 60), ("a", samples.AL_A, 6), ("b", al_b, 6)):
         d, root = random_reduced_pdfa(rng, n, alphabet)
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(dumps(automaton_to_doc(d, root=root)))
+        paths[name].write_text(automaton_to_json(d, root=root))
         first_letters[name] = min(d.out_set(root))
     d, root = random_reduced_pdfa(random.Random(47), 60, samples.AL_AB)  # "ab" again, renamed
     renamed = PDfa({f"r{p}" for p in d.states}, d.alphabet, {(f"r{p}", x): f"r{q}" for (p, x), q in d.delta.items()})
     paths["ab-renamed"] = tmp_path / "ab-renamed.json"
-    paths["ab-renamed"].write_text(dumps(automaton_to_doc(renamed, root=f"r{root}")))
+    paths["ab-renamed"].write_text(automaton_to_json(renamed, root=f"r{root}"))
     bad = PDfa({"s0", "s1", "s2", "s3"}, samples.AL_AB, {
         ("s0", "a"): "s1", ("s1", "b"): "s2", ("s2", "b^-1"): "s3",
         ("s3", "a"): "s0", ("s0", "b"): "s3", ("s3", "b^-1"): "s1",
     })  # two violations; the one from the smallest state is named
     paths["bad"] = tmp_path / "bad.json"
-    paths["bad"].write_text(dumps(automaton_to_doc(bad, root="s0")))
+    paths["bad"].write_text(automaton_to_json(bad, root="s0"))
     ab, ab2, ab_renamed, a, b, bad = (str(paths[k]) for k in ("ab", "ab2", "ab-renamed", "a", "b", "bad"))
     quiet = [
         ["iso", ab, ab_renamed, "--witness"],
@@ -645,7 +697,7 @@ def test_minimize_trim_without_a_root_is_rejected(tmp_path, capsys):
     # ``--trim`` keeps the states reachable from the root, so a document
     # with no root cannot be trimmed; it is not quotiented untrimmed.
     path = tmp_path / "rootless.json"
-    path.write_text(dumps(automaton_to_doc(samples.astar_bstar_pdfa())))
+    path.write_text(automaton_to_json(samples.astar_bstar_pdfa()))
     assert run(["minimize", str(path), "--trim"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error[BAD_DOCUMENT]: {path} has no root and --trim needs one\n")

@@ -28,7 +28,7 @@ from cftree import (
 from cftree.automata import _build_index
 from cftree.cli import run
 from cftree.compression import quotient
-from cftree.jsonio import automaton_from_doc, automaton_to_doc, dumps
+from cftree.jsonio import automaton_from_doc, automaton_to_doc, automaton_to_json
 from oracles import language_upto, reroot_along_word_by_delta, reroot_along_word_by_trim, reroot_by_steps
 from randgen import random_reduced_pdfa
 
@@ -314,8 +314,8 @@ def test_reroot_along_word_matches_map_oracle(tmp_path, capsys):
         want, want_state = reroot_along_word_by_delta(d, root, w)
         old, old_state = reroot_along_word_by_trim(d, root, w)
         assert out._delta is None
-        assert dumps(automaton_to_doc(out, root=state)) == dumps(automaton_to_doc(want, root=want_state))
-        assert dumps(automaton_to_doc(out, root=state)) == dumps(automaton_to_doc(old, root=old_state))
+        assert automaton_to_json(out, root=state) == automaton_to_json(want, root=want_state)
+        assert automaton_to_json(out, root=state) == automaton_to_json(old, root=old_state)
         assert out._index == old._index == _build_index(out._index.names, out.alphabet, want.delta)
         assert (state, out.states, out.delta) == (want_state, want.states, want.delta)
         assert (state, out.states) == (old_state, old.states)
@@ -324,10 +324,10 @@ def test_reroot_along_word_matches_map_oracle(tmp_path, capsys):
     assert all(len(d._indexed().names) > len(d.states) > 200 for d, _, _ in cases[200:220])
     # ``cftree reroot`` writes the oracle's bytes along the radius-2000 ray.
     ray_doc = tmp_path / "ray.json"
-    ray_doc.write_text(dumps(automaton_to_doc(samples.ray(), root="u")))
+    ray_doc.write_text(automaton_to_json(samples.ray(), root="u"))
     assert run(["reroot", str(ray_doc), "--word", ",".join(("a",) * 2000)]) == 0
     want, want_state = reroot_along_word_by_delta(samples.ray(), "u", ("a",) * 2000)
-    assert capsys.readouterr().out == dumps(automaton_to_doc(want, root=want_state))
+    assert capsys.readouterr().out == automaton_to_json(want, root=want_state)
 
 
 def test_reroot_along_long_word_on_ray():

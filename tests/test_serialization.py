@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 
 import samples
 from cftree import (
+    DiscTree,
     Gap2Instance,
     MNfa,
     PDfa,
     SchemaError,
+    Transition,
     disc_equal_rooted,
+    involutive_closure,
     pdfa_to_mnfa,
+    quotient,
+    reroot_along_word,
+    reroot_disc,
     unfold_mnfa,
     unfold_pdfa,
 )
@@ -21,20 +27,21 @@ from cftree.automata import _build_index
 from cftree.jsonio import (
     automaton_from_doc,
     automaton_to_doc,
-    dumps,
+    automaton_to_json,
     gap2_from_doc,
     gap2_to_doc,
     loads,
     tree_from_doc,
     tree_to_doc,
+    tree_to_json,
 )
-from oracles import automaton_from_doc_by_fields, dumps_stdlib, tree_from_doc_by_fields
+from oracles import automaton_from_doc_by_fields, dumps_by_columns, dumps_stdlib, tree_from_doc_by_fields
 from randgen import random_gap2, random_involutive_tree, random_pdfa, random_reduced_pdfa
 
 
 def test_mnfa_round_trip():
     m = samples.one_state_two_loops()
-    doc = loads(dumps(automaton_to_doc(m, root="p")))
+    doc = loads(automaton_to_json(m, root="p"))
     back, root = automaton_from_doc(doc)
     assert isinstance(back, MNfa)
     assert back == m
@@ -43,7 +50,7 @@ def test_mnfa_round_trip():
 
 def test_pdfa_round_trip():
     d = samples.astar_bstar_pdfa()
-    back, root = automaton_from_doc(loads(dumps(automaton_to_doc(d))))
+    back, root = automaton_from_doc(loads(automaton_to_json(d)))
     assert isinstance(back, PDfa)
     assert back == d
     assert root is None
@@ -115,7 +122,7 @@ def test_bad_json_text():
 
 def test_tree_round_trip():
     t = unfold_pdfa(samples.astar_bstar_pdfa(), "p", 3)
-    back = tree_from_doc(loads(dumps(tree_to_doc(t))))
+    back = tree_from_doc(loads(tree_to_json(t)))
     assert disc_equal_rooted(back, t, use_labels=True)
 
 
@@ -146,7 +153,7 @@ def test_tree_rejects_disconnected_and_cyclic():
 
 def test_gap2_round_trip():
     g = Gap2Instance(5, frozenset({(0, 1), (1, 4)}))
-    assert gap2_from_doc(loads(dumps(gap2_to_doc(g)))) == g
+    assert gap2_from_doc(loads(dumps_stdlib(gap2_to_doc(g)))) == g
 
 
 def test_gap2_schema_errors():
@@ -160,7 +167,7 @@ def test_gap2_schema_errors():
 
 def test_dump_is_deterministic():
     d = samples.astar_bstar_pdfa()
-    assert dumps(automaton_to_doc(d, root="p")) == dumps(automaton_to_doc(d, root="p"))
+    assert automaton_to_json(d, root="p") == automaton_to_json(d, root="p")
 
 
 def _documents(seed):
@@ -230,22 +237,89 @@ _JSON = st.recursive(
     ],
 )
 def test_dumps_matches_stdlib_writer_on_edge_cases(doc):
-    assert dumps(doc) == dumps_stdlib(doc)
+    assert dumps_by_columns(doc) == dumps_stdlib(doc)
+
+
+def _written(obj, root=None) -> tuple[str, dict]:
+    """What the writer of ``obj``, an automaton or a disc, writes, and the
+    dict document of the same."""
+    if isinstance(obj, DiscTree):
+        return tree_to_json(obj), tree_to_doc(obj)
+    return automaton_to_json(obj, root), automaton_to_doc(obj, root)
+
+
+def _writables(seed):
+    """Seeded automata of both kinds, held as a map or as an index, with
+    and without a root, and discs unfolded, loaded and re-rooted."""
+    rng = random.Random(seed)
+    d, root = random_reduced_pdfa(rng, rng.randint(1, 8), extra_density=rng.random())
+    loaded = automaton_from_doc(automaton_to_doc(d))[0]
+    yield d, root
+    yield loaded, None
+    yield quotient(d)[0], None
+    yield reroot_along_word(loaded, root, ())
+    yield pdfa_to_mnfa(d), root
+    yield random_pdfa(rng, rng.randint(1, 6))[0], None
+    t = unfold_pdfa(loaded, root, rng.randint(0, 3))
+    yield t, None
+    yield unfold_mnfa(samples.one_state_two_loops(), "p", rng.randint(0, 2)), None
+    yield tree_from_doc(tree_to_doc(random_involutive_tree(rng, 12))), None
+    yield reroot_disc(t, rng.choice(t.sorted_nodes())), None
 
 
 def test_dumps_matches_stdlib_writer_on_documents():
+    # The writers give the standard library's bytes, and so does the generic
+    # column writer they replaced.
     kinds = Counter()
     for seed in range(60):
-        for doc in _documents(seed):
-            assert dumps(doc) == dumps_stdlib(doc)
-            kinds[doc.get("kind", "tree" if "nodes" in doc else "gap2")] += 1
-    assert min(kinds.values()) >= 60, kinds
+        for obj, root in _writables(seed):
+            text, doc = _written(obj, root)
+            assert text == dumps_stdlib(doc) == dumps_by_columns(doc)
+            kinds[doc.get("kind", "tree")] += 1
+    assert kinds["pdfa"] >= 240 and kinds["mnfa"] >= 60 and kinds["tree"] >= 240, kinds
+
+
+_ODD = ['a"b', "c\\d", "100%", "%s", "%%d", "\u00e9", "\U0001f600", "\x00\n\t", "\x1f\u2028", ""]
+
+
+def _edge_cases():
+    """Automata and discs at the edges of what the writers take."""
+    al_a, al_odd = involutive_closure(["a"]), involutive_closure(["%d", 'b"\u00e9'])
+    yield PDfa(set(), al_a, {}), None  # no states
+    yield MNfa(set(), al_a, []), None
+    yield PDfa({"p"}, al_a, {}), "p"  # no transitions
+    yield MNfa({"p"}, al_a, []), None
+    yield PDfa({"p"}, al_a, {("p", "a"): "ghost"}), "p"  # a state only a transition names
+    yield PDfa({"p"}, al_a, {("p", "z"): "p", ("ghost", "a"): "p"}), None  # and a letter outside the alphabet
+    yield MNfa({"p", "q"}, al_a, [Transition(7, "p", "a", "q"), Transition(-3, "q", "a^-1", "p"), Transition(100, "p", "a", "p")]), "q"
+    letters = al_odd.sorted_letters()
+    odd = PDfa(_ODD, al_odd, {(p, x): _ODD[(i + j) % len(_ODD)] for i, p in enumerate(_ODD) for j, x in enumerate(letters) if (i + j) % 3})
+    loaded = automaton_from_doc(automaton_to_doc(odd))[0]
+    yield odd, _ODD[0]
+    yield loaded, _ODD[5]
+    yield pdfa_to_mnfa(odd), _ODD[7]
+    yield DiscTree(0, "r", {"r": 'x"%\\'}, {}, al_a), None  # a single node
+    yield unfold_pdfa(loaded, _ODD[1], 0), None
+    t = unfold_pdfa(loaded, _ODD[1], 3)
+    yield t, None
+    yield unfold_mnfa(pdfa_to_mnfa(odd), _ODD[2], 2), None
+    yield tree_from_doc(tree_to_doc(t)), None
+    yield reroot_disc(t, t.sorted_nodes()[1]), None
+
+
+def test_writers_match_stdlib_writer_on_edge_cases():
+    written = [_written(*case) for case in _edge_cases()]
+    for text, doc in written:
+        assert text == dumps_stdlib(doc), doc
+    assert '"states": []' in written[0][0] and '"transitions": []' in written[2][0]
+    assert {'"ghost"', '"z"'} <= {word.strip(",") for word in written[5][0].split()}
+    assert len(written[-1][1]["nodes"]) > 10 and '\\u00e9' in written[-1][0]
 
 
 @settings(max_examples=300, deadline=None)
 @given(doc=_JSON)
 def test_dumps_matches_stdlib_writer(doc):
-    assert dumps(doc) == dumps_stdlib(doc)
+    assert dumps_by_columns(doc) == dumps_stdlib(doc)
 
 
 _RETYPED = [None, True, False, 0, 1, 1.5, "", "x", "ghost", [], ["x"], {}, {"x": 1}]

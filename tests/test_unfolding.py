@@ -27,10 +27,12 @@ from cftree import (
     unfold_mnfa,
     unfold_pdfa,
 )
-from cftree.jsonio import alphabet_to_doc, automaton_to_doc, dumps, tree_from_doc, tree_to_doc
+from cftree.jsonio import alphabet_to_doc, automaton_to_json, tree_from_doc, tree_to_doc, tree_to_json
 from oracles import (
     canonical_forms_by_handle,
+    compress_finite_tree_by_delta,
     compress_finite_tree_by_views,
+    dumps_stdlib,
     end_cone_by_views,
     export_dot_by_views,
     labeled_iso_brute,
@@ -241,7 +243,7 @@ def test_deep_ray_has_no_depth_limit():
     # node listed i-th is the one at level i.
     t = unfold_pdfa(samples.ray(), "u", 20000)
     doc = tree_to_doc(t)
-    assert dumps(doc).count('"label": "a"') == 20000
+    assert tree_to_json(t).count('"label": "a"') == 20000
     assert [nd["id"] for nd in doc["nodes"][:3]] == ["v0", "v1", "v2"]
 
     def relabeled(f):
@@ -583,7 +585,7 @@ def _compressed(compress, t):
         d, root = compress(t)
     except NondeterministicTreeError as e:
         return str(e)
-    return dumps(automaton_to_doc(d, root=root))
+    return automaton_to_json(d, root=root)
 
 
 def _check_against_views(new, old, order):
@@ -592,8 +594,8 @@ def _check_against_views(new, old, order):
     operations run before any word is built."""
     assert nondeterministic_vertex(new) == nondeterministic_vertex_by_walk(old)
     got = _compressed(compress_finite_tree, new)
-    assert got == _compressed(compress_finite_tree_by_views, old)
-    assert dumps(tree_to_doc(new)) == dumps(tree_to_doc_by_views(old, order))
+    assert got == _compressed(compress_finite_tree_by_views, old) == _compressed(compress_finite_tree_by_delta, new)
+    assert tree_to_json(new) == dumps_stdlib(tree_to_doc_by_views(old, order))
     assert export_dot(new) == export_dot_by_views(old, order)
     assert new.sorted_nodes() == order == sorted_nodes_by_walk(old)
     assert (new.labels, new.children, new.level, new.parent) == (old.labels, old.children, old.level, old.parent)
