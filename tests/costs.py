@@ -1,5 +1,6 @@
-"""Measure the costs of the predecessor form and of the non-rooted search
-that no benchmark workload shows, in four blocks of seeded instances.
+"""Measure the costs of the predecessor form, of the non-rooted search and
+of building discs that no benchmark workload shows, in five blocks of seeded
+instances.
 
 - **Form bytes.** On random reduced pDFAs of 4000 states, all reachable
   from the root, over 2 and 6 generators, that is 4 and 12 letters: the
@@ -31,10 +32,19 @@ that no benchmark workload shows, in four blocks of seeded instances.
   over pairs of states is quadratic on two-tooth lines, and the search over
   pairs of classes should read near 2 per doubling; hub lines read near 4
   until the search climbs only to predecessors that can pass.
+- **Discs** (ROADMAP aim 2: one walk builds every disc but a loaded one).
+  The unfolding of a random reduced pDFA of 1000 states over {g0, g1}^±1,
+  which grows about 1.25 times per level, at the least radii that give
+  2000 and 20000 nodes, and of its mNFA view at the same radii; the
+  one-letter ray at radius 4000; and ``end_cone`` at the root,
+  ``reroot_disc`` at the root's first child and the constructor from the
+  views, on the pDFA's disc of at least 15000 nodes.  A figure is the best
+  of 7 calls after an untimed one.
 
 Run as ``PYTHONPATH=src python tests/costs.py``: it prints one line per
 alphabet of the form and cold blocks, one per kind and size of the warm
-block, and one per family and size of the lines block, the slowest last.
+block, one per family and size of the lines block, which is the slowest,
+and one per operation and size of the disc block.
 """
 
 from __future__ import annotations
@@ -45,9 +55,23 @@ import statistics
 import sys
 import time
 import tracemalloc
+from itertools import count
 from typing import Callable, Iterator
 
-from cftree import PDfa, involutive_closure, iso_nonrooted, quotient, reroot_along_word
+import samples
+from cftree import (
+    DiscTree,
+    PDfa,
+    end_cone,
+    involutive_closure,
+    iso_nonrooted,
+    pdfa_to_mnfa,
+    quotient,
+    reroot_along_word,
+    reroot_disc,
+    unfold_mnfa,
+    unfold_pdfa,
+)
 from cftree.automata import _build_predecessors, _classes, _predecessors, _reach
 from cftree.reductions import reduce_gap2_to_rooted_iso, reduce_rooted_to_nonrooted
 from randgen import hub_lines, random_gap2, random_reduced_pdfa, readable_word, renamed_pdfa, two_tooth_lines
@@ -56,6 +80,9 @@ GENERATORS = (2, 6)
 COLD_SIZES = (1000, 4000)
 WARM_KINDS = (("renamed", (200, 400, 800)), ("rerooted", (200, 400, 800)), ("lifted", (32, 64, 128)))
 LINE_SIZES = (100, 200, 400, 800)
+DISC_SIZES = (2000, 20000)
+RAY_RADIUS = 4000
+DERIVED_SIZE = 15000
 
 
 def _pdfa(generators: int, n: int, rng: random.Random) -> tuple[PDfa, str]:
@@ -210,8 +237,37 @@ def lines_block() -> Iterator[str]:
             before = ms
 
 
+def _radius_for(d: PDfa, root: str, size: int) -> int:
+    """The least radius at which the unfolding of ``d`` from ``root`` holds
+    at least ``size`` nodes."""
+    return next(r for r in count() if len(unfold_pdfa(d, root, r)) >= size)
+
+
+def disc_block(
+    sizes: tuple[int, ...] = DISC_SIZES, ray: int = RAY_RADIUS, derived: int = DERIVED_SIZE, repeats: int = 7
+) -> Iterator[str]:
+    """One line per operation and size: the nodes and radius of the disc it
+    builds, and the best ms of ``repeats`` calls after one untimed call."""
+    d, root = random_reduced_pdfa(random.Random(1), 1000, involutive_closure(["g0", "g1"]), extra_density=0.3)
+    d._indexed()
+    m = pdfa_to_mnfa(d)
+    calls: list[tuple[str, Callable[..., DiscTree], tuple]] = []
+    for size in sizes:
+        r = _radius_for(d, root, size)
+        calls += [("unfold_pdfa", unfold_pdfa, (d, root, r)), ("unfold_mnfa", unfold_mnfa, (m, root, r))]
+    calls.append(("ray", unfold_pdfa, (samples.ray(), "u", ray)))
+    t = unfold_pdfa(d, root, _radius_for(d, root, derived))
+    calls.append(("end_cone", end_cone, (t, t.root)))
+    calls.append(("reroot_disc", reroot_disc, (t, t.children[t.root][0][1])))
+    calls.append(("DiscTree", DiscTree, (t.radius, t.root, t.labels, t.children, t.alphabet)))
+    for name, call, args in calls:
+        disc = call(*args)
+        ms = min(_ms(call, *args) for _ in range(repeats))
+        yield f"{name:11s}  {len(disc):6d} nodes  radius {disc.radius:4d}  {ms:8.3f} ms"
+
+
 def main() -> int:
-    for block in (form_block, cold_block, warm_block, lines_block):
+    for block in (form_block, cold_block, warm_block, lines_block, disc_block):
         for line in block():
             print(line, flush=True)
     return 0

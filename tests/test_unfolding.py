@@ -26,6 +26,7 @@ from cftree import (
     truncate,
     unfold_mnfa,
     unfold_pdfa,
+    unfolding,
 )
 from cftree.jsonio import alphabet_to_doc, automaton_to_json, tree_from_doc, tree_to_doc, tree_to_json
 from oracles import (
@@ -384,6 +385,15 @@ def test_constructor_rejects_what_is_no_disc(radius, root, labels, children, mes
         DiscTree(radius, root, labels, children, samples.AL_A)
 
 
+def test_constructor_radius_is_an_int():
+    # A float or bool radius would be written to a tree document that its
+    # reader rejects, or that is not JSON.
+    for radius in (2.5, True, None, "1"):
+        with pytest.raises(TypeError, match="^radius must be an int, not "):
+            DiscTree(radius, "r", {"r": "p"}, {}, samples.AL_A)
+    assert tree_to_json(DiscTree(1, "r", {"r": "p"}, {}, samples.AL_A)).startswith('{\n  "radius": 1,')
+
+
 def test_end_cone_of_root_is_whole_tree():
     t = unfold_pdfa(samples.astar_bstar_pdfa(), "p", 2)
     assert end_cone(t, t.root) == t
@@ -430,6 +440,38 @@ def test_reroot_disc_round_trip_truncates():
         truncate(t, -1)
 
 
+def test_truncate_radius_is_an_int():
+    t = unfold_pdfa(samples.astar_bstar_pdfa(), "p", 2)
+    for radius in (1.0, 2.5, False, None):
+        with pytest.raises(TypeError, match="^radius must be an int, not "):
+            truncate(t, radius)
+    with pytest.raises(ValueError, match="^radius must be non-negative$"):
+        truncate(t, -1)
+
+
+def test_unfold_pdfa_radius_is_an_int():
+    # A float radius is no level the walk stops at, so it is refused before
+    # the walk starts, not by the node budget.
+    for radius in (2.5, 3.0, True, None):
+        with pytest.raises(TypeError, match="^radius must be an int, not "):
+            unfold_pdfa(samples.ray(), "u", radius, max_nodes=10)
+    with pytest.raises(ValueError, match="^radius must be non-negative$"):
+        unfold_pdfa(samples.ray(), "u", -1)
+    with pytest.raises(UnknownStateError):  # the state is checked first
+        unfold_pdfa(samples.ray(), "ghost", 2.5)
+
+
+def test_unfold_mnfa_radius_is_an_int():
+    m = samples.one_state_two_loops()
+    for radius in (2.5, 3.0, True, None):
+        with pytest.raises(TypeError, match="^radius must be an int, not "):
+            unfold_mnfa(m, "p", radius, max_nodes=10)
+    with pytest.raises(ValueError, match="^radius must be non-negative$"):
+        unfold_mnfa(m, "p", -1)
+    with pytest.raises(UnknownStateError):
+        unfold_mnfa(m, "ghost", 2.5)
+
+
 def test_materialization_cap():
     with pytest.raises(MaterializationLimitError):
         unfold_mnfa(samples.one_state_two_loops(), "p", 30, max_nodes=1000)
@@ -447,6 +489,56 @@ def test_unfold_budget_boundary_is_the_disc_size():
             assert len(f(aut, "p", 6, max_nodes=size)) == size
             with pytest.raises(MaterializationLimitError, match=f"^unfolding would exceed {size - 1} nodes$"):
                 f(aut, "p", 6, max_nodes=size - 1)
+    # The budget is checked after each expanded node, so radius 0 keeps the
+    # root under any budget, and radius 1 or more exceeds a budget of 0 or
+    # less once the root is expanded, even when it has no children; such a
+    # budget is not taken for no budget.  Nor is None: it is no int, and
+    # comparing the node count with it raises TypeError.
+    leaf = PDfa({"p"}, samples.AL_A, {})
+    for unfold, oracle, aut in (
+        (unfold_pdfa, unfold_pdfa_by_words, full_binary),
+        (unfold_pdfa, unfold_pdfa_by_words, leaf),
+        (unfold_mnfa, unfold_mnfa_by_words, samples.one_state_two_loops()),
+        (unfold_mnfa, unfold_mnfa_by_words, pdfa_to_mnfa(leaf)),
+    ):
+        for f in (unfold, oracle):
+            for budget in (0, -1):
+                assert len(f(aut, "p", 0, max_nodes=budget)) == 1
+                for radius in (1, 6):
+                    with pytest.raises(MaterializationLimitError, match=f"^unfolding would exceed {budget} nodes$"):
+                        f(aut, "p", radius, max_nodes=budget)
+            assert len(f(aut, "p", 0, max_nodes=None)) == 1
+            for radius in (1, 6):
+                with pytest.raises(TypeError):
+                    f(aut, "p", radius, max_nodes=None)
+
+
+def test_every_disc_but_a_loaded_one_is_built_by_one_walk(monkeypatch):
+    calls = []
+    walk = unfolding._walk
+
+    def counted(*args):
+        calls.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(unfolding, "_walk", counted)
+    t = unfold_pdfa(samples.astar_bstar_pdfa(), "p", 3)
+    builds = [
+        lambda: unfold_pdfa(samples.astar_bstar_pdfa(), "p", 3),
+        lambda: unfold_mnfa(samples.astar_bstar_mnfa(), "p", 3),
+        lambda: DiscTree(t.radius, t.root, t.labels, t.children, t.alphabet),
+        lambda: end_cone(t, w("a")),
+        lambda: reroot_disc(t, w("a b")),
+    ]
+    for build in builds:
+        calls.clear()
+        build()
+        assert len(calls) == 1
+    calls.clear()
+    tree_from_doc(tree_to_doc(t))
+    truncate(t, 1)
+    assert not calls
+    assert not hasattr(unfolding, "_unfold")
 
 
 def test_unfold_budget_and_unknown_states_alike_for_both_kinds():
