@@ -92,16 +92,30 @@ def _as_pdfa_input(aut, path: str) -> PDfa:
         raise SchemaError(f"{path} is not deterministic: {e}") from e
 
 
+def _load_pair(path_a: str, path_b: str, state_a: str | None, state_b: str | None) -> tuple[PDfa, str, PDfa, str]:
+    """Both documents' pDFAs and designated states.  It loads both, then
+    picks both states, then makes both pDFAs, in that order, so that the
+    first fault named does not depend on the command."""
+    aut_a, root_a = _load_automaton(path_a)
+    aut_b, root_b = _load_automaton(path_b)
+    state_a = _pick_state(state_a, root_a, path_a)
+    state_b = _pick_state(state_b, root_b, path_b)
+    return _as_pdfa_input(aut_a, path_a), state_a, _as_pdfa_input(aut_b, path_b), state_b
+
+
+def _write_pair(args, a: PDfa, root_a: str, b: PDfa, root_b: str) -> int:
+    """Write ``a`` to ``--out-a`` and ``b`` to ``--out-b``, then say so."""
+    _write_doc(args.out_a, jsonio.automaton_to_json(a, root=root_a))
+    _write_doc(args.out_b, jsonio.automaton_to_json(b, root=root_b))
+    print(f"wrote {args.out_a} and {args.out_b}", file=sys.stderr)
+    return EXIT_OK
+
+
 def _cmd_iso(args) -> int:
-    states = args.state or []
-    if len(states) not in (0, 2):
+    states = args.state or [None, None]
+    if len(states) != 2:
         raise UsageError("--state must be given for both automata (or for neither)")
-    aut_a, root_a = _load_automaton(args.file_a)
-    aut_b, root_b = _load_automaton(args.file_b)
-    state_a = _pick_state(states[0] if states else None, root_a, args.file_a)
-    state_b = _pick_state(states[1] if states else None, root_b, args.file_b)
-    a = _as_pdfa_input(aut_a, args.file_a)
-    b = _as_pdfa_input(aut_b, args.file_b)
+    a, state_a, b, state_b = _load_pair(args.file_a, args.file_b, *states)
     if args.unrooted:
         ok, witness = iso_nonrooted(a, state_a, b, state_b)
         print("isomorphic (non-rooted)" if ok else "not isomorphic (non-rooted)", file=sys.stderr)
@@ -130,27 +144,15 @@ def _cmd_reroot(args) -> int:
 def _cmd_reduce_2gap(args) -> int:
     g = jsonio.gap2_from_doc(_read_doc(args.gapfile))
     try:
-        a, root_a, b, root_b = reduce_gap2_to_rooted_iso(g)
+        pair = reduce_gap2_to_rooted_iso(g)
     except ValueError as e:
         raise SchemaError(str(e)) from e
-    _write_doc(args.out_a, jsonio.automaton_to_json(a, root=root_a))
-    _write_doc(args.out_b, jsonio.automaton_to_json(b, root=root_b))
-    print(f"wrote {args.out_a} and {args.out_b}", file=sys.stderr)
-    return EXIT_OK
+    return _write_pair(args, *pair)
 
 
 def _cmd_lift_nonrooted(args) -> int:
-    aut_a, root_a = _load_automaton(args.file_a)
-    aut_b, root_b = _load_automaton(args.file_b)
-    state_a = _pick_state(args.state_a, root_a, args.file_a)
-    state_b = _pick_state(args.state_b, root_b, args.file_b)
-    a = _as_pdfa_input(aut_a, args.file_a)
-    b = _as_pdfa_input(aut_b, args.file_b)
-    a2, p2, b2, q2 = reduce_rooted_to_nonrooted(a, state_a, b, state_b)
-    _write_doc(args.out_a, jsonio.automaton_to_json(a2, root=p2))
-    _write_doc(args.out_b, jsonio.automaton_to_json(b2, root=q2))
-    print(f"wrote {args.out_a} and {args.out_b}", file=sys.stderr)
-    return EXIT_OK
+    pair = _load_pair(args.file_a, args.file_b, args.state_a, args.state_b)
+    return _write_pair(args, *reduce_rooted_to_nonrooted(*pair))
 
 
 def _cmd_compress(args) -> int:

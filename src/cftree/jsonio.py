@@ -27,18 +27,21 @@ for byte, the standard library's ``json.dumps(doc, indent=2)`` of the same
 document plus a newline, which is every document the CLI writes: each row
 is one f-string filled straight from the transitions or the disc's lists,
 with no dict per row and no pass of the standard library's pure-Python
-indenting encoder.  Readers check each row in one pass and build an error
-message only for a row that fails.  A strict "pdfa" document is read
-straight into the automaton's integer index, so the pDFA holds no
-``delta`` map until one is read.
+indenting encoder.
+
+Each document kind has one reading pass.  A tree document's node and edge
+rows are read as columns, and a strict "pdfa" document straight into the
+automaton's integer index, so the pDFA holds no ``delta`` map until one is
+read.  When that pass turns the rows away, a row pass runs only to name
+the first faulty row, and builds an error message for that row alone.
+The general row path reads "mnfa" and non-strict documents.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import repeat
-from operator import itemgetter
-from typing import Any
+from typing import Any, NoReturn
 
 from .alphabet import InvolutiveAlphabet, involutive_closure
 from .automata import MNfa, PDfa, Transition, _blank_index, _Index, _sorted_transitions
@@ -102,7 +105,10 @@ def automaton_from_doc(doc: Any, *, strict: bool = True) -> tuple[MNfa | PDfa, s
     With ``strict`` (the default), transitions must reference known states
     and letters, and a "pdfa" document must actually be deterministic.
     Non-strict loading checks only the document shape, so a validation pass
-    can report every semantic problem at once.
+    can report every semantic problem at once.  A strict "pdfa" document
+    that loads is read by ``_pdfa_index`` alone, and the row path below
+    reads "mnfa" and non-strict documents; for a strict "pdfa" one it runs
+    only to name the fault.
     """
     _require_fields(doc, {"alphabet", "kind", "states", "transitions"}, {"root"}, "automaton")
     alphabet = alphabet_from_doc(doc["alphabet"])
@@ -159,14 +165,18 @@ def automaton_from_doc(doc: Any, *, strict: bool = True) -> tuple[MNfa | PDfa, s
 
 
 def _pdfa_index(states: list[str], alphabet: InvolutiveAlphabet, rows: list, root: Any) -> _Index | None:
-    """The index of a strict "pdfa" document, filled in one pass over its rows.
+    """The index of a strict "pdfa" document, filled in one pass over its
+    rows: the only reader of such a document.
 
     None when the document is not accepted as it stands: a state name
     repeats (the index numbers fewer names than the list holds), a row is
-    not an object with exactly the four fields or its id is no ``int``, a
-    state or letter lookup fails, a column cell is already taken (a clash),
-    an id repeats, or the root is not a state.  The caller then runs the
-    checks in their documented order to name the problem.
+    not an object with exactly the four fields or its id is no ``int`` (a
+    ``bool`` is none), a state or letter lookup fails, a column cell is
+    already taken (a clash), an id repeats, or the root is not a state.
+    The caller's general row path then runs the checks in their documented
+    order only to name the problem.  Rows and ids of a subclass of ``dict``
+    or ``int`` are read too; the exact types are tested first, so that JSON
+    rows pay nothing for them.
     """
     ix, by_letter = _blank_index(list(states), alphabet)  # the document keeps its own list
     ids, masks = ix.ids, ix.masks
@@ -174,8 +184,14 @@ def _pdfa_index(states: list[str], alphabet: InvolutiveAlphabet, rows: list, roo
         return None
     try:
         for td in rows:
-            # Four entries and four successful lookups: exactly the four fields.
-            if type(td) is not dict or len(td) != 4 or type(td["id"]) is not int:
+            # Four entries and four successful lookups: exactly the four
+            # fields.  A subclass row's keys are compared first, so that no
+            # ``__missing__`` fills in a field it lacks.
+            if (
+                type(td) is not dict and not (isinstance(td, dict) and td.keys() == _TRANSITION_FIELDS)
+                or len(td) != 4
+                or type(td["id"]) is not int and not _is_int(td["id"])
+            ):
                 return None
             p, q = ids[td["from"]], ids[td["to"]]
             column, bit = by_letter[td["label"]]
@@ -268,22 +284,20 @@ def automaton_to_json(aut: MNfa | PDfa, root: str | None = None) -> str:
 
 
 def _string_columns(rows: list, fields: tuple[str, ...]) -> list[list[str]] | None:
-    """The columns ``fields`` of ``rows`` when every row is a dict with
-    exactly those fields and every value a ``str``; else None, and the
-    caller's row-by-row checks name the problem."""
-    if set(map(type, rows)) <= {dict} and set(map(len, rows)) <= {len(fields)}:
-        try:
-            columns = [list(map(itemgetter(k), rows)) for k in fields]
-        except KeyError:
-            return None
-        if all(set(map(type, col)) <= {str} for col in columns):
+    """The columns ``fields`` of ``rows`` when every row is a ``dict`` with
+    exactly those fields and every value a ``str``, subclasses included;
+    else None.  Values are read with ``dict.get``, so that a missing field
+    reads as None, not as what a ``__missing__`` makes of it."""
+    if all(map(isinstance, rows, repeat(dict))) and set(map(len, rows)) <= {len(fields)}:
+        columns = [list(map(dict.get, rows, repeat(k))) for k in fields]
+        if all(all(map(isinstance, col, repeat(str))) for col in columns):
             return columns
     return None
 
 
-def _checked_nodes(rows: list) -> list[list[str]]:
-    names: list[str] = []
-    labels: list[str] = []
+def _raise_node_fault(rows: list) -> NoReturn:
+    """Name the first node row that fails, in row order; runs only once
+    ``_string_columns`` has turned the rows away or found a repeated id."""
     seen: set[str] = set()
     for nd in rows:
         if not isinstance(nd, dict) or nd.keys() != _NODE_FIELDS:
@@ -294,13 +308,12 @@ def _checked_nodes(rows: list) -> list[list[str]]:
         if v in seen:
             raise SchemaError(f"duplicate node id {v!r}")
         seen.add(v)
-        names.append(v)
-        labels.append(label)
-    return [names, labels]
+    raise SchemaError("node rows cannot be read")  # a dict subclass that reads other than it holds
 
 
-def _checked_edges(rows: list, pos: dict[str, int]) -> list[list]:
-    columns: list[list] = [[], [], []]
+def _raise_edge_fault(rows: list, pos: dict[str, int]) -> NoReturn:
+    """Name the first edge row that fails, in row order; runs only once
+    ``_string_columns`` has turned the rows away or found an unknown node."""
     for ed in rows:
         if not isinstance(ed, dict) or ed.keys() != _EDGE_FIELDS:
             _require_fields(ed, _EDGE_FIELDS, set(), "edge")
@@ -309,19 +322,17 @@ def _checked_edges(rows: list, pos: dict[str, int]) -> list[list]:
             raise SchemaError("edge endpoints and label must be strings")
         if u not in pos or v not in pos:
             raise SchemaError(f"edge ({u!r}, {a!r}, {v!r}) references unknown node")
-        for column, value in zip(columns, (pos[u], a, pos[v])):
-            column.append(value)
-    return columns
+    raise SchemaError("edge rows cannot be read")  # a dict subclass that reads other than it holds
 
 
 def tree_from_doc(doc: Any) -> DiscTree:
     """A tree document as a disc whose handles are the document's node ids.
 
-    Node rows and edge rows are each read as columns when every row is
-    well formed, and checked row by row otherwise.  One breadth-first walk
-    from the root, which takes each node's neighbours by letter, then id,
-    numbers the nodes and fills the disc's parent, letter and first-child
-    lists as it goes.
+    Node rows and edge rows are each read by one column pass; a row pass
+    runs only when the columns are turned away, to name the first faulty
+    row.  One breadth-first walk from the root, which takes each node's
+    neighbours by letter, then id, numbers the nodes and fills the disc's
+    parent, letter and first-child lists as it goes.
     """
     _require_fields(doc, {"radius", "root", "nodes", "edges"}, {"alphabet"}, "tree")
     radius = doc["radius"]
@@ -334,7 +345,7 @@ def tree_from_doc(doc: Any) -> DiscTree:
             raise SchemaError(f"{key} must be a list")
     nodes = _string_columns(doc["nodes"], ("id", "label"))
     if nodes is None or len(set(nodes[0])) < len(nodes[0]):
-        nodes = _checked_nodes(doc["nodes"])
+        _raise_node_fault(doc["nodes"])
     label_of = dict(zip(*nodes))
     names = sorted(label_of)  # numbers follow ids, so (letter, number) pairs sort by letter, then id
     labels = list(map(label_of.__getitem__, names))
@@ -342,10 +353,9 @@ def tree_from_doc(doc: Any) -> DiscTree:
     if doc["root"] not in pos:
         raise SchemaError("root is not a listed node")
     edges = _string_columns(doc["edges"], ("from", "label", "to"))
-    if edges is not None and pos.keys() >= {*edges[0], *edges[2]}:
-        edges = [list(map(pos.__getitem__, edges[0])), edges[1], list(map(pos.__getitem__, edges[2]))]
-    else:
-        edges = _checked_edges(doc["edges"], pos)
+    if edges is None or not pos.keys() >= {*edges[0], *edges[2]}:
+        _raise_edge_fault(doc["edges"], pos)
+    edges = [list(map(pos.__getitem__, edges[0])), edges[1], list(map(pos.__getitem__, edges[2]))]
     letters = set(edges[1])
     if "alphabet" in doc:
         alphabet = alphabet_from_doc(doc["alphabet"])

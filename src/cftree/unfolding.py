@@ -52,6 +52,7 @@ from .automata import MNfa, PDfa, Transition, pdfa_to_mnfa
 from .errors import (
     MaterializationLimitError,
     RadiusMismatchError,
+    UnknownLetterError,
     UnknownNodeError,
     UnknownStateError,
 )
@@ -354,11 +355,15 @@ def unfold_mnfa(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
     Nodes are runs of length at most ``radius``; a node's handle is its run
     as a tuple of transition ids, and its label the state the run ends in.
     A node's children come in transition-id order.  The walk meets each
-    node as the last transition of its run.
+    node as the last transition of its run.  A state's transitions are
+    checked when it is first expanded: a transition id used twice raises
+    ``ValueError``, and a letter outside the alphabet
+    ``UnknownLetterError``.
     """
     if p not in m.states:
         raise UnknownStateError(f"state {p!r} is not in the automaton")
     _check_radius(radius)
+    letters = m.alphabet.letters
     kids: dict[str, list[tuple[str, Transition]]] = {}  # by state, from its first expanded node
 
     def out(run: Transition, _) -> list[tuple[str, Transition]]:
@@ -368,6 +373,9 @@ def unfold_mnfa(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
             for t, u in zip(ts, ts[1:]):
                 if t.tid == u.tid:  # two children would share one run
                     raise ValueError(f"transition id {t.tid} is used twice from state {s!r}")
+            for t in ts:
+                if t.label not in letters:
+                    raise UnknownLetterError(f"letter {t.label!r} is not in the alphabet")
             kids[s] = [(t.label, t) for t in ts]
         return kids[s]
 
@@ -384,6 +392,9 @@ def unfold_pdfa(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
     node's handle is its word, the parent of ``wa`` is ``w`` and labels
     record the state reached.  A node's children come in letter order.  The
     walk reads the pDFA's index, and the step of each node is its letter.
+    Every node in one state has the same children, so each state's child
+    list is built once, at its first expanded node, and kept in a list
+    indexed by state id.
     """
     if p not in d.states:
         raise UnknownStateError(f"state {p!r} is not in the automaton")
@@ -391,11 +402,14 @@ def unfold_pdfa(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
     ix = d._indexed()
     known = len(d.states)  # ids past these name states only transitions mention
     columns = list(zip(ix.letters, ix.succ))
+    kids: list[list[tuple[str, int]] | None] = [None] * len(ix.names)
 
     def out(s: int, _) -> list[tuple[str, int]]:
-        if s >= known:
-            raise UnknownStateError(f"state {ix.names[s]!r} is not in the automaton")
-        return [(x, q) for x, col in columns if (q := col[s]) >= 0]
+        if (ks := kids[s]) is None:
+            if s >= known:
+                raise UnknownStateError(f"state {ix.names[s]!r} is not in the automaton")
+            ks = kids[s] = [(x, q) for x, col in columns if (q := col[s]) >= 0]
+        return ks
 
     state, parent, letter, level, off = _walk(ix.ids[p], out, radius, max_nodes)
     label = list(map(ix.names.__getitem__, state))

@@ -36,10 +36,13 @@ instances.
   The unfolding of a random reduced pDFA of 1000 states over {g0, g1}^±1,
   which grows about 1.25 times per level, at the least radii that give
   2000 and 20000 nodes, and of its mNFA view at the same radii; the
-  one-letter ray at radius 4000; and ``end_cone`` at the root,
-  ``reroot_disc`` at the root's first child and the constructor from the
-  views, on the pDFA's disc of at least 15000 nodes.  A figure is the best
-  of 7 calls after an untimed one.
+  unfolding of a random reduced pDFA of 30 states over {a, b}^±1, the
+  size of the pDFAs that the benchmark's ``cli-docs`` unfolds, at the
+  least radii that give 500 and 2000 nodes; the one-letter ray at radius
+  4000; and ``end_cone`` at the root, ``reroot_disc`` at the root's first
+  child and the constructor from the views, on the 1000-state pDFA's disc
+  of at least 15000 nodes.  A figure is the best of 7 calls after an
+  untimed one.
 
 Run as ``PYTHONPATH=src python tests/costs.py``: it prints one line per
 alphabet of the form and cold blocks, one per kind and size of the warm
@@ -81,6 +84,7 @@ COLD_SIZES = (1000, 4000)
 WARM_KINDS = (("renamed", (200, 400, 800)), ("rerooted", (200, 400, 800)), ("lifted", (32, 64, 128)))
 LINE_SIZES = (100, 200, 400, 800)
 DISC_SIZES = (2000, 20000)
+SMALL_DISC_SIZES = (500, 2000)
 RAY_RADIUS = 4000
 DERIVED_SIZE = 15000
 
@@ -244,7 +248,11 @@ def _radius_for(d: PDfa, root: str, size: int) -> int:
 
 
 def disc_block(
-    sizes: tuple[int, ...] = DISC_SIZES, ray: int = RAY_RADIUS, derived: int = DERIVED_SIZE, repeats: int = 7
+    sizes: tuple[int, ...] = DISC_SIZES,
+    ray: int = RAY_RADIUS,
+    derived: int = DERIVED_SIZE,
+    repeats: int = 7,
+    small_sizes: tuple[int, ...] = SMALL_DISC_SIZES,
 ) -> Iterator[str]:
     """One line per operation and size: the nodes and radius of the disc it
     builds, and the best ms of ``repeats`` calls after one untimed call."""
@@ -255,6 +263,8 @@ def disc_block(
     for size in sizes:
         r = _radius_for(d, root, size)
         calls += [("unfold_pdfa", unfold_pdfa, (d, root, r)), ("unfold_mnfa", unfold_mnfa, (m, root, r))]
+    small, small_root = random_reduced_pdfa(random.Random(1), 30, involutive_closure(["a", "b"]), extra_density=0.6)
+    calls += [("unfold_pdfa", unfold_pdfa, (small, small_root, _radius_for(small, small_root, n))) for n in small_sizes]
     calls.append(("ray", unfold_pdfa, (samples.ray(), "u", ray)))
     t = unfold_pdfa(d, root, _radius_for(d, root, derived))
     calls.append(("end_cone", end_cone, (t, t.root)))

@@ -1,6 +1,6 @@
 import copy
 import random
-from collections import Counter
+from collections import Counter, OrderedDict, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from cftree import (
     unfold_mnfa,
     unfold_pdfa,
 )
+from cftree import jsonio
 from cftree.automata import _build_index
 from cftree.jsonio import (
     automaton_from_doc,
@@ -406,3 +407,77 @@ def test_readers_match_field_by_field_oracles_on_damaged_documents():
                         _check_pdfa_forms(read, damaged, kw, want[1][0])
     assert outcomes[SchemaError] >= 1000 and outcomes[PDfa] >= 100 and outcomes[MNfa] >= 100, outcomes
     assert outcomes["tree"] >= 50 and set(outcomes) == {SchemaError, PDfa, MNfa, "tree"}, outcomes
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+def _subclass_rows(doc: dict, key: str, retype) -> dict:
+    """``doc`` with the rows under ``key`` as ``OrderedDict``s, each value
+    passed through ``retype``."""
+    return {**doc, key: [OrderedDict((k, retype(k, v)) for k, v in row.items()) for row in doc[key]]}
+
+
+def _subclass_documents():
+    """Valid documents whose rows are ``OrderedDict``s: a tree document with
+    ``str``-subclass values, and a strict pDFA document with ``int``-subclass
+    ids, each beside its plain version."""
+    t = unfold_pdfa(samples.astar_bstar_pdfa(), "p", 3)
+    plain = tree_to_doc(t)
+    tree = _subclass_rows(_subclass_rows(plain, "nodes", lambda k, v: _Str(v)), "edges", lambda k, v: _Str(v))
+    yield tree, plain
+    d, root = random_reduced_pdfa(random.Random(5), 8)
+    plain = automaton_to_doc(d, root=root)
+    yield _subclass_rows(plain, "transitions", lambda k, v: _Int(v) if k == "id" else v), plain
+
+
+def test_subclass_rows_load_as_their_plain_documents():
+    (tree, plain), (pdfa, plain_pdfa) = _subclass_documents()
+    assert type(tree["nodes"][0]) is OrderedDict and type(tree["edges"][0]["to"]) is _Str
+    assert tree_from_doc(tree) == tree_from_doc(plain)
+    assert tree_from_doc(tree).sorted_nodes() == tree_from_doc(plain).sorted_nodes()
+    assert type(pdfa["transitions"][0]) is OrderedDict and type(pdfa["transitions"][0]["id"]) is _Int
+    d, root = automaton_from_doc(pdfa)
+    assert d._delta is None  # read straight into the index, as the plain document is
+    want, want_root = automaton_from_doc(plain_pdfa)
+    assert root == want_root and automaton_to_doc(d, root) == automaton_to_doc(want, want_root)
+    assert (d.states, d.alphabet, d.delta) == (want.states, want.alphabet, want.delta)
+
+
+def test_defaultdict_rows_are_not_filled_in():
+    # A row that lacks a field is named as such; no ``__missing__`` fills it.
+    tree, _ = next(_subclass_documents())
+    row = defaultdict(lambda: "v0", {"id": "v9", "name": "x"})
+    with pytest.raises(SchemaError, match=r"node is missing fields: \['label'\]"):
+        tree_from_doc({**tree, "nodes": [*tree["nodes"], row]})
+    assert set(row) == {"id", "name"}
+    doc = automaton_to_doc(samples.ray(), root="u")
+    row = defaultdict(lambda: "u", {"id": 0, "from": "u", "label": "a", "dst": "u"})
+    with pytest.raises(SchemaError, match=r"transition is missing fields: \['to'\]"):
+        automaton_from_doc({**doc, "transitions": [row]})
+    assert set(row) == {"id", "from", "label", "dst"}
+
+
+def test_tree_documents_that_load_never_run_a_row_pass(monkeypatch):
+    def row_pass(*args):
+        pytest.fail("a row pass ran for a tree document that loads")
+
+    ray = tree_to_doc(unfold_pdfa(samples.ray(), "u", 2))
+    e = ray["edges"][0]
+    flipped = {**ray, "edges": [{"from": e["to"], "label": "a^-1", "to": e["from"]}, *ray["edges"][1:]]}
+    docs = [ray, flipped, next(_subclass_documents())[0]]
+    for seed in range(12):
+        docs += [doc for doc in _documents(seed) if "nodes" in doc]
+        docs += [tree_to_doc(obj) for obj, _ in _writables(seed) if isinstance(obj, DiscTree)]
+    docs += [tree_to_doc(obj) for obj, _ in _edge_cases() if isinstance(obj, DiscTree)]
+    wants = [tree_from_doc_by_fields(copy.deepcopy(doc)) for doc in docs]
+    monkeypatch.setattr(jsonio, "_raise_node_fault", row_pass)
+    monkeypatch.setattr(jsonio, "_raise_edge_fault", row_pass)
+    for doc, want in zip(docs, wants):
+        assert tree_from_doc(doc) == want
+    assert len(docs) >= 90

@@ -12,6 +12,7 @@ from cftree import (
     PDfa,
     RadiusMismatchError,
     Transition,
+    UnknownLetterError,
     UnknownNodeError,
     UnknownStateError,
     compress_finite_tree,
@@ -560,6 +561,14 @@ def test_unfold_budget_and_unknown_states_alike_for_both_kinds():
     twice = MNfa({"p"}, samples.AL_A, [Transition(0, "p", "a", "p"), Transition(0, "p", "a^-1", "p")])
     with pytest.raises(ValueError, match="transition id 0 is used twice from state 'p'"):
         unfold_mnfa(twice, "p", 1)
+    # A letter outside the alphabet: no disc that the constructor, the tree
+    # reader or ``nondeterministic_vertex`` would turn away.
+    stray_pdfa = PDfa({"p"}, samples.AL_A, {("p", "zz"): "p"})
+    stray_mnfa = MNfa({"p"}, samples.AL_A, [Transition(0, "p", "zz", "p")])
+    for unfold, aut in ((unfold_pdfa, stray_pdfa), (unfold_mnfa, stray_mnfa)):
+        for radius in (1, 2):
+            with pytest.raises(UnknownLetterError, match="letter 'zz' is not in the alphabet"):
+                unfold(aut, "p", radius)
 
 
 def test_export_dot_single_node():
