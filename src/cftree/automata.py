@@ -38,7 +38,7 @@ from functools import reduce
 from itertools import repeat
 from operator import add, itemgetter, or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .alphabet import InvolutiveAlphabet, merge_alphabets
 from .errors import NotDeterministicError, NotReducedError, UnknownLetterError, UnknownStateError
@@ -619,22 +619,17 @@ def _classes(sides: list[_Side]) -> tuple[list[int], int, list[set[int]]]:
 
 def _predecessors(d: PDfa, ix: _Index, root: str | None = None) -> _Side:
     """The ``_classes`` side of the ids of ``ix``, an index of ``d``, that
-    ``root`` reaches, or of every id for None, which raises for a state that
-    only transitions name as ``_reach`` does for a reached one.  On ``d``'s
-    own index the side is kept in ``d._form``, so another root replaces it;
-    a side whose root reaches every id also serves None.  An index over a
-    larger alphabet, whose letter ids may differ, gets a fresh side kept
-    nowhere.  Callers only read it."""
+    ``root`` reaches, or of every id for None.  Either way a state that
+    only transitions name among those ids raises, as ``_listed`` names it.
+    On ``d``'s own index the side is kept in ``d._form``, so another root
+    replaces it; a side whose root reaches every id also serves None.  An
+    index over a larger alphabet, whose letter ids may differ, gets a fresh
+    side kept nowhere.  Callers only read it."""
     if ix is d._index and d._form is not None:
         kept, side = d._form
         if kept == root or root is None and len(side[1]) == len(ix.names):
             return side
-    if root is not None:
-        keep = _reach(d, root)
-    elif len(ix.names) > len(d.states):  # ids past those are states only transitions name
-        raise UnknownStateError(f"state {ix.names[len(d.states)]!r} is not in the automaton")
-    else:
-        keep = range(len(ix.names))
+    keep = _reach(d, root) if root is not None else _listed(d, range(len(ix.names)))
     side = _build_predecessors(ix, keep)
     if ix is d._index:
         d._form = (root, side)
@@ -657,14 +652,32 @@ def _walk(ix: _Index, *starts: int) -> list[int]:
     return todo
 
 
+_Ids = TypeVar("_Ids", Sequence[int], str)
+
+
+def _listed(d: PDfa, ids: _Ids) -> _Ids:
+    """``ids``, ids of ``d``'s index, unchanged; or raise
+    ``UnknownStateError`` for the state with the smallest name among them
+    that only transitions name.  A state name stands for the ids it
+    reaches.  Such states get the ids past the listed ones, in name order,
+    so an index without them costs one length test and no walk."""
+    ix, n = d._indexed(), len(d.states)
+    if len(ix.names) > n:
+        reached = _walk(ix, ix.ids[ids]) if isinstance(ids, str) else ids
+        unlisted = [i for i in reached if i >= n]
+        if unlisted:
+            raise UnknownStateError(f"state {ix.names[min(unlisted)]!r} is not in the automaton")
+    return ids
+
+
 def _reach(d: PDfa, root: str) -> list[int]:
     """Index ids of the states reachable from ``root``, as ``_walk`` lists
-    them; a reached state that only transitions name raises."""
+    them; a root that is not listed raises, and so does a reached state
+    that only transitions name, as ``_listed`` names it."""
+    if root not in d.states:
+        raise UnknownStateError(f"state {root!r} is not in the automaton")
     ix = d._indexed()
-    todo = _walk(ix, ix.ids[root])
-    if max(todo) >= len(d.states):  # ids past those are states only transitions name
-        raise UnknownStateError(f"state {ix.names[max(todo)]!r} is not in the automaton")
-    return todo
+    return _listed(d, _walk(ix, ix.ids[root]))
 
 
 def _require_pair(a: PDfa, p_root: str, b: PDfa, q_root: str) -> InvolutiveAlphabet:
@@ -680,10 +693,10 @@ def _require_pair(a: PDfa, p_root: str, b: PDfa, q_root: str) -> InvolutiveAlpha
 
 
 def reachable_states(aut: MNfa | PDfa, root: str) -> set[str]:
-    if root not in aut.states:
-        raise UnknownStateError(f"state {root!r} is not in the automaton")
     if isinstance(aut, PDfa):
         return {aut._indexed().names[p] for p in _reach(aut, root)}
+    if root not in aut.states:
+        raise UnknownStateError(f"state {root!r} is not in the automaton")
     seen = frontier = {root}
     while frontier:
         frontier = {t.dst for p in frontier for t in aut.transitions_from(p)} - seen
@@ -695,12 +708,12 @@ def trim(aut: MNfa | PDfa, root: str) -> MNfa | PDfa:
     """Restrict to the states reachable from ``root``.
 
     The tree generated from ``root`` is unchanged at every radius, and
-    ``root`` becomes a root of the result.
+    ``root`` becomes a root of the result.  For a pDFA, a reached state
+    that only transitions name raises, as ``_listed`` names it.
     """
     if isinstance(aut, MNfa):
         keep = reachable_states(aut, root)
         transitions = [t for t in aut.transitions if t.src in keep]
         return MNfa(keep, aut.alphabet, transitions)
-    if root not in aut.states:
-        raise UnknownStateError(f"state {root!r} is not in the automaton")
-    return PDfa._from_index(aut.alphabet, _restrict(aut._indexed(), sorted(_reach(aut, root))))
+    keep = sorted(_reach(aut, root))
+    return PDfa._from_index(aut.alphabet, _restrict(aut._indexed(), keep))

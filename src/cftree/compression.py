@@ -57,7 +57,8 @@ def quotient(d: PDfa) -> tuple[PDfa, dict[str, str]]:
     keeps for every state of the automaton's own index, with the heads taken
     in the side's name order: a class reads what its smallest member reads,
     into the classes of that member's successors.  A state that only
-    transitions name raises ``UnknownStateError``.
+    transitions name raises ``UnknownStateError``, reachable or not; of
+    several, the one with the smallest name is named, as everywhere.
     """
     ix, order, _, _ = side = _predecessors(d, d._indexed())
     block, _, _ = _classes([side])

@@ -38,7 +38,7 @@ from functools import reduce
 from itertools import compress, islice
 
 from .alphabet import merge_alphabets
-from .automata import PDfa, _classes, _predecessors, _reach, _require_pair
+from .automata import PDfa, _classes, _listed, _predecessors, _require_pair
 from .rerooting import reroot_along_word
 from .unfolding import Word
 
@@ -74,7 +74,8 @@ def language_classes(*automata: PDfa) -> list[dict[str, int]]:
     the same id exactly when they generate the same language.
     Class ids are labels: only their equality is promised, and their
     numbers follow the refinement's blocks.  A state that only transitions
-    name raises ``UnknownStateError``, as in ``quotient``.
+    name raises ``UnknownStateError``, reachable or not, as in ``quotient``;
+    of several, the one with the smallest name is named, as everywhere.
     """
     if not automata:
         return []
@@ -99,13 +100,14 @@ def iso_rooted(
     from the failing pair: on each earlier level, the first pair in queue
     order, then ascending letter, that steps into the current one, which
     is the pair that queued it.  A state that only transitions name raises
-    ``UnknownStateError`` when it is reachable from the root, as in ``trim``.
+    ``UnknownStateError`` when it is reachable from a root, as ``_listed``
+    names it, which walks a root's reach only when its pDFA holds such
+    states.
     """
     alphabet = _require_pair(a, p_root, b, q_root)
+    _listed(a, p_root)
+    _listed(b, q_root)
     ia, ib = a._indexed(alphabet), b._indexed(alphabet)
-    for d, ix, root in ((a, ia, p_root), (b, ib, q_root)):
-        if len(ix.names) > len(d.states):  # ids past those are states only transitions name
-            _reach(d, root)
     letters, mask_a, mask_b = ia.letters, ia.masks, ib.masks
     nb = len(ib.names)
     columns = list(zip(ia.succ, ib.succ))

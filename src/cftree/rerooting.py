@@ -12,7 +12,7 @@ a trim and a re-condensing per letter.
 
 from __future__ import annotations
 
-from .automata import MNfa, PDfa, Transition, _restrict, _walk, require_reduced, trim
+from .automata import MNfa, PDfa, Transition, _listed, _restrict, _walk, require_reduced, trim
 from .errors import UnknownStateError, WordNotInLanguageError
 from .unfolding import Word
 
@@ -74,8 +74,10 @@ def reroot_along_word(d: PDfa, root: str, w: Word) -> tuple[PDfa, str]:
     ``{s_i}@q{i-1}@p{i}`` and ``{s_k}@q{k-1}``, with ``+`` appended until
     fresh.  Runs in O((|w| + r)·|Σ|) for the ``r`` states kept, plus one
     O(|d|) list fill, the restriction's renaming.  A letter outside the
-    alphabet makes ``w`` unreadable; a state reachable from ``root`` that
-    only transitions name raises ``UnknownStateError``, as in ``trim``.
+    alphabet makes ``w`` unreadable.  A state reachable from ``root`` that
+    only transitions name raises ``UnknownStateError`` once ``w`` is read,
+    as ``_listed`` names it, also when only its copy is reachable from the
+    new root; for the empty word it raises in ``trim``.
     """
     require_reduced(d, "input")
     if root not in d.states:
@@ -99,8 +101,7 @@ def reroot_along_word(d: PDfa, root: str, w: Word) -> tuple[PDfa, str]:
     # the path, they are the states ``root`` reaches.
     ends = (col[s] for s, a in zip(path, cut + [-1]) for b, col in enumerate(ix.succ) if b != a)
     kept = sorted(_walk(ix, *ends))
-    if (top := max(path + kept)) >= len(d.states):  # ids past those are states only transitions name
-        raise UnknownStateError(f"state {ix.names[top]!r} is not in the automaton")
+    _listed(d, path + kept)
     # Copy c_i is row ``len(kept) + i``, its path state's row: edit its
     # w[i] edge away and add the w[i]^-1 edge of c_{i+1} back to it.
     r = _restrict(ix, kept + path, copies=copies)

@@ -48,7 +48,7 @@ from bisect import bisect_right
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .alphabet import InvolutiveAlphabet
-from .automata import MNfa, PDfa, Transition, pdfa_to_mnfa
+from .automata import MNfa, PDfa, Transition, _listed, pdfa_to_mnfa
 from .errors import (
     MaterializationLimitError,
     RadiusMismatchError,
@@ -358,7 +358,8 @@ def unfold_mnfa(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
     node as the last transition of its run.  A state's transitions are
     checked when it is first expanded: a transition id used twice raises
     ``ValueError``, and a letter outside the alphabet
-    ``UnknownLetterError``.
+    ``UnknownLetterError``.  So a disc that never expands a state with such
+    a transition is returned, where ``unfold_pdfa`` raises at every radius.
     """
     if p not in m.states:
         raise UnknownStateError(f"state {p!r} is not in the automaton")
@@ -394,20 +395,23 @@ def unfold_pdfa(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
     walk reads the pDFA's index, and the step of each node is its letter.
     Every node in one state has the same children, so each state's child
     list is built once, at its first expanded node, and kept in a list
-    indexed by state id.
+    indexed by state id.  A state that only transitions name raises
+    ``UnknownStateError`` there, at its first expansion, as ``_listed``
+    names it: a disc that only reaches it as a leaf is returned.  A letter
+    outside the alphabet has no column in the index, so it raises
+    ``UnknownLetterError`` when the index is built, at every radius, also
+    from a state that never reaches it; ``unfold_mnfa`` waits instead.
     """
     if p not in d.states:
         raise UnknownStateError(f"state {p!r} is not in the automaton")
     _check_radius(radius)
     ix = d._indexed()
-    known = len(d.states)  # ids past these name states only transitions mention
     columns = list(zip(ix.letters, ix.succ))
     kids: list[list[tuple[str, int]] | None] = [None] * len(ix.names)
 
     def out(s: int, _) -> list[tuple[str, int]]:
         if (ks := kids[s]) is None:
-            if s >= known:
-                raise UnknownStateError(f"state {ix.names[s]!r} is not in the automaton")
+            _listed(d, (s,))
             ks = kids[s] = [(x, q) for x, col in columns if (q := col[s]) >= 0]
         return ks
 

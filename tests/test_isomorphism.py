@@ -1249,6 +1249,34 @@ def test_states_only_transitions_name_raise_as_in_trim():
         iso_rooted(ghost, "q", good, "s")
 
 
+def test_every_operation_names_the_unlisted_state_with_the_smallest_name():
+    # ``p`` reaches two states that only transitions name.  Every operation
+    # that raises for them names the one with the smallest name; only the
+    # unfolding names the first state it expands, and only past radius 1.
+    d = PDfa({"p"}, involutive_closure(["a", "b"]), {("p", "a"): "zz", ("p", "b"): "yy"})
+    good = PDfa({"s"}, d.alphabet, {})
+    calls = {
+        "trim": lambda: trim(d, "p"),
+        "reachable_states": lambda: reachable_states(d, "p"),
+        "iso_rooted, left": lambda: iso_rooted(d, "p", good, "s"),
+        "iso_rooted, right": lambda: iso_rooted(good, "s", d, "p"),
+        "iso_nonrooted": lambda: iso_nonrooted(d, "p", good, "s"),
+        "quotient": lambda: quotient(d),
+        "language_classes": lambda: language_classes(d),
+        "reroot_along_word": lambda: reroot_along_word(d, "p", ("a",)),
+        "unfold_pdfa, radius 2": lambda: unfold_pdfa(d, "p", 2),
+    }
+    named = {}
+    for name, call in calls.items():
+        with pytest.raises(UnknownStateError) as caught:
+            call()
+        named[name] = str(caught.value)
+    expected = dict.fromkeys(calls, "state 'yy' is not in the automaton")
+    expected["unfold_pdfa, radius 2"] = "state 'zz' is not in the automaton"
+    assert named == expected
+    assert len(unfold_pdfa(d, "p", 1)) == 3
+
+
 def test_merged_alphabets_are_handled():
     x = PDfa({"s"}, involutive_closure(["a"]), {("s", "a"): "s"})
     y = PDfa({"t"}, involutive_closure(["b"]), {("t", "b"): "t"})

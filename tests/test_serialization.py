@@ -481,3 +481,27 @@ def test_tree_documents_that_load_never_run_a_row_pass(monkeypatch):
     for doc, want in zip(docs, wants):
         assert tree_from_doc(doc) == want
     assert len(docs) >= 90
+
+
+class _Misread(dict):
+    """A row that stores ``1`` for every field but reads each as ``reads``
+    gives it: the column pass, which reads what is stored, turns it away,
+    and the row pass, which reads through ``__getitem__``, finds no fault."""
+
+    def __init__(self, fields, reads):
+        super().__init__(dict.fromkeys(fields, 1))
+        self.reads = reads
+
+    def __getitem__(self, key):
+        return self.reads[key]
+
+
+def test_rows_that_read_other_than_they_hold_are_turned_away():
+    plain = tree_to_doc(unfold_pdfa(samples.ray(), "u", 1))
+    node = _Misread(("id", "label"), {"id": "x", "label": "x"})
+    with pytest.raises(SchemaError, match="node rows cannot be read"):
+        tree_from_doc({**plain, "nodes": [node]})
+    listed = plain["nodes"][0]["id"]
+    edge = _Misread(("from", "label", "to"), {"from": listed, "label": "a", "to": listed})
+    with pytest.raises(SchemaError, match="edge rows cannot be read"):
+        tree_from_doc({**plain, "edges": [edge]})

@@ -569,6 +569,18 @@ def test_unfold_budget_and_unknown_states_alike_for_both_kinds():
         for radius in (1, 2):
             with pytest.raises(UnknownLetterError, match="letter 'zz' is not in the alphabet"):
                 unfold(aut, "p", radius)
+    # A pDFA's index has no column for the stray letter, so ``unfold_pdfa``
+    # raises at every radius, also radius 0, and also from a root that never
+    # reaches the stray transition.  ``unfold_mnfa`` raises only when it
+    # expands the state, so it returns every disc that does not.
+    assert len(unfold_mnfa(stray_mnfa, "p", 0)) == 1
+    apart_pdfa = PDfa({"p", "q"}, samples.AL_A, {("p", "a"): "p", ("q", "zz"): "q"})
+    apart_mnfa = MNfa({"p", "q"}, samples.AL_A, [Transition(0, "p", "a", "p"), Transition(1, "q", "zz", "q")])
+    for radius in (0, 1, 3):
+        for aut in (stray_pdfa, apart_pdfa):
+            with pytest.raises(UnknownLetterError, match="letter 'zz' is not in the alphabet"):
+                unfold_pdfa(aut, "p", radius)
+        assert len(unfold_mnfa(apart_mnfa, "p", radius)) == radius + 1
 
 
 def test_export_dot_single_node():
