@@ -70,6 +70,13 @@ class Transition(NamedTuple):
     __hash__ = tuple.__hash__
 
 
+def _require_state(aut: MNfa | PDfa, p: str, where: str = "the automaton") -> None:
+    """Raise ``UnknownStateError`` unless ``p`` is a listed state of
+    ``aut``, an mNFA or a pDFA; the message says ``p`` is not in ``where``."""
+    if p not in aut.states:
+        raise UnknownStateError(f"state {p!r} is not in {where}")
+
+
 class MNfa:
     """Multi-edge nondeterministic finite automaton."""
 
@@ -90,8 +97,9 @@ class MNfa:
         self._by_src = by_src
 
     def transitions_from(self, state: str) -> tuple[Transition, ...]:
-        if state not in self.states:
-            raise UnknownStateError(f"state {state!r} is not in the automaton")
+        """The transitions that start at ``state``, in id order; a state
+        that is not listed raises, also one that transitions name."""
+        _require_state(self, state)
         return tuple(self._by_src.get(state, ()))
 
     def max_tid(self) -> int:
@@ -245,8 +253,7 @@ class PDfa:
 
     def out_set(self, p: str) -> frozenset[str]:
         """Letters readable from ``p``."""
-        if p not in self.states:
-            raise UnknownStateError(f"state {p!r} is not in the automaton")
+        _require_state(self, p)
         ix = self._indexed()
         return frozenset(x for x, col in zip(ix.letters, ix.succ) if col[ix.ids[p]] >= 0)
 
@@ -656,17 +663,18 @@ _Ids = TypeVar("_Ids", Sequence[int], str)
 
 
 def _listed(d: PDfa, ids: _Ids) -> _Ids:
-    """``ids``, ids of ``d``'s index, unchanged; or raise
-    ``UnknownStateError`` for the state with the smallest name among them
-    that only transitions name.  A state name stands for the ids it
-    reaches.  Such states get the ids past the listed ones, in name order,
-    so an index without them costs one length test and no walk."""
+    """``ids``, ids of ``d``'s index, unchanged; or, through
+    ``_require_state``, raise ``UnknownStateError`` for the state with the
+    smallest name among them that only transitions name.  A state name
+    stands for the ids it reaches.  Such states get the ids past the listed
+    ones, in name order, so an index without them costs one length test
+    and no walk."""
     ix, n = d._indexed(), len(d.states)
     if len(ix.names) > n:
         reached = _walk(ix, ix.ids[ids]) if isinstance(ids, str) else ids
         unlisted = [i for i in reached if i >= n]
         if unlisted:
-            raise UnknownStateError(f"state {ix.names[min(unlisted)]!r} is not in the automaton")
+            _require_state(d, ix.names[min(unlisted)])
     return ids
 
 
@@ -674,8 +682,7 @@ def _reach(d: PDfa, root: str) -> list[int]:
     """Index ids of the states reachable from ``root``, as ``_walk`` lists
     them; a root that is not listed raises, and so does a reached state
     that only transitions name, as ``_listed`` names it."""
-    if root not in d.states:
-        raise UnknownStateError(f"state {root!r} is not in the automaton")
+    _require_state(d, root)
     ix = d._indexed()
     return _listed(d, _walk(ix, ix.ids[root]))
 
@@ -685,22 +692,28 @@ def _require_pair(a: PDfa, p_root: str, b: PDfa, q_root: str) -> InvolutiveAlpha
     return their merged alphabet, ``a``'s own when the two are equal."""
     require_reduced(a, "first automaton")
     require_reduced(b, "second automaton")
-    if p_root not in a.states:
-        raise UnknownStateError(f"state {p_root!r} is not in the first automaton")
-    if q_root not in b.states:
-        raise UnknownStateError(f"state {q_root!r} is not in the second automaton")
+    _require_state(a, p_root, "the first automaton")
+    _require_state(b, q_root, "the second automaton")
     return merge_alphabets(a.alphabet, b.alphabet)
 
 
 def reachable_states(aut: MNfa | PDfa, root: str) -> set[str]:
+    """The states that ``root`` reaches, ``root`` among them.
+
+    A root that is not listed raises ``UnknownStateError``, and so does a
+    reached state that only transitions name.  Of several such states the
+    one with the smallest name is named, for either kind: a pDFA's as
+    ``_listed`` names it, an mNFA's after its whole reach is walked.
+    """
     if isinstance(aut, PDfa):
         return {aut._indexed().names[p] for p in _reach(aut, root)}
-    if root not in aut.states:
-        raise UnknownStateError(f"state {root!r} is not in the automaton")
+    _require_state(aut, root)
     seen = frontier = {root}
     while frontier:
-        frontier = {t.dst for p in frontier for t in aut.transitions_from(p)} - seen
+        frontier = {t.dst for p in frontier for t in aut._by_src.get(p, ())} - seen
         seen |= frontier
+    if unlisted := seen - aut.states:
+        _require_state(aut, min(unlisted))
     return seen
 
 
@@ -708,8 +721,9 @@ def trim(aut: MNfa | PDfa, root: str) -> MNfa | PDfa:
     """Restrict to the states reachable from ``root``.
 
     The tree generated from ``root`` is unchanged at every radius, and
-    ``root`` becomes a root of the result.  For a pDFA, a reached state
-    that only transitions name raises, as ``_listed`` names it.
+    ``root`` becomes a root of the result.  A reached state that only
+    transitions name raises, as ``reachable_states`` names it, for either
+    kind.
     """
     if isinstance(aut, MNfa):
         keep = reachable_states(aut, root)

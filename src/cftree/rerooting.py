@@ -12,7 +12,7 @@ a trim and a re-condensing per letter.
 
 from __future__ import annotations
 
-from .automata import MNfa, PDfa, Transition, _listed, _restrict, _walk, require_reduced, trim
+from .automata import MNfa, PDfa, Transition, _listed, _require_state, _restrict, _walk, require_reduced, trim
 from .errors import UnknownStateError, WordNotInLanguageError
 from .unfolding import Word
 
@@ -80,8 +80,7 @@ def reroot_along_word(d: PDfa, root: str, w: Word) -> tuple[PDfa, str]:
     new root; for the empty word it raises in ``trim``.
     """
     require_reduced(d, "input")
-    if root not in d.states:
-        raise UnknownStateError(f"state {root!r} is not in the automaton")
+    _require_state(d, root)
     ix = d._indexed()
     # ``path`` holds s_0, .., s_i; ``here`` names path node i before its
     # ``@p{i}`` suffix, and after the loop it is c_k.

@@ -48,13 +48,12 @@ from bisect import bisect_right
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .alphabet import InvolutiveAlphabet
-from .automata import MNfa, PDfa, Transition, _listed, pdfa_to_mnfa
+from .automata import MNfa, PDfa, Transition, _listed, _require_state, pdfa_to_mnfa
 from .errors import (
     MaterializationLimitError,
     RadiusMismatchError,
     UnknownLetterError,
     UnknownNodeError,
-    UnknownStateError,
 )
 
 Node = Hashable
@@ -356,13 +355,13 @@ def unfold_mnfa(m: MNfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
     as a tuple of transition ids, and its label the state the run ends in.
     A node's children come in transition-id order.  The walk meets each
     node as the last transition of its run.  A state's transitions are
-    checked when it is first expanded: a transition id used twice raises
-    ``ValueError``, and a letter outside the alphabet
+    checked when it is first expanded: a state that only transitions name
+    raises ``UnknownStateError``, as ``unfold_pdfa`` does, a transition id
+    used twice ``ValueError``, and a letter outside the alphabet
     ``UnknownLetterError``.  So a disc that never expands a state with such
     a transition is returned, where ``unfold_pdfa`` raises at every radius.
     """
-    if p not in m.states:
-        raise UnknownStateError(f"state {p!r} is not in the automaton")
+    _require_state(m, p)
     _check_radius(radius)
     letters = m.alphabet.letters
     kids: dict[str, list[tuple[str, Transition]]] = {}  # by state, from its first expanded node
@@ -402,8 +401,7 @@ def unfold_pdfa(d: PDfa, p: str, radius: int, max_nodes: int = DEFAULT_MAX_NODES
     ``UnknownLetterError`` when the index is built, at every radius, also
     from a state that never reaches it; ``unfold_mnfa`` waits instead.
     """
-    if p not in d.states:
-        raise UnknownStateError(f"state {p!r} is not in the automaton")
+    _require_state(d, p)
     _check_radius(radius)
     ix = d._indexed()
     columns = list(zip(ix.letters, ix.succ))

@@ -1,7 +1,11 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,7 @@ from cftree import (
     reroot_along_word,
     trim,
     unfold_mnfa,
+    unfold_pdfa,
     validate_mnfa,
     validate_pdfa,
 )
@@ -42,6 +47,8 @@ from oracles import (
     trim_by_delta,
 )
 from randgen import random_alphabet, random_pdfa, random_reduced_pdfa
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_validate_two_loop_mnfa_ok():
@@ -295,6 +302,40 @@ def test_trim_unknown_state():
         trim(samples.astar_bstar_mnfa(), "ghost")
 
 
+# An mNFA whose one listed state ``p`` reaches twelve unlisted ones: ``xi``
+# through transition ``11 - i``, so the first one expanded, ``x11``, is not
+# the one with the smallest name, ``x0``.
+_UNLISTED_FAN = """
+from cftree import MNfa, Transition, UnknownStateError, involutive_closure
+from cftree import reachable_states, reroot_step, trim, unfold_mnfa
+
+m = MNfa({"p"}, involutive_closure(["a", "b"]), [Transition(i, "p", "a", f"x{11 - i}") for i in range(12)])
+for call in (reachable_states, trim, lambda m, p: unfold_mnfa(m, p, 2), lambda m, p: reroot_step(m, p, 3)):
+    try:
+        call(m, "p")
+    except UnknownStateError as e:
+        print(e)
+print(len(unfold_mnfa(m, "p", 1)))
+"""
+
+
+def test_mnfa_operations_name_the_same_unlisted_state_under_every_hash_seed():
+    """``reachable_states`` and ``trim`` walk the whole reach and name the
+    unlisted state with the smallest name; ``unfold_mnfa`` and
+    ``reroot_step`` name the first they expand, and a disc that holds them
+    only as leaves is returned."""
+    expected = [f"state {x!r} is not in the automaton" for x in ("x0", "x0", "x11", "x8")] + ["13"]
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNLISTED_FAN],
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == expected, seed
+
+
 def test_trim_preserves_discs():
     rng = random.Random(21)
     for _ in range(20):
@@ -500,6 +541,24 @@ def test_transition_is_an_immutable_value_equal_only_to_transitions():
         del t.src
     assert t == Transition(3, "p", "a", "q")
     assert copy.deepcopy(t) == t and pickle.loads(pickle.dumps(t)) == t
+
+
+def test_value_types_show_their_sizes_and_equal_no_other_type():
+    al = involutive_closure(["b", "a"])
+    m = samples.one_state_two_loops()
+    for value, shown in (
+        (al, "InvolutiveAlphabet(['a', 'a^-1', 'b', 'b^-1'])"),
+        (m, "MNfa(states=1, transitions=2)"),
+        (samples.ray(), "PDfa(states=1, transitions=1)"),
+        (unfold_pdfa(samples.ray(), "u", 3), "DiscTree(radius=3, nodes=4)"),
+    ):
+        assert repr(value) == shown
+        assert value.__eq__(1) is NotImplemented
+        assert value != 1 and not value == 1 and 1 != value
+    assert list(al) == ["a", "a^-1", "b", "b^-1"]
+    twin = MNfa({"p"}, m.alphabet, reversed(m.transitions))  # held in id order
+    assert twin == m and hash(twin) == hash(m) and len({m, twin}) == 1
+    assert MNfa({"p", "q"}, m.alphabet, m.transitions) != m
 
 
 def test_index_over_a_larger_alphabet_matches_a_fresh_build():

@@ -20,7 +20,16 @@ from oracles import automaton_from_doc_by_fields, dumps_stdlib
 from randgen import random_reduced_pdfa
 from cftree.cli import run
 from cftree.jsonio import automaton_to_doc, automaton_to_json, tree_to_doc, tree_to_json
-from cftree import PDfa, pdfa_to_mnfa, unfold_pdfa
+from cftree import (
+    NotReducedError,
+    PDfa,
+    UnknownStateError,
+    iso_nonrooted,
+    iso_rooted,
+    pdfa_to_mnfa,
+    reduce_rooted_to_nonrooted,
+    unfold_pdfa,
+)
 
 
 @pytest.fixture
@@ -244,6 +253,37 @@ def test_reduce_2gap_and_lift(tmp_path, capsys):
     capsys.readouterr()
     assert run(["iso", str(lift_a), str(lift_b), "--unrooted"]) == 1
     capsys.readouterr()
+
+
+def test_pair_operations_name_the_automaton_that_lacks_its_state(tmp_path, capsys):
+    """A designated state missing from either automaton of a pair is named
+    with its side, after both automata are found reduced, in the library
+    and on the command line."""
+    ray, unreduced = samples.ray(), samples.loop_both_directions()
+    for op in (iso_rooted, iso_nonrooted, reduce_rooted_to_nonrooted):
+        for args, side in (((ray, "ghost", ray, "u"), "first"), ((ray, "u", ray, "ghost"), "second")):
+            with pytest.raises(UnknownStateError) as caught:
+                op(*args)
+            assert str(caught.value) == f"state 'ghost' is not in the {side} automaton"
+        with pytest.raises(NotReducedError, match="^second automaton is not reduced"):
+            op(ray, "ghost", unreduced, "p")
+
+    gap_file = tmp_path / "gap.json"
+    gap_file.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 3]]}))
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert run(["reduce-2gap", str(gap_file), "--out-a", a, "--out-b", b]) == 0
+    capsys.readouterr()
+    outs = ["--out-a", str(tmp_path / "la.json"), "--out-b", str(tmp_path / "lb.json")]
+    for args, side in (
+        (["iso", a, b, "--state", "ghost", "--state", ""], "first"),
+        (["iso", a, b, "--state", "ghost", "--state", "", "--witness"], "first"),
+        (["iso", a, b, "--unrooted", "--state", "", "--state", "ghost"], "second"),
+        (["lift-nonrooted", a, b, "--state-a", "ghost", *outs], "first"),
+        (["lift-nonrooted", a, b, "--state-b", "ghost", *outs], "second"),
+    ):
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", f"error[UNKNOWN_STATE]: state 'ghost' is not in the {side} automaton\n")
+    assert not (tmp_path / "la.json").exists() and not (tmp_path / "lb.json").exists()
 
 
 def test_minimize_cli(fig_files, capsys):

@@ -1,8 +1,13 @@
-"""Every demo script runs to completion without a traceback."""
+"""Every demo script runs to completion without a traceback, and README's
+quick tour gives the values its comments show."""
 
+import ast
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -19,3 +24,28 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_quick_tour_prints_what_its_comments_show():
+    """Runs README's ``python`` block one statement at a time; an
+    expression whose line ends in a ``# (…)`` comment must have that
+    comment as its ``repr``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            shown = comments.get(stmt.end_lineno, "")
+            if shown.startswith("("):
+                assert repr(value) == shown, ast.get_source_segment(block, stmt)
+                checked.append(shown)
+        else:
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    assert len(checked) >= 3, checked
